@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in objects")
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (execution is single-process)")
 
     p = sub.add_parser("rank", help="Steinberg rank table via the Grassmannian recursion")
     p.add_argument("--rings", required=True, help="comma-separated ring specs, e.g. Z/4,Z/6,F2[e]^2")
@@ -302,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.fn(args)
     except BudgetExceeded as e:

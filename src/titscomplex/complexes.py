@@ -6,10 +6,9 @@ chain of d+1 vertices under the cofree order; since ranks are strictly
 increasing along a chain, listing vertices by rank gives every simplex one
 canonical orientation and no per-simplex sign choices survive.
 
-The order relation is computed honestly: for every inclusion of member sets
-the quotient is tested for freeness.  Inclusions that fail the test would be
-counted in `included_not_cofree` (none have ever been observed over the
-supported rings; the counter exists to notice if that ever changes).
+The order relation is containment of member sets between vertices of rising
+rank; that every such step is cofree is a theorem (see build_filtration),
+and `verify` recounts it with the quotient oracle.
 """
 
 from __future__ import annotations
@@ -18,21 +17,25 @@ import itertools
 import json
 
 from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure, make_ring, quotient_spec
-from .linalg import Mat, Summand, quotient_free_rank_members
+from .linalg import Mat, Summand
+from .linalg import elementary_matrix, gl_generators, unit_scaling  # noqa: F401 (re-exported)
 from .grassmann import SummandCatalog, grassmannian_size_formula
 
 
 class TitsComplex:
     """Simplicial complex of good flags, with vertices of rank <= max_rank."""
 
-    def __init__(self, ring: Ring, n: int, max_rank: int, vertices, simplices, included_not_cofree: int):
+    # exported in schema v1; always 0, since every included pair of vertices
+    # is cofree (build_filtration), which verify's recount confirms
+    included_not_cofree = 0
+
+    def __init__(self, ring: Ring, n: int, max_rank: int, vertices, simplices):
         self.ring = ring
         self.n = n
         self.max_rank = max_rank
         self.vertices = vertices  # list[Summand], sorted by (rank, key)
         self.vindex = {s.members: i for i, s in enumerate(vertices)}
         self.simplices = simplices  # simplices[d] = sorted list of vertex-index tuples
-        self.included_not_cofree = included_not_cofree
         self.simplex_pos = [
             {t: i for i, t in enumerate(level)} for level in simplices
         ]
@@ -194,23 +197,18 @@ def build_filtration(
         vertices.extend(catalog.grassmannian(k))
     nverts = len(vertices)
 
-    # honest order relation: subset test, then cofreeness of the step
+    # V < W exactly when rank(V) < rank(W) and V is contained in W: W/V is
+    # then projective (V is a summand of R^n, hence of W) of constant rank
+    # rank(W) - rank(V), and over these finite rings, products of local
+    # rings, such a module is free, so every included pair is cofree
     upsets: list[list[int]] = [[] for _ in range(nverts)]
     related: list[set] = [set() for _ in range(nverts)]
-    included_not_cofree = 0
     for i, v in enumerate(vertices):
         for j in range(i + 1, nverts):
             w = vertices[j]
-            if w.rank <= v.rank:
-                continue
-            if not v.members <= w.members:
-                continue
-            gap = quotient_free_rank_members(ring, n, w.key, v.members, budget)
-            if gap == w.rank - v.rank:
+            if w.rank > v.rank and v.members <= w.members:
                 upsets[i].append(j)
                 related[i].add(j)
-            else:
-                included_not_cofree += 1
 
     # chains of the relation; extension only within the set of vertices
     # comparable to everything already chosen, so pairwise comparability is
@@ -229,7 +227,7 @@ def build_filtration(
         grow([i], upsets[i])
     for level in simplices:
         level.sort()
-    return TitsComplex(ring, n, m, vertices, simplices, included_not_cofree)
+    return TitsComplex(ring, n, m, vertices, simplices)
 
 
 def build_tits_complex(
@@ -238,40 +236,12 @@ def build_tits_complex(
     """The full Tits complex (dimension n-2); empty when n = 1."""
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     if n == 1:
-        return TitsComplex(ring, 1, 0, [], [], 0)
+        return TitsComplex(ring, 1, 0, [], [])
     return build_filtration(ring, n, n - 1, budget, catalog)
 
 
 # ---------------------------------------------------------------------------
 # group generators
-
-
-def elementary_matrix(ring: Ring, n: int, i: int, j: int, a: int) -> Mat:
-    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
-    rows[i][j] = a
-    return Mat(ring, rows)
-
-
-def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
-    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
-    rows[pos][pos] = u
-    return Mat(ring, rows)
-
-
-def gl_generators(ring: Ring, n: int) -> list[Mat]:
-    """Generators of GL_n(R): elementary matrices over additive generators
-    of R, plus unit scalings in the first slot (GL_n = GL_1 * E_n over
-    rings with stable range 2, which covers all finite rings)."""
-    gens = []
-    for a in ring.additive_generators():
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    gens.append(elementary_matrix(ring, n, i, j, a))
-    for u in sorted(ring.units):
-        if u != ring.one:
-            gens.append(unit_scaling(ring, n, u))
-    return gens
 
 
 def congruence_generators(

@@ -2,22 +2,16 @@
 
 Two independent routes are kept side by side on purpose: closed counting
 formulas (Gaussian binomials, the radical factorisation of |Gr_k^n|) and
-honest enumeration by basis extension.  Tests and the verify suite hold the
-two against each other.
+enumeration of each Grassmannian as one GL_n(R)-orbit.  Tests and the
+verify suite hold the two against each other, and against brute-force spans.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
-from .linalg import (
-    Summand,
-    all_vectors,
-    is_unimodular,
-    quotient_free_rank_members,
-    span_if_free,
-    _extend_span,
-    zero_summand,
-)
+from .linalg import Mat, Summand, gl_generators, quotient_free_rank_members
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -149,13 +143,13 @@ class Flag:
 
 
 class SummandCatalog:
-    """Per-(ring, n) cache of Grassmannians and cofree extension data.
+    """Per-(ring, n) cache of Grassmannians.
 
-    Enumeration is bottom-up: rank-1 summands come from the unimodular
-    vector sweep (a basis vector is always unimodular, so nothing is lost),
-    rank k from extending rank k-1 bases by one column.  Deduplication is by
-    member-set fingerprint and every accepted summand passes the honest
-    cofreeness test against the ambient module.
+    Gr_k is the orbit of the coordinate summand span(e_1..e_k) under
+    GL_n(R), which acts transitively on it: summands V, V' of Gr_k have free
+    complements C, C', and the matrix sending a basis of V followed by one
+    of C to a basis of V' followed by one of C' takes V to V'.  The orbit is
+    walked breadth-first under `gl_generators`.
     """
 
     def __init__(self, ring: Ring, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -163,24 +157,6 @@ class SummandCatalog:
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
-        self._by_members: dict[frozenset, Summand] = {}
-        self._cofree_in_ambient: dict[frozenset, bool] = {}
-        self._over: dict[tuple, list[Summand]] = {}
-
-    def canonical(self, members: frozenset, rank: int, basis) -> Summand:
-        s = self._by_members.get(members)
-        if s is None:
-            s = Summand(self.ring, self.n, rank, members, basis)
-            self._by_members[members] = s
-        return s
-
-    def _ambient_cofree(self, members: frozenset, rank: int) -> bool:
-        ok = self._cofree_in_ambient.get(members)
-        if ok is None:
-            r = quotient_free_rank_members(self.ring, self.n, None, members, self.budget)
-            ok = r == self.n - rank
-            self._cofree_in_ambient[members] = ok
-        return ok
 
     def grassmannian(self, k: int) -> list[Summand]:
         if not (0 <= k <= self.n):
@@ -189,80 +165,42 @@ class SummandCatalog:
         if got is not None:
             return got
         ring, n = self.ring, self.n
-        if 1 <= k < n:
-            check_budget(ring.card ** (n * k), self.budget, f"Gr_{k}^{n}({ring.spec.label})")
-        if k == 0:
-            out = [zero_summand(ring, n)]
-        elif k == n:
-            members = frozenset(all_vectors(ring, n, self.budget))
-            ident = [tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)]
-            out = [self.canonical(members, n, ident)]
-        elif k == 1:
-            out = []
-            seen = set()
-            for v in all_vectors(ring, n, self.budget):
-                if not is_unimodular(ring, v):
-                    continue
-                members = span_if_free(ring, [v], self.budget)
-                if members is None or members in seen:
-                    continue
-                seen.add(members)
-                if self._ambient_cofree(members, 1):
-                    out.append(self.canonical(members, 1, (v,)))
-        else:
-            out = []
-            seen = set()
-            for s in self.grassmannian(k - 1):
-                for v in all_vectors(ring, n, self.budget):
-                    if v in s.members:
-                        continue
-                    ext = _extend_span(ring, s.members, v)
-                    if ext is None:
-                        continue
-                    members = frozenset(ext)
-                    if members in seen:
-                        continue
-                    seen.add(members)
-                    if self._ambient_cofree(members, k):
-                        out.append(self.canonical(members, k, s.basis + (v,)))
-        out.sort()
+        # |Gr_k| summands of q^k member vectors each
+        check_budget(
+            grassmannian_size_formula(ring.spec, n, k) * ring.card**k,
+            self.budget,
+            f"Gr_{k}^{n}({ring.spec.label})",
+        )
+        basis = Mat.identity(ring, n).rows[:k]
+        zeros = (ring.zero,) * (n - k)
+        members = frozenset(t + zeros for t in itertools.product(range(ring.card), repeat=k))
+        start = Summand(ring, n, k, members, basis)
+        found = {members: start}
+        frontier = [start]
+        gens = gl_generators(ring, n)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for g in gens:
+                    image = frozenset(g.apply(v) for v in s.members)
+                    if image not in found:
+                        t = Summand(ring, n, k, image, tuple(g.apply(b) for b in s.basis))
+                        found[image] = t
+                        nxt.append(t)
+            frontier = nxt
+        out = sorted(found.values())
         self._gr[k] = out
         return out
 
     def oversummands(self, s: Summand, target_rank: int) -> list[Summand]:
         """Summands of the target rank containing s as a cofree summand.
 
-        Built by extending a basis of s one column at a time; each single
-        step keeps s cofree by construction, and multi-step reachability is
-        exactly cofree containment because a flag basis can be built through
-        any intermediate rank.
+        Containment is enough: W/s is projective of constant rank and
+        hence free (see complexes.build_filtration).
         """
         if target_rank <= s.rank or target_rank > self.n:
             raise ValueError("target rank out of range")
-        key = (s.members, target_rank)
-        got = self._over.get(key)
-        if got is not None:
-            return got
-        ring, n = self.ring, self.n
-        current = {s.members: s}
-        for rank in range(s.rank + 1, target_rank + 1):
-            nxt: dict[frozenset, Summand] = {}
-            for base in current.values():
-                for v in all_vectors(ring, n, self.budget):
-                    if v in base.members:
-                        continue
-                    ext = _extend_span(ring, base.members, v)
-                    if ext is None:
-                        continue
-                    members = frozenset(ext)
-                    if members in nxt:
-                        continue
-                    if self._ambient_cofree(members, rank):
-                        nxt[members] = self.canonical(members, rank, base.basis + (v,))
-            current = nxt
-        out = sorted(current.values())
-        self._over[key] = out
-        return out
+        return [w for w in self.grassmannian(target_rank) if s.members <= w.members]
 
 
 def enumerate_grassmannian(
@@ -278,7 +216,7 @@ def enumerate_grassmannian(
 def enumerate_good_flags(
     spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET, catalog: SummandCatalog | None = None
 ) -> list[Flag]:
-    """All good flags of the given type, by iterated cofree extension."""
+    """All good flags of the given type, by iterated containment in the Grassmannians."""
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)

@@ -165,6 +165,34 @@ def determinant(M: Mat) -> int:
     return M.det()
 
 
+def elementary_matrix(ring: Ring, n: int, i: int, j: int, a: int) -> Mat:
+    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
+    rows[i][j] = a
+    return Mat(ring, rows)
+
+
+def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
+    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
+    rows[pos][pos] = u
+    return Mat(ring, rows)
+
+
+def gl_generators(ring: Ring, n: int) -> list[Mat]:
+    """Generators of GL_n(R): elementary matrices over additive generators
+    of R, plus unit scalings in the first slot (GL_n = GL_1 * E_n over
+    rings with stable range 2, which covers all finite rings)."""
+    gens = []
+    for a in ring.additive_generators():
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    gens.append(elementary_matrix(ring, n, i, j, a))
+    for u in sorted(ring.units):
+        if u != ring.one:
+            gens.append(unit_scaling(ring, n, u))
+    return gens
+
+
 def is_unimodular(ring: Ring, v) -> bool:
     """True when the entries of v generate the unit ideal."""
     if ring.spec.kind in ("modular", "prime_field"):
@@ -275,10 +303,6 @@ class Summand:
 
 def canonical_fingerprint(s: Summand):
     return s.key
-
-
-def zero_summand(ring: Ring, n: int) -> Summand:
-    return Summand(ring, n, 0, frozenset({zero_vector(ring, n)}), ())
 
 
 def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Summand | None:

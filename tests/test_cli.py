@@ -147,11 +147,3 @@ def test_verify_budget_skip(capsys):
     assert doc["checks"][0]["status"] == "skip"
     assert "budget" in doc["checks"][0]["detail"]
 
-
-def test_jobs_validation(capsys):
-    try:
-        main(["rank", "--rings", "Z/4", "--n-max", "2", "--jobs", "0"])
-    except SystemExit as e:
-        assert e.code == 2
-    else:
-        raise AssertionError("expected SystemExit from argparse")

@@ -11,12 +11,14 @@ from titscomplex import (
     elementary_matrix,
     enumerate_good_flags,
     gl_generators,
+    grassmannian_size_formula,
     make_ring,
     parse_ring_spec,
     reduction_map,
 )
 from titscomplex.grassmann import flag_type, proper_ranks
 from titscomplex.rings import BudgetExceeded
+from titscomplex.verify import count_included_not_cofree
 
 
 def test_build_examples(built):
@@ -44,16 +46,21 @@ def test_vertices_sorted_by_rank_then_fingerprint(built):
 
 
 def test_simplices_respect_cofree_order(built):
-    cx = built.complex("Z/4", 3)
     from titscomplex.linalg import quotient_free_rank_members
 
-    ring = cx.ring
-    for t in cx.simplices[1][::13]:
-        v, w = cx.vertices[t[0]], cx.vertices[t[1]]
-        assert v.rank < w.rank
-        assert v.members <= w.members
-        gap = quotient_free_rank_members(ring, 3, w.key, v.members)
-        assert gap == w.rank - v.rank
+    for label in ["Z/4", "F2[e]^2", "Z/6", "Z/2xZ/3"]:
+        cx = built.complex(label, 3)
+        contained = {
+            (i, j)
+            for i, v in enumerate(cx.vertices)
+            for j, w in enumerate(cx.vertices)
+            if v.rank < w.rank and v.members <= w.members
+        }
+        assert set(cx.simplices[1]) == contained, label
+        for i, j in contained:
+            v, w = cx.vertices[i], cx.vertices[j]
+            gap = quotient_free_rank_members(cx.ring, 3, w.key, v.members)
+            assert gap == w.rank - v.rank, (label, i, j)
 
 
 def test_purity(built):
@@ -63,7 +70,30 @@ def test_purity(built):
 
 def test_no_included_not_cofree_pairs(built):
     for label, n in [("Z/4", 3), ("F2", 4), ("Z/6", 2)]:
-        assert built.complex(label, n).included_not_cofree == 0
+        assert count_included_not_cofree(built.complex(label, n)) == 0
+
+
+def closed_flag_counts(spec, n):
+    """f-vector of T_n(R) from |Gr| formulas: a chain of ranks r_0 < ... < r_d
+    is counted by the product of |Gr_(r_(i+1) - r_i)^(n - r_i)| over its steps."""
+    f = []
+    for size in range(1, n):
+        total = 0
+        for ranks in itertools.combinations(range(1, n), size):
+            count, prev = 1, 0
+            for r in ranks:
+                count *= grassmannian_size_formula(spec, n - prev, r - prev)
+                prev = r
+            total += count
+        f.append(total)
+    return f
+
+
+def test_t4_face_counts_match_closed_flag_counts():
+    for label in ["Z/4", "F2[e]^2"]:
+        spec = parse_ring_spec(label)
+        cx = build_tits_complex(make_ring(spec), 4)
+        assert cx.f_vector == closed_flag_counts(spec, 4) == [800, 10080, 20160], label
 
 
 def test_filtration_examples(built):

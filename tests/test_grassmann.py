@@ -12,7 +12,9 @@ from titscomplex import (
     grassmannian_size_formula,
     make_ring,
     parse_ring_spec,
+    span_summand,
 )
+from titscomplex.linalg import all_vectors
 from titscomplex.rings import BudgetExceeded
 
 
@@ -117,6 +119,23 @@ def test_enumeration_is_deterministic_and_deduplicated():
     assert [s.key for s in a] == [s.key for s in b]
     assert len({s.members for s in a}) == len(a)
     assert all(a[i].key < a[i + 1].key for i in range(len(a) - 1))
+
+
+def test_orbit_enumeration_equals_brute_force_spans():
+    cases = [
+        ("Z/4", 2, 1), ("Z/4", 3, 1), ("Z/6", 3, 1), ("F2[e]^2", 3, 1),
+        ("Z/2xZ/3", 2, 1), ("Z/4", 3, 2), ("F2[e]^2", 3, 2),
+    ]
+    for label, n, k in cases:
+        ring = make_ring(parse_ring_spec(label))
+        nonzero = [v for v in all_vectors(ring, n) if any(x != ring.zero for x in v)]
+        brute = set()
+        for combo in itertools.combinations(nonzero, k):
+            s = span_summand(ring, list(combo))
+            if s is not None:
+                brute.add(s.members)
+        orbit = [s.members for s in enumerate_grassmannian(ring, n, k)]
+        assert len(set(orbit)) == len(orbit) and set(orbit) == brute, (label, n, k)
 
 
 def test_enumeration_budget():
