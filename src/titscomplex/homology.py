@@ -1,16 +1,17 @@
 """Exact integral homology of the flag complexes.
 
-Everything here is exact: boundary matrices carry Python integers, ranks
-and elementary divisors come from a sparse fraction-free Smith reduction
-with Markowitz-style pivoting, and cycle-space bases are integer kernel
-bases extracted from unimodular column reduction.  No floating point, no
-modular shortcuts.
+Everything here is exact: boundary matrices carry Python integers, and one
+elimination step, the unimodular echelon insertion `_insert`, gives every
+quantity.  Ranks and elementary divisors come from alternating column and
+row echelon forms, integer kernel bases from tracking its column
+operations, and incremental ranks (`IntEchelon`, `sparse_rank`) from
+inserting one vector at a time.  Induced maps are reported by their ranks.
+No floating point, no fractions, no modular shortcuts.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class SparseCols:
@@ -129,111 +130,75 @@ def chain_complex(cx) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Smith reduction
+# the echelon step and everything built on it
+
+
+def _insert(pivots: dict, vec: dict, tracks: dict | None = None, track: dict | None = None):
+    """Insert vec into a lattice echelon form: the module's one elimination step.
+
+    pivots maps each lead (smallest) index to the one stored vector with that
+    lead.  vec is reduced against the pivot at its lead: by a multiple of it
+    when the pivot's lead entry divides vec's, otherwise by the unimodular
+    2x2 gcd step, which replaces both.  Every step is unimodular, so the
+    pivots always span the lattice of the inserted vectors.  When tracks is
+    given (lead -> tracker), the same column operations are applied to the
+    trackers, with track as vec's.
+
+    Returns None when vec became a new pivot; otherwise vec reduced to zero
+    and the result is its tracker ({} when nothing is tracked).
+    """
+    while vec:
+        lead = min(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = vec
+            if tracks is not None:
+                tracks[lead] = track
+            return None
+        a = vec[lead]
+        b = piv[lead]
+        if a % b == 0:
+            vec = _lincomb(vec, 1, piv, -(a // b))
+            if tracks is not None:
+                track = _lincomb(track, 1, tracks[lead], -(a // b))
+        else:
+            # new pivot = x*piv + y*vec, new vec = -(a/g)*piv + (b/g)*vec (det 1)
+            g, x, y = _ext_gcd(b, a)
+            pivots[lead] = _lincomb(piv, x, vec, y)
+            vec = _lincomb(piv, -(a // g), vec, b // g)
+            if tracks is not None:
+                old = tracks[lead]
+                tracks[lead] = _lincomb(old, x, track, y)
+                track = _lincomb(old, -(a // g), track, b // g)
+    return {} if tracks is None else track
 
 
 def smith_rank_and_divisors(mat: SparseCols) -> tuple[int, list[int]]:
     """Exact rank and invariant factors (SNF diagonal) of an integer matrix.
 
-    Sparse elimination: pick a pivot of least absolute value (Markowitz
-    fill-count as tiebreak), clear its row and column with unimodular
-    operations, repeat.  The collected pivots diagonalise the matrix, and a
-    gcd/lcm sweep turns the diagonal into the divisibility chain.
+    Alternates column and row echelon forms (Kannan-Bachem): insert the
+    columns, then the rows of the resulting pivots, and so on, until every
+    pivot has a single entry.  The diagonal left behind is turned into the
+    divisibility chain by `normalize_divisors`.
     """
-    rows: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {}
-    for c, col in enumerate(mat.cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-            col_index.setdefault(c, set()).add(r)
-    pivots: list[int] = []
-
-    def axpy_row(dst: int, src: int, factor: int):
-        """row dst += factor * row src."""
-        if factor == 0:
-            return
-        drow = rows.setdefault(dst, {})
-        for c, v in rows[src].items():
-            nv = drow.get(c, 0) + factor * v
-            if nv:
-                drow[c] = nv
-                col_index.setdefault(c, set()).add(dst)
-            else:
-                drow.pop(c, None)
-                col_index[c].discard(dst)
-
-    def combine_rows(r0: int, r1: int, c: int):
-        """Unimodular 2x2 transform making (r0, c) = gcd and (r1, c) = 0."""
-        a = rows[r0][c]
-        b = rows[r1][c]
-        if b % a == 0:
-            axpy_row(r1, r0, -(b // a))
-            return
-        g, x, y = _ext_gcd(a, b)
-        # new r0 = x*r0 + y*r1 ; new r1 = -(b//g)*r0 + (a//g)*r1  (det = 1)
-        old0 = dict(rows[r0])
-        old1 = dict(rows[r1])
-        _set_row(rows, col_index, r0, _lincomb(old0, x, old1, y))
-        _set_row(rows, col_index, r1, _lincomb(old0, -(b // g), old1, a // g))
-
-    def axpy_col(dst: int, src: int, factor: int):
-        if factor == 0:
-            return
-        for r in list(col_index.get(src, ())):
-            v = rows[r][src]
-            nv = rows[r].get(dst, 0) + factor * v
-            if nv:
-                rows[r][dst] = nv
-                col_index.setdefault(dst, set()).add(r)
-            else:
-                rows[r].pop(dst, None)
-                col_index[dst].discard(r)
-
-    def combine_cols(c0: int, c1: int, r: int):
-        a = rows[r][c0]
-        b = rows[r][c1]
-        if b % a == 0:
-            axpy_col(c1, c0, -(b // a))
-            return
-        g, x, y = _ext_gcd(a, b)
-        rows_c0 = {rr: rows[rr][c0] for rr in col_index.get(c0, ())}
-        rows_c1 = {rr: rows[rr][c1] for rr in col_index.get(c1, ())}
-        _set_col(rows, col_index, c0, _lincomb(rows_c0, x, rows_c1, y))
-        _set_col(rows, col_index, c1, _lincomb(rows_c0, -(b // g), rows_c1, a // g))
-
+    vectors = mat.cols
     while True:
-        pivot = None
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                score = (abs(v), (len(row) - 1) * (len(col_index[c]) - 1), r, c)
-                if best is None or score < best:
-                    best = score
-                    pivot = (r, c)
-                    if score[0] == 1 and score[1] == 0:
-                        break
-            else:
-                continue
-            break
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        while True:
-            for r in list(col_index.get(c0, ())):
-                if r != r0:
-                    combine_rows(r0, r, c0)
-            others = [c for c in rows.get(r0, {}) if c != c0]
-            for c in others:
-                combine_cols(c0, c, r0)
-            col_clean = col_index.get(c0, set()) <= {r0}
-            row_clean = set(rows.get(r0, {})) <= {c0}
-            if col_clean and row_clean:
-                break
-        pivots.append(abs(rows[r0][c0]))
-        for c in list(rows.get(r0, {})):
-            col_index[c].discard(r0)
-        rows.pop(r0, None)
-    return len(pivots), normalize_divisors(pivots)
+        pivots: dict[int, dict] = {}
+        for vec in vectors:
+            _insert(pivots, vec)
+        leads = [piv[lead] for lead, piv in pivots.items()]
+        # Ordered by lead, the pivots are lower-triangular on their lead
+        # indices; with a unit diagonal that r x r minor is +-1, so every
+        # invariant factor is 1.
+        if all(v in (1, -1) for v in leads):
+            return len(leads), [1] * len(leads)
+        if all(len(piv) == 1 for piv in pivots.values()):
+            return len(leads), normalize_divisors(leads)
+        rows: dict[int, dict[int, int]] = {}
+        for k, lead in enumerate(sorted(pivots)):
+            for i, v in pivots[lead].items():
+                rows.setdefault(i, {})[k] = v
+        vectors = [rows[i] for i in sorted(rows)]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -266,26 +231,6 @@ def _lincomb(d0: dict, a: int, d1: dict, b: int) -> dict:
     return out
 
 
-def _set_row(rows, col_index, r, new_row):
-    for c in rows.get(r, {}):
-        col_index[c].discard(r)
-    if new_row:
-        rows[r] = new_row
-        for c in new_row:
-            col_index.setdefault(c, set()).add(r)
-    else:
-        rows.pop(r, None)
-
-
-def _set_col(rows, col_index, c, new_col):
-    for r in list(col_index.get(c, ())):
-        rows[r].pop(c, None)
-    col_index[c] = set()
-    for r, v in new_col.items():
-        rows.setdefault(r, {})[c] = v
-        col_index[c].add(r)
-
-
 def normalize_divisors(pivots) -> list[int]:
     """Invariant factors of diag(pivots): gcd/lcm sweep until divisibility holds."""
     divs = sorted(abs(p) for p in pivots)
@@ -309,67 +254,27 @@ def normalize_divisors(pivots) -> list[int]:
 def kernel_basis(mat: SparseCols) -> list[dict]:
     """Integer basis of ker(mat) as sparse column vectors.
 
-    Unimodular column reduction: the recorded column operations are tracked
-    on an identity block, and the tracker columns sitting under zero columns
-    of the reduced matrix form a lattice basis of the kernel (kernels of
-    integer matrices are saturated, so this basis spans every integer
-    kernel vector over Z).
+    The columns are inserted with trackers starting at the identity; the
+    tracked operations form a unimodular U with mat*U = [pivots | 0], so the
+    trackers of the columns that reduce to zero are a lattice basis of the
+    whole integer kernel.
     """
-    ncols = mat.ncols
-    work = [dict(c) for c in mat.cols]
-    track = [{j: 1} for j in range(ncols)]
-    # smallest remaining row of each active column drives the sweep
-    active = set(range(ncols))
-    row_order: dict[int, set[int]] = {}
-    for j in active:
-        for r in work[j]:
-            row_order.setdefault(r, set()).add(j)
-
-    def col_update(j, newcol):
-        for r in work[j]:
-            row_order[r].discard(j)
-        work[j] = newcol
-        for r in newcol:
-            row_order.setdefault(r, set()).add(j)
-
-    for r in sorted(row_order):
-        js = [j for j in row_order.get(r, ()) if j in active]
-        if not js:
-            continue
-        j0 = min(js, key=lambda j: (abs(work[j][r]), j))
-        for j in js:
-            if j == j0:
-                continue
-            a = work[j0][r]
-            b = work[j][r]
-            if b % a == 0:
-                q = b // a
-                col_update(j, _lincomb(work[j], 1, work[j0], -q))
-                track[j] = _lincomb(track[j], 1, track[j0], -q)
-            else:
-                g, x, y = _ext_gcd(a, b)
-                c0, c1 = dict(work[j0]), dict(work[j])
-                t0, t1 = dict(track[j0]), dict(track[j])
-                col_update(j0, _lincomb(c0, x, c1, y))
-                col_update(j, _lincomb(c0, -(b // g), c1, a // g))
-                track[j0] = _lincomb(t0, x, t1, y)
-                track[j] = _lincomb(t0, -(b // g), t1, a // g)
-        active.discard(j0)
+    pivots: dict[int, dict] = {}
+    tracks: dict[int, dict] = {}
     out = []
-    for j in sorted(active):
-        if not work[j]:
-            vec = track[j]
-            g = 0
-            for v in vec.values():
-                g = math.gcd(g, v)
-            if g > 1:
-                vec = {k: v // g for k, v in vec.items()}
-            out.append(vec)
+    for j, col in enumerate(mat.cols):
+        zero = _insert(pivots, col, tracks, {j: 1})
+        if zero is not None:
+            out.append(zero)
     return out
 
 
 class IntEchelon:
-    """Incremental exact rank of a growing family of sparse integer vectors."""
+    """Incremental exact rank of a growing family of sparse integer vectors.
+
+    `pivots` is the lattice echelon form kept by `_insert`: one vector per
+    lead index, spanning exactly the lattice of the vectors added so far.
+    """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
@@ -378,34 +283,9 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return vec
-            a = vec[lead]
-            b = piv[lead]
-            if a % b == 0:
-                vec = _lincomb(vec, 1, piv, -(a // b))
-            else:
-                g = math.gcd(a, b)
-                vec = _lincomb(vec, b // g, piv, -(a // g))
-        return vec
-
     def add(self, vec: dict) -> bool:
         """Insert a vector; True when it increased the rank."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        g = 0
-        for v in red.values():
-            g = math.gcd(g, v)
-        if g > 1:
-            red = {k: v // g for k, v in red.items()}
-        self.pivots[min(red)] = red
-        return True
+        return _insert(self.pivots, vec) is None
 
 
 def sparse_rank(vectors) -> int:
@@ -478,8 +358,9 @@ def euler_characteristic_checks(cc: ChainComplex, hom: HomologyResult) -> bool:
 
 
 class InducedTopMap:
-    def __init__(self, matrix, rank, src_cycle_rank, dst_cycle_rank):
-        self.matrix = matrix  # rows: dst cycle coords, cols: src cycle basis images
+    """Ranks of the map induced on top cycle lattices."""
+
+    def __init__(self, rank, src_cycle_rank, dst_cycle_rank):
         self.rank = rank
         self.src_cycle_rank = src_cycle_rank
         self.dst_cycle_rank = dst_cycle_rank
@@ -493,8 +374,8 @@ class InducedTopMap:
 
 
 def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) -> InducedTopMap:
-    """Matrix of the induced map on top cycle lattices for a rank-preserving
-    simplicial map (top homology is the full cycle lattice there)."""
+    """The induced map on top cycle lattices for a rank-preserving simplicial
+    map (top homology is the full cycle lattice there)."""
     src, dst = simplicial_map.src, simplicial_map.dst
     top = src.dim
     if dst.dim != top:
@@ -525,63 +406,7 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
             else:
                 acc.pop(j, None)
         pushed.append(acc)
-    rank = sparse_rank(pushed)
-    matrix = _coords_in_basis(z_dst, pushed, len(dst.simplices[top]))
-    return InducedTopMap(matrix, rank, len(z_src), len(z_dst))
-
-
-def _coords_in_basis(basis_cols, vec_cols, nrows) -> list[list[int]]:
-    """Solve basis * X = vecs exactly; returns X as a dense row list.
-
-    The basis columns are an integer lattice basis of a saturated sublattice
-    containing every vec, so the solution is integral.
-    """
-    if not basis_cols:
-        if any(vec_cols[i] for i in range(len(vec_cols))):
-            raise ValueError("vectors outside the span of an empty basis")
-        return []
-    aug_rows = sorted({r for c in basis_cols for r in c} | {r for c in vec_cols for r in c})
-    row_of = {r: i for i, r in enumerate(aug_rows)}
-    m = len(aug_rows)
-    nb = len(basis_cols)
-    nv = len(vec_cols)
-    A = [[Fraction(0)] * (nb + nv) for _ in range(m)]
-    for j, col in enumerate(basis_cols):
-        for r, v in col.items():
-            A[row_of[r]][j] = Fraction(v)
-    for j, col in enumerate(vec_cols):
-        for r, v in col.items():
-            A[row_of[r]][nb + j] = Fraction(v)
-    # forward elimination on the basis block
-    piv_rows = []
-    r = 0
-    for j in range(nb):
-        pr = next((i for i in range(r, m) if A[i][j] != 0), None)
-        if pr is None:
-            raise ValueError("basis columns are dependent")
-        A[r], A[pr] = A[pr], A[r]
-        pv = A[r][j]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][j] != 0:
-                f = A[i][j]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_rows.append(r)
-        r += 1
-    # consistency: rows below the pivots must be zero on the vec block
-    for i in range(r, m):
-        if any(A[i][nb + j] != 0 for j in range(nv)):
-            raise ValueError("vector outside the span of the basis")
-    X = [[A[i][nb + j] for j in range(nv)] for i in range(nb)]
-    out = []
-    for row in X:
-        introw = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("non-integral coordinates against a lattice basis")
-            introw.append(int(x))
-        out.append(introw)
-    return out
+    return InducedTopMap(sparse_rank(pushed), len(z_src), len(z_dst))
 
 
 def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:

@@ -261,20 +261,31 @@ class Summand:
 
     @property
     def preferred_basis(self):
-        """Lexicographically least member tuple that is a basis (canonical)."""
+        """Lexicographically least member tuple that is a basis (canonical).
+
+        Depth-first over member tuples in lexicographic order.  A prefix
+        whose span is not free is pruned: every subset of a basis spans
+        freely, so no basis starts with it.
+        """
         if self._preferred is None:
-            if self.rank == 0:
-                self._preferred = ()
-            else:
-                found = None
-                nonzero = [m for m in self.key if m != zero_vector(self.ring, self.ambient)]
-                for combo in itertools.combinations(nonzero, self.rank):
-                    if span_if_free(self.ring, combo) == self.members:
-                        found = combo
-                        break
-                if found is None:
-                    raise RuntimeError("summand has no basis among its members")
-                self._preferred = found
+            zero = zero_vector(self.ring, self.ambient)
+            nonzero = [m for m in self.key if m != zero]
+
+            def search(start, span, prefix):
+                if len(prefix) == self.rank:
+                    return prefix if span == self.members else None
+                for i in range(start, len(nonzero) - (self.rank - len(prefix)) + 1):
+                    ext = _extend_span(self.ring, span, nonzero[i])
+                    if ext is not None:
+                        found = search(i + 1, ext, prefix + (nonzero[i],))
+                        if found is not None:
+                            return found
+                return None
+
+            found = search(0, {zero}, ())
+            if found is None:
+                raise RuntimeError("summand has no basis among its members")
+            self._preferred = found
         return self._preferred
 
     def contains(self, other: "Summand") -> bool:

@@ -89,10 +89,10 @@ def closed_flag_counts(spec, n):
     return f
 
 
-def test_t4_face_counts_match_closed_flag_counts():
+def test_t4_face_counts_match_closed_flag_counts(built):
     for label in ["Z/4", "F2[e]^2"]:
         spec = parse_ring_spec(label)
-        cx = build_tits_complex(make_ring(spec), 4)
+        cx = built.complex(label, 4)
         assert cx.f_vector == closed_flag_counts(spec, 4) == [800, 10080, 20160], label
 
 
