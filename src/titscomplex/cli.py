@@ -164,8 +164,10 @@ def cmd_apartments(args) -> int:
         raise ValueError("apartments need n >= 2 (the complex is empty for n = 1)")
     cx = _build(args)
     hom = reduced_homology(chain_complex(cx))
-    res = apartment_span_rank(cx, mode=args.mode, seed=args.seed, budget=args.budget)
     top = cx.dim
+    res = apartment_span_rank(
+        cx, mode=args.mode, seed=args.seed, budget=args.budget, top_betti=hom.betti[top]
+    )
     doc = {
         "schema_version": 1,
         "ring": cx.ring.spec.label,

@@ -6,7 +6,9 @@ quantity.  Ranks and elementary divisors come from alternating column and
 row echelon forms, integer kernel bases from tracking its column
 operations, and incremental ranks (`IntEchelon`, `sparse_rank`) from
 inserting one vector at a time.  Induced maps are reported by their ranks.
-No floating point, no fractions, no modular shortcuts.
+No floating point and no fractions.  The one modular computation,
+`ModPEchelon`, is a lower bound on a rank over Q; it certifies an exact
+rank only when it meets a proven upper bound, and is never reported alone.
 """
 
 from __future__ import annotations
@@ -286,6 +288,66 @@ class IntEchelon:
     def add(self, vec: dict) -> bool:
         """Insert a vector; True when it increased the rank."""
         return _insert(self.pivots, vec) is None
+
+
+MOD_P = (1 << 61) - 1  # a Mersenne prime
+
+
+class ModPEchelon:
+    """Incremental rank mod the prime MOD_P of sparse integer vectors.
+
+    Reducing mod p can only lower a rank, so `rank` is at most the exact
+    rank over Q: a one-sided certificate, exact once it meets an upper
+    bound.  The pivots are kept in reduced echelon form (monic, and zero at
+    every other pivot's lead), so a vector is reduced in one pass over its
+    own entries.  A new pivot leads at the entry whose column the fewest
+    pivots touch, which keeps back-substitution and fill small.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict] = {}
+        self._touching: dict[int, set] = {}  # column -> leads of the pivots nonzero there
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: dict) -> bool:
+        """Insert a vector; True when it increased the rank mod p."""
+        p, pivots, touching = MOD_P, self.pivots, self._touching
+        vec = {k: v % p for k, v in vec.items() if v % p}
+        for lead in [k for k in vec if k in pivots]:
+            c = vec[lead]
+            for k, v in pivots[lead].items():
+                nv = (vec.get(k, 0) - c * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+        if not vec:
+            return False
+        lead = min(vec, key=lambda k: (len(touching.get(k, ())), k))
+        inv = pow(vec[lead], -1, p)
+        new = {k: v * inv % p for k, v in vec.items()}
+        # clear the new lead's column from every other pivot
+        for other in touching.pop(lead, ()):
+            row = pivots[other]
+            c = row[lead]
+            for k, v in new.items():
+                nv = (row.get(k, 0) - c * v) % p
+                if nv:
+                    if k not in row:
+                        touching.setdefault(k, set()).add(other)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    if k != lead:
+                        touching[k].discard(other)
+        pivots[lead] = new
+        for k in new:
+            if k != lead:
+                touching.setdefault(k, set()).add(lead)
+        return True
 
 
 def sparse_rank(vectors) -> int:

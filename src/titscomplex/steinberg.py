@@ -21,7 +21,7 @@ from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
 from .linalg import Mat, span_if_free
 from .grassmann import enumerate_grassmannian, grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, gl_generators
-from .homology import ChainComplex, IntEchelon
+from .homology import ChainComplex, IntEchelon, ModPEchelon
 
 
 _rank_memo: dict[RingSpec, list[int]] = {}
@@ -118,35 +118,40 @@ class SteinbergChain:
         return f"SteinbergChain({len(self.coeffs)} facets)"
 
 
-def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
-    """Signed sum over all complete flags refining the basis (a top cycle)."""
+def apartment_class(cx: TitsComplex, basis: Mat, spans: dict | None = None) -> SteinbergChain:
+    """Signed sum over all complete flags refining the basis (a top cycle).
+
+    spans, when given, caches across calls on cx the vertex index of the
+    span of each set of columns, keyed by the sorted column vectors.
+    """
     ring, n = cx.ring, cx.n
     if basis.nrows != n or basis.ncols != n:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
+    if spans is None:
+        spans = {}
     cols = basis.columns()
-    # span members for every nonempty proper subset of columns
-    span_of: dict[frozenset, frozenset] = {}
+    # vertex index of the span of every nonempty proper subset of columns
+    vertex_of: dict[frozenset, int] = {}
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
-            fs = frozenset(subset)
-            sub = span_if_free(ring, [cols[j] for j in subset])
-            if sub is None:
-                raise ValueError("columns of an invertible matrix failed to span freely")
-            span_of[fs] = sub
+            key = tuple(sorted(cols[j] for j in subset))
+            idx = spans.get(key)
+            if idx is None:
+                sub = span_if_free(ring, [cols[j] for j in subset])
+                if sub is None:
+                    raise ValueError("columns of an invertible matrix failed to span freely")
+                idx = cx.vindex.get(sub)
+                if idx is None:
+                    raise RuntimeError("apartment flag misses a vertex (complex incomplete?)")
+                spans[key] = idx
+            vertex_of[frozenset(subset)] = idx
     global_sign = -1 if (n * (n - 1) // 2) % 2 else 1
     top_pos = cx.simplex_pos[n - 2]
     coeffs: dict[int, int] = {}
     for perm in itertools.permutations(range(n)):
-        verts = []
-        for size in range(1, n):
-            members = span_of[frozenset(perm[:size])]
-            idx = cx.vindex.get(members)
-            if idx is None:
-                raise RuntimeError("apartment flag misses a vertex (complex incomplete?)")
-            verts.append(idx)
-        facet = tuple(verts)
+        facet = tuple(vertex_of[frozenset(perm[:size])] for size in range(1, n))
         pos = top_pos.get(facet)
         if pos is None:
             raise RuntimeError("apartment flag is not a facet (complex incomplete?)")
@@ -281,6 +286,7 @@ def apartment_span_rank(
     mode: str = "auto",
     seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
+    top_betti: int | None = None,
 ) -> SpanRankResult:
     """Rank of the lattice spanned by apartment classes inside top chains.
 
@@ -292,6 +298,18 @@ def apartment_span_rank(
     exhaustive mode scans every frame; sampled mode grows an orbit closure
     from the identity frame plus seeded random frames and declares
     saturation when a full sweep of the group generators adds no rank.
+    Sampled mode computes at most `budget` classes and reports a run cut
+    short by it as unsaturated.
+
+    top_betti, the top Betti number from exact homology, makes both modes
+    stop at the first apartment that brings the rank to it.  Apartment
+    classes are top cycles and top homology is the top cycle lattice, so
+    the span rank is at most top_betti.  The classes are then reduced mod a
+    large prime (`ModPEchelon`), whose rank is at most the rank over Q, so
+    a mod-p rank equal to top_betti is exact.  If the frames run out, the
+    sampled rule saturates or the budget is spent first, the rank is
+    recomputed by the exact `IntEchelon` over the same frames: a mod-p rank
+    is never reported.  Without top_betti every class is reduced exactly.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -302,21 +320,47 @@ def apartment_span_rank(
             else "sampled"
         )
     lines = _line_block(cx)
-    ech = IntEchelon()
-    used = 0
+    spans: dict = {}
+    ech = IntEchelon() if top_betti is None else ModPEchelon()
+    used: list = []  # frames whose classes were added
+
+    def add(frame, mat) -> bool:
+        """Add one apartment class; True once the rank has reached top_betti."""
+        used.append(frame)
+        ech.add(apartment_class(cx, mat, spans).coeffs)
+        return ech.rank == top_betti
+
+    def result(saturated: bool) -> SpanRankResult:
+        rank = ech.rank
+        if top_betti is not None and rank != top_betti:
+            exact = IntEchelon()
+            for frame in used:
+                exact.add(apartment_class(cx, _frame_matrix(cx, frame), spans).coeffs)
+            rank = exact.rank
+        return SpanRankResult(rank, mode, saturated, len(used))
+
     if mode == "exhaustive":
         from math import comb
 
         check_budget(comb(len(lines), cx.n), budget, "apartment frames")
         for frame in itertools.combinations(lines, cx.n):
             mat = _frame_matrix(cx, frame)
-            if mat is None:
-                continue
-            used += 1
-            ech.add(apartment_class(cx, mat).coeffs)
-        return SpanRankResult(ech.rank, "exhaustive", True, used)
+            if mat is not None and add(frame, mat):
+                break
+        return result(True)
 
     # sampled: orbit closure with a rank-saturation stopping rule
+    def sweep(batch) -> SpanRankResult | None:
+        """Add (frame, matrix) pairs; a result when the run ends inside."""
+        for frame, mat in batch:
+            if mat is None:
+                continue
+            if budget is not None and len(used) >= budget:
+                return result(False)
+            if add(frame, mat):
+                return result(True)
+        return None
+
     rng = random.Random(seed)
     gens = gl_generators(cx.ring, cx.n)
     perms = [cx.vertex_permutation(g) for g in gens]
@@ -324,36 +368,24 @@ def apartment_span_rank(
     id_frame = frozenset(
         cx.vindex[span_if_free(cx.ring, [ident.column(j)])] for j in range(cx.n)
     )
-    frames = {id_frame}
+    seeds = {id_frame: _frame_matrix(cx, id_frame)}
     for _ in range(cx.n * 4):
         cand = frozenset(rng.sample(lines, cx.n))
-        if _frame_matrix(cx, cand) is not None:
-            frames.add(cand)
-    for f in frames:
-        mat = _frame_matrix(cx, f)
-        if mat is not None:
-            used += 1
-            ech.add(apartment_class(cx, mat).coeffs)
-    saturated = False
-    while not saturated:
-        if budget is not None and used > budget:
-            return SpanRankResult(ech.rank, "sampled", False, used)
-        before = ech.rank
-        new_frames = set()
-        for f in frames:
-            for p in perms:
-                g = frozenset(p[i] for i in f)
-                if g not in frames:
-                    new_frames.add(g)
-        for g in sorted(new_frames, key=sorted):
-            mat = _frame_matrix(cx, g)
+        if cand not in seeds:
+            mat = _frame_matrix(cx, cand)
             if mat is not None:
-                used += 1
-                ech.add(apartment_class(cx, mat).coeffs)
+                seeds[cand] = mat
+    done = sweep(seeds.items())
+    frames = set(seeds)
+    while done is None:
+        before = ech.rank
+        new_frames = {frozenset(p[i] for i in f) for f in frames for p in perms} - frames
+        batch = ((g, _frame_matrix(cx, g)) for g in sorted(new_frames, key=sorted))
+        done = sweep(batch)
         frames |= new_frames
-        if ech.rank == before:
-            saturated = True
-    return SpanRankResult(ech.rank, "sampled", True, used)
+        if done is None and ech.rank == before:
+            done = result(True)
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,8 @@ def _check_apartment_span(ctx):
     for label, n in cases:
         cx = ctx.complex(label, n)
         hom = ctx.homology(label, n)
-        res = apartment_span_rank(cx, budget=ctx.budget)
         want = hom.betti[n - 2]
+        res = apartment_span_rank(cx, budget=ctx.budget, top_betti=want)
         details.append(f"({label},{n}): span {res.rank} vs b {want}")
         if res.rank != want or not res.saturated:
             return False, "; ".join(details)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import titscomplex
 from titscomplex.cli import main
 
 TABLE1_CSV = """n,Z/4,Z/6,Z/8,Z/9,Z/10
@@ -104,6 +108,18 @@ def test_apartments_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["span_rank"] == 5 and doc["top_betti"] == 5 and doc["match"]
+
+
+def test_python_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titscomplex.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", "3", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n,Z/4\n1,1\n2,5\n3,113\n"
 
 
 def test_orbits_command(capsys):

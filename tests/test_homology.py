@@ -24,6 +24,7 @@ from titscomplex import (
 from titscomplex.homology import (
     ChainComplex,
     IntEchelon,
+    ModPEchelon,
     euler_characteristic_checks,
     normalize_divisors,
     sparse_rank,
@@ -142,6 +143,9 @@ def test_smith_and_kernel_properties(M):
     sp = to_sparse(M)
     rank, divisors = smith_rank_and_divisors(sp)
     assert (rank, divisors) == dense_snf(M)
+    # minors of these matrices are far below MOD_P, so no rank is lost mod p
+    ech = ModPEchelon()
+    assert sum(ech.add(col) for col in sp.cols) == ech.rank == rank
     kb = kernel_basis(sp)
     k = len(M[0]) - rank
     assert len(kb) == k

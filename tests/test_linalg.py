@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titscomplex import (
     Mat,
@@ -85,6 +87,22 @@ def test_determinant_multiplicative():
         A = Mat(r6, [[random.randrange(6) for _ in range(3)] for _ in range(3)])
         B = Mat(r6, [[random.randrange(6) for _ in range(3)] for _ in range(3)])
         assert A.mul_mat(B).det() == r6.mul[A.det()][B.det()]
+
+
+DET_RINGS = {label: make_ring(parse_ring_spec(label)) for label in ["Z/4", "Z/6", "F2[e]^2", "Z/2xZ/3"]}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(DET_RINGS)), st.integers(1, 3), st.data())
+def test_determinant_properties(label, n, data):
+    ring = DET_RINGS[label]
+    row = st.lists(st.integers(0, ring.card - 1), min_size=n, max_size=n)
+    A = Mat(ring, data.draw(st.lists(row, min_size=n, max_size=n)))
+    B = Mat(ring, data.draw(st.lists(row, min_size=n, max_size=n)))
+    assert A.mul_mat(B).det() == ring.mul[A.det()][B.det()]
+    # invertible exactly when det is a unit, and exactly when A is onto R^n
+    image = {A.apply(v) for v in itertools.product(range(ring.card), repeat=n)}
+    assert A.is_invertible() == (A.det() in ring.units) == (len(image) == ring.card**n)
 
 
 def test_determinant_errors():

@@ -21,6 +21,7 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
+from titscomplex import steinberg
 
 TABLE1 = {
     4: [1, 5, 113, 10879, 4324129, 6984271295],
@@ -207,6 +208,72 @@ def test_apartment_span_sampled_agrees(built):
     cx3 = built.complex("F2", 3)
     res = apartment_span_rank(cx3, mode="sampled", seed=0)
     assert res.saturated and res.rank == 8
+
+
+CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
+
+
+@pytest.mark.parametrize("label,n", CERTIFIED_CASES)
+def test_certified_span_matches_exact_oracle(built, label, n):
+    cx = built.complex(label, n)
+    b = built.homology(label, n).betti[n - 2]
+    oracle = apartment_span_rank(cx)
+    res = apartment_span_rank(cx, top_betti=b)
+    assert res.rank == oracle.rank == b
+    assert res.saturated and res.mode == oracle.mode
+    # the oracle keeps adding classes after its rank has reached b
+    assert res.apartments_used < oracle.apartments_used
+
+
+@pytest.mark.parametrize("label,n,mode", [
+    ("Z/4", 2, "exhaustive"), ("Z/6", 2, "exhaustive"), ("F2", 3, "exhaustive"),
+    ("Z/4", 3, "exhaustive"), ("F2", 3, "sampled"),
+])
+def test_unreached_bound_falls_back_to_the_exact_rank(built, label, n, mode):
+    # b + 1 is never reached, so every frame is used and the rank is recounted exactly
+    cx = built.complex(label, n)
+    b = built.homology(label, n).betti[n - 2]
+    oracle = apartment_span_rank(cx, mode=mode)
+    res = apartment_span_rank(cx, mode=mode, top_betti=b + 1)
+    assert res.rank == b
+    assert res.saturated and res.apartments_used == oracle.apartments_used
+
+
+class _LossyEchelon:
+    """Stands in for the mod-p echelon and loses every vector."""
+
+    rank = 0
+
+    def add(self, vec):
+        return False
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_short_mod_p_rank_is_never_reported(built, monkeypatch, mode):
+    cx = built.complex("F2", 3)
+    oracle = apartment_span_rank(cx, mode=mode)
+    monkeypatch.setattr(steinberg, "ModPEchelon", _LossyEchelon)
+    res = apartment_span_rank(cx, mode=mode, top_betti=8)
+    assert res.rank == 8 and res.apartments_used == oracle.apartments_used
+
+
+def test_certified_sampled_span_reaches_top_betti(built):
+    cx = built.complex("Z/4", 3)
+    b = built.homology("Z/4", 3).betti[1]
+    for seed in range(5):
+        res = apartment_span_rank(cx, mode="sampled", seed=seed, top_betti=b)
+        assert res.saturated and res.rank == b == 113
+
+
+def test_sampled_budget_is_never_exceeded(built):
+    cx = built.complex("F3", 3)
+    for budget in (5, 13, 20):
+        oracle = apartment_span_rank(cx, mode="sampled", budget=budget)
+        res = apartment_span_rank(cx, mode="sampled", budget=budget, top_betti=27)
+        for r in (oracle, res):
+            assert not r.saturated and r.apartments_used <= budget
+        # the certified run recounts its frames exactly, as the oracle does
+        assert res.rank == oracle.rank
 
 
 # -- orbit and commutant ---------------------------------------------------------
