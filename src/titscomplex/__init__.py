@@ -25,9 +25,12 @@ from .linalg import (
     canonical_fingerprint,
     complete_to_basis,
     determinant,
+    elementary_matrix,
+    gl_generators,
     is_unimodular,
     quotient_free_rank,
     span_summand,
+    unit_scaling,
 )
 from .grassmann import (
     Flag,
@@ -46,10 +49,7 @@ from .complexes import (
     build_filtration,
     build_tits_complex,
     congruence_generators,
-    elementary_matrix,
-    gl_generators,
     reduction_map,
-    unit_scaling,
 )
 from .homology import (
     ChainComplex,

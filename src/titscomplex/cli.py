@@ -121,7 +121,7 @@ def cmd_flags(args) -> int:
 def _build(args):
     spec = parse_ring_spec(args.ring)
     ring = make_ring(spec)
-    if getattr(args, "filtration", None):
+    if getattr(args, "filtration", None) is not None:
         return build_filtration(ring, args.n, args.filtration, args.budget)
     return build_tits_complex(ring, args.n, args.budget)
 

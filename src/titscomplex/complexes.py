@@ -17,8 +17,7 @@ import itertools
 import json
 
 from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure, make_ring, quotient_spec
-from .linalg import Mat, Summand
-from .linalg import elementary_matrix, gl_generators, unit_scaling  # noqa: F401 (re-exported)
+from .linalg import Mat, Summand, span_if_free
 from .grassmann import SummandCatalog, grassmannian_size_formula
 
 
@@ -40,6 +39,7 @@ class TitsComplex:
             {t: i for i, t in enumerate(level)} for level in simplices
         ]
         self._perm_cache: dict = {}
+        self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
 
     @property
     def dim(self) -> int:
@@ -53,8 +53,24 @@ class TitsComplex:
     def facets(self):
         return self.simplices[-1] if self.simplices else []
 
-    def vertex_of_members(self, members) -> int:
-        return self.vindex[members]
+    def vertex_of_span(self, vectors) -> int:
+        """Index of the vertex spanned by the vectors.
+
+        Raises ValueError when the vectors do not span freely and
+        RuntimeError when their span is not a vertex.  Memoised per complex
+        by the sorted vectors; only the index is kept, not the member set.
+        """
+        key = tuple(sorted(vectors))
+        got = self._span_cache.get(key)
+        if got is None:
+            members = span_if_free(self.ring, key)
+            if members is None:
+                raise ValueError("vectors do not span freely")
+            got = self.vindex.get(members)
+            if got is None:
+                raise RuntimeError("span is not a vertex of the complex")
+            self._span_cache[key] = got
+        return got
 
     def has_simplex(self, t) -> bool:
         d = len(t) - 1
@@ -180,9 +196,7 @@ class Subcomplex:
         return sorted({i for level in self.simplices for t in level for i in t})
 
 
-def build_filtration(
-    spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_BUDGET, catalog: SummandCatalog | None = None
-) -> TitsComplex:
+def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
     """Full subcomplex on the summands of rank at most m (1 <= m <= n-1)."""
     if not (1 <= m <= n - 1):
         raise ValueError(f"filtration rank must satisfy 1 <= m <= n-1, got m={m}, n={n}")
@@ -190,8 +204,7 @@ def build_filtration(
     spec = ring.spec
     est = sum(grassmannian_size_formula(spec, n, k) for k in range(1, m + 1))
     check_budget(est, budget, f"vertices of the rank-{m} Tits complex of {spec.label}^{n}")
-    if catalog is None:
-        catalog = SummandCatalog(ring, n, budget)
+    catalog = SummandCatalog(ring, n, budget)
     vertices: list[Summand] = []
     for k in range(1, m + 1):
         vertices.extend(catalog.grassmannian(k))
@@ -201,43 +214,28 @@ def build_filtration(
     # then projective (V is a summand of R^n, hence of W) of constant rank
     # rank(W) - rank(V), and over these finite rings, products of local
     # rings, such a module is free, so every included pair is cofree
-    upsets: list[list[int]] = [[] for _ in range(nverts)]
-    related: list[set] = [set() for _ in range(nverts)]
-    for i, v in enumerate(vertices):
-        for j in range(i + 1, nverts):
-            w = vertices[j]
-            if w.rank > v.rank and v.members <= w.members:
-                upsets[i].append(j)
-                related[i].add(j)
+    upsets = [
+        [j for j in range(i + 1, nverts) if vertices[j].rank > v.rank and v.members <= vertices[j].members]
+        for i, v in enumerate(vertices)
+    ]
 
-    # chains of the relation; extension only within the set of vertices
-    # comparable to everything already chosen, so pairwise comparability is
-    # enforced rather than assumed
-    simplices: list[list[tuple]] = []
-
-    def grow(chain, allowed):
-        d = len(chain) - 1
-        while len(simplices) <= d:
-            simplices.append([])
-        simplices[d].append(tuple(chain))
-        for j in allowed:
-            grow(chain + [j], [x for x in allowed if x in related[j]])
-
-    for i in range(nverts):
-        grow([i], upsets[i])
-    for level in simplices:
-        level.sort()
+    # the relation is transitive, so the chains are the paths that step up
+    # it; extending a sorted level in order keeps the next level sorted
+    simplices = [[(i,) for i in range(nverts)]]
+    while True:
+        level = [t + (j,) for t in simplices[-1] for j in upsets[t[-1]]]
+        if not level:
+            break
+        simplices.append(level)
     return TitsComplex(ring, n, m, vertices, simplices)
 
 
-def build_tits_complex(
-    spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET, catalog: SummandCatalog | None = None
-) -> TitsComplex:
+def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
     """The full Tits complex (dimension n-2); empty when n = 1."""
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     if n == 1:
         return TitsComplex(ring, 1, 0, [], [])
-    return build_filtration(ring, n, n - 1, budget, catalog)
+    return build_filtration(ring, n, n - 1, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +311,9 @@ def reduction_map(
     tspec, reduce_payload = quotient_spec(ring.spec, ring, gen_idx)
     tring = make_ring(tspec)
     dst = build_tits_complex(tring, src.n, budget)
-    vm = []
-    for s in src.vertices:
-        members = frozenset(
-            tuple(tring.el(reduce_payload(ring.payload(x))) for x in v) for v in s.members
-        )
-        j = dst.vindex.get(members)
-        if j is None:
-            raise RuntimeError("reduction of a summand is not a vertex downstairs (construction bug)")
-        vm.append(j)
+    # the reduction of a basis of V is a basis of V/IV, a vertex downstairs
+    vm = [
+        dst.vertex_of_span([tuple(tring.el(reduce_payload(ring.payload(x))) for x in v) for v in s.basis])
+        for s in src.vertices
+    ]
     return SimplicialReduction(src, dst, vm)

@@ -192,40 +192,26 @@ class SummandCatalog:
         self._gr[k] = out
         return out
 
-    def oversummands(self, s: Summand, target_rank: int) -> list[Summand]:
-        """Summands of the target rank containing s as a cofree summand.
 
-        Containment is enough: W/s is projective of constant rank and
-        hence free (see complexes.build_filtration).
-        """
-        if target_rank <= s.rank or target_rank > self.n:
-            raise ValueError("target rank out of range")
-        return [w for w in self.grassmannian(target_rank) if s.members <= w.members]
-
-
-def enumerate_grassmannian(
-    spec_or_ring, n: int, k: int, budget: int | None = DEFAULT_BUDGET, catalog: SummandCatalog | None = None
-) -> list[Summand]:
+def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> list[Summand]:
     """Complete, duplicate-free, deterministically ordered list of Gr_k^n(R)."""
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
-    if catalog is None:
-        catalog = SummandCatalog(ring, n, budget)
-    return catalog.grassmannian(k)
+    return SummandCatalog(ring, n, budget).grassmannian(k)
 
 
-def enumerate_good_flags(
-    spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET, catalog: SummandCatalog | None = None
-) -> list[Flag]:
-    """All good flags of the given type, by iterated containment in the Grassmannians."""
+def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
+    """All good flags of the given type, by iterated containment in the Grassmannians.
+
+    Containment is enough for each step: W/V is projective of constant rank
+    and hence free (see complexes.build_filtration).
+    """
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
-    if catalog is None:
-        catalog = SummandCatalog(ring, n, budget)
     if not ranks:
         return [Flag(())]
+    catalog = SummandCatalog(ring, n, budget)
     chains = [(s,) for s in catalog.grassmannian(ranks[0])]
     for r in ranks[1:]:
-        chains = [c + (w,) for c in chains for w in catalog.oversummands(c[-1], r)]
-    flags = sorted(Flag(c) for c in chains)
-    return flags
+        chains = [c + (w,) for c in chains for w in catalog.grassmannian(r) if c[-1].members <= w.members]
+    return sorted(Flag(c) for c in chains)

@@ -471,58 +471,48 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
     return InducedTopMap(sparse_rank(pushed), len(z_src), len(z_dst))
 
 
+def permutation_orbits(size: int, perms) -> list[list[int]]:
+    """Orbits of {0, ..., size-1} under the group the permutations generate,
+    each in increasing order, listed by least element (union-find closure)."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for x, y in enumerate(perm):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    orbits: dict[int, list[int]] = {}
+    for x in range(size):
+        orbits.setdefault(find(x), []).append(x)
+    return list(orbits.values())
+
+
 def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:
     """Dimension over Q of the simultaneous fixed space of the generators on
     reduced homology in the given degree.
 
     The action permutes the d-simplices (ranks along a flag are distinct, so
-    no orientation signs appear).  With Z the cycle lattice and B the
-    boundary image, the fixed space is {z : (g-1)z in B for all g} / B and
-    its dimension is computed by exact rank arithmetic.
+    no orientation signs appear), so the invariant d-chains O are spanned by
+    the orbit sums.  Over Q taking invariants is exact (Maschke), so with Z
+    the cycles and B the boundaries the fixed space is Z^G / B^G, where
+    Z^G = Z meet O has dimension #orbits - rank d(O) and B^G = B meet O has
+    dimension rank B + #orbits - rank [B | O].
     """
     if not (0 <= degree <= cc.dim):
         raise ValueError(f"degree {degree} out of range")
-    z_basis = kernel_basis(cc.boundaries[degree])
-    zdim = len(z_basis)
-    if zdim == 0:
-        return 0
-    b_cols = cc.boundaries[degree + 1].cols if degree + 1 <= cc.dim else []
-    rank_b, _ = (
-        smith_rank_and_divisors(cc.boundaries[degree + 1]) if degree + 1 <= cc.dim else (0, [])
-    )
-    f_d = cc.f[degree]
-    stacked = []
-    nperms = len(simplex_perms)
-    for gi, perm in enumerate(simplex_perms):
-        offset = gi * f_d
-        for z in z_basis:
-            moved: dict[int, int] = {}
-            for r, v in z.items():
-                pr = perm[r] + offset
-                moved[pr] = moved.get(pr, 0) + v
-            for r, v in z.items():
-                rr = r + offset
-                nv = moved.get(rr, 0) - v
-                if nv:
-                    moved[rr] = nv
-                else:
-                    moved.pop(rr, None)
-            stacked.append(moved)
-    # columns of the big system: [(g-1)Z blocks] then blockdiag(B)
-    ncols_z = zdim
-    big = []
-    for j in range(ncols_z):
-        col: dict[int, int] = {}
-        for gi in range(nperms):
-            vec = stacked[gi * ncols_z + j]
-            col.update(vec)
-        big.append(col)
-    # note: each stacked vector already lives in its own row block, so the
-    # union above is disjoint
-    for gi in range(nperms):
-        offset = gi * f_d
-        for bc in b_cols:
-            big.append({r + offset: v for r, v in bc.items()})
-    rank_big = sparse_rank(big)
-    dim_w = zdim - (rank_big - nperms * rank_b)
-    return dim_w - rank_b
+    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(cc.f[degree], simplex_perms)]
+    rank_d_sums = sparse_rank(cc.boundaries[degree].apply(s) for s in sums)
+    ech = IntEchelon()
+    if degree < cc.dim:
+        for col in cc.boundaries[degree + 1].cols:
+            ech.add(col)
+    rank_b = ech.rank
+    for s in sums:
+        ech.add(s)
+    return ech.rank - rank_b - rank_d_sums

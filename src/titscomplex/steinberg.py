@@ -18,10 +18,10 @@ import itertools
 import random
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
-from .linalg import Mat, span_if_free
-from .grassmann import enumerate_grassmannian, grassmannian_size_formula, gl_order
-from .complexes import TitsComplex, gl_generators
-from .homology import ChainComplex, IntEchelon, ModPEchelon
+from .linalg import Mat, gl_generators
+from .grassmann import grassmannian_size_formula, gl_order
+from .complexes import TitsComplex, build_tits_complex
+from .homology import ChainComplex, IntEchelon, ModPEchelon, permutation_orbits
 
 
 _rank_memo: dict[RingSpec, list[int]] = {}
@@ -118,35 +118,20 @@ class SteinbergChain:
         return f"SteinbergChain({len(self.coeffs)} facets)"
 
 
-def apartment_class(cx: TitsComplex, basis: Mat, spans: dict | None = None) -> SteinbergChain:
-    """Signed sum over all complete flags refining the basis (a top cycle).
-
-    spans, when given, caches across calls on cx the vertex index of the
-    span of each set of columns, keyed by the sorted column vectors.
-    """
-    ring, n = cx.ring, cx.n
+def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
+    """Signed sum over all complete flags refining the basis (a top cycle)."""
+    n = cx.n
     if basis.nrows != n or basis.ncols != n:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
-    if spans is None:
-        spans = {}
     cols = basis.columns()
     # vertex index of the span of every nonempty proper subset of columns
-    vertex_of: dict[frozenset, int] = {}
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            key = tuple(sorted(cols[j] for j in subset))
-            idx = spans.get(key)
-            if idx is None:
-                sub = span_if_free(ring, [cols[j] for j in subset])
-                if sub is None:
-                    raise ValueError("columns of an invertible matrix failed to span freely")
-                idx = cx.vindex.get(sub)
-                if idx is None:
-                    raise RuntimeError("apartment flag misses a vertex (complex incomplete?)")
-                spans[key] = idx
-            vertex_of[frozenset(subset)] = idx
+    vertex_of = {
+        frozenset(subset): cx.vertex_of_span([cols[j] for j in subset])
+        for size in range(1, n)
+        for subset in itertools.combinations(range(n), size)
+    }
     global_sign = -1 if (n * (n - 1) // 2) % 2 else 1
     top_pos = cx.simplex_pos[n - 2]
     coeffs: dict[int, int] = {}
@@ -176,15 +161,9 @@ def chamber_map(chain: SteinbergChain, facet) -> int:
 
 def reverse_ut_facet(cx: TitsComplex, basis: Mat) -> tuple:
     """The flag of trailing spans <v_n> < <v_{n-1}, v_n> < ... as a facet tuple."""
-    ring, n = cx.ring, cx.n
+    n = cx.n
     cols = basis.columns()
-    verts = []
-    for size in range(1, n):
-        members = span_if_free(ring, cols[n - size :])
-        if members is None:
-            raise ValueError("trailing columns do not span freely")
-        verts.append(cx.vindex[members])
-    return tuple(verts)
+    return tuple(cx.vertex_of_span(cols[n - size :]) for size in range(1, n))
 
 
 def ut_bases(ring: Ring, n: int, budget: int | None = DEFAULT_BUDGET) -> list[Mat]:
@@ -264,13 +243,6 @@ class SpanRankResult:
         )
 
 
-def _line_block(cx: TitsComplex):
-    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
-    if lines != list(range(len(lines))):
-        raise RuntimeError("rank-1 vertices are not the leading block")
-    return lines
-
-
 def _frame_matrix(cx: TitsComplex, frame) -> Mat | None:
     """Basis matrix of a set of lines when their canonical generators span."""
     gens = [cx.vertices[i].preferred_basis[0] for i in sorted(frame)]
@@ -319,15 +291,14 @@ def apartment_span_rank(
             if gl_order(cx.ring.spec, cx.n) <= EXHAUSTIVE_GL_LIMIT
             else "sampled"
         )
-    lines = _line_block(cx)
-    spans: dict = {}
+    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = IntEchelon() if top_betti is None else ModPEchelon()
     used: list = []  # frames whose classes were added
 
     def add(frame, mat) -> bool:
         """Add one apartment class; True once the rank has reached top_betti."""
         used.append(frame)
-        ech.add(apartment_class(cx, mat, spans).coeffs)
+        ech.add(apartment_class(cx, mat).coeffs)
         return ech.rank == top_betti
 
     def result(saturated: bool) -> SpanRankResult:
@@ -335,7 +306,7 @@ def apartment_span_rank(
         if top_betti is not None and rank != top_betti:
             exact = IntEchelon()
             for frame in used:
-                exact.add(apartment_class(cx, _frame_matrix(cx, frame), spans).coeffs)
+                exact.add(apartment_class(cx, _frame_matrix(cx, frame)).coeffs)
             rank = exact.rank
         return SpanRankResult(rank, mode, saturated, len(used))
 
@@ -365,9 +336,7 @@ def apartment_span_rank(
     gens = gl_generators(cx.ring, cx.n)
     perms = [cx.vertex_permutation(g) for g in gens]
     ident = Mat.identity(cx.ring, cx.n)
-    id_frame = frozenset(
-        cx.vindex[span_if_free(cx.ring, [ident.column(j)])] for j in range(cx.n)
-    )
+    id_frame = frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(cx.n))
     seeds = {id_frame: _frame_matrix(cx, id_frame)}
     for _ in range(cx.n * 4):
         cand = frozenset(rng.sample(lines, cx.n))
@@ -392,25 +361,6 @@ def apartment_span_rank(
 # orbit and commutant counts on pairs of lines (n = 2)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
-
 def p1_orbit_and_commutant(
     spec_or_ring, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[int, int]:
@@ -422,30 +372,21 @@ def p1_orbit_and_commutant(
     the double-coset description of the endomorphism algebra.
     """
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
-    lines = enumerate_grassmannian(ring, 2, 1, budget)
-    nl = len(lines)
+    cx = build_tits_complex(ring, 2, budget)  # its vertices are the lines
+    nl = len(cx.vertices)
     check_budget(nl * nl, budget, "pairs of lines")
-    index = {s.members: i for i, s in enumerate(lines)}
-    perms = []
+    # the diagonal action on pairs (i, j), indexed i * nl + j
+    pair_perms = []
     for g in gl_generators(ring, 2):
-        perm = [index[frozenset(g.apply(v) for v in s.members)] for s in lines]
-        perms.append(perm)
-    # orbit count by union-find closure
-    uf = _UnionFind(nl * nl)
-    for perm in perms:
-        for i in range(nl):
-            for j in range(nl):
-                uf.union(i * nl + j, perm[i] * nl + perm[j])
-    orbits = uf.count()
+        perm = cx.vertex_permutation(g)
+        pair_perms.append([perm[i] * nl + perm[j] for i in range(nl) for j in range(nl)])
+    orbits = len(permutation_orbits(nl * nl, pair_perms))
     # commutant dimension: solve X P_g = P_g X, i.e. X[i][j] = X[g i][g j]
     ech = IntEchelon()
-    for perm in perms:
-        for i in range(nl):
-            for j in range(nl):
-                a = i * nl + j
-                b = perm[i] * nl + perm[j]
-                if a != b:
-                    ech.add({min(a, b): 1, max(a, b): -1})
+    for perm in pair_perms:
+        for a, b in enumerate(perm):
+            if a != b:
+                ech.add({min(a, b): 1, max(a, b): -1})
     commutant = nl * nl - ech.rank
     return orbits, commutant
 
@@ -500,6 +441,8 @@ class RankTable:
 
 
 def table_generate(specs, n_max: int) -> RankTable:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     labels = [s.label for s in specs]
     columns = {s.label: [steinberg_rank(s, n) for n in range(1, n_max + 1)] for s in specs}
     return RankTable(labels, n_max, columns)

@@ -1,48 +1,9 @@
 import pytest
 
-from titscomplex import (
-    build_filtration,
-    build_tits_complex,
-    chain_complex,
-    make_ring,
-    parse_ring_spec,
-    reduced_homology,
-)
-
-
-class Built:
-    """Session-wide cache of complexes and their homology (pure, immutable)."""
-
-    def __init__(self):
-        self._cx = {}
-        self._cc = {}
-        self._hom = {}
-
-    def ring(self, label):
-        return make_ring(parse_ring_spec(label))
-
-    def complex(self, label, n, m=None):
-        key = (label, n, m)
-        if key not in self._cx:
-            ring = self.ring(label)
-            self._cx[key] = (
-                build_tits_complex(ring, n) if m is None else build_filtration(ring, n, m)
-            )
-        return self._cx[key]
-
-    def chain(self, label, n, m=None):
-        key = (label, n, m)
-        if key not in self._cc:
-            self._cc[key] = chain_complex(self.complex(label, n, m))
-        return self._cc[key]
-
-    def homology(self, label, n, m=None):
-        key = (label, n, m)
-        if key not in self._hom:
-            self._hom[key] = reduced_homology(self.chain(label, n, m))
-        return self._hom[key]
+from titscomplex.verify import CheckContext
 
 
 @pytest.fixture(scope="session")
 def built():
-    return Built()
+    """Session-wide cache of complexes, chain complexes and homology."""
+    return CheckContext()

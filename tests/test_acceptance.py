@@ -131,7 +131,7 @@ def test_criterion_07_ut_pairing(built):
     for label, n in [("Z/4", 2), ("Z/9", 2), ("F2", 3), ("Z/4", 3)]:
         M = ut_apartment_pairing(built.complex(label, n))
         size = len(M)
-        assert size == built.ring(label).card ** (n * (n - 1) // 2)
+        assert size == parse_ring_spec(label).cardinality ** (n * (n - 1) // 2)
         for i in range(size):
             for j in range(size):
                 if i == j:

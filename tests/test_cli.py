@@ -163,3 +163,24 @@ def test_verify_budget_skip(capsys):
     assert doc["checks"][0]["status"] == "skip"
     assert "budget" in doc["checks"][0]["detail"]
 
+
+
+def test_verify_rejects_unknown_check_ids(capsys):
+    for only in ("nosuch", "table1,nosuch"):
+        code, out, err = run(capsys, "verify", "--only", only)
+        assert code == 2 and out == ""
+        assert "nosuch" in err and "table1" not in err
+
+
+def test_filtration_zero_is_rejected(capsys):
+    for command in ("homology", "complex"):
+        code, out, err = run(capsys, command, "--ring", "F2", "--n", "3", "--filtration", "0", "--format", "json")
+        assert code == 2 and out == ""
+        assert "m=0" in err
+
+
+def test_rank_rejects_n_max_below_one(capsys):
+    for n_max, fmt in (("0", "text"), ("0", "csv"), ("-2", "csv")):
+        code, out, err = run(capsys, "rank", "--rings", "Z/4", "--n-max", n_max, "--format", fmt)
+        assert code == 2 and out == ""
+        assert "n_max must be >= 1" in err

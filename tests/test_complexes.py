@@ -238,6 +238,33 @@ def test_reduction_map_examples(built):
     assert red3.is_simplicial() and red3.is_surjective_on_vertices()
 
 
+@pytest.mark.parametrize("label,n,d", [("Z/4", 3, 2), ("Z/8", 2, 4), ("Z/6", 3, 3), ("Z/9", 2, 3)])
+def test_reduction_of_bases_equals_reduction_of_members(built, label, n, d):
+    # reduction_map reduces one basis per vertex; reducing every member
+    # entrywise must land on the same vertex downstairs
+    cx = built.complex(label, n)
+    red = reduction_map(cx, [d])
+    ring, tring = cx.ring, red.dst.ring
+    for i, s in enumerate(cx.vertices):
+        image = frozenset(tuple(tring.el(ring.payload(x) % d) for x in v) for v in s.members)
+        assert red.dst.vindex[image] == red.vertex_map[i]
+
+
+def test_vertex_of_span(built):
+    cx = built.complex("Z/4", 3)
+    for i, s in enumerate(cx.vertices):
+        assert cx.vertex_of_span(s.basis) == i
+        assert cx.vertex_of_span(s.preferred_basis) == i
+    e = Mat.identity(cx.ring, 3).rows
+    with pytest.raises(ValueError):
+        cx.vertex_of_span([e[0], e[0]])  # not a free basis of its span
+    with pytest.raises(ValueError):
+        cx.vertex_of_span([cx.ring.vec([2, 0, 0])])  # 2*e_1 spans a non-free module
+    filt = built.complex("Z/4", 4, 2)
+    with pytest.raises(RuntimeError):
+        filt.vertex_of_span(Mat.identity(filt.ring, 4).rows[:3])  # rank 3 is above the filtration
+
+
 def test_reduction_sends_facets_to_facets(built):
     cx3 = built.complex("Z/4", 3)
     red = reduction_map(cx3, [2])

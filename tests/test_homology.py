@@ -12,6 +12,7 @@ from titscomplex import (
     chain_complex,
     congruence_generators,
     fixed_subspace_dim,
+    gl_generators,
     induced_top_map,
     kernel_basis,
     make_ring,
@@ -298,6 +299,59 @@ def test_fixed_subspace_z8(built):
         gens = congruence_generators(cx.ring, 2, ideal)
         perms = [cx.simplex_permutation(g, 0) for g in gens]
         assert fixed_subspace_dim(cc, 0, perms) == want
+
+
+def stacked_fixed_dim(cc, degree, simplex_perms):
+    """Test-only oracle: the fixed space as {z in Z : (g-1)z in B for all
+    generators g} / B, from one stacked system with a (g-1)Z block and a
+    copy of B per generator."""
+    z_basis = kernel_basis(cc.boundaries[degree])
+    if not z_basis:
+        return 0
+    b_cols = cc.boundaries[degree + 1].cols if degree < cc.dim else []
+    rank_b = sparse_rank(b_cols)
+    f_d = cc.f[degree]
+    big = []
+    for z in z_basis:
+        col = {}
+        for gi, perm in enumerate(simplex_perms):
+            offset = gi * f_d
+            for r, v in z.items():
+                col[perm[r] + offset] = col.get(perm[r] + offset, 0) + v
+                col[r + offset] = col.get(r + offset, 0) - v
+        big.append({r: v for r, v in col.items() if v})
+    for gi in range(len(simplex_perms)):
+        big.extend({r + gi * f_d: v for r, v in bc.items()} for bc in b_cols)
+    rank_big = sparse_rank(big)
+    return len(z_basis) - (rank_big - len(simplex_perms) * rank_b) - rank_b
+
+
+@pytest.mark.parametrize("label,n,ideal", [("F2", 3, None), ("Z/4", 3, [2]), ("F3", 3, None), ("Z/8", 2, [2])])
+def test_fixed_subspace_matches_stacked_oracle(built, label, n, ideal):
+    # random subsets of GL_n generators, and of congruence subgroup elements
+    cx = built.complex(label, n)
+    cc = built.chain(label, n)
+    pools = [gl_generators(cx.ring, n)]
+    if ideal:
+        pools.append(congruence_generators(cx.ring, n, ideal))
+    rng = random.Random(f"{label}-{n}")
+    for degree in range(cc.dim + 1):
+        for trial in range(6):
+            chosen = rng.sample(pools[trial % len(pools)], rng.randint(0, 3))
+            perms = [cx.simplex_permutation(g, degree) for g in chosen]
+            want = stacked_fixed_dim(cc, degree, perms)
+            assert fixed_subspace_dim(cc, degree, perms) == want, (label, n, degree, trial)
+
+
+def test_fixed_subspace_congruence_n3(built):
+    # Gamma((2)) in GL_3(Z/4), all 511 elements: the invariants of St_3(Z/4)
+    # have the rank of St_3(Z/2)
+    cx = built.complex("Z/4", 3)
+    gens = congruence_generators(cx.ring, 3, [2])
+    assert len(gens) == 511
+    perms = [cx.simplex_permutation(g, 1) for g in gens]
+    got = fixed_subspace_dim(built.chain("Z/4", 3), 1, perms)
+    assert got == steinberg_rank(RingSpec.modular(2), 3) == 8
 
 
 def test_fixed_subspace_with_boundaries():
