@@ -28,19 +28,19 @@ itm = induced_top_map(red, cc, chain_complex(red.dst))
 print("induced map to T_2(Z/2): rank", itm.rank, "of", itm.src_cycle_rank,
       "| kernel rank", itm.kernel_rank)
 
-# The fixed space of a principal congruence subgroup matches the rank of the
-# complex over the quotient ring.
-for label, ideal in [("Z/4", 2), ("Z/8", 2), ("Z/8", 4)]:
+# The fixed space of a principal congruence subgroup, acting on top
+# homology through a generating set, matches the rank of the complex over
+# the quotient ring.
+for label, ideal, n in [("Z/4", 2, 2), ("Z/8", 2, 2), ("Z/8", 4, 2), ("Z/4", 2, 3)]:
     ring = make_ring(parse_ring_spec(label))
-    cxr = build_tits_complex(ring, 2)
+    cxr = build_tits_complex(ring, n)
     ccr = chain_complex(cxr)
-    gens = congruence_generators(ring, 2, [ideal])
-    perms = [cxr.simplex_permutation(g, 0) for g in gens]
-    dim = fixed_subspace_dim(ccr, 0, perms)
-    m = ring.spec.params[0] // ideal if ring.spec.kind == "modular" else None
-    downstairs = steinberg_rank(parse_ring_spec(f"Z/{ideal}"), 2)
-    print(f"{label}, congruence level ({ideal}): invariant dimension {dim} "
-          f"(rank over Z/{ideal} is {downstairs})")
+    gens = congruence_generators(ring, n, [ideal])
+    perms = [cxr.simplex_permutation(g, n - 2) for g in gens]
+    dim = fixed_subspace_dim(ccr, n - 2, perms)
+    downstairs = steinberg_rank(parse_ring_spec(f"Z/{ideal}"), n)
+    print(f"{label}, n = {n}, congruence level ({ideal}), {len(gens)} generators: "
+          f"invariant dimension {dim} (rank over Z/{ideal} is {downstairs})")
 
 # For n = 2 the rank-one summands of R^2 form one orbit, and the number of
 # GL_2-orbits on PAIRS of lines counts the summands of the permutation

@@ -22,13 +22,11 @@ from .rings import (
 from .linalg import (
     Mat,
     Summand,
-    canonical_fingerprint,
-    complete_to_basis,
+    congruence_generators,
     determinant,
     elementary_matrix,
     gl_generators,
     is_unimodular,
-    quotient_free_rank,
     span_summand,
     unit_scaling,
 )
@@ -48,7 +46,6 @@ from .complexes import (
     TitsComplex,
     build_filtration,
     build_tits_complex,
-    congruence_generators,
     reduction_map,
 )
 from .homology import (

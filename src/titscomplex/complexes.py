@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
-from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure, make_ring, quotient_spec
+from .rings import DEFAULT_BUDGET, Ring, check_budget, make_ring, quotient_spec
 from .linalg import Mat, Summand, span_if_free
 from .grassmann import SummandCatalog, grassmannian_size_formula
 
@@ -38,7 +39,6 @@ class TitsComplex:
         self.simplex_pos = [
             {t: i for i, t in enumerate(level)} for level in simplices
         ]
-        self._perm_cache: dict = {}
         self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
 
     @property
@@ -89,21 +89,13 @@ class TitsComplex:
     # -- group action -------------------------------------------------------
     def vertex_permutation(self, g: Mat) -> tuple:
         """Permutation of vertex indices induced by V -> gV."""
-        key = g.rows
-        got = self._perm_cache.get(key)
-        if got is not None:
-            return got
-        ring = self.ring
         perm = []
         for s in self.vertices:
-            image = frozenset(g.apply(v) for v in s.members)
-            j = self.vindex.get(image)
+            j = self.vindex.get(frozenset(g.apply(v) for v in s.members))
             if j is None:
                 raise ValueError("matrix does not preserve the vertex set (is it invertible?)")
             perm.append(j)
-        perm = tuple(perm)
-        self._perm_cache[key] = perm
-        return perm
+        return tuple(perm)
 
     def simplex_permutation(self, g: Mat, d: int) -> list[int]:
         """Permutation of the d-simplex list induced by g (rank order is
@@ -204,6 +196,10 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
     spec = ring.spec
     est = sum(grassmannian_size_formula(spec, n, k) for k in range(1, m + 1))
     check_budget(est, budget, f"vertices of the rank-{m} Tits complex of {spec.label}^{n}")
+    # a facet is a flag V_1 < ... < V_m, and V_(i+1)/V_i is a line of the
+    # free module R^n/V_i of rank n - i
+    facets = math.prod(grassmannian_size_formula(spec, n - i, 1) for i in range(m))
+    check_budget(facets, budget, f"facets of the rank-{m} Tits complex of {spec.label}^{n}")
     catalog = SummandCatalog(ring, n, budget)
     vertices: list[Summand] = []
     for k in range(1, m + 1):
@@ -236,42 +232,6 @@ def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET
     if n == 1:
         return TitsComplex(ring, 1, 0, [], [])
     return build_filtration(ring, n, n - 1, budget)
-
-
-# ---------------------------------------------------------------------------
-# group generators
-
-
-def congruence_generators(
-    ring: Ring, n: int, ideal_gen_payloads, budget: int | None = DEFAULT_BUDGET
-) -> list[Mat]:
-    """The principal congruence subgroup of level I, as an explicit matrix list.
-
-    Realised as id + Mat_n(I) intersected with the invertibles; when I sits
-    inside the Jacobson radical the intersection is everything.
-    """
-    gens_idx = [ring.el(p) for p in ideal_gen_payloads]
-    ideal = sorted(ideal_closure(ring, gens_idx))
-    check_budget(len(ideal) ** (n * n), budget, "congruence subgroup enumeration")
-    out = []
-    ident = Mat.identity(ring, n)
-    for entries in itertools.product(ideal, repeat=n * n):
-        rows = []
-        it = iter(entries)
-        for r in range(n):
-            row = []
-            for c in range(n):
-                x = next(it)
-                if r == c:
-                    x = ring.add[ring.one][x]
-                row.append(x)
-            rows.append(row)
-        g = Mat(ring, rows)
-        if g.rows == ident.rows:
-            continue
-        if g.is_invertible():
-            out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------

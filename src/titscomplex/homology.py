@@ -64,28 +64,6 @@ class SparseCols:
     def copy(self) -> "SparseCols":
         return SparseCols(self.nrows, [dict(c) for c in self.cols])
 
-    def to_triplet_text(self) -> str:
-        """Plain triplet export: a header line "nrows ncols nnz" followed by
-        one "row col value" line per nonzero, sorted by (col, row)."""
-        triplets = []
-        for c, col in enumerate(self.cols):
-            for r in sorted(col):
-                triplets.append((r, c, col[r]))
-        triplets.sort(key=lambda t: (t[1], t[0]))
-        lines = [f"{self.nrows} {self.ncols} {len(triplets)}"]
-        lines.extend(f"{r} {c} {v}" for r, c, v in triplets)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_triplet_text(text: str) -> "SparseCols":
-        lines = [ln for ln in text.strip().split("\n") if ln]
-        nrows, ncols, nnz = map(int, lines[0].split())
-        cols = [dict() for _ in range(ncols)]
-        for ln in lines[1 : nnz + 1]:
-            r, c, v = ln.split()
-            cols[int(c)][int(r)] = int(v)
-        return SparseCols(nrows, cols)
-
 
 class ChainComplex:
     """Augmented simplicial chain complex with integer boundary matrices.

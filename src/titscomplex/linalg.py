@@ -4,7 +4,8 @@ Vectors are tuples of element indices (see rings.Ring).  A Summand is a
 free direct summand of R^n whose quotient is also free; its identity is the
 full member set, which doubles as a canonical fingerprint.  Freeness of a
 finite module is decided by cardinality plus generator count: a surjection
-R^r -> M between finite sets of equal size is a bijection.
+R^r -> M between finite sets of equal size is a bijection.  GL_n(R) and
+its principal congruence subgroups enter only as generating sets.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rings import DEFAULT_BUDGET, Ring, check_budget
+from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure
 
 
 def vadd(ring: Ring, u, v):
@@ -193,6 +194,50 @@ def gl_generators(ring: Ring, n: int) -> list[Mat]:
     return gens
 
 
+def congruence_generators(ring: Ring, n: int, ideal_gen_payloads) -> list[Mat]:
+    """Generators of the principal congruence subgroup Gamma(I), the kernel
+    of GL_n(R) -> GL_n(R/I), for the ideal I generated by the given elements.
+
+    The generators are E_ij(a) for i != j, with a running over the distinct
+    nonzero products g*x of an additive generator g of R and a generator x
+    of I, and the scalings of every position by every unit u != 1 with
+    u - 1 in I.  The products generate (I, +), and E_ij(a) E_ij(b) =
+    E_ij(a + b), so the group they generate holds E_ij(c) for every c in I.
+    The zero ideal gives no generators.
+
+    Why this is all of Gamma(I): R is a product of local rings R_j with
+    idempotents e_j, I is the product of the I_j = e_j I, and Gamma(I) is
+    the product of the Gamma(I_j) in GL_n(R_j).  The group generated holds
+    E_ij(e_j c) for c in I, since e_j c lies in I, and the scalings by
+    u = (1, ..., u_j, ..., 1) for every unit u_j of R_j with u_j - 1 in I_j,
+    since u - 1 lies in I.  So it holds, factor by factor, every E_ij(I_j)
+    and every scaling by a unit of 1 + I_j.  These generate Gamma(I_j):
+    - I_j lies in the radical J_j (every proper ideal of a local ring
+      does): each element of 1 + M_n(I_j) has unit diagonal entries, and
+      row and column reduction with multipliers in I_j ends at a diagonal
+      matrix with entries in 1 + I_j;
+    - I_j = R_j: Gamma(I_j) = GL_n(R_j) = E_n(R_j) GL_1(R_j), as R_j is
+      local.
+    """
+    add, mul = ring.add, ring.mul
+    xs = [ring.el(p) for p in ideal_gen_payloads]
+    ideal = ideal_closure(ring, xs)
+    products = dict.fromkeys(mul[g][x] for g in ring.additive_generators() for x in xs)
+    products.pop(ring.zero, None)
+    gens = [
+        elementary_matrix(ring, n, i, j, a)
+        for a in products
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    minus_one = ring.neg[ring.one]
+    for u in sorted(ring.units):
+        if u != ring.one and add[u][minus_one] in ideal:
+            gens.extend(unit_scaling(ring, n, u, pos) for pos in range(n))
+    return gens
+
+
 def is_unimodular(ring: Ring, v) -> bool:
     """True when the entries of v generate the unit ideal."""
     if ring.spec.kind in ("modular", "prime_field"):
@@ -201,8 +246,6 @@ def is_unimodular(ring: Ring, v) -> bool:
         for x in v:
             g = math.gcd(g, x)  # payload == index for modular rings
         return g == 1
-    from .rings import ideal_closure
-
     return ring.one in ideal_closure(ring, v)
 
 
@@ -310,10 +353,6 @@ class Summand:
 
     def __repr__(self):
         return f"Summand(rank {self.rank} of {self.ring.spec.label}^{self.ambient})"
-
-
-def canonical_fingerprint(s: Summand):
-    return s.key
 
 
 def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Summand | None:
@@ -447,54 +486,3 @@ def quotient_free_rank_members(
         return None
     assert rank == r
     return rank
-
-
-def quotient_free_rank(W, V, budget: int | None = DEFAULT_BUDGET) -> int | None:
-    """Spec-level wrapper: W is a Summand or None (meaning R^n), V a Summand."""
-    ring, n = V.ring, V.ambient
-    if W is None:
-        return quotient_free_rank_members(ring, n, None, V.members, budget)
-    if not (V.members <= W.members):
-        raise ValueError("V is not contained in W")
-    return quotient_free_rank_members(ring, n, W.key, V.members, budget)
-
-
-def complete_to_basis(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Mat | None:
-    """Extend a partial basis to a basis of R^n, greedily and deterministically.
-
-    Returns the n x n invertible matrix whose first k columns are the given
-    vectors; the next column is always the first candidate, in canonical
-    vector order, whose extension still spans a free and cofree summand.
-    Returns None when the input itself fails span_summand.
-    """
-    if not vectors:
-        raise ValueError("complete_to_basis needs at least one vector")
-    n = len(vectors[0])
-    if span_summand(ring, vectors, budget) is None:
-        return None
-    cols = list(vectors)
-    members = span_if_free(ring, cols, budget)
-    while len(cols) < n:
-        k = len(cols)
-        found = False
-        for v in all_vectors(ring, n, budget):
-            ext = _extend_span(ring, members, v)
-            if ext is None:
-                continue
-            if len(cols) + 1 < n:
-                if quotient_free_rank_members(ring, n, None, frozenset(ext), budget) != n - k - 1:
-                    continue
-            else:
-                if len(ext) != ring.card**n:
-                    continue
-            cols.append(v)
-            members = ext
-            found = True
-            break
-        if not found:
-            # unreachable for the supported rings (they satisfy the stable
-            # range condition that guarantees completability)
-            return None
-    mat = Mat.from_columns(ring, cols)
-    assert mat.is_invertible()
-    return mat

@@ -9,8 +9,8 @@ suite can demonstrate that a broken chain complex is actually caught.
 
 from __future__ import annotations
 
-from .rings import BudgetExceeded, DEFAULT_BUDGET, RingSpec, make_ring, parse_ring_spec
-from .linalg import gl_generators, quotient_free_rank_members
+from .rings import BudgetExceeded, DEFAULT_BUDGET, RingSpec, make_ring, parse_ring_spec, quotient_spec
+from .linalg import congruence_generators, gl_generators, quotient_free_rank_members
 from .grassmann import (
     enumerate_good_flags,
     enumerate_grassmannian,
@@ -19,7 +19,7 @@ from .grassmann import (
     grassmannian_size_formula,
     proper_ranks,
 )
-from .complexes import build_filtration, build_tits_complex, congruence_generators, reduction_map
+from .complexes import build_filtration, build_tits_complex, reduction_map
 from .homology import (
     chain_complex,
     euler_characteristic_checks,
@@ -240,16 +240,17 @@ def _check_apartment_span(ctx):
     return True, "; ".join(details)
 
 def _check_invariants_dims(ctx):
-    cases = [("Z/4", [2], 2), ("Z/8", [2], 2), ("Z/8", [4], 5)]
+    # (ring, level, n); the fixed top dimension should be rank St_n(R/I)
+    cases = [("Z/4", 2, 2), ("Z/8", 2, 2), ("Z/8", 4, 2), ("Z/4", 2, 3), ("Z/6", 2, 3), ("Z/6", 3, 3)]
     details = []
-    for label, ideal, want in cases:
-        ring = make_ring(parse_ring_spec(label))
-        cx = ctx.complex(label, 2)
-        cc = ctx.chain(label, 2)
-        gens = congruence_generators(ring, 2, ideal, ctx.budget)
-        perms = [cx.simplex_permutation(g, 0) for g in gens]
-        got = fixed_subspace_dim(cc, 0, perms)
-        details.append(f"{label} Gamma(({ideal[0]})): {got}")
+    for label, ideal, n in cases:
+        cx = ctx.complex(label, n)
+        ring = cx.ring
+        perms = [cx.simplex_permutation(g, n - 2) for g in congruence_generators(ring, n, [ideal])]
+        got = fixed_subspace_dim(ctx.chain(label, n), n - 2, perms)
+        want = steinberg_rank(quotient_spec(ring.spec, ring, [ring.el(ideal)])[0], n)
+        where = label if n == 2 else f"{label} n={n}"
+        details.append(f"{where} Gamma(({ideal})): {got}")
         if got != want:
             return False, "; ".join(details) + f" (expected {want})"
     return True, "; ".join(details)
@@ -455,9 +456,14 @@ def run_verify(
     if tier not in ("fast", "full"):
         raise ValueError(f"unknown tier {tier!r}")
     wanted = set(only) if only else None
-    unknown = sorted((wanted or set()) - {cid for cid, *_ in CHECKS})
+    tiers = {cid: ctier for cid, ctier, *_ in CHECKS}
+    unknown = sorted((wanted or set()) - set(tiers))
     if unknown:
         raise ValueError(f"unknown check id(s): {', '.join(unknown)}")
+    outside = sorted(cid for cid in wanted or () if tier == "fast" and tiers[cid] != "fast")
+    if outside:
+        named = ", ".join(f"{cid} ({tiers[cid]})" for cid in outside)
+        raise ValueError(f"check id(s) outside tier {tier}: {named}")
     ctx = CheckContext(budget=budget, corrupt=corrupt)
     results = []
     npass = nfail = nskip = 0

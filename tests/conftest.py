@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from titscomplex import Mat, ideal_closure
 from titscomplex.verify import CheckContext
 
 
@@ -7,3 +10,21 @@ from titscomplex.verify import CheckContext
 def built():
     """Session-wide cache of complexes, chain complexes and homology."""
     return CheckContext()
+
+
+def congruence_elements(ring, n, ideal_gen_payloads):
+    """Test oracle: every element of the principal congruence subgroup of
+    level I except the identity, by listing 1 + M_n(I) and keeping the
+    invertible matrices (all of them when I lies in the radical)."""
+    ideal = sorted(ideal_closure(ring, [ring.el(p) for p in ideal_gen_payloads]))
+    ident = Mat.identity(ring, n)
+    out = []
+    for entries in itertools.product(ideal, repeat=n * n):
+        rows = [
+            [ring.add[ident.rows[r][c]][entries[r * n + c]] for c in range(n)]
+            for r in range(n)
+        ]
+        g = Mat(ring, rows)
+        if g != ident and g.is_invertible():
+            out.append(g)
+    return out

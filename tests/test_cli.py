@@ -172,6 +172,14 @@ def test_verify_rejects_unknown_check_ids(capsys):
         assert "nosuch" in err and "table1" not in err
 
 
+def test_verify_rejects_check_ids_outside_the_tier(capsys):
+    for only in ("homology-n3", "table1,homology-n3,invariants-dims"):
+        code, out, err = run(capsys, "verify", "--tier", "fast", "--only", only)
+        assert code == 2 and out == ""
+        assert "homology-n3 (full)" in err and "table1" not in err
+    assert "invariants-dims (full)" in err
+
+
 def test_filtration_zero_is_rejected(capsys):
     for command in ("homology", "complex"):
         code, out, err = run(capsys, command, "--ring", "F2", "--n", "3", "--filtration", "0", "--format", "json")

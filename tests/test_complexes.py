@@ -20,6 +20,8 @@ from titscomplex.grassmann import flag_type, proper_ranks
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import count_included_not_cofree
 
+from conftest import congruence_elements
+
 
 def test_build_examples(built):
     cx = built.complex("F2", 3)
@@ -127,6 +129,20 @@ def test_budget_exceeded_reports_estimate():
     with pytest.raises(BudgetExceeded) as exc:
         build_tits_complex(z6, 4, budget=1000)
     assert exc.value.estimate > 1000
+
+
+def test_facet_budget_guards_chain_growth():
+    # T4(Z/4): 800 vertices and at most 8960 Grassmannian members fit in
+    # the budget, its 120 * 28 * 6 = 20160 facets do not
+    z4 = make_ring(RingSpec.modular(4))
+    with pytest.raises(BudgetExceeded) as exc:
+        build_tits_complex(z4, 4, budget=10000)
+    assert exc.value.estimate == 20160
+    assert "facets" in str(exc.value)
+    # T4(Z/9) is refused at the default budget before any enumeration
+    with pytest.raises(BudgetExceeded) as exc:
+        build_tits_complex(make_ring(RingSpec.modular(9)), 4)
+    assert exc.value.estimate == 1516320
 
 
 def test_link_and_star(built):
@@ -293,14 +309,59 @@ def test_reduction_unsupported_quotient(built):
 
 def test_congruence_generators():
     z4 = make_ring(RingSpec.modular(4))
+    assert len(congruence_elements(z4, 2, [2])) == 15  # |I|^4 - identity
     gens = congruence_generators(z4, 2, [2])
-    assert len(gens) == 15  # |I|^4 - identity, all invertible since I <= J
+    assert len(gens) == 4  # E_01(2), E_10(2), and the scaling by 3 in each slot
     ident = Mat.identity(z4, 2)
     for g in gens:
         assert g.is_invertible()
         assert all(
             (g.rows[i][j] - ident.rows[i][j]) % 2 == 0 for i in range(2) for j in range(2)
         )
+
+
+def generated_group(ring, n, gens):
+    """Every product of the generators, by breadth-first closure."""
+    ident = Mat.identity(ring, n)
+    found = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                gh = g.mul_mat(h)
+                if gh not in found:
+                    found.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return found
+
+
+@pytest.mark.parametrize(
+    "label,n,ideal",
+    [
+        ("Z/4", 2, [2]),
+        ("Z/8", 2, [2]),
+        ("Z/8", 2, [4]),
+        ("Z/8", 2, [6]),
+        ("Z/9", 2, [3]),
+        ("Z/6", 2, [2]),
+        ("Z/6", 2, [3]),
+        ("Z/12", 2, [2]),
+        ("Z/12", 2, [6]),
+        ("F2[e]^2", 2, [(0, 1)]),
+        ("F2[e]^4", 2, [(0, 0, 1, 0)]),  # (I, +) needs e^2 and e^3
+        ("Z/2xZ/3", 2, [(1, 0)]),
+        ("Z/2xZ/3", 2, [(0, 1)]),
+        ("Z/4", 3, [2]),
+        ("Z/4", 2, [0]),
+        ("F2", 2, [1]),
+    ],
+)
+def test_congruence_generators_generate_the_congruence_subgroup(label, n, ideal):
+    ring = make_ring(parse_ring_spec(label))
+    group = generated_group(ring, n, congruence_generators(ring, n, ideal))
+    assert group == set(congruence_elements(ring, n, ideal)) | {Mat.identity(ring, n)}
 
 
 def test_export_is_deterministic(built):

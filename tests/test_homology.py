@@ -31,6 +31,8 @@ from titscomplex.homology import (
     sparse_rank,
 )
 
+from conftest import congruence_elements
+
 
 # -- test-local dense SNF oracle ------------------------------------------------
 
@@ -333,7 +335,7 @@ def test_fixed_subspace_matches_stacked_oracle(built, label, n, ideal):
     cc = built.chain(label, n)
     pools = [gl_generators(cx.ring, n)]
     if ideal:
-        pools.append(congruence_generators(cx.ring, n, ideal))
+        pools.append(congruence_elements(cx.ring, n, ideal))
     rng = random.Random(f"{label}-{n}")
     for degree in range(cc.dim + 1):
         for trial in range(6):
@@ -344,14 +346,35 @@ def test_fixed_subspace_matches_stacked_oracle(built, label, n, ideal):
 
 
 def test_fixed_subspace_congruence_n3(built):
-    # Gamma((2)) in GL_3(Z/4), all 511 elements: the invariants of St_3(Z/4)
-    # have the rank of St_3(Z/2)
+    # Gamma((2)) in GL_3(Z/4), 511 elements besides the identity, from 9
+    # generators: the invariants of St_3(Z/4) have the rank of St_3(Z/2)
     cx = built.complex("Z/4", 3)
+    assert len(congruence_elements(cx.ring, 3, [2])) == 511
     gens = congruence_generators(cx.ring, 3, [2])
-    assert len(gens) == 511
+    assert len(gens) == 9
     perms = [cx.simplex_permutation(g, 1) for g in gens]
     got = fixed_subspace_dim(built.chain("Z/4", 3), 1, perms)
     assert got == steinberg_rank(RingSpec.modular(2), 3) == 8
+
+
+@pytest.mark.parametrize("label,ideal", [("Z/8", 2), ("Z/8", 4), ("Z/9", 3)])
+def test_fixed_subspace_congruence_levels_n3(built, label, ideal):
+    # the Gamma(I)-invariants of St_3(R) have the rank of St_3(R/I)
+    cx = built.complex(label, 3)
+    perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [ideal])]
+    got = fixed_subspace_dim(built.chain(label, 3), 1, perms)
+    assert got == steinberg_rank(RingSpec.modular(ideal), 3)
+
+
+def test_fixed_subspace_congruence_n4(built):
+    # Gamma((2)) in GL_4(Z/4) from 16 generators: fixed top dimension
+    # 64 = rank St_4(Z/2), on the session's T4(Z/4)
+    cx = built.complex("Z/4", 4)
+    gens = congruence_generators(cx.ring, 4, [2])
+    assert len(gens) == 16
+    perms = [cx.simplex_permutation(g, 2) for g in gens]
+    got = fixed_subspace_dim(built.chain("Z/4", 4), 2, perms)
+    assert got == steinberg_rank(RingSpec.modular(2), 4) == 64
 
 
 def test_fixed_subspace_with_boundaries():
@@ -381,12 +404,3 @@ def test_homology_result_serialization(built):
     assert doc["schema_version"] == 1
     assert doc["homology"][0]["betti"] == 5
     assert HomologyResult([5], [[]], [6]) == hom
-
-
-def test_sparse_triplet_roundtrip(built):
-    d1 = built.chain("F2", 3).boundaries[1]
-    text = d1.to_triplet_text()
-    assert text.split("\n")[0] == "14 21 42"
-    back = SparseCols.from_triplet_text(text)
-    assert back.nrows == d1.nrows and back.cols == d1.cols
-    assert back.to_triplet_text() == text
