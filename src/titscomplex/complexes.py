@@ -88,25 +88,26 @@ class TitsComplex:
 
     # -- group action -------------------------------------------------------
     def vertex_permutation(self, g: Mat) -> tuple:
-        """Permutation of vertex indices induced by V -> gV."""
+        """Permutation of vertex indices induced by V -> gV, found from the
+        image of each vertex's basis."""
         perm = []
         for s in self.vertices:
-            j = self.vindex.get(frozenset(g.apply(v) for v in s.members))
-            if j is None:
-                raise ValueError("matrix does not preserve the vertex set (is it invertible?)")
-            perm.append(j)
+            image = [g.apply(v) for v in s.basis]
+            try:
+                perm.append(self.vertex_of_span(image))
+            except (ValueError, RuntimeError):
+                raise ValueError("matrix does not preserve the vertex set (is it invertible?)") from None
+        if len(set(perm)) != len(perm):
+            raise ValueError("matrix does not permute the vertices (is it invertible?)")
         return tuple(perm)
 
     def simplex_permutation(self, g: Mat, d: int) -> list[int]:
-        """Permutation of the d-simplex list induced by g (rank order is
-        preserved, so no signs appear)."""
+        """Permutation of the d-simplex list induced by g.  g preserves rank
+        and vertices are ordered by rank first, so the image of a simplex is
+        already increasing and no signs appear."""
         vperm = self.vertex_permutation(g)
         pos = self.simplex_pos[d]
-        out = []
-        for t in self.simplices[d]:
-            image = tuple(sorted((vperm[i] for i in t)))
-            out.append(pos[image])
-        return out
+        return [pos[tuple(vperm[i] for i in t)] for t in self.simplices[d]]
 
     # -- link and star ------------------------------------------------------
     def link_and_star(self, simplex) -> tuple["Subcomplex", "Subcomplex"]:
@@ -228,6 +229,8 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
 
 def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
     """The full Tits complex (dimension n-2); empty when n = 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     if n == 1:
         return TitsComplex(ring, 1, 0, [], [])

@@ -1,10 +1,12 @@
 """Exact integral homology of the flag complexes.
 
-Everything here is exact: boundary matrices carry Python integers, and one
-elimination step, the unimodular echelon insertion `_insert`, gives every
-quantity.  Ranks and elementary divisors come from alternating column and
-row echelon forms, integer kernel bases from tracking its column
-operations, and incremental ranks (`IntEchelon`, `sparse_rank`) from
+Everything here is exact: boundary matrices carry Python integers.  Ranks
+and elementary divisors start with a unit-pivot pass (a reduced echelon
+form whose pivots lead at +-1 entries), which splits off an identity block;
+what it leaves goes through alternating column and row echelon forms
+(Kannan-Bachem) built by the unimodular echelon insertion `_insert`.  The
+same `_insert` gives integer kernel bases by tracking its column
+operations, and incremental ranks (`IntEchelon`, `sparse_rank`) by
 inserting one vector at a time.  Induced maps are reported by their ranks.
 No floating point and no fractions.  The one modular computation,
 `ModPEchelon`, is a lower bound on a rank over Q; it certifies an exact
@@ -114,7 +116,8 @@ def chain_complex(cx) -> ChainComplex:
 
 
 def _insert(pivots: dict, vec: dict, tracks: dict | None = None, track: dict | None = None):
-    """Insert vec into a lattice echelon form: the module's one elimination step.
+    """Insert vec into a lattice echelon form: the step behind Kannan-Bachem,
+    kernel bases and `IntEchelon`.
 
     pivots maps each lead (smallest) index to the one stored vector with that
     lead.  vec is reduced against the pivot at its lead: by a multiple of it
@@ -156,12 +159,86 @@ def _insert(pivots: dict, vec: dict, tracks: dict | None = None, track: dict | N
 def smith_rank_and_divisors(mat: SparseCols) -> tuple[int, list[int]]:
     """Exact rank and invariant factors (SNF diagonal) of an integer matrix.
 
-    Alternates column and row echelon forms (Kannan-Bachem): insert the
-    columns, then the rows of the resulting pivots, and so on, until every
-    pivot has a single entry.  The diagonal left behind is turned into the
-    divisibility chain by `normalize_divisors`.
+    First a unit-pivot pass (the first phase of sparse integer Smith form,
+    Dumas-Saunders-Villard 2001): the columns are inserted one by one into
+    an echelon form kept reduced, where every pivot has lead entry +1 and is
+    zero at every other pivot's lead.  An incoming column is reduced in one
+    pass over its own entries at pivot leads.  If it still has an entry
+    +-1, it becomes a pivot led at the +-1 entry whose row the fewest
+    pivots touch (ties by index; the rule `ModPEchelon` uses mod p), scaled
+    by -1 if needed, and its lead row is cleared from every pivot touching
+    it.  A nonzero column with no unit entry goes to the residual.  At the
+    end each residual column is reduced against the final pivots, since a
+    pivot added after it was stashed may lead on its rows.
+
+    Why this is exact: every step is a unimodular column operation, so
+    M U = [P | R | 0] with U unimodular, P the k pivots (the identity on
+    their lead rows) and R the residual (zero on every lead row).  Row
+    operations with the lead rows clear P off its lead rows and leave R
+    alone, so SNF(M) = I_k + SNF(R).  The residual, usually empty on the
+    boundaries of these complexes, goes through `_kannan_bachem`.
+    Arithmetic is on exact integers, with no modulus and no division.
     """
-    vectors = mat.cols
+    pivots: dict[int, dict] = {}  # lead row -> pivot column, +1 at its lead
+    touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
+    residual = []
+    for col in mat.cols:
+        vec = _reduce(pivots, col)
+        units = [k for k, v in vec.items() if v == 1 or v == -1]
+        if not units:
+            if vec:
+                residual.append(vec)
+            continue
+        lead = min(units, key=lambda k: (len(touching.get(k, ())), k))
+        if vec[lead] == -1:
+            vec = {k: -v for k, v in vec.items()}
+        # clear the new lead's row from every other pivot
+        for other in touching.pop(lead, ()):
+            piv = pivots[other]
+            c = piv[lead]
+            for k, v in vec.items():
+                nv = piv.get(k, 0) - c * v
+                if nv:
+                    if k not in piv:
+                        touching.setdefault(k, set()).add(other)
+                    piv[k] = nv
+                else:
+                    del piv[k]
+                    if k != lead:
+                        touching[k].discard(other)
+        pivots[lead] = vec
+        for k in vec:
+            if k != lead:
+                touching.setdefault(k, set()).add(lead)
+    residual = [vec for vec in (_reduce(pivots, r) for r in residual) if vec]
+    r, divisors = _kannan_bachem(residual)
+    k = len(pivots)
+    return k + r, [1] * k + divisors
+
+
+def _reduce(pivots: dict, vec: dict) -> dict:
+    """vec minus its entries at the leads of a reduced echelon form (each
+    pivot +1 at its lead and zero at the others), as a new dict."""
+    vec = dict(vec)
+    for lead in [k for k in vec if k in pivots]:
+        c = vec[lead]
+        for k, v in pivots[lead].items():
+            nv = vec.get(k, 0) - c * v
+            if nv:
+                vec[k] = nv
+            else:
+                del vec[k]
+    return vec
+
+
+def _kannan_bachem(vectors) -> tuple[int, list[int]]:
+    """Rank and invariant factors of the matrix with the given columns.
+
+    Alternates column and row echelon forms (Kannan-Bachem): insert the
+    columns with `_insert`, then the rows of the resulting pivots, and so
+    on, until every pivot has a single entry.  The diagonal left behind is
+    turned into the divisibility chain by `normalize_divisors`.
+    """
     while True:
         pivots: dict[int, dict] = {}
         for vec in vectors:
@@ -279,7 +356,10 @@ class ModPEchelon:
     bound.  The pivots are kept in reduced echelon form (monic, and zero at
     every other pivot's lead), so a vector is reduced in one pass over its
     own entries.  A new pivot leads at the entry whose column the fewest
-    pivots touch, which keeps back-substitution and fill small.
+    pivots touch, which keeps back-substitution and fill small.  The
+    unit-pivot pass of `smith_rank_and_divisors` is the same scheme over
+    the integers, restricted to +-1 leads; the two are kept apart so that
+    no modulus enters the exact path.
     """
 
     def __init__(self):

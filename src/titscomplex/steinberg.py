@@ -443,6 +443,8 @@ class RankTable:
 def table_generate(specs, n_max: int) -> RankTable:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not specs:
+        raise ValueError("no ring specs")
     labels = [s.label for s in specs]
     columns = {s.label: [steinberg_rank(s, n) for n in range(1, n_max + 1)] for s in specs}
     return RankTable(labels, n_max, columns)

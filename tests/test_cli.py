@@ -192,3 +192,20 @@ def test_rank_rejects_n_max_below_one(capsys):
         code, out, err = run(capsys, "rank", "--rings", "Z/4", "--n-max", n_max, "--format", fmt)
         assert code == 2 and out == ""
         assert "n_max must be >= 1" in err
+
+
+def test_n_below_one_is_rejected(capsys):
+    for command in ("homology", "complex"):
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, command, "--ring", "F2", "--n", n, "--format", "json")
+            assert code == 2 and out == ""
+            assert "n must be >= 1" in err and "filtration" not in err
+    code, out, _ = run(capsys, "homology", "--ring", "F2", "--n", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["homology"] == []
+
+
+def test_rank_rejects_empty_ring_list(capsys):
+    for rings in (",", " , "):
+        code, out, err = run(capsys, "rank", "--rings", rings, "--n-max", "3")
+        assert code == 2 and out == ""
+        assert "no ring specs" in err

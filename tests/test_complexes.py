@@ -230,6 +230,22 @@ def test_action_transitive_per_stratum(built):
             assert seen == set(stratum)
 
 
+def member_vertex_permutation(cx, g):
+    """Test oracle: the vertex permutation from g applied to every member."""
+    return tuple(cx.vindex[frozenset(g.apply(v) for v in s.members)] for s in cx.vertices)
+
+
+@pytest.mark.parametrize("label,n", [("Z/4", 3), ("Z/8", 2), ("Z/6", 3)])
+def test_action_by_bases_equals_action_on_members(built, label, n):
+    cx = built.complex(label, n)
+    for g in gl_generators(cx.ring, n):
+        vperm = member_vertex_permutation(cx, g)
+        assert cx.vertex_permutation(g) == vperm
+        for d, level in enumerate(cx.simplices):
+            want = [cx.simplex_pos[d][tuple(sorted(vperm[i] for i in t))] for t in level]
+            assert cx.simplex_permutation(g, d) == want
+
+
 def test_action_rejects_noninvertible(built):
     cx = built.complex("Z/4", 2)
     bad = Mat.from_payload_rows(cx.ring, [[2, 0], [0, 1]])

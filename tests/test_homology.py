@@ -9,6 +9,7 @@ from titscomplex import (
     HomologyResult,
     RingSpec,
     SparseCols,
+    build_tits_complex,
     chain_complex,
     congruence_generators,
     fixed_subspace_dim,
@@ -107,7 +108,23 @@ def test_divisor_chain_normalisation_frozen_cases():
     assert normalize_divisors([]) == []
 
 
+SMITH_CASES = [
+    # no unit entry: everything goes to the residual
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    [[2, 4], [4, 2]],
+    # the first column is stashed, then the second leads on its row 0
+    [[2, 1], [3, 0]],
+    [[2, 1, 0], [3, 0, 1], [4, 0, 0]],
+    # -1 leads
+    [[-1, 1], [1, 0]],
+    [[-1, 2, 1], [0, -1, 3], [2, 2, -1]],
+    [[0, -1], [-1, 2], [2, 2]],
+]
+
+
 def test_smith_against_dense_oracle():
+    for M in SMITH_CASES:
+        assert smith_rank_and_divisors(to_sparse(M)) == dense_snf(M), M
     random.seed(42)
     for _ in range(250):
         m = random.randrange(1, 6)
@@ -131,13 +148,16 @@ def test_kernel_basis_is_exact_integer_kernel():
         assert sparse_rank(kb) == len(kb)
 
 
-small_matrices = st.integers(1, 8).flatmap(
-    lambda m: st.integers(1, 8).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=m, max_size=m
+def matrices(max_dim, entries):
+    return st.integers(1, max_dim).flatmap(
+        lambda m: st.integers(1, max_dim).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
         )
     )
-)
+
+
+# entries in -2..2 give many +-1 pivots next to non-unit residual columns
+small_matrices = st.one_of(matrices(8, st.integers(-9, 9)), matrices(10, st.integers(-2, 2)))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -226,6 +246,19 @@ def test_t4_z4_homology_matches_rank_recursion(built):
     assert hom.betti == [0, 0, 10879]
     assert hom.torsion == [[], [], []]
     assert hom.betti[-1] == steinberg_rank(parse_ring_spec("Z/4"), 4)
+
+
+def test_t4_f2e2_homology_equals_t4_z4(built):
+    # the n = 4 homotopy-equivalence check, by brute force on both complexes
+    assert built.homology("F2[e]^2", 4) == built.homology("Z/4", 4)
+    assert built.homology("F2[e]^2", 4).betti == [0, 0, 10879]
+
+
+def test_t5_f2_homology_matches_rank_recursion():
+    f2 = parse_ring_spec("F2")
+    hom = reduced_homology(chain_complex(build_tits_complex(make_ring(f2), 5)))
+    assert hom.betti == [0, 0, 0, 1024] == [0, 0, 0, steinberg_rank(f2, 5)]
+    assert hom.torsion == [[], [], [], []]
 
 
 def test_top_degree_torsion_free(built):
