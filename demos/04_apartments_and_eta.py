@@ -13,7 +13,6 @@ from titscomplex import (
     eta_class,
     make_ring,
     parse_ring_spec,
-    reduced_homology,
     reverse_ut_facet,
     ut_apartment_pairing,
     ut_bases,
@@ -55,7 +54,6 @@ print("eta chamber values on UT flags:",
 for label, n in [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3)]:
     ring = make_ring(parse_ring_spec(label))
     cxn = build_tits_complex(ring, n)
-    hom = reduced_homology(chain_complex(cxn))
     res = apartment_span_rank(cxn)
     print(f"{label}, n={n}: span rank {res.rank} ({res.apartments_used} apartments, "
-          f"{res.mode}) vs top betti {hom.betti[n - 2]}")
+          f"{res.mode}) vs top betti {res.top_betti}")

@@ -36,8 +36,11 @@ def _parse_specs(text: str):
 
 def _emit(args, text: str):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write --output {args.output}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -59,6 +62,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_grass(args) -> int:
+    if args.list and not args.enumerate:
+        raise ValueError("grass --list needs --enumerate (the bases come from the enumeration)")
     spec = parse_ring_spec(args.ring)
     n = args.n
     ks = [args.k] if args.k is not None else list(range(0, n + 1))
@@ -127,10 +132,8 @@ def _build(args):
 
 
 def cmd_complex(args) -> int:
-    cx = _build(args)
-    if args.format == "csv":
-        raise ValueError("complex export supports json or text, not csv")
-    _emit(args, cx.export_text() if args.format == "text" else _json_text(cx.export_document()))
+    # text and json are the same document
+    _emit(args, _json_text(_build(args).export_document()))
     return EXIT_OK
 
 
@@ -163,11 +166,7 @@ def cmd_apartments(args) -> int:
     if args.n < 2:
         raise ValueError("apartments need n >= 2 (the complex is empty for n = 1)")
     cx = _build(args)
-    hom = reduced_homology(chain_complex(cx))
-    top = cx.dim
-    res = apartment_span_rank(
-        cx, mode=args.mode, seed=args.seed, budget=args.budget, top_betti=hom.betti[top]
-    )
+    res = apartment_span_rank(cx, mode=args.mode, seed=args.seed, budget=args.budget)
     doc = {
         "schema_version": 1,
         "ring": cx.ring.spec.label,
@@ -176,8 +175,8 @@ def cmd_apartments(args) -> int:
         "mode": res.mode,
         "saturated": res.saturated,
         "apartments_used": res.apartments_used,
-        "top_betti": hom.betti[top],
-        "match": res.rank == hom.betti[top] and res.saturated,
+        "top_betti": res.top_betti,
+        "match": res.rank == res.top_betti and res.saturated,
     }
     if args.format == "json":
         _emit(args, _json_text(doc))
@@ -186,7 +185,7 @@ def cmd_apartments(args) -> int:
             args,
             f"apartment span rank {res.rank} ({res.mode}, "
             f"{'saturated' if res.saturated else 'LOWER BOUND'}, {res.apartments_used} apartments); "
-            f"top betti {hom.betti[top]}; match: {doc['match']}\n",
+            f"top betti {res.top_betti}; match: {doc['match']}\n",
         )
     return EXIT_OK if doc["match"] else EXIT_CHECK_FAILED
 

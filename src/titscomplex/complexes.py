@@ -14,7 +14,6 @@ and `verify` recounts it with the quotient oracle.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 from .rings import DEFAULT_BUDGET, Ring, check_budget, make_ring, quotient_spec
@@ -147,9 +146,6 @@ class TitsComplex:
             ],
             "simplices": {str(d): [list(t) for t in level] for d, level in enumerate(self.simplices)},
         }
-
-    def export_text(self) -> str:
-        return json.dumps(self.export_document(), indent=1, sort_keys=True) + "\n"
 
     def __repr__(self):
         return (

@@ -21,7 +21,10 @@ from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
 from .linalg import Mat, gl_generators
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
-from .homology import ChainComplex, IntEchelon, ModPEchelon, permutation_orbits
+from .homology import (
+    ChainComplex, ModPEchelon, SparseCols, chain_complex, permutation_orbits,
+    reduced_homology, smith_rank_and_divisors, sparse_rank,
+)
 
 
 _rank_memo: dict[RingSpec, list[int]] = {}
@@ -230,16 +233,18 @@ def eta_class(cx: TitsComplex, m_payload) -> SteinbergChain:
 
 
 class SpanRankResult:
-    def __init__(self, rank, mode, saturated, apartments_used):
+    def __init__(self, rank, mode, saturated, apartments_used, top_betti):
         self.rank = rank
         self.mode = mode
         self.saturated = saturated
         self.apartments_used = apartments_used
+        self.top_betti = top_betti
 
     def __repr__(self):
         return (
             f"SpanRankResult(rank={self.rank}, mode={self.mode!r}, "
-            f"saturated={self.saturated}, apartments={self.apartments_used})"
+            f"saturated={self.saturated}, apartments={self.apartments_used}, "
+            f"top_betti={self.top_betti})"
         )
 
 
@@ -258,7 +263,6 @@ def apartment_span_rank(
     mode: str = "auto",
     seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
-    top_betti: int | None = None,
 ) -> SpanRankResult:
     """Rank of the lattice spanned by apartment classes inside top chains.
 
@@ -273,16 +277,18 @@ def apartment_span_rank(
     Sampled mode computes at most `budget` classes and reports a run cut
     short by it as unsaturated.
 
-    top_betti, the top Betti number from exact homology, makes both modes
-    stop at the first apartment that brings the rank to it.  Apartment
-    classes are top cycles and top homology is the top cycle lattice, so
-    the span rank is at most top_betti.  The classes are then reduced mod a
-    large prime (`ModPEchelon`), whose rank is at most the rank over Q, so
-    a mod-p rank equal to top_betti is exact.  If the frames run out, the
-    sampled rule saturates or the budget is spent first, the rank is
-    recomputed by the exact `IntEchelon` over the same frames: a mod-p rank
-    is never reported.  Without top_betti every class is reduced exactly.
+    The bound is the top reduced Betti number of `cx`, computed here by
+    exact homology and returned as `top_betti`.  Apartment classes are top
+    cycles and top homology is the top cycle lattice, so the span rank is
+    at most top_betti, and both modes stop at the first apartment that
+    brings the rank to it.  The classes are reduced mod a large prime
+    (`ModPEchelon`), whose rank is at most the rank over Q, so a mod-p rank
+    equal to top_betti is exact.  If the frames run out, the sampled rule
+    saturates or the budget is spent first, the classes used are recounted
+    exactly by `smith_rank_and_divisors`: a mod-p rank is never reported.
     """
+    if cx.n < 2:
+        raise ValueError("apartments need n >= 2 (the complex is empty for n = 1)")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
@@ -291,24 +297,22 @@ def apartment_span_rank(
             if gl_order(cx.ring.spec, cx.n) <= EXHAUSTIVE_GL_LIMIT
             else "sampled"
         )
+    top_betti = reduced_homology(chain_complex(cx)).betti[-1]
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
-    ech = IntEchelon() if top_betti is None else ModPEchelon()
-    used: list = []  # frames whose classes were added
+    ech = ModPEchelon()
+    used: list[dict] = []  # the classes added, in order
 
-    def add(frame, mat) -> bool:
+    def add(mat) -> bool:
         """Add one apartment class; True once the rank has reached top_betti."""
-        used.append(frame)
-        ech.add(apartment_class(cx, mat).coeffs)
+        used.append(apartment_class(cx, mat).coeffs)
+        ech.add(used[-1])
         return ech.rank == top_betti
 
     def result(saturated: bool) -> SpanRankResult:
         rank = ech.rank
-        if top_betti is not None and rank != top_betti:
-            exact = IntEchelon()
-            for frame in used:
-                exact.add(apartment_class(cx, _frame_matrix(cx, frame)).coeffs)
-            rank = exact.rank
-        return SpanRankResult(rank, mode, saturated, len(used))
+        if rank != top_betti:
+            rank = smith_rank_and_divisors(SparseCols(len(cx.facets()), used))[0]
+        return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
     if mode == "exhaustive":
         from math import comb
@@ -316,19 +320,19 @@ def apartment_span_rank(
         check_budget(comb(len(lines), cx.n), budget, "apartment frames")
         for frame in itertools.combinations(lines, cx.n):
             mat = _frame_matrix(cx, frame)
-            if mat is not None and add(frame, mat):
+            if mat is not None and add(mat):
                 break
         return result(True)
 
     # sampled: orbit closure with a rank-saturation stopping rule
-    def sweep(batch) -> SpanRankResult | None:
-        """Add (frame, matrix) pairs; a result when the run ends inside."""
-        for frame, mat in batch:
+    def sweep(mats) -> SpanRankResult | None:
+        """Add frame matrices (None: not a frame); a result when the run ends inside."""
+        for mat in mats:
             if mat is None:
                 continue
             if budget is not None and len(used) >= budget:
                 return result(False)
-            if add(frame, mat):
+            if add(mat):
                 return result(True)
         return None
 
@@ -344,13 +348,12 @@ def apartment_span_rank(
             mat = _frame_matrix(cx, cand)
             if mat is not None:
                 seeds[cand] = mat
-    done = sweep(seeds.items())
+    done = sweep(seeds.values())
     frames = set(seeds)
     while done is None:
         before = ech.rank
         new_frames = {frozenset(p[i] for i in f) for f in frames for p in perms} - frames
-        batch = ((g, _frame_matrix(cx, g)) for g in sorted(new_frames, key=sorted))
-        done = sweep(batch)
+        done = sweep(_frame_matrix(cx, g) for g in sorted(new_frames, key=sorted))
         frames |= new_frames
         if done is None and ech.rank == before:
             done = result(True)
@@ -382,12 +385,9 @@ def p1_orbit_and_commutant(
         pair_perms.append([perm[i] * nl + perm[j] for i in range(nl) for j in range(nl)])
     orbits = len(permutation_orbits(nl * nl, pair_perms))
     # commutant dimension: solve X P_g = P_g X, i.e. X[i][j] = X[g i][g j]
-    ech = IntEchelon()
-    for perm in pair_perms:
-        for a, b in enumerate(perm):
-            if a != b:
-                ech.add({min(a, b): 1, max(a, b): -1})
-    commutant = nl * nl - ech.rank
+    commutant = nl * nl - sparse_rank(
+        {min(a, b): 1, max(a, b): -1} for perm in pair_perms for a, b in enumerate(perm) if a != b
+    )
     return orbits, commutant
 
 

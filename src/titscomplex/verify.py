@@ -233,7 +233,7 @@ def _check_apartment_span(ctx):
         cx = ctx.complex(label, n)
         hom = ctx.homology(label, n)
         want = hom.betti[n - 2]
-        res = apartment_span_rank(cx, budget=ctx.budget, top_betti=want)
+        res = apartment_span_rank(cx, budget=ctx.budget)
         details.append(f"({label},{n}): span {res.rank} vs b {want}")
         if res.rank != want or not res.saturated:
             return False, "; ".join(details)

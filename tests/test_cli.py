@@ -57,6 +57,14 @@ def test_rank_json_and_output_file(tmp_path, capsys):
     assert doc["rows"][2]["ranks"]["Z/4"] == 113
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "rank", "--rings", "Z/4", "--n-max", "2", "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
 def test_homology_command(capsys):
     code, out, _ = run(capsys, "homology", "--ring", "Z/4", "--n", "2", "--format", "json")
     assert code == 0
@@ -87,6 +95,15 @@ def test_grass_command(capsys):
     ]
 
 
+def test_grass_list_needs_enumerate(capsys):
+    code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "2", "--list")
+    assert code == 2 and out == ""
+    assert "--enumerate" in err
+    code, out, _ = run(capsys, "grass", "--ring", "Z/4", "--n", "2", "--k", "1", "--enumerate", "--list", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["grassmannians"][0]["bases"]) == 6
+
+
 def test_flags_command(capsys):
     code, out, _ = run(capsys, "flags", "--ring", "F2", "--n", "3", "--type", "1,1,1", "--format", "json")
     assert code == 0
@@ -94,11 +111,11 @@ def test_flags_command(capsys):
 
 
 def test_complex_export_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        code, _, _ = run(capsys, "complex", "--ring", "F2", "--n", "3", "--format", "json", "--output", str(path))
+    a, b, t = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.txt"
+    for path, fmt in ((a, "json"), (b, "json"), (t, "text")):
+        code, _, _ = run(capsys, "complex", "--ring", "F2", "--n", "3", "--format", fmt, "--output", str(path))
         assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == b.read_bytes() == t.read_bytes()
     doc = json.loads(a.read_text())
     assert doc["f_vector"] == [14, 21]
 
@@ -144,6 +161,15 @@ def test_verify_subset_full_tier(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [c["id"] for c in doc["checks"]] == ["table1", "homology-n2"]
+
+
+def test_verify_full_tier(capsys):
+    code, out, _ = run(capsys, "verify", "--tier", "full")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "26 passed, 0 failed, 0 skipped"
+    assert "PASS  apartment-span: (Z/4,2): span 5 vs b 5; (Z/6,2): span 11 vs b 11; " \
+        "(F2,3): span 8 vs b 8; (Z/4,3): span 113 vs b 113" in lines
 
 
 def test_verify_corrupt_hook_fails(capsys):

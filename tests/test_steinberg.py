@@ -6,6 +6,7 @@ import pytest
 from titscomplex import (
     Mat,
     RingSpec,
+    SparseCols,
     apartment_class,
     apartment_span_rank,
     chamber_map,
@@ -15,6 +16,7 @@ from titscomplex import (
     p1_orbit_and_commutant,
     parse_ring_spec,
     reverse_ut_facet,
+    smith_rank_and_divisors,
     steinberg_rank,
     steinberg_rank_field,
     table_generate,
@@ -210,6 +212,15 @@ def test_apartment_span_sampled_agrees(built):
     assert res.saturated and res.rank == 8
 
 
+def _exact_span(cx):
+    """Oracle: the Smith rank of every invertible frame's apartment class,
+    and the number of those frames."""
+    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
+    mats = (steinberg._frame_matrix(cx, f) for f in itertools.combinations(lines, cx.n))
+    classes = [apartment_class(cx, m).coeffs for m in mats if m is not None]
+    return smith_rank_and_divisors(SparseCols(len(cx.facets()), classes))[0], len(classes)
+
+
 CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
 
 
@@ -217,26 +228,12 @@ CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)
 def test_certified_span_matches_exact_oracle(built, label, n):
     cx = built.complex(label, n)
     b = built.homology(label, n).betti[n - 2]
-    oracle = apartment_span_rank(cx)
-    res = apartment_span_rank(cx, top_betti=b)
-    assert res.rank == oracle.rank == b
-    assert res.saturated and res.mode == oracle.mode
-    # the oracle keeps adding classes after its rank has reached b
-    assert res.apartments_used < oracle.apartments_used
-
-
-@pytest.mark.parametrize("label,n,mode", [
-    ("Z/4", 2, "exhaustive"), ("Z/6", 2, "exhaustive"), ("F2", 3, "exhaustive"),
-    ("Z/4", 3, "exhaustive"), ("F2", 3, "sampled"),
-])
-def test_unreached_bound_falls_back_to_the_exact_rank(built, label, n, mode):
-    # b + 1 is never reached, so every frame is used and the rank is recounted exactly
-    cx = built.complex(label, n)
-    b = built.homology(label, n).betti[n - 2]
-    oracle = apartment_span_rank(cx, mode=mode)
-    res = apartment_span_rank(cx, mode=mode, top_betti=b + 1)
-    assert res.rank == b
-    assert res.saturated and res.apartments_used == oracle.apartments_used
+    rank, frames = _exact_span(cx)
+    res = apartment_span_rank(cx)
+    assert res.rank == rank == res.top_betti == b
+    assert res.saturated and res.mode == "exhaustive"
+    # the run stops at b instead of reducing every frame
+    assert res.apartments_used < frames
 
 
 class _LossyEchelon:
@@ -248,32 +245,61 @@ class _LossyEchelon:
         return False
 
 
+@pytest.mark.parametrize("label,n,mode", [
+    ("Z/4", 2, "exhaustive"), ("Z/6", 2, "exhaustive"), ("F2", 3, "exhaustive"),
+    ("Z/4", 3, "exhaustive"), ("F2", 3, "sampled"),
+])
+def test_unreached_bound_falls_back_to_the_exact_rank(built, monkeypatch, label, n, mode):
+    cx = built.complex(label, n)
+    b = built.homology(label, n).betti[n - 2]
+    # exhaustive mode uses every invertible frame; sampled mode the seed frames
+    # and one orbit round, after which the lossy echelon shows no gain
+    frames = _exact_span(cx)[1] if mode == "exhaustive" else 26
+    monkeypatch.setattr(steinberg, "ModPEchelon", _LossyEchelon)
+    res = apartment_span_rank(cx, mode=mode)
+    assert res.rank == res.top_betti == b
+    assert res.saturated and res.apartments_used == frames
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_short_mod_p_rank_is_never_reported(built, monkeypatch, mode):
     cx = built.complex("F2", 3)
-    oracle = apartment_span_rank(cx, mode=mode)
     monkeypatch.setattr(steinberg, "ModPEchelon", _LossyEchelon)
-    res = apartment_span_rank(cx, mode=mode, top_betti=8)
-    assert res.rank == 8 and res.apartments_used == oracle.apartments_used
+    res = apartment_span_rank(cx, mode=mode)
+    assert res.rank == res.top_betti == 8
 
 
 def test_certified_sampled_span_reaches_top_betti(built):
     cx = built.complex("Z/4", 3)
     b = built.homology("Z/4", 3).betti[1]
     for seed in range(5):
-        res = apartment_span_rank(cx, mode="sampled", seed=seed, top_betti=b)
-        assert res.saturated and res.rank == b == 113
+        res = apartment_span_rank(cx, mode="sampled", seed=seed)
+        assert res.saturated and res.rank == res.top_betti == b == 113
 
 
-def test_sampled_budget_is_never_exceeded(built):
+def test_sampled_budget_is_never_exceeded(built, monkeypatch):
     cx = built.complex("F3", 3)
+    recorded = []
+
+    def recording_class(cx, mat):
+        chain = apartment_class(cx, mat)
+        recorded.append(chain.coeffs)
+        return chain
+
+    monkeypatch.setattr(steinberg, "apartment_class", recording_class)
     for budget in (5, 13, 20):
-        oracle = apartment_span_rank(cx, mode="sampled", budget=budget)
-        res = apartment_span_rank(cx, mode="sampled", budget=budget, top_betti=27)
-        for r in (oracle, res):
-            assert not r.saturated and r.apartments_used <= budget
-        # the certified run recounts its frames exactly, as the oracle does
-        assert res.rank == oracle.rank
+        recorded.clear()
+        res = apartment_span_rank(cx, mode="sampled", budget=budget)
+        assert not res.saturated and res.apartments_used <= budget
+        assert res.top_betti == 27
+        # the frames used are recounted exactly
+        used = recorded[: res.apartments_used]
+        assert res.rank == smith_rank_and_divisors(SparseCols(len(cx.facets()), used))[0]
+
+
+def test_apartment_span_needs_n_at_least_two(built):
+    with pytest.raises(ValueError, match="n >= 2"):
+        apartment_span_rank(built.complex("F2", 1))
 
 
 # -- orbit and commutant ---------------------------------------------------------
