@@ -44,7 +44,7 @@ print("2-dim subspaces of F2^4:", gaussian_binomial(4, 2, 2))     # 35
 for label, n, k in [("Z/4", 2, 1), ("Z/6", 2, 1), ("Z/4", 4, 2)]:
     print(f"|Gr_{k}^{n}({label})| =", grassmannian_size_formula(parse_ring_spec(label), n, k))
 
-# The same numbers fall out of honest enumeration (dedup by member set).
+# The same numbers fall out of honest enumeration (the GL_n orbit of a coordinate line).
 lines = enumerate_grassmannian(z12, 2, 1)
 print("lines in (Z/12)^2: enumerated", len(lines),
       "vs formula", grassmannian_size_formula(z12, 2, 1))

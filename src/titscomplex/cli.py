@@ -66,6 +66,8 @@ def cmd_grass(args) -> int:
         raise ValueError("grass --list needs --enumerate (the bases come from the enumeration)")
     spec = parse_ring_spec(args.ring)
     n = args.n
+    if n < 0:
+        raise ValueError("n must be >= 0")
     ks = [args.k] if args.k is not None else list(range(0, n + 1))
     rows = []
     for k in ks:
@@ -303,6 +305,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         return args.fn(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)

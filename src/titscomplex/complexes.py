@@ -6,9 +6,11 @@ chain of d+1 vertices under the cofree order; since ranks are strictly
 increasing along a chain, listing vertices by rank gives every simplex one
 canonical orientation and no per-simplex sign choices survive.
 
-The order relation is containment of member sets between vertices of rising
-rank; that every such step is cofree is a theorem (see build_filtration),
-and `verify` recounts it with the quotient oracle.
+The order relation is containment between vertices of rising rank, read
+from the summand catalog's vector index (W contains V exactly when it holds
+every basis vector of V); that every such step is cofree is a theorem (see
+build_filtration).  `verify` keeps the member-set containment scan as the
+independent oracle and recounts cofreeness with the quotient oracle.
 """
 
 from __future__ import annotations
@@ -199,22 +201,25 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
     check_budget(facets, budget, f"facets of the rank-{m} Tits complex of {spec.label}^{n}")
     catalog = SummandCatalog(ring, n, budget)
     vertices: list[Summand] = []
+    start = {}  # rank -> index of its first vertex
     for k in range(1, m + 1):
+        start[k] = len(vertices)
         vertices.extend(catalog.grassmannian(k))
-    nverts = len(vertices)
 
     # V < W exactly when rank(V) < rank(W) and V is contained in W: W/V is
     # then projective (V is a summand of R^n, hence of W) of constant rank
     # rank(W) - rank(V), and over these finite rings, products of local
-    # rings, such a module is free, so every included pair is cofree
+    # rings, such a module is free, so every included pair is cofree.
+    # W contains V exactly when it holds every basis vector of V, which the
+    # catalog's vector index answers; verify keeps the member-set scan.
     upsets = [
-        [j for j in range(i + 1, nverts) if vertices[j].rank > v.rank and v.members <= vertices[j].members]
-        for i, v in enumerate(vertices)
+        [start[k] + p for k in range(v.rank + 1, m + 1) for p in catalog.containing(k, v.basis)]
+        for v in vertices
     ]
 
     # the relation is transitive, so the chains are the paths that step up
     # it; extending a sorted level in order keeps the next level sorted
-    simplices = [[(i,) for i in range(nverts)]]
+    simplices = [[(i,) for i in range(len(vertices))]]
     while True:
         level = [t + (j,) for t in simplices[-1] for j in upsets[t[-1]]]
         if not level:

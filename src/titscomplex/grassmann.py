@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
-from .linalg import Mat, Summand, gl_generators, quotient_free_rank_members
+from .linalg import Mat, Summand, gl_generators, quotient_free_rank_members, span_if_free
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -143,13 +143,21 @@ class Flag:
 
 
 class SummandCatalog:
-    """Per-(ring, n) cache of Grassmannians.
+    """Per-(ring, n) cache of Grassmannians and of which summands hold which vectors.
 
     Gr_k is the orbit of the coordinate summand span(e_1..e_k) under
     GL_n(R), which acts transitively on it: summands V, V' of Gr_k have free
     complements C, C', and the matrix sending a basis of V followed by one
     of C to a basis of V' followed by one of C' takes V to V'.  The orbit is
-    walked breadth-first under `gl_generators`.
+    walked breadth-first under `gl_generators`, moving bases only.
+
+    Equal-rank containment is equality: if a free summand W of rank k holds
+    every vector of a basis of the free summand V of rank k, then W contains
+    V, both have q^k members, and so V = W.  The walk therefore knows g*V is
+    already found exactly when some found summand holds every g*b for the
+    basis b of V, and it builds the member set only of a new summand.  The
+    same vector index answers containment between ranks: V lies in W exactly
+    when W holds every basis vector of V (`containing`).
     """
 
     def __init__(self, ring: Ring, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -157,6 +165,9 @@ class SummandCatalog:
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
+        # rank -> vector -> ascending positions in grassmannian(rank) of the
+        # summands holding it
+        self._index: dict[int, dict[tuple, list[int]]] = {}
 
     def grassmannian(self, k: int) -> list[Summand]:
         if not (0 <= k <= self.n):
@@ -174,23 +185,50 @@ class SummandCatalog:
         basis = Mat.identity(ring, n).rows[:k]
         zeros = (ring.zero,) * (n - k)
         members = frozenset(t + zeros for t in itertools.product(range(ring.card), repeat=k))
-        start = Summand(ring, n, k, members, basis)
-        found = {members: start}
-        frontier = [start]
-        gens = gl_generators(ring, n)
+        found = []  # in discovery order, which keys the index until the sort
+        index: dict[tuple, list[int]] = {}
+
+        def add(s: Summand):
+            for v in s.members:
+                index.setdefault(v, []).append(len(found))
+            found.append(s)
+
+        add(Summand(ring, n, k, members, basis))
+        frontier = list(found)
+        # Gr_0 = {0} is fixed by every g, and its empty basis finds nothing
+        gens = gl_generators(ring, n) if k else []
         while frontier:
             nxt = []
             for s in frontier:
                 for g in gens:
-                    image = frozenset(g.apply(v) for v in s.members)
-                    if image not in found:
-                        t = Summand(ring, n, k, image, tuple(g.apply(b) for b in s.basis))
-                        found[image] = t
+                    image = tuple(g.apply(b) for b in s.basis)
+                    if not _holding_all(index, image):
+                        t = Summand(ring, n, k, span_if_free(ring, image, self.budget), image)
+                        add(t)
                         nxt.append(t)
             frontier = nxt
-        out = sorted(found.values())
+        order = sorted(range(len(found)), key=found.__getitem__)
+        pos = [0] * len(order)
+        for p, i in enumerate(order):
+            pos[i] = p
+        for ids in index.values():
+            ids[:] = sorted(pos[i] for i in ids)
+        self._index[k] = index
+        out = [found[i] for i in order]
         self._gr[k] = out
         return out
+
+    def containing(self, k: int, vectors) -> list[int]:
+        """Ascending positions in grassmannian(k) of the summands holding
+        every one of the (at least one) vectors."""
+        self.grassmannian(k)
+        return sorted(_holding_all(self._index[k], vectors))
+
+
+def _holding_all(index, vectors) -> set[int]:
+    """Intersection of the index entries of the vectors, smallest first."""
+    hits = sorted((index.get(v, ()) for v in vectors), key=len)
+    return set(hits[0]).intersection(*hits[1:])
 
 
 def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> list[Summand]:

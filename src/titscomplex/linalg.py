@@ -331,9 +331,6 @@ class Summand:
             self._preferred = found
         return self._preferred
 
-    def contains(self, other: "Summand") -> bool:
-        return other.members <= self.members
-
     def payload_basis(self):
         return [self.ring.vec_payloads(v) for v in self.preferred_basis]
 

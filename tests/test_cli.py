@@ -95,6 +95,21 @@ def test_grass_command(capsys):
     ]
 
 
+def test_grass_rejects_negative_n(capsys):
+    code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: n must be >= 0\n"
+    code, out, _ = run(capsys, "grass", "--ring", "Z/2xZ/3", "--n", "0", "--enumerate", "--format", "csv")
+    assert code == 0
+    assert out == "k,formula,enumerated,match\n0,1,1,true\n"
+
+
+def test_negative_budget_is_rejected(capsys):
+    code, out, err = run(capsys, "homology", "--ring", "Z/4", "--n", "3", "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget must be >= 0" in err
+
+
 def test_grass_list_needs_enumerate(capsys):
     code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "2", "--list")
     assert code == 2 and out == ""

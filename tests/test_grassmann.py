@@ -3,11 +3,14 @@ import itertools
 import pytest
 
 from titscomplex import (
+    Mat,
     RingSpec,
+    SummandCatalog,
     enumerate_good_flags,
     enumerate_grassmannian,
     flag_type,
     gaussian_binomial,
+    gl_generators,
     gl_order,
     grassmannian_size_formula,
     make_ring,
@@ -136,6 +139,35 @@ def test_orbit_enumeration_equals_brute_force_spans():
                 brute.add(s.members)
         orbit = [s.members for s in enumerate_grassmannian(ring, n, k)]
         assert len(set(orbit)) == len(orbit) and set(orbit) == brute, (label, n, k)
+
+
+@pytest.mark.parametrize("label,n,calls", [("Z/9", 3, [1287, 2574]), ("F3", 4, [520, 3380, 1560])])
+def test_orbit_walk_applies_generators_to_bases_only(monkeypatch, label, n, calls):
+    applied = [0]
+    apply = Mat.apply
+
+    def counted(self, v):
+        applied[0] += 1
+        return apply(self, v)
+
+    monkeypatch.setattr(Mat, "apply", counted)
+    ring = make_ring(parse_ring_spec(label))
+    gens = len(gl_generators(ring, n))
+    for k, want in enumerate(calls, start=1):
+        applied[0] = 0
+        size = len(SummandCatalog(ring, n).grassmannian(k))
+        assert applied[0] == want == gens * k * size, (label, n, k)
+
+
+def test_walk_ends_over_a_product_ring():
+    ring = make_ring(parse_ring_spec("Z/2xZ/3"))
+    catalog = SummandCatalog(ring, 3)
+    vectors = all_vectors(ring, 3)
+    (zero,) = catalog.grassmannian(0)
+    (full,) = catalog.grassmannian(3)
+    assert zero.rank == 0 and zero.members == {vectors[0]} == {(ring.zero,) * 3}
+    assert full.rank == 3 and full.members == set(vectors)
+    assert catalog.containing(0, vectors[:1]) == catalog.containing(3, vectors) == [0]
 
 
 def test_enumeration_budget():
