@@ -30,7 +30,10 @@ class TitsComplex:
     # is cofree (build_filtration), which verify's recount confirms
     included_not_cofree = 0
 
-    def __init__(self, ring: Ring, n: int, max_rank: int, vertices, simplices):
+    def __init__(
+        self, ring: Ring, n: int, max_rank: int, vertices, simplices,
+        catalog: SummandCatalog, start: dict,
+    ):
         self.ring = ring
         self.n = n
         self.max_rank = max_rank
@@ -40,6 +43,10 @@ class TitsComplex:
         self.simplex_pos = [
             {t: i for i, t in enumerate(level)} for level in simplices
         ]
+        # the catalog the vertices came from (held, not copied: its vector
+        # index answers vertex_of_span) and rank -> index of its first vertex
+        self.catalog = catalog
+        self.start = start
         self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
 
     @property
@@ -58,18 +65,37 @@ class TitsComplex:
         """Index of the vertex spanned by the vectors.
 
         Raises ValueError when the vectors do not span freely and
-        RuntimeError when their span is not a vertex.  Memoised per complex
-        by the sorted vectors; only the index is kept, not the member set.
+        RuntimeError when their span is not a vertex (the empty set spans
+        the zero summand freely, which is not one).  Memoised per complex
+        by the sorted vectors; only the index is kept.
+
+        No member set is built on success: for k = len(vectors) with
+        1 <= k <= max_rank (< n) the vectors are a basis of a rank-k vertex
+        W exactly when W is the only rank-k vertex holding all of them,
+        which the catalog's vector index answers.
+        - If they are a basis of W, every rank-k vertex holding them
+          contains W, and equal-rank containment is equality.
+        - Conversely, let W be the only rank-k vertex holding them and
+          write them as B*C with B a basis of W.  If det C were not a unit,
+          it would be a zero divisor in some local factor of R, and by
+          McCoy's theorem some row y != 0 over that factor has y*C = 0.
+          For d a basis vector of a free complement of W (k < n), the
+          columns of B + d*y span a free, cofree rank-k summand W' != W
+          (it is the image of W under an invertible map fixing the
+          complement) holding every vector B*C + d*y*C = B*C; a
+          contradiction.
+        The member-set span is built only to tell the two errors apart.
         """
         key = tuple(sorted(vectors))
         got = self._span_cache.get(key)
         if got is None:
-            members = span_if_free(self.ring, key)
-            if members is None:
-                raise ValueError("vectors do not span freely")
-            got = self.vindex.get(members)
-            if got is None:
+            k = len(key)
+            hits = self.catalog.containing(k, key) if 1 <= k <= self.max_rank else ()
+            if len(hits) != 1:
+                if k and span_if_free(self.ring, key) is None:
+                    raise ValueError("vectors do not span freely")
                 raise RuntimeError("span is not a vertex of the complex")
+            got = self.start[k] + hits[0]
             self._span_cache[key] = got
         return got
 
@@ -225,7 +251,7 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
         if not level:
             break
         simplices.append(level)
-    return TitsComplex(ring, n, m, vertices, simplices)
+    return TitsComplex(ring, n, m, vertices, simplices, catalog, start)
 
 
 def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
@@ -234,7 +260,7 @@ def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET
         raise ValueError(f"n must be >= 1, got {n}")
     ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     if n == 1:
-        return TitsComplex(ring, 1, 0, [], [])
+        return TitsComplex(ring, 1, 0, [], [], SummandCatalog(ring, 1, budget), {})
     return build_filtration(ring, n, n - 1, budget)
 
 

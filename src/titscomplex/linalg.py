@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure
 
@@ -276,9 +277,11 @@ def _extend_span(ring: Ring, members, v):
         multiples.append(tuple(row[x] for x in v))
     out = set()
     target = len(members) * ring.card
+    getitem = operator.getitem
     for w in members:
+        rows = [add[a] for a in w]  # w + m is rows[i][m[i]] entrywise
         for m in multiples:
-            out.add(tuple(add[a][b] for a, b in zip(w, m)))
+            out.add(tuple(map(getitem, rows, m)))
     if len(out) != target:
         return None
     return out

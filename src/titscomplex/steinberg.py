@@ -14,6 +14,7 @@ orientation of the underlying sphere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -121,29 +122,48 @@ class SteinbergChain:
         return f"SteinbergChain({len(self.coeffs)} facets)"
 
 
+def _require_full(cx: TitsComplex) -> None:
+    """Apartments are top cycles of the full complex: n >= 2, max_rank = n - 1."""
+    if cx.n < 2 or cx.max_rank != cx.n - 1:
+        raise ValueError(
+            "apartments need n >= 2 and the full complex (max_rank = n - 1), "
+            f"got n={cx.n}, max_rank={cx.max_rank}"
+        )
+
+
+@functools.cache
+def _flag_terms(n: int) -> tuple:
+    """(column masks of the proper prefixes, coefficient) per permutation
+    of n columns, in permutation order; the coefficient carries the global
+    sign of the module docstring."""
+    global_sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return tuple(
+        (tuple(itertools.accumulate(1 << j for j in perm[:-1])), global_sign * _perm_sign(perm))
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
     """Signed sum over all complete flags refining the basis (a top cycle)."""
+    _require_full(cx)
     n = cx.n
     if basis.nrows != n or basis.ncols != n:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
     cols = basis.columns()
-    # vertex index of the span of every nonempty proper subset of columns
-    vertex_of = {
-        frozenset(subset): cx.vertex_of_span([cols[j] for j in subset])
-        for size in range(1, n)
-        for subset in itertools.combinations(range(n), size)
-    }
-    global_sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    # vertex index of the span of every nonempty proper subset of columns,
+    # at the subset's bit mask
+    vertex_of = [0] * (1 << n)
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            vertex_of[sum(1 << j for j in subset)] = cx.vertex_of_span([cols[j] for j in subset])
     top_pos = cx.simplex_pos[n - 2]
     coeffs: dict[int, int] = {}
-    for perm in itertools.permutations(range(n)):
-        facet = tuple(vertex_of[frozenset(perm[:size])] for size in range(1, n))
-        pos = top_pos.get(facet)
+    for masks, c in _flag_terms(n):
+        pos = top_pos.get(tuple(map(vertex_of.__getitem__, masks)))
         if pos is None:
             raise RuntimeError("apartment flag is not a facet (complex incomplete?)")
-        c = global_sign * _perm_sign(perm)
         nv = coeffs.get(pos, 0) + c
         if nv:
             coeffs[pos] = nv
@@ -287,8 +307,7 @@ def apartment_span_rank(
     saturates or the budget is spent first, the classes used are recounted
     exactly by `smith_rank_and_divisors`: a mod-p rank is never reported.
     """
-    if cx.n < 2:
-        raise ValueError("apartments need n >= 2 (the complex is empty for n = 1)")
+    _require_full(cx)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from titscomplex import (
     reduction_map,
 )
 from titscomplex.grassmann import flag_type, proper_ranks
+from titscomplex.linalg import span_if_free
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import count_included_not_cofree
 
@@ -308,6 +310,55 @@ def test_vertex_of_span(built):
     filt = built.complex("Z/4", 4, 2)
     with pytest.raises(RuntimeError):
         filt.vertex_of_span(Mat.identity(filt.ring, 4).rows[:3])  # rank 3 is above the filtration
+
+
+def test_vertex_of_span_rejects_the_empty_set(built):
+    # the empty set is a free basis of the zero summand, which is no vertex
+    for cx in (built.complex("Z/4", 3), built.complex("Z/4", 1)):
+        with pytest.raises(RuntimeError, match="not a vertex"):
+            cx.vertex_of_span([])
+
+
+def span_oracle(cx, vectors):
+    """Test oracle: the member-set route, span_if_free then a {members: index}
+    dict; an exception type where vertex_of_span must raise."""
+    zero = (cx.ring.zero,) * cx.n
+    members = span_if_free(cx.ring, vectors) if vectors else frozenset([zero])
+    if members is None:
+        return ValueError
+    return {s.members: i for i, s in enumerate(cx.vertices)}.get(members, RuntimeError)
+
+
+@pytest.mark.parametrize("label,n,m", [
+    ("Z/4", 3, None), ("Z/6", 3, None), ("F2[e]^2", 3, None), ("Z/2xZ/3", 3, None),
+    ("Z/9", 3, None), ("Z/4", 4, 2),
+])
+def test_vertex_of_span_equals_member_set_oracle(built, label, n, m):
+    cx = built.complex(label, n, m)
+    ring = cx.ring
+    rng = random.Random(f"{label}/{n}/{m}")
+    vectors = [tuple(t) for t in itertools.product(range(ring.card), repeat=n)]
+    bases = [b for s in cx.vertices for b in s.basis]
+
+    def draw():
+        """A random vector, a vertex basis vector, or a multiple of one."""
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(vectors)
+        b = rng.choice(bases)
+        return b if kind == 1 else tuple(ring.mul[rng.randrange(ring.card)][x] for x in b)
+
+    seen = set()
+    for _ in range(400):
+        tup = [draw() for _ in range(rng.randrange(n + 1))]
+        want = span_oracle(cx, tup)
+        if isinstance(want, int):
+            assert cx.vertex_of_span(tup) == want, tup
+        else:
+            with pytest.raises(want):
+                cx.vertex_of_span(tup)
+        seen.add(want if not isinstance(want, int) else int)
+    assert seen == {int, ValueError, RuntimeError}
 
 
 def test_reduction_sends_facets_to_facets(built):

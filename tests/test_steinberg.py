@@ -9,6 +9,7 @@ from titscomplex import (
     SparseCols,
     apartment_class,
     apartment_span_rank,
+    build_tits_complex,
     chamber_map,
     eta_class,
     gl_generators,
@@ -23,7 +24,8 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import steinberg
+from titscomplex import complexes, grassmann, steinberg
+from titscomplex.linalg import span_if_free
 
 TABLE1 = {
     4: [1, 5, 113, 10879, 4324129, 6984271295],
@@ -300,6 +302,39 @@ def test_sampled_budget_is_never_exceeded(built, monkeypatch):
 def test_apartment_span_needs_n_at_least_two(built):
     with pytest.raises(ValueError, match="n >= 2"):
         apartment_span_rank(built.complex("F2", 1))
+
+
+@pytest.mark.parametrize("label,n,m", [("Z/4", 1, None), ("Z/4", 4, 2)])
+def test_apartments_need_the_full_complex(built, monkeypatch, label, n, m):
+    cx = built.complex(label, n, m)
+
+    def no_homology(cc):
+        raise AssertionError("homology computed before the complex was checked")
+
+    monkeypatch.setattr(steinberg, "reduced_homology", no_homology)
+    named = f"n={n}, max_rank={cx.max_rank}"
+    with pytest.raises(ValueError, match=named):
+        apartment_class(cx, Mat.identity(cx.ring, n))
+    with pytest.raises(ValueError, match=named):
+        apartment_span_rank(cx)
+
+
+@pytest.mark.parametrize("label,mode,used", [("F7", "sampled", 855), ("Z/2xZ/2", "exhaustive", 1793)])
+def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
+    # a fresh complex, so that no span lookup is served from a warm cache
+    cx = build_tits_complex(parse_ring_spec(label), 3)
+    calls = []
+
+    def counting_span(*args, **kwargs):
+        calls.append(args)
+        return span_if_free(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "span_if_free", counting_span)
+    monkeypatch.setattr(grassmann, "span_if_free", counting_span)
+    res = apartment_span_rank(cx, mode=mode, seed=0)
+    assert res.mode == mode and res.apartments_used == used
+    assert res.rank == res.top_betti
+    assert calls == []
 
 
 # -- orbit and commutant ---------------------------------------------------------
