@@ -37,6 +37,36 @@ def all_vectors(ring: Ring, n: int, budget: int | None = DEFAULT_BUDGET):
     return [tuple(t) for t in itertools.product(range(ring.card), repeat=n)]
 
 
+def subset_minors(ring: Ring, rows, ncols: int) -> list[int]:
+    """Minors of the leading rows, indexed by column mask.
+
+    Entry `mask` is the determinant of rows 0..k-1 on the columns in `mask`,
+    k being the number of bits of `mask`, for every mask with k <= len(rows);
+    the other entries are zero.  Each entry is the Laplace expansion along
+    row k-1, and masks run in ascending order, so the entries it reads (its
+    submasks) are already filled.
+    """
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    memo = [ring.zero] * (1 << ncols)
+    memo[0] = ring.one
+    for mask in range(1, 1 << ncols):
+        i = mask.bit_count() - 1
+        if i >= len(rows):
+            continue
+        row = rows[i]
+        acc = ring.zero
+        positive = i % 2 == 0  # cofactor sign (-1)^(i + position of the column in mask)
+        m = mask
+        while m:
+            low = m & -m
+            term = mul[row[low.bit_length() - 1]][memo[mask ^ low]]
+            acc = add[acc][term if positive else neg[term]]
+            positive = not positive
+            m ^= low
+        memo[mask] = acc
+    return memo
+
+
 class Mat:
     """A rows x cols matrix of element indices over a fixed ring."""
 
@@ -109,43 +139,13 @@ class Mat:
         return Mat(ring, rows)
 
     def det(self) -> int:
-        """Determinant as an element index (expansion with subset memo, n <= 8)."""
+        """Determinant as an element index (subset DP over columns, n <= 8)."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if n > 8:
             raise ValueError("determinant supported for n <= 8")
-        ring = self.ring
-        if n == 0:
-            return ring.one
-        add, mul, neg = ring.add, ring.mul, ring.neg
-        rows = self.rows
-        # memo[colmask] = det of submatrix on rows 0..popcount-1 and columns in mask
-        memo = {0: ring.one}
-
-        def rec(mask: int) -> int:
-            val = memo.get(mask)
-            if val is not None:
-                return val
-            i = bin(mask).count("1") - 1
-            row = rows[i]
-            acc = ring.zero
-            sign_pos = i % 2 == 0  # cofactor sign (-1)^(i+pos)
-            m = mask
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                sub = rec(mask ^ low)
-                term = mul[row[j]][sub]
-                if not sign_pos:
-                    term = neg[term]
-                acc = add[acc][term]
-                sign_pos = not sign_pos
-                m ^= low
-            memo[mask] = acc
-            return acc
-
-        return rec((1 << n) - 1)
+        return subset_minors(self.ring, self.rows, n)[-1]
 
     def is_invertible(self) -> bool:
         return self.det() in self.ring.units

@@ -19,7 +19,7 @@ import itertools
 import random
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
-from .linalg import Mat, gl_generators
+from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
@@ -151,7 +151,13 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
-    cols = basis.columns()
+    return SteinbergChain(cx, _class_coeffs(cx, basis.columns()))
+
+
+def _class_coeffs(cx: TitsComplex, cols) -> dict[int, int]:
+    """Facet coefficients of the apartment class of n columns that the
+    caller knows to form an invertible matrix."""
+    n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
     # at the subset's bit mask
     vertex_of = [0] * (1 << n)
@@ -169,7 +175,7 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
             coeffs[pos] = nv
         else:
             coeffs.pop(pos, None)
-    return SteinbergChain(cx, coeffs)
+    return coeffs
 
 
 def chamber_map(chain: SteinbergChain, facet) -> int:
@@ -268,11 +274,40 @@ class SpanRankResult:
         )
 
 
-def _frame_matrix(cx: TitsComplex, frame) -> Mat | None:
-    """Basis matrix of a set of lines when their canonical generators span."""
-    gens = [cx.vertices[i].preferred_basis[0] for i in sorted(frame)]
-    mat = Mat.from_columns(cx.ring, gens)
-    return mat if mat.is_invertible() else None
+def _frame_columns(cx: TitsComplex, frame) -> list:
+    """Canonical generators of a set of lines, in vertex order."""
+    return [cx.vertices[i].preferred_basis[0] for i in sorted(frame)]
+
+
+def _invertible_frames(cx: TitsComplex, lines):
+    """Columns of every frame among `lines`, in the order of
+    `itertools.combinations(lines, n)`.
+
+    The combinations are walked as an (n-1)-prefix times a last line, which
+    is the same order.  The n signed cofactors of the prefix columns come
+    from one `subset_minors` table per prefix, and the determinant of
+    prefix + w is their dot product with w (Laplace expansion along the
+    last column): no matrix is built per frame.
+    """
+    ring, n = cx.ring, cx.n
+    add, mul, neg, units = ring.add, ring.mul, ring.neg, ring.units
+    gens = _frame_columns(cx, lines)
+    full = (1 << n) - 1
+    for prefix in itertools.combinations(range(len(lines) - 1), n - 1):
+        cols = [gens[k] for k in prefix]
+        minors = subset_minors(ring, cols, n)
+        # the cofactor of row r in the last column: (-1)^(r + n - 1) times
+        # the prefix minor without row r
+        cof = [
+            minors[full ^ (1 << r)] if (r + n - 1) % 2 == 0 else neg[minors[full ^ (1 << r)]]
+            for r in range(n)
+        ]
+        for w in gens[prefix[-1] + 1 :]:
+            det = ring.zero
+            for a, c in zip(w, cof):
+                det = add[det][mul[a][c]]
+            if det in units:
+                yield cols + [w]
 
 
 EXHAUSTIVE_GL_LIMIT = 10**5
@@ -296,6 +331,17 @@ def apartment_span_rank(
     saturation when a full sweep of the group generators adds no rank.
     Sampled mode computes at most `budget` classes and reports a run cut
     short by it as unsaturated.
+
+    Each candidate is tested once.  Exhaustive mode tests a set of lines by
+    the cofactors of its (n-1)-prefix (`_invertible_frames`).  Sampled mode
+    tests only its seed candidates, with `Mat.det`; every later frame is
+    the image p_g(F) of a frame F = {L_1, ..., L_n} already known to be
+    one, under a generator g of GL_n(R), and needs no test: if v_i is the
+    canonical generator of L_i, then g v_i generates the free line g L_i,
+    so its canonical generator is w_i = u_i g v_i for a unit u_i (two
+    generators of a free rank-1 module differ by a unit), and
+    det(w_1 | ... | w_n) = +-det(g) u_1 ... u_n det(v_1 | ... | v_n) is a
+    unit, the sign coming from putting the lines in vertex order.
 
     The bound is the top reduced Betti number of `cx`, computed here by
     exact homology and returned as `top_betti`.  Apartment classes are top
@@ -321,9 +367,9 @@ def apartment_span_rank(
     ech = ModPEchelon()
     used: list[dict] = []  # the classes added, in order
 
-    def add(mat) -> bool:
-        """Add one apartment class; True once the rank has reached top_betti."""
-        used.append(apartment_class(cx, mat).coeffs)
+    def add(cols) -> bool:
+        """Add the class of one frame; True once the rank has reached top_betti."""
+        used.append(_class_coeffs(cx, cols))
         ech.add(used[-1])
         return ech.rank == top_betti
 
@@ -337,42 +383,38 @@ def apartment_span_rank(
         from math import comb
 
         check_budget(comb(len(lines), cx.n), budget, "apartment frames")
-        for frame in itertools.combinations(lines, cx.n):
-            mat = _frame_matrix(cx, frame)
-            if mat is not None and add(mat):
+        for cols in _invertible_frames(cx, lines):
+            if add(cols):
                 break
         return result(True)
 
     # sampled: orbit closure with a rank-saturation stopping rule
-    def sweep(mats) -> SpanRankResult | None:
-        """Add frame matrices (None: not a frame); a result when the run ends inside."""
-        for mat in mats:
-            if mat is None:
-                continue
+    def sweep(frames) -> SpanRankResult | None:
+        """Add the classes of frames; a result when the run ends inside."""
+        for frame in frames:
             if budget is not None and len(used) >= budget:
                 return result(False)
-            if add(mat):
+            if add(_frame_columns(cx, frame)):
                 return result(True)
         return None
 
     rng = random.Random(seed)
-    gens = gl_generators(cx.ring, cx.n)
-    perms = [cx.vertex_permutation(g) for g in gens]
+    perms = [cx.vertex_permutation(g) for g in gl_generators(cx.ring, cx.n)]
     ident = Mat.identity(cx.ring, cx.n)
-    id_frame = frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(cx.n))
-    seeds = {id_frame: _frame_matrix(cx, id_frame)}
-    for _ in range(cx.n * 4):
-        cand = frozenset(rng.sample(lines, cx.n))
-        if cand not in seeds:
-            mat = _frame_matrix(cx, cand)
-            if mat is not None:
-                seeds[cand] = mat
-    done = sweep(seeds.values())
-    frames = set(seeds)
+    candidates = [frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(cx.n))]
+    candidates += [frozenset(rng.sample(lines, cx.n)) for _ in range(cx.n * 4)]
+    frontier = [
+        f for f in dict.fromkeys(candidates)
+        if Mat.from_columns(cx.ring, _frame_columns(cx, f)).is_invertible()
+    ]
+    done = sweep(frontier)
+    frames = set(frontier)
     while done is None:
         before = ech.rank
-        new_frames = {frozenset(p[i] for i in f) for f in frames for p in perms} - frames
-        done = sweep(_frame_matrix(cx, g) for g in sorted(new_frames, key=sorted))
+        # images of frames older than the frontier are in `frames` already
+        new_frames = {frozenset(p[i] for i in f) for f in frontier for p in perms} - frames
+        frontier = sorted(new_frames, key=sorted)
+        done = sweep(frontier)
         frames |= new_frames
         if done is None and ech.rank == before:
             done = result(True)

@@ -214,13 +214,28 @@ def test_apartment_span_sampled_agrees(built):
     assert res.saturated and res.rank == 8
 
 
+def _oracle_frames(cx):
+    """Column lists of the n-subsets of lines whose generators form an
+    invertible matrix, by one `Mat.det` per subset, in combinations order."""
+    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
+    gens = {i: cx.vertices[i].preferred_basis[0] for i in lines}
+    subsets = ([gens[i] for i in f] for f in itertools.combinations(lines, cx.n))
+    return [cols for cols in subsets if Mat.from_columns(cx.ring, cols).is_invertible()]
+
+
 def _exact_span(cx):
     """Oracle: the Smith rank of every invertible frame's apartment class,
     and the number of those frames."""
-    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
-    mats = (steinberg._frame_matrix(cx, f) for f in itertools.combinations(lines, cx.n))
-    classes = [apartment_class(cx, m).coeffs for m in mats if m is not None]
+    mats = (Mat.from_columns(cx.ring, cols) for cols in _oracle_frames(cx))
+    classes = [apartment_class(cx, m).coeffs for m in mats]
     return smith_rank_and_divisors(SparseCols(len(cx.facets()), classes))[0], len(classes)
+
+
+@pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("F3", 3), ("Z/2xZ/2", 3)])
+def test_cofactor_frame_test_matches_the_determinant(built, label, n):
+    cx = built.complex(label, n)
+    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
+    assert list(steinberg._invertible_frames(cx, lines)) == _oracle_frames(cx)
 
 
 CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
@@ -279,24 +294,72 @@ def test_certified_sampled_span_reaches_top_betti(built):
         assert res.saturated and res.rank == res.top_betti == b == 113
 
 
+def _record_frames(monkeypatch):
+    """Record the columns of every frame whose class the span computes."""
+    recorded = []
+    class_coeffs = steinberg._class_coeffs
+
+    def recording_class(cx, cols):
+        recorded.append(list(cols))
+        return class_coeffs(cx, cols)
+
+    monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
+    return recorded
+
+
 def test_sampled_budget_is_never_exceeded(built, monkeypatch):
     cx = built.complex("F3", 3)
-    recorded = []
-
-    def recording_class(cx, mat):
-        chain = apartment_class(cx, mat)
-        recorded.append(chain.coeffs)
-        return chain
-
-    monkeypatch.setattr(steinberg, "apartment_class", recording_class)
+    recorded = _record_frames(monkeypatch)
     for budget in (5, 13, 20):
         recorded.clear()
         res = apartment_span_rank(cx, mode="sampled", budget=budget)
         assert not res.saturated and res.apartments_used <= budget
         assert res.top_betti == 27
         # the frames used are recounted exactly
-        used = recorded[: res.apartments_used]
+        mats = [Mat.from_columns(cx.ring, cols) for cols in recorded[: res.apartments_used]]
+        used = [apartment_class(cx, m).coeffs for m in mats]
         assert res.rank == smith_rank_and_divisors(SparseCols(len(cx.facets()), used))[0]
+
+
+@pytest.mark.parametrize("label", ["Z/4", "F3"])
+def test_sampled_orbit_frames_are_invertible(built, monkeypatch, label):
+    # the orbit images are added untested; each must still be a frame
+    cx = built.complex(label, 3)
+    recorded = _record_frames(monkeypatch)
+    for seed in range(3):
+        recorded.clear()
+        res = apartment_span_rank(cx, mode="sampled", seed=seed)
+        assert len(recorded) == res.apartments_used
+        for cols in recorded:
+            assert Mat.from_columns(cx.ring, cols).det() in cx.ring.units
+
+
+@pytest.mark.parametrize("label,want", [
+    ("Z/4", [(276, 113), (662, 113), (269, 113), (479, 113), (274, 113)]),
+    ("F3", [(43, 27), (55, 27), (50, 27), (47, 27), (40, 27)]),
+])
+def test_sampled_frame_order_is_pinned(built, label, want):
+    cx = built.complex(label, 3)
+    runs = [apartment_span_rank(cx, mode="sampled", seed=seed) for seed in range(5)]
+    assert [(r.apartments_used, r.rank) for r in runs] == want
+
+
+def test_span_tests_only_seed_frames_by_determinant(monkeypatch):
+    # exhaustive mode tests frames by prefix cofactors, sampled mode tests
+    # its 4n + 1 seed candidates only; no class re-checks its frame
+    cx = build_tits_complex(parse_ring_spec("F3"), 3)
+    calls = []
+    det = Mat.det
+
+    def counting_det(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Mat, "det", counting_det)
+    apartment_span_rank(cx, mode="exhaustive")
+    assert calls == []
+    apartment_span_rank(cx, mode="sampled", seed=0)
+    assert 1 <= len(calls) == len(set(calls)) <= 4 * cx.n + 1
 
 
 def test_apartment_span_needs_n_at_least_two(built):
