@@ -53,6 +53,7 @@ from .homology import (
     HomologyResult,
     SparseCols,
     chain_complex,
+    coreduce,
     fixed_subspace_dim,
     induced_top_map,
     kernel_basis,

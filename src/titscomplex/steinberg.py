@@ -23,8 +23,8 @@ from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ChainComplex, ModPEchelon, SparseCols, chain_complex, permutation_orbits,
-    reduced_homology, smith_rank_and_divisors, sparse_rank,
+    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce,
+    permutation_orbits, reduced_homology, smith_rank_and_divisors, sparse_rank,
 )
 
 
@@ -151,19 +151,33 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
-    return SteinbergChain(cx, _class_coeffs(cx, basis.columns()))
+    cols = basis.columns()
+    return SteinbergChain(cx, _class_coeffs(cx, [cx.vertex_of_span([c]) for c in cols], cols))
 
 
-def _class_coeffs(cx: TitsComplex, cols) -> dict[int, int]:
-    """Facet coefficients of the apartment class of n columns that the
+@functools.cache
+def _span_subsets(n: int) -> tuple:
+    """(bit mask, column indices) of every subset of n columns with 2 to
+    n - 1 elements: the spans an apartment class looks up beyond its lines."""
+    return tuple(
+        (sum(1 << j for j in subset), subset)
+        for size in range(2, n)
+        for subset in itertools.combinations(range(n), size)
+    )
+
+
+def _class_coeffs(cx: TitsComplex, frame, cols) -> dict[int, int]:
+    """Facet coefficients of the apartment class of the lines `frame`
+    (vertex indices) with generators `cols`, in the same order, which the
     caller knows to form an invertible matrix."""
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
-    # at the subset's bit mask
+    # at the subset's bit mask; a single column spans its own line
     vertex_of = [0] * (1 << n)
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            vertex_of[sum(1 << j for j in subset)] = cx.vertex_of_span([cols[j] for j in subset])
+    for j, v in enumerate(frame):
+        vertex_of[1 << j] = v
+    for mask, subset in _span_subsets(n):
+        vertex_of[mask] = cx.vertex_of_span([cols[j] for j in subset])
     top_pos = cx.simplex_pos[n - 2]
     coeffs: dict[int, int] = {}
     for masks, c in _flag_terms(n):
@@ -280,8 +294,8 @@ def _frame_columns(cx: TitsComplex, frame) -> list:
 
 
 def _invertible_frames(cx: TitsComplex, lines):
-    """Columns of every frame among `lines`, in the order of
-    `itertools.combinations(lines, n)`.
+    """(lines, columns) of every frame among `lines` (vertex indices in
+    increasing order), in the order of `itertools.combinations(lines, n)`.
 
     The combinations are walked as an (n-1)-prefix times a last line, which
     is the same order.  The n signed cofactors of the prefix columns come
@@ -294,6 +308,7 @@ def _invertible_frames(cx: TitsComplex, lines):
     gens = _frame_columns(cx, lines)
     full = (1 << n) - 1
     for prefix in itertools.combinations(range(len(lines) - 1), n - 1):
+        frame = [lines[k] for k in prefix]
         cols = [gens[k] for k in prefix]
         minors = subset_minors(ring, cols, n)
         # the cofactor of row r in the last column: (-1)^(r + n - 1) times
@@ -302,12 +317,13 @@ def _invertible_frames(cx: TitsComplex, lines):
             minors[full ^ (1 << r)] if (r + n - 1) % 2 == 0 else neg[minors[full ^ (1 << r)]]
             for r in range(n)
         ]
-        for w in gens[prefix[-1] + 1 :]:
+        for k in range(prefix[-1] + 1, len(lines)):
+            w = gens[k]
             det = ring.zero
             for a, c in zip(w, cof):
                 det = add[det][mul[a][c]]
             if det in units:
-                yield cols + [w]
+                yield frame + [lines[k]], cols + [w]
 
 
 EXHAUSTIVE_GL_LIMIT = 10**5
@@ -352,6 +368,17 @@ def apartment_span_rank(
     equal to top_betti is exact.  If the frames run out, the sampled rule
     saturates or the budget is spent first, the classes used are recounted
     exactly by `smith_rank_and_divisors`: a mod-p rank is never reported.
+
+    The mod-p echelon sees each class only on the top cells that survive
+    `coreduce`, and the rank after every class is the one the full classes
+    give.  Restriction to the survivors maps the top cycle lattice
+    isomorphically over Z onto the top cycle lattice of the coreduced
+    complex (proof in `coreduce`).  Both lattices are saturated, so a basis
+    of either stays independent mod p and the isomorphism stays invertible
+    mod p: any top cycles, apartment classes among them, have the same
+    rank mod p as their restrictions.  The stopping point and
+    `apartments_used` are therefore unchanged, and the exact recount still
+    takes the full classes.
     """
     _require_full(cx)
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -362,15 +389,20 @@ def apartment_span_rank(
             if gl_order(cx.ring.spec, cx.n) <= EXHAUSTIVE_GL_LIMIT
             else "sampled"
         )
-    top_betti = reduced_homology(chain_complex(cx)).betti[-1]
+    cc = chain_complex(cx)
+    top_betti = reduced_homology(cc).betti[-1]
+    kept = bytearray(len(cx.facets()))  # the top cells that survive coreduction
+    for k in coreduce(cc)[-1]:
+        kept[k] = 1
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
     used: list[dict] = []  # the classes added, in order
 
-    def add(cols) -> bool:
+    def add(frame, cols) -> bool:
         """Add the class of one frame; True once the rank has reached top_betti."""
-        used.append(_class_coeffs(cx, cols))
-        ech.add(used[-1])
+        coeffs = _class_coeffs(cx, frame, cols)
+        used.append(coeffs)
+        ech.add({k: v for k, v in coeffs.items() if kept[k]})
         return ech.rank == top_betti
 
     def result(saturated: bool) -> SpanRankResult:
@@ -383,8 +415,8 @@ def apartment_span_rank(
         from math import comb
 
         check_budget(comb(len(lines), cx.n), budget, "apartment frames")
-        for cols in _invertible_frames(cx, lines):
-            if add(cols):
+        for frame, cols in _invertible_frames(cx, lines):
+            if add(frame, cols):
                 break
         return result(True)
 
@@ -394,7 +426,8 @@ def apartment_span_rank(
         for frame in frames:
             if budget is not None and len(used) >= budget:
                 return result(False)
-            if add(_frame_columns(cx, frame)):
+            frame = sorted(frame)
+            if add(frame, _frame_columns(cx, frame)):
                 return result(True)
         return None
 
@@ -507,5 +540,8 @@ def table_generate(specs, n_max: int) -> RankTable:
     if not specs:
         raise ValueError("no ring specs")
     labels = [s.label for s in specs]
+    repeated = sorted({l for l in labels if labels.count(l) > 1})
+    if repeated:
+        raise ValueError(f"ring spec repeated: {', '.join(repeated)}")
     columns = {s.label: [steinberg_rank(s, n) for n in range(1, n_max + 1)] for s in specs}
     return RankTable(labels, n_max, columns)

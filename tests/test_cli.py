@@ -250,3 +250,11 @@ def test_rank_rejects_empty_ring_list(capsys):
         code, out, err = run(capsys, "rank", "--rings", rings, "--n-max", "3")
         assert code == 2 and out == ""
         assert "no ring specs" in err
+
+
+def test_rank_rejects_a_repeated_ring(capsys):
+    for rings, named in (("F2,F2", "F2"), ("Z/4,F2,Z/4", "Z/4")):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run(capsys, "rank", "--rings", rings, "--n-max", "3", "--format", fmt)
+            assert code == 2 and out == ""
+            assert "repeated" in err and named in err

@@ -12,6 +12,7 @@ from titscomplex import (
     build_tits_complex,
     chain_complex,
     congruence_generators,
+    coreduce,
     fixed_subspace_dim,
     gl_generators,
     induced_top_map,
@@ -26,6 +27,7 @@ from titscomplex import (
 from titscomplex.homology import (
     ChainComplex,
     IntEchelon,
+    MOD_P,
     ModPEchelon,
     euler_characteristic_checks,
     normalize_divisors,
@@ -213,11 +215,12 @@ def closure_complex(facets):
     return out
 
 
+RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+              (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
 def test_projective_plane_torsion():
-    rp2 = closure_complex(
-        [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    )
+    rp2 = closure_complex(RP2_FACETS)
     cc = chain_complex(rp2)
     assert cc.dd_is_zero()
     hom = reduced_homology(cc)
@@ -230,6 +233,80 @@ def test_circle_and_sphere():
     assert reduced_homology(chain_complex(circle)).betti == [0, 1]
     sphere = closure_complex([t for t in itertools.combinations(range(4), 3)])
     assert reduced_homology(chain_complex(sphere)).betti == [0, 0, 1]
+
+
+def residual_complex(cc, survivors):
+    """The survivors of coreduction with the restricted boundaries, renumbered."""
+    boundaries = []
+    for d, cells in enumerate(survivors):
+        below = {c: i for i, c in enumerate(survivors[d - 1])} if d else {}
+        cols = [{below[r]: v for r, v in cc.boundaries[d].cols[c].items() if r in below} for c in cells]
+        boundaries.append(SparseCols(len(below), cols))
+    return ChainComplex([len(cells) for cells in survivors], boundaries)
+
+
+@pytest.mark.parametrize("label,n", [
+    ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/6", 3), ("Z/9", 3), ("F3", 4),
+])
+def test_coreduction_leaves_b_top_top_cells(built, label, n):
+    survivors = coreduce(built.chain(label, n))
+    b_top = built.homology(label, n).betti[-1]
+    assert [len(cells) for cells in survivors] == [0] * (n - 2) + [b_top]
+    assert b_top == steinberg_rank(parse_ring_spec(label), n)
+
+
+@pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("Z/6", 3)])
+def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
+    cc = built.chain(label, n)
+    kept = set(coreduce(cc)[-1])
+    basis = kernel_basis(cc.boundaries[-1])
+    rng = random.Random(11)
+    # coefficients that vanish mod p drop a basis cycle from the combination
+    coeffs = [-2, -1, 1, 2, 3, MOD_P, 2 * MOD_P, MOD_P + 1]
+    cycles = []
+    for _ in range(len(basis)):
+        z = {}
+        for i in rng.sample(range(len(basis)), min(3, len(basis))):
+            c = rng.choice(coeffs)
+            for k, v in basis[i].items():
+                z[k] = z.get(k, 0) + c * v
+        cycles.append({k: v for k, v in z.items() if v})
+    # a basis of a saturated lattice stays independent mod p
+    cycles += basis
+    full, restricted = ModPEchelon(), ModPEchelon()
+    for z in cycles:
+        assert full.add(z) == restricted.add({k: v for k, v in z.items() if k in kept})
+        assert full.rank == restricted.rank
+    assert full.rank == len(basis)
+
+
+def test_coreduction_keeps_the_torsion_of_rp2():
+    cc = chain_complex(closure_complex(RP2_FACETS))
+    survivors = coreduce(cc)
+    # survivors below the top degree: the residual boundary carries the 2
+    assert survivors[1] and survivors[2]
+    residual = residual_complex(cc, survivors)
+    assert residual.dd_is_zero()
+    assert reduced_homology(residual) == reduced_homology(cc)
+    assert reduced_homology(residual).torsion == [[], [2], []]
+
+
+def test_coreduction_never_pairs_a_non_unit_incidence():
+    # the CW projective plane: one cell per degree, d(e) = 0 and d(c) = 2e
+    cc = ChainComplex([1, 1, 1], [SparseCols(1, [{0: 1}]), SparseCols(1, [{}]), SparseCols(1, [{0: 2}])])
+    survivors = coreduce(cc)
+    assert survivors == [[], [0], [0]]
+    assert reduced_homology(residual_complex(cc, survivors)) == reduced_homology(cc)
+    assert reduced_homology(cc).torsion == [[], [2], []]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9))
+def test_coreduction_then_smith_equals_smith(facets):
+    cc = chain_complex(closure_complex([tuple(f) for f in facets]))
+    residual = residual_complex(cc, coreduce(cc))
+    assert residual.dd_is_zero()
+    assert reduced_homology(residual) == reduced_homology(cc)
 
 
 def test_homology_known_rank_values(built):

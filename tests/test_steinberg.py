@@ -11,6 +11,7 @@ from titscomplex import (
     apartment_span_rank,
     build_tits_complex,
     chamber_map,
+    coreduce,
     eta_class,
     gl_generators,
     make_ring,
@@ -25,6 +26,7 @@ from titscomplex import (
     ut_bases,
 )
 from titscomplex import complexes, grassmann, steinberg
+from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 
 TABLE1 = {
@@ -235,7 +237,10 @@ def _exact_span(cx):
 def test_cofactor_frame_test_matches_the_determinant(built, label, n):
     cx = built.complex(label, n)
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
-    assert list(steinberg._invertible_frames(cx, lines)) == _oracle_frames(cx)
+    frames = list(steinberg._invertible_frames(cx, lines))
+    assert [cols for _, cols in frames] == _oracle_frames(cx)
+    # each frame's line indices are the vertices its columns span
+    assert all(frame == [cx.vertex_of_span([c]) for c in cols] for frame, cols in frames)
 
 
 CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
@@ -299,9 +304,9 @@ def _record_frames(monkeypatch):
     recorded = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, cols):
+    def recording_class(cx, frame, cols):
         recorded.append(list(cols))
-        return class_coeffs(cx, cols)
+        return class_coeffs(cx, frame, cols)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     return recorded
@@ -398,6 +403,44 @@ def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
     assert res.mode == mode and res.apartments_used == used
     assert res.rank == res.top_betti
     assert calls == []
+
+
+# (ring, mode, rank, apartments used) at n = 3, seed 0
+SPAN_PINS = [
+    ("F7", "sampled", 343, 855),
+    ("Z/2xZ/2", "exhaustive", 344, 1793),
+    ("Z/6", "sampled", 911, 3202),
+    ("Z/6", "exhaustive", 911, 8101),
+]
+
+
+@pytest.mark.parametrize("label,mode,rank,used", SPAN_PINS)
+def test_apartment_span_results_are_pinned(built, label, mode, rank, used):
+    res = apartment_span_rank(built.complex(label, 3), mode=mode, seed=0)
+    assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
+    assert res.saturated and res.top_betti == rank
+
+
+@pytest.mark.parametrize("label,mode", [("F7", "sampled"), ("Z/2xZ/2", "exhaustive")])
+def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch, label, mode):
+    cx = built.complex(label, 3)
+    classes = []
+    class_coeffs = steinberg._class_coeffs
+
+    def recording_class(cx, frame, cols):
+        classes.append(class_coeffs(cx, frame, cols))
+        return classes[-1]
+
+    monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
+    res = apartment_span_rank(cx, mode=mode, seed=0)
+    assert len(classes) == res.apartments_used
+    kept = set(coreduce(built.chain(label, 3))[-1])
+    full, restricted = ModPEchelon(), ModPEchelon()
+    for coeffs in classes:
+        full.add(coeffs)
+        restricted.add({k: v for k, v in coeffs.items() if k in kept})
+        assert full.rank == restricted.rank
+    assert full.rank == res.rank == res.top_betti
 
 
 # -- orbit and commutant ---------------------------------------------------------
