@@ -31,10 +31,14 @@ print("8 * 9 mod 12 =", (a * b).payload)
 print("inverse of 5 mod 12:", ring.element(5).inverse().payload)
 print("inverse of 8 mod 12:", ring.element(8).inverse())  # None: a zero divisor
 
-# The Jacobson radical and the residue fields drive all the counting formulas.
+# The Jacobson radical (the nilpotent elements) and the residue fields of
+# R/J drive all the counting formulas.  The tables give the radical itself;
+# the spec alone gives its size and the residue field orders.
 rad = ring.radical
-print("radical of Z/12: size", rad.size, "generators", list(rad.generators),
+print("radical of Z/12: size", rad.size, "elements", sorted(ring.payload(i) for i in rad.elements),
       "residue fields of orders", list(rad.residue_field_orders))
+print("from the spec alone: |J| =", z12.radical_size,
+      "residue fields of orders", list(z12.residue_field_orders))
 
 # Gaussian binomials count subspaces over a field...
 print("2-dim subspaces of F2^4:", gaussian_binomial(4, 2, 2))     # 35

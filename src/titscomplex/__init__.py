@@ -23,7 +23,6 @@ from .linalg import (
     Mat,
     Summand,
     congruence_generators,
-    determinant,
     elementary_matrix,
     gl_generators,
     is_unimodular,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .rings import BudgetExceeded, DEFAULT_BUDGET, make_ring, parse_ring_spec
+from .rings import BudgetExceeded, DEFAULT_BUDGET, parse_ring_spec
 from .grassmann import (
     enumerate_good_flags,
     enumerate_grassmannian,
@@ -127,10 +127,9 @@ def cmd_flags(args) -> int:
 
 def _build(args):
     spec = parse_ring_spec(args.ring)
-    ring = make_ring(spec)
     if getattr(args, "filtration", None) is not None:
-        return build_filtration(ring, args.n, args.filtration, args.budget)
-    return build_tits_complex(ring, args.n, args.budget)
+        return build_filtration(spec, args.n, args.filtration, args.budget)
+    return build_tits_complex(spec, args.n, args.budget)
 
 
 def cmd_complex(args) -> int:
@@ -215,7 +214,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_verify(args) -> int:
     only = [x for x in args.only.split(",") if x] if args.only else None
-    report = run_verify(args.tier, args.budget, only=only, corrupt=args.corrupt_boundary)
+    report = run_verify(args.tier, args.budget, only=only)
     if args.format == "json":
         _emit(args, _json_text(report))
     else:
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--tier", choices=("fast", "full"), default="fast")
     p.add_argument("--only", help="comma-separated check ids to run")
-    p.add_argument("--corrupt-boundary", action="store_true", help=argparse.SUPPRESS)
     common(p, fmt=("text", "json"))
     p.set_defaults(fn=cmd_verify)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rings import DEFAULT_BUDGET, Ring, check_budget, make_ring, quotient_spec
+from .rings import DEFAULT_BUDGET, Ring, check_budget, make_ring, quotient_spec, spec_of
 from .linalg import Mat, Summand, span_if_free
 from .grassmann import SummandCatalog, grassmannian_size_formula
 
@@ -214,18 +214,21 @@ class Subcomplex:
 
 
 def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
-    """Full subcomplex on the summands of rank at most m (1 <= m <= n-1)."""
+    """Full subcomplex on the summands of rank at most m (1 <= m <= n-1).
+
+    The vertex and facet counts are checked against the budget from the
+    spec's closed formulas, before the ring's tables are built.
+    """
     if not (1 <= m <= n - 1):
         raise ValueError(f"filtration rank must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
-    spec = ring.spec
+    spec = spec_of(spec_or_ring)
     est = sum(grassmannian_size_formula(spec, n, k) for k in range(1, m + 1))
     check_budget(est, budget, f"vertices of the rank-{m} Tits complex of {spec.label}^{n}")
     # a facet is a flag V_1 < ... < V_m, and V_(i+1)/V_i is a line of the
     # free module R^n/V_i of rank n - i
     facets = math.prod(grassmannian_size_formula(spec, n - i, 1) for i in range(m))
     check_budget(facets, budget, f"facets of the rank-{m} Tits complex of {spec.label}^{n}")
-    catalog = SummandCatalog(ring, n, budget)
+    catalog = SummandCatalog(spec, n, budget)
     vertices: list[Summand] = []
     start = {}  # rank -> index of its first vertex
     for k in range(1, m + 1):
@@ -251,17 +254,17 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
         if not level:
             break
         simplices.append(level)
-    return TitsComplex(ring, n, m, vertices, simplices, catalog, start)
+    return TitsComplex(make_ring(spec), n, m, vertices, simplices, catalog, start)
 
 
 def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
     """The full Tits complex (dimension n-2); empty when n = 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
+    spec = spec_of(spec_or_ring)
     if n == 1:
-        return TitsComplex(ring, 1, 0, [], [], SummandCatalog(ring, 1, budget), {})
-    return build_filtration(ring, n, n - 1, budget)
+        return TitsComplex(make_ring(spec), 1, 0, [], [], SummandCatalog(spec, 1, budget), {})
+    return build_filtration(spec, n, n - 1, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +302,8 @@ def reduction_map(
     ring = src.ring
     gen_idx = [ring.el(p) for p in ideal_gen_payloads]
     tspec, reduce_payload = quotient_spec(ring.spec, ring, gen_idx)
-    tring = make_ring(tspec)
-    dst = build_tits_complex(tring, src.n, budget)
+    dst = build_tits_complex(tspec, src.n, budget)
+    tring = dst.ring
     # the reduction of a basis of V is a basis of V/IV, a vertex downstairs
     vm = [
         dst.vertex_of_span([tuple(tring.el(reduce_payload(ring.payload(x))) for x in v) for v in s.basis])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
+from .rings import DEFAULT_BUDGET, RingSpec, check_budget, make_ring, spec_of
 from .linalg import Mat, Summand, gl_generators, quotient_free_rank_members, span_if_free
 
 
@@ -43,20 +43,16 @@ def gl_order_field(n: int, q: int) -> int:
 
 def gl_order(spec: RingSpec, n: int) -> int:
     """|GL_n(R)| for a supported finite ring, via the radical factorisation."""
-    ring = make_ring(spec)
-    rad = ring.radical
-    out = rad.size ** (n * n)
-    for q in rad.residue_field_orders:
+    out = spec.radical_size ** (n * n)
+    for q in spec.residue_field_orders:
         out *= gl_order_field(n, q)
     return out
 
 
 def grassmannian_size_formula(spec: RingSpec, n: int, k: int) -> int:
     """|Gr_k^n(R)| = |J|^(k(n-k)) * prod |Gr_k^n(F_i)| over the residue fields."""
-    ring = make_ring(spec)
-    rad = ring.radical
-    out = rad.size ** (k * (n - k))
-    for q in rad.residue_field_orders:
+    out = spec.radical_size ** (k * (n - k))
+    for q in spec.residue_field_orders:
         out *= gaussian_binomial(n, k, q)
     return out
 
@@ -158,10 +154,13 @@ class SummandCatalog:
     basis b of V, and it builds the member set only of a new summand.  The
     same vector index answers containment between ranks: V lies in W exactly
     when W holds every basis vector of V (`containing`).
+
+    The catalog holds the ring's spec, and builds the ring's tables only
+    after the budget check of the first Grassmannian it enumerates.
     """
 
-    def __init__(self, ring: Ring, n: int, budget: int | None = DEFAULT_BUDGET):
-        self.ring = ring
+    def __init__(self, spec: RingSpec, n: int, budget: int | None = DEFAULT_BUDGET):
+        self.spec = spec
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
@@ -175,13 +174,14 @@ class SummandCatalog:
         got = self._gr.get(k)
         if got is not None:
             return got
-        ring, n = self.ring, self.n
+        spec, n = self.spec, self.n
         # |Gr_k| summands of q^k member vectors each
         check_budget(
-            grassmannian_size_formula(ring.spec, n, k) * ring.card**k,
+            grassmannian_size_formula(spec, n, k) * spec.cardinality**k,
             self.budget,
-            f"Gr_{k}^{n}({ring.spec.label})",
+            f"Gr_{k}^{n}({spec.label})",
         )
+        ring = make_ring(spec)
         basis = Mat.identity(ring, n).rows[:k]
         zeros = (ring.zero,) * (n - k)
         members = frozenset(t + zeros for t in itertools.product(range(ring.card), repeat=k))
@@ -233,8 +233,7 @@ def _holding_all(index, vectors) -> set[int]:
 
 def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> list[Summand]:
     """Complete, duplicate-free, deterministically ordered list of Gr_k^n(R)."""
-    ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
-    return SummandCatalog(ring, n, budget).grassmannian(k)
+    return SummandCatalog(spec_of(spec_or_ring), n, budget).grassmannian(k)
 
 
 def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
@@ -243,12 +242,11 @@ def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT
     Containment is enough for each step: W/V is projective of constant rank
     and hence free (see complexes.build_filtration).
     """
-    ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
     if not ranks:
         return [Flag(())]
-    catalog = SummandCatalog(ring, n, budget)
+    catalog = SummandCatalog(spec_of(spec_or_ring), n, budget)
     chains = [(s,) for s in catalog.grassmannian(ranks[0])]
     for r in ranks[1:]:
         chains = [c + (w,) for c in chains for w in catalog.grassmannian(r) if c[-1].members <= w.members]

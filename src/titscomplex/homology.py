@@ -69,9 +69,6 @@ class SparseCols:
                     acc.pop(r, None)
         return acc
 
-    def copy(self) -> "SparseCols":
-        return SparseCols(self.nrows, [dict(c) for c in self.cols])
-
 
 class ChainComplex:
     """Augmented simplicial chain complex with integer boundary matrices.

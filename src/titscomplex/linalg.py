@@ -11,7 +11,6 @@ its principal congruence subgroups enter only as generating sets.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure
@@ -163,10 +162,6 @@ class Mat:
         return f"Mat({self.ring.spec.label}, {self.payload_rows()})"
 
 
-def determinant(M: Mat) -> int:
-    return M.det()
-
-
 def elementary_matrix(ring: Ring, n: int, i: int, j: int, a: int) -> Mat:
     rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
     rows[i][j] = a
@@ -241,12 +236,6 @@ def congruence_generators(ring: Ring, n: int, ideal_gen_payloads) -> list[Mat]:
 
 def is_unimodular(ring: Ring, v) -> bool:
     """True when the entries of v generate the unit ideal."""
-    if ring.spec.kind in ("modular", "prime_field"):
-        m = ring.spec.params[0]
-        g = m
-        for x in v:
-            g = math.gcd(g, x)  # payload == index for modular rings
-        return g == 1
     return ring.one in ideal_closure(ring, v)
 
 
@@ -309,29 +298,37 @@ class Summand:
     def preferred_basis(self):
         """Lexicographically least member tuple that is a basis (canonical).
 
-        Depth-first over member tuples in lexicographic order.  A prefix
-        whose span is not free is pruned: every subset of a basis spans
-        freely, so no basis starts with it.
+        One greedy pass over `key`: a member joins the tuple when it extends
+        the span of the tuple so far freely (`_extend_span`).  It returns
+        what the depth-first search over member tuples in lexicographic
+        order, pruning prefixes that do not span freely, returns, with the
+        same `_extend_span` calls, because that search never backtracks:
+        - a member rejected at one step stays rejected at every later step:
+          the rejection means a nonzero multiple of it already lies in the
+          span, or |Rv| < q, and both facts persist as the span grows;
+        - a free span S of rank j < k inside V is a direct summand of V with
+          a free complement C (in each local factor by Nakayama's lemma and
+          a socle element that kills J*V), and every c + s, with c a basis
+          vector of C and s in S, extends S; such a member extends every
+          smaller span too, so none of them sits at a position already
+          passed, and the pass finds one ahead;
+        - a free span of rank k inside V is V itself, since equal-rank
+          containment is equality.
         """
         if self._preferred is None:
             zero = zero_vector(self.ring, self.ambient)
-            nonzero = [m for m in self.key if m != zero]
-
-            def search(start, span, prefix):
-                if len(prefix) == self.rank:
-                    return prefix if span == self.members else None
-                for i in range(start, len(nonzero) - (self.rank - len(prefix)) + 1):
-                    ext = _extend_span(self.ring, span, nonzero[i])
+            span, basis = {zero}, []
+            for m in self.key:
+                if len(basis) == self.rank:
+                    break
+                if m != zero:
+                    ext = _extend_span(self.ring, span, m)
                     if ext is not None:
-                        found = search(i + 1, ext, prefix + (nonzero[i],))
-                        if found is not None:
-                            return found
-                return None
-
-            found = search(0, {zero}, ())
-            if found is None:
+                        span = ext
+                        basis.append(m)
+            if span != self.members:
                 raise RuntimeError("summand has no basis among its members")
-            self._preferred = found
+            self._preferred = tuple(basis)
         return self._preferred
 
     def payload_basis(self):

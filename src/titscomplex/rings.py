@@ -1,9 +1,12 @@
 """Exact arithmetic for the finite commutative rings this library supports.
 
 Four kinds of rings are available: Z/m, prime fields F_p, truncated
-polynomial rings F_p[x]/(x^k), and finite products of these.  Every ring is
-small enough to precompute full addition/multiplication tables, so all
-downstream code works with element *indices* into a fixed canonical
+polynomial rings F_p[x]/(x^k), and finite products of these.  A RingSpec
+carries the counting data (cardinality, residue field orders of R/J, radical
+size), which is all the closed formulas read.  A Ring holds the full
+addition/multiplication tables, built by `make_ring` only after a budget
+check, and reads zero, one, negation, inverses, units and the radical off
+them.  Downstream code works with element *indices* into a fixed canonical
 enumeration; this keeps the hot enumeration loops at table-lookup speed and
 makes every canonical form reproducible across runs.
 """
@@ -67,11 +70,12 @@ class RingSpec:
     syntax understood by parse_ring_spec (Z/12, F7, F2[e]^3, Z/2xZ/9).
     """
 
-    __slots__ = ("kind", "params")
+    __slots__ = ("kind", "params", "_orders")
 
     def __init__(self, kind, params):
         self.kind = kind
         self.params = params
+        self._orders = None
 
     @staticmethod
     def modular(m: int) -> "RingSpec":
@@ -126,6 +130,25 @@ class RingSpec:
             p, k = self.params
             return f"F{p}[e]^{k}"
         return "x".join(f.label for f in self.params)
+
+    @property
+    def residue_field_orders(self) -> tuple:
+        """Orders of the residue fields of R/J, J the Jacobson radical: the
+        distinct primes of m for Z/m, p for F_p and F_p[e]^k, and the
+        factors' orders in turn for a product.  Worked out once per spec."""
+        if self._orders is None:
+            if self.kind == "modular":
+                self._orders = tuple(prime_factors(self.params[0]))
+            elif self.kind == "product":
+                self._orders = tuple(q for f in self.params for q in f.residue_field_orders)
+            else:
+                self._orders = (self.params[0],)
+        return self._orders
+
+    @property
+    def radical_size(self) -> int:
+        """|J| = |R| / (product of the residue field orders)."""
+        return self.cardinality // _prod(self.residue_field_orders)
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and self.kind == other.kind and self.params == other.params
@@ -225,15 +248,6 @@ def _pay_add(spec, a, b):
     return tuple(_pay_add(f, x, y) for f, x, y in zip(spec.params, a, b))
 
 
-def _pay_neg(spec, a):
-    if spec.kind in ("modular", "prime_field"):
-        return (-a) % spec.params[0]
-    if spec.kind == "trunc_poly":
-        p = spec.params[0]
-        return tuple((-x) % p for x in a)
-    return tuple(_pay_neg(f, x) for f, x in zip(spec.params, a))
-
-
 def _pay_mul(spec, a, b):
     if spec.kind in ("modular", "prime_field"):
         return (a * b) % spec.params[0]
@@ -254,7 +268,6 @@ def _pay_mul(spec, a, b):
 class RadicalData:
     """Jacobson radical of a ring plus the residue field orders of R/J."""
 
-    generators: tuple  # payloads
     elements: frozenset  # element indices
     residue_field_orders: tuple
 
@@ -274,27 +287,17 @@ class Ring:
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
-        self.payloads = _payloads(spec)
-        self.card = len(self.payloads)
-        self.index = {p: i for i, p in enumerate(self.payloads)}
-        q = self.card
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        self.neg = [0] * q
-        for i, a in enumerate(self.payloads):
-            self.neg[i] = self.index[_pay_neg(spec, a)]
-            row_a, row_m = self.add[i], self.mul[i]
-            for j, b in enumerate(self.payloads):
-                row_a[j] = self.index[_pay_add(spec, a, b)]
-                row_m[j] = self.index[_pay_mul(spec, a, b)]
-        self.zero = self.index[_payloads_zero(spec)]
-        self.one = self.index[_payloads_one(spec)]
-        self.inv: list[int | None] = [None] * q
-        for i in range(q):
-            for j in range(q):
-                if self.mul[i][j] == self.one:
-                    self.inv[i] = j
-                    break
+        self.payloads = pays = _payloads(spec)
+        self.card = q = len(pays)
+        self.index = index = {p: i for i, p in enumerate(pays)}
+        self.add = [[index[_pay_add(spec, a, b)] for b in pays] for a in pays]
+        self.mul = [[index[_pay_mul(spec, a, b)] for b in pays] for a in pays]
+        # zero and one are the indices whose add and mul rows are the identity
+        ident = list(range(q))
+        self.zero = zero = self.add.index(ident)
+        self.one = one = self.mul.index(ident)
+        self.neg = [row.index(zero) for row in self.add]
+        self.inv: list[int | None] = [row.index(one) if one in row else None for row in self.mul]
         self.units = frozenset(i for i in range(q) if self.inv[i] is not None)
         self._radical = None
 
@@ -326,33 +329,27 @@ class Ring:
 
     @property
     def radical(self) -> RadicalData:
+        """The Jacobson radical J with the residue field orders of R/J.
+
+        A finite commutative ring is Artinian, so J is its nilradical, the
+        set of nilpotent elements.  The ideals (x) > (x^2) > ... of a
+        nilpotent x fall strictly until 0, so x^card = 0, and x is
+        nilpotent exactly when x^(2^b) = 0 with b = card.bit_length().
+        """
         if self._radical is None:
-            gens, payset, orders = _radical_payloads(self.spec)
-            self._radical = RadicalData(
-                generators=tuple(gens),
-                elements=frozenset(self.index[p] for p in payset),
-                residue_field_orders=tuple(orders),
-            )
+            mul, zero, b = self.mul, self.zero, self.card.bit_length()
+            nil = []
+            for x in range(self.card):
+                y = x
+                for _ in range(b):
+                    y = mul[y][y]
+                if y == zero:
+                    nil.append(x)
+            self._radical = RadicalData(frozenset(nil), self.spec.residue_field_orders)
         return self._radical
 
     def __repr__(self):
         return f"Ring({self.spec.label!r})"
-
-
-def _payloads_zero(spec):
-    if spec.kind in ("modular", "prime_field"):
-        return 0
-    if spec.kind == "trunc_poly":
-        return (0,) * spec.params[1]
-    return tuple(_payloads_zero(f) for f in spec.params)
-
-
-def _payloads_one(spec):
-    if spec.kind in ("modular", "prime_field"):
-        return 1
-    if spec.kind == "trunc_poly":
-        return (1,) + (0,) * (spec.params[1] - 1)
-    return tuple(_payloads_one(f) for f in spec.params)
 
 
 def _additive_generator_payloads(spec):
@@ -366,49 +363,15 @@ def _additive_generator_payloads(spec):
             mono[j] = 1
             gens.append(tuple(mono))
         return gens
+    # every kind lists its zero payload first
+    zero = tuple(_payloads(f)[0] for f in spec.params)
     gens = []
     for pos, f in enumerate(spec.params):
-        zero = tuple(_payloads_zero(g) for g in spec.params)
         for g in _additive_generator_payloads(f):
             emb = list(zero)
             emb[pos] = g
             gens.append(tuple(emb))
     return gens
-
-
-def _radical_payloads(spec):
-    """(generator payloads, payload set of J, residue field orders)."""
-    if spec.kind == "prime_field":
-        return [], {0}, [spec.params[0]]
-    if spec.kind == "modular":
-        m = spec.params[0]
-        primes = prime_factors(m)
-        rad = _prod(primes)  # J = (rad), so J = 0 exactly when m is squarefree
-        if rad == m:
-            return [], {0}, primes
-        return [rad], set(range(0, m, rad)), primes
-    if spec.kind == "trunc_poly":
-        p, k = spec.params
-        if k == 1:
-            return [], {(0,)}, [p]
-        x = tuple([0, 1] + [0] * (k - 2))
-        payset = {t for t in _payloads(spec) if t[0] == 0}
-        return [x], payset, [p]
-    # product: componentwise combination
-    gens = []
-    paysets = []
-    orders = []
-    zero = tuple(_payloads_zero(f) for f in spec.params)
-    for pos, f in enumerate(spec.params):
-        g, s, o = _radical_payloads(f)
-        paysets.append(sorted(s))
-        orders.extend(o)
-        for gen in g:
-            emb = list(zero)
-            emb[pos] = gen
-            gens.append(tuple(emb))
-    payset = {tuple(t) for t in itertools.product(*paysets)}
-    return gens, payset, orders
 
 
 class RingElement:
@@ -469,6 +432,11 @@ class RingElement:
 
     def __repr__(self):
         return f"<{self.payload!r} in {self.ring.spec.label}>"
+
+
+def spec_of(spec_or_ring) -> RingSpec:
+    """The spec of a Ring, or the argument itself when it is a RingSpec."""
+    return spec_or_ring.spec if isinstance(spec_or_ring, Ring) else spec_or_ring
 
 
 _ring_cache: dict[RingSpec, Ring] = {}

@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 
-from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, make_ring
+from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget
 from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
@@ -468,8 +468,8 @@ def p1_orbit_and_commutant(
     closure vs. the nullity of the commutation linear system) and agree by
     the double-coset description of the endomorphism algebra.
     """
-    ring = spec_or_ring if isinstance(spec_or_ring, Ring) else make_ring(spec_or_ring)
-    cx = build_tits_complex(ring, 2, budget)  # its vertices are the lines
+    cx = build_tits_complex(spec_or_ring, 2, budget)  # its vertices are the lines
+    ring = cx.ring
     nl = len(cx.vertices)
     check_budget(nl * nl, budget, "pairs of lines")
     # the diagonal action on pairs (i, j), indexed i * nl + j

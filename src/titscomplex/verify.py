@@ -2,9 +2,7 @@
 cross-checked against an independent route, packaged as named checks.
 
 Each check returns (ok, detail).  Checks that would blow the enumeration
-budget report SKIPPED rather than silently passing.  The `corrupt` hook
-flips one boundary entry before the structural checks run; it exists so the
-suite can demonstrate that a broken chain complex is actually caught.
+budget report SKIPPED rather than silently passing.
 """
 
 from __future__ import annotations
@@ -47,11 +45,10 @@ TABLE1 = {
 
 
 class CheckContext:
-    """Shared complex/homology cache plus the corruption test hook."""
+    """Shared complex/homology cache."""
 
-    def __init__(self, budget: int | None = DEFAULT_BUDGET, corrupt: bool = False):
+    def __init__(self, budget: int | None = DEFAULT_BUDGET):
         self.budget = budget
-        self.corrupt = corrupt
         self._cx = {}
         self._cc = {}
         self._hom = {}
@@ -59,11 +56,11 @@ class CheckContext:
     def complex(self, label: str, n: int, m: int | None = None):
         key = (label, n, m)
         if key not in self._cx:
-            ring = make_ring(parse_ring_spec(label))
+            spec = parse_ring_spec(label)
             if m is None:
-                self._cx[key] = build_tits_complex(ring, n, self.budget)
+                self._cx[key] = build_tits_complex(spec, n, self.budget)
             else:
-                self._cx[key] = build_filtration(ring, n, m, self.budget)
+                self._cx[key] = build_filtration(spec, n, m, self.budget)
         return self._cx[key]
 
     def chain(self, label: str, n: int, m: int | None = None):
@@ -283,15 +280,7 @@ def _check_orbits_full(ctx):
 def _check_boundary_composition(ctx):
     cases = [("Z/4", 2, None), ("F2", 3, None)]
     for label, n, m in cases:
-        cc = ctx.chain(label, n, m)
-        if ctx.corrupt and len(cc.boundaries) > 1:
-            bad = cc.boundaries[1].copy()
-            col0 = dict(bad.cols[0])
-            r = next(iter(col0)) if col0 else 0
-            col0[r] = col0.get(r, 0) + 1
-            bad.cols[0] = col0
-            cc = type(cc)(cc.f, [cc.boundaries[0], bad] + list(cc.boundaries[2:]))
-        if not cc.dd_is_zero():
+        if not ctx.chain(label, n, m).dd_is_zero():
             return False, f"boundary composition is nonzero on T{n}({label}) (dd != 0)"
     return True, "dd = 0 on all checked complexes"
 
@@ -450,7 +439,6 @@ def run_verify(
     tier: str = "fast",
     budget: int | None = DEFAULT_BUDGET,
     only=None,
-    corrupt: bool = False,
 ) -> dict:
     """Run the named checks of a tier; returns the machine-readable report."""
     if tier not in ("fast", "full"):
@@ -464,7 +452,7 @@ def run_verify(
     if outside:
         named = ", ".join(f"{cid} ({tiers[cid]})" for cid in outside)
         raise ValueError(f"check id(s) outside tier {tier}: {named}")
-    ctx = CheckContext(budget=budget, corrupt=corrupt)
+    ctx = CheckContext(budget=budget)
     results = []
     npass = nfail = nskip = 0
     for cid, ctier, desc, fn in CHECKS:

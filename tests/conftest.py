@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from titscomplex import Mat, ideal_closure
+from titscomplex import Mat, Ring, ideal_closure
 from titscomplex.verify import CheckContext
 
 
@@ -10,6 +10,20 @@ from titscomplex.verify import CheckContext
 def built():
     """Session-wide cache of complexes, chain complexes and homology."""
     return CheckContext()
+
+
+@pytest.fixture
+def forbid_tables(monkeypatch):
+    """Call with a size limit: building the tables of a larger ring fails."""
+    def forbid(limit):
+        init = Ring.__init__
+
+        def guarded(self, spec):
+            assert spec.cardinality <= limit, f"built the tables of {spec.label}"
+            init(self, spec)
+
+        monkeypatch.setattr(Ring, "__init__", guarded)
+    return forbid
 
 
 def congruence_elements(ring, n, ideal_gen_payloads):

@@ -3,8 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import titscomplex
 from titscomplex.cli import main
+from titscomplex.homology import ChainComplex, SparseCols
+from titscomplex.verify import CheckContext
 
 TABLE1_CSV = """n,Z/4,Z/6,Z/8,Z/9,Z/10
 1,1,1,1,1,1
@@ -187,10 +191,21 @@ def test_verify_full_tier(capsys):
         "(F2,3): span 8 vs b 8; (Z/4,3): span 113 vs b 113" in lines
 
 
-def test_verify_corrupt_hook_fails(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--only", "boundary-composition", "--corrupt-boundary", "--format", "json"
-    )
+def test_verify_corrupt_hook_fails(monkeypatch, capsys):
+    """A chain complex with one boundary entry bumped fails dd = 0."""
+    chain = CheckContext.chain
+
+    def corrupted(self, label, n, m=None):
+        cc = chain(self, label, n, m)
+        if len(cc.boundaries) < 2:
+            return cc
+        bad = SparseCols(cc.boundaries[1].nrows, cc.boundaries[1].cols)  # copies the columns
+        r = next(iter(bad.cols[0]))
+        bad.cols[0][r] += 1
+        return ChainComplex(cc.f, [cc.boundaries[0], bad] + list(cc.boundaries[2:]))
+
+    monkeypatch.setattr(CheckContext, "chain", corrupted)
+    code, out, _ = run(capsys, "verify", "--only", "boundary-composition", "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["failed"] == 1
@@ -258,3 +273,30 @@ def test_rank_rejects_a_repeated_ring(capsys):
             code, out, err = run(capsys, "rank", "--rings", rings, "--n-max", "3", "--format", fmt)
             assert code == 2 and out == ""
             assert "repeated" in err and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--ring", "Z/100000", "--n", "2"],
+    ["homology", "--ring", "Z/100000", "--n", "3"],
+    ["apartments", "--ring", "Z/100000", "--n", "3"],
+    ["orbits", "--ring", "Z/100000"],
+    ["flags", "--ring", "Z/100000", "--n", "2", "--type", "1,1"],
+])
+def test_budget_is_checked_before_the_tables(forbid_tables, capsys, argv):
+    forbid_tables(10**4)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: enumeration of ")
+
+
+def test_formula_commands_build_no_tables(forbid_tables, capsys):
+    forbid_tables(0)
+    code, out, _ = run(capsys, "rank", "--rings", "Z/1000003,Z/4000", "--n-max", "3", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,Z/1000003,Z/4000\n1,1,1\n2,1000003,7199\n"
+        f"3,{1000003**3},249914560001\n"
+    )
+    code, out, _ = run(capsys, "grass", "--ring", "Z/100000", "--n", "2", "--format", "csv")
+    assert code == 0
+    assert out == "k,formula\n0,1\n1,180000\n2,1\n"

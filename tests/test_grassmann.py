@@ -16,6 +16,7 @@ from titscomplex import (
     make_ring,
     parse_ring_spec,
     span_summand,
+    steinberg_rank,
 )
 from titscomplex.linalg import all_vectors
 from titscomplex.rings import BudgetExceeded
@@ -155,13 +156,13 @@ def test_orbit_walk_applies_generators_to_bases_only(monkeypatch, label, n, call
     gens = len(gl_generators(ring, n))
     for k, want in enumerate(calls, start=1):
         applied[0] = 0
-        size = len(SummandCatalog(ring, n).grassmannian(k))
+        size = len(SummandCatalog(ring.spec, n).grassmannian(k))
         assert applied[0] == want == gens * k * size, (label, n, k)
 
 
 def test_walk_ends_over_a_product_ring():
     ring = make_ring(parse_ring_spec("Z/2xZ/3"))
-    catalog = SummandCatalog(ring, 3)
+    catalog = SummandCatalog(ring.spec, 3)
     vectors = all_vectors(ring, 3)
     (zero,) = catalog.grassmannian(0)
     (full,) = catalog.grassmannian(3)
@@ -206,3 +207,15 @@ def test_flags_are_good_chains():
         assert f.verify()
     types = {f.type(3) for f in flags}
     assert types == {(1, 1, 1)}
+
+
+def test_formulas_build_no_tables(forbid_tables):
+    """The closed formulas read the spec's counting data alone."""
+    forbid_tables(0)
+    p = 1000003
+    spec = RingSpec.modular(p)
+    assert steinberg_rank(spec, 3) == p**3
+    assert gl_order(spec, 2) == (p**2 - 1) * (p**2 - p)
+    assert grassmannian_size_formula(spec, 3, 1) == p**2 + p + 1
+    # Z/4000: |J| = 400, residue fields F2 and F5
+    assert grassmannian_size_formula(RingSpec.modular(4000), 2, 1) == 400 * 3 * 6

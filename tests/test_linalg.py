@@ -122,15 +122,6 @@ def test_unimodular_examples():
         assert is_unimodular(ring, v)
 
 
-def test_unimodular_gcd_matches_ideal_closure():
-    for label in ["Z/4", "Z/6"]:
-        ring = make_ring(parse_ring_spec(label))
-        for v in all_vectors(ring, 2):
-            gcd_path = is_unimodular(ring, v)
-            closure_path = ring.one in ideal_closure(ring, v)
-            assert gcd_path == closure_path, (label, v)
-
-
 # -- span and summands ---------------------------------------------------------
 
 def test_span_summand_examples():

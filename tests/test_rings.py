@@ -1,8 +1,11 @@
 import itertools
+import pathlib
 import random
+import re
 
 import pytest
 
+import titscomplex
 from titscomplex import (
     RingSpec,
     enumerate_elements,
@@ -135,7 +138,7 @@ def test_radical_against_ideal_lattice():
 
 def test_radical_examples():
     r12 = make_ring(RingSpec.modular(12))
-    assert list(r12.radical.generators) == [6]
+    assert sorted(r12.payload(i) for i in r12.radical.elements) == [0, 6]
     assert r12.radical.size == 2
     assert list(r12.radical.residue_field_orders) == [2, 3]
     r4 = make_ring(RingSpec.modular(4))
@@ -144,6 +147,47 @@ def test_radical_examples():
     r7 = make_ring(RingSpec.prime_field(7))
     assert r7.radical.elements == {r7.zero}
     assert list(r7.radical.residue_field_orders) == [7]
+
+
+def zero_one_payloads(spec):
+    """The zero and one payloads of a spec, worked out from its kind."""
+    if spec.kind == "product":
+        parts = [zero_one_payloads(f) for f in spec.params]
+        return tuple(z for z, _ in parts), tuple(o for _, o in parts)
+    if spec.kind == "trunc_poly":
+        k = spec.params[1]
+        return (0,) * k, (1,) + (0,) * (k - 1)
+    return 0, 1
+
+
+def test_spec_counting_data_matches_the_tables():
+    """The spec's counts agree with the radical read off the tables, and the
+    tables' zero, one and negation are the kinds' own."""
+    for label in ALL_SPECS:
+        spec = parse_ring_spec(label)
+        ring = make_ring(spec)
+        assert spec.residue_field_orders == ring.radical.residue_field_orders, label
+        assert spec.radical_size == ring.radical.size, label
+        assert (ring.payload(ring.zero), ring.payload(ring.one)) == zero_one_payloads(spec), label
+        for x in range(ring.card):
+            assert ring.add[x][ring.neg[x]] == ring.zero
+            assert ring.mul[ring.one][x] == x
+
+
+def test_residue_field_orders_examples():
+    assert RingSpec.modular(1000003).residue_field_orders == (1000003,)
+    assert RingSpec.modular(4000).residue_field_orders == (2, 5)
+    assert RingSpec.modular(4000).radical_size == 400
+    assert parse_ring_spec("Z/4xF3[e]^2xZ/2").residue_field_orders == (2, 3, 2)
+    assert parse_ring_spec("F5[e]^3").radical_size == 25
+
+
+def test_only_rings_reads_a_spec_kind():
+    """Ring kinds stay behind one module: no other module of the package
+    branches on a spec's kind."""
+    modules = sorted(pathlib.Path(titscomplex.__file__).parent.glob("*.py"))
+    readers = [path.name for path in modules if re.search(r"\.kind\b", path.read_text())]
+    assert readers == ["rings.py"]
 
 
 def test_cardinality_factorisation():
