@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rings import DEFAULT_BUDGET, Ring, check_budget, make_ring, quotient_spec, spec_of
+from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, check_budget, make_ring, quotient_spec, spec_of
 from .linalg import Mat, Summand, span_if_free
 from .grassmann import SummandCatalog, grassmannian_size_formula
 
@@ -38,7 +38,6 @@ class TitsComplex:
         self.n = n
         self.max_rank = max_rank
         self.vertices = vertices  # list[Summand], sorted by (rank, key)
-        self.vindex = {s.members: i for i, s in enumerate(vertices)}
         self.simplices = simplices  # simplices[d] = sorted list of vertex-index tuples
         self.simplex_pos = [
             {t: i for i, t in enumerate(level)} for level in simplices
@@ -263,7 +262,7 @@ def build_tits_complex(spec_or_ring, n: int, budget: int | None = DEFAULT_BUDGET
         raise ValueError(f"n must be >= 1, got {n}")
     spec = spec_of(spec_or_ring)
     if n == 1:
-        return TitsComplex(make_ring(spec), 1, 0, [], [], SummandCatalog(spec, 1, budget), {})
+        return TitsComplex(budgeted_ring(spec, budget), 1, 0, [], [], SummandCatalog(spec, 1, budget), {})
     return build_filtration(spec, n, n - 1, budget)
 
 

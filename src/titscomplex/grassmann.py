@@ -4,14 +4,21 @@ Two independent routes are kept side by side on purpose: closed counting
 formulas (Gaussian binomials, the radical factorisation of |Gr_k^n|) and
 enumeration of each Grassmannian as one GL_n(R)-orbit.  Tests and the
 verify suite hold the two against each other, and against brute-force spans.
+
+The orbit walk uses the small generating set of `walk_generators`:
+elementary row operations between neighbouring coordinates and scalings
+of the first coordinate by generators of R^x.  Each generator acts as the
+row operation it is, on the basis vectors of a summand and, for a new
+summand, on the members of the summand it was reached from; no matrix is
+applied and no span is built.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .rings import DEFAULT_BUDGET, RingSpec, check_budget, make_ring, spec_of
-from .linalg import Mat, Summand, gl_generators, quotient_free_rank_members, span_if_free
+from .rings import DEFAULT_BUDGET, Ring, RingSpec, budgeted_ring, check_budget, spec_of
+from .linalg import Summand, quotient_free_rank_members
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -138,6 +145,54 @@ class Flag:
         return f"Flag(ranks {self.ranks})"
 
 
+def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
+    """Generators of GL_n(R) for the orbit walk, as row operations (i, j, a).
+
+    For i != j, (i, j, a) is E_ij(a), which sets v_i <- v_i + a*v_j; (0, 0, u)
+    is diag(u, 1, ..., 1), which sets v_0 <- u*v_0 (`row_operation`).  The
+    list holds E_{i,i+1}(a) and E_{i+1,i}(a) for i < n - 1 and each additive
+    generator a of R, then the scalings by a generating set of R^x, picked
+    greedily: a unit joins when it lies outside the subgroup the units kept
+    so far generate.
+
+    They generate GL_n(R):
+    - E_ij(a) E_ij(b) = E_ij(a + b), so the additive generators give
+      E_{i,i+1}(r) and E_{i+1,i}(r) for every r in R;
+    - the commutator [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then
+      gives every E_ij(r), by induction on |i - j|, hence all of E_n(R);
+    - GL_n(R) = E_n(R) GL_1(R) for every finite ring (the fact
+      `linalg.gl_generators` cites), and the scalings give GL_1(R);
+    - the group is finite, so each generator's inverse is a power of it,
+      and a breadth-first walk under the generators alone reaches the
+      whole orbit.
+    """
+    ops = []
+    for i in range(n - 1):
+        for a in ring.additive_generators():
+            ops += [(i, i + 1, a), (i + 1, i, a)]
+    mul = ring.mul
+    group = {ring.one}
+    for u in sorted(ring.units):
+        if u not in group:
+            ops.append((0, 0, u))
+            # R^x is abelian: <group, u> is the union of the cosets group*u^m
+            grown, p = set(group), u
+            while p not in group:
+                grown.update(mul[x][p] for x in group)
+                p = mul[p][u]
+            group = grown
+    return ops
+
+
+def row_operation(ring: Ring, op: tuple[int, int, int]):
+    """The map v -> g*v on R^n of the walk generator g = op (see `walk_generators`)."""
+    i, j, a = op
+    add, times_a = ring.add, ring.mul[a]
+    if i == j:
+        return lambda v: v[:i] + (times_a[v[i]],) + v[i + 1:]
+    return lambda v: v[:i] + (add[v[i]][times_a[v[j]]],) + v[i + 1:]
+
+
 class SummandCatalog:
     """Per-(ring, n) cache of Grassmannians and of which summands hold which vectors.
 
@@ -145,18 +200,22 @@ class SummandCatalog:
     GL_n(R), which acts transitively on it: summands V, V' of Gr_k have free
     complements C, C', and the matrix sending a basis of V followed by one
     of C to a basis of V' followed by one of C' takes V to V'.  The orbit is
-    walked breadth-first under `gl_generators`, moving bases only.
+    walked breadth-first under `walk_generators`, 2(n-1) elementary row
+    operations per additive generator of R plus a few unit scalings, each
+    applied as a row operation, never as a matrix.
 
     Equal-rank containment is equality: if a free summand W of rank k holds
     every vector of a basis of the free summand V of rank k, then W contains
     V, both have q^k members, and so V = W.  The walk therefore knows g*V is
     already found exactly when some found summand holds every g*b for the
-    basis b of V, and it builds the member set only of a new summand.  The
-    same vector index answers containment between ranks: V lies in W exactly
-    when W holds every basis vector of V (`containing`).
+    basis b of V.  A new summand g*V takes the members {g*v : v in V}: g is
+    a bijection of R^n, so this is exactly g*V, with q^k members, and no
+    span is built.  The same vector index answers containment between
+    ranks: V lies in W exactly when W holds every basis vector of V
+    (`containing`).
 
     The catalog holds the ring's spec, and builds the ring's tables only
-    after the budget check of the first Grassmannian it enumerates.
+    after the budget checks of the first Grassmannian it enumerates.
     """
 
     def __init__(self, spec: RingSpec, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -181,8 +240,8 @@ class SummandCatalog:
             self.budget,
             f"Gr_{k}^{n}({spec.label})",
         )
-        ring = make_ring(spec)
-        basis = Mat.identity(ring, n).rows[:k]
+        ring = budgeted_ring(spec, self.budget)
+        basis = [tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(k)]
         zeros = (ring.zero,) * (n - k)
         members = frozenset(t + zeros for t in itertools.product(range(ring.card), repeat=k))
         found = []  # in discovery order, which keys the index until the sort
@@ -196,14 +255,14 @@ class SummandCatalog:
         add(Summand(ring, n, k, members, basis))
         frontier = list(found)
         # Gr_0 = {0} is fixed by every g, and its empty basis finds nothing
-        gens = gl_generators(ring, n) if k else []
+        moves = [row_operation(ring, op) for op in walk_generators(ring, n)] if k else []
         while frontier:
             nxt = []
             for s in frontier:
-                for g in gens:
-                    image = tuple(g.apply(b) for b in s.basis)
+                for g in moves:
+                    image = tuple(map(g, s.basis))
                     if not _holding_all(index, image):
-                        t = Summand(ring, n, k, span_if_free(ring, image, self.budget), image)
+                        t = Summand(ring, n, k, frozenset(map(g, s.members)), image)
                         add(t)
                         nxt.append(t)
             frontier = nxt

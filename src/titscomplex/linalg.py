@@ -177,7 +177,11 @@ def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
 def gl_generators(ring: Ring, n: int) -> list[Mat]:
     """Generators of GL_n(R): elementary matrices over additive generators
     of R, plus unit scalings in the first slot (GL_n = GL_1 * E_n over
-    rings with stable range 2, which covers all finite rings)."""
+    rings with stable range 2, which covers all finite rings).
+
+    The sampled apartment search builds its orbit rounds from this exact
+    list, so its order and length fix `apartments_used`; the Grassmannian
+    walk uses the smaller `grassmann.walk_generators` instead."""
     gens = []
     for a in ring.additive_generators():
         for i in range(n):

@@ -451,11 +451,15 @@ def make_ring(spec: RingSpec) -> Ring:
     return ring
 
 
+def budgeted_ring(spec: RingSpec, budget: int | None = DEFAULT_BUDGET) -> Ring:
+    """`make_ring` after checking the q^2 entries of each table against the budget."""
+    check_budget(spec.cardinality**2, budget, f"the tables of {spec.label}")
+    return make_ring(spec)
+
+
 def enumerate_elements(spec: RingSpec, budget: int | None = DEFAULT_BUDGET) -> list[RingElement]:
     """All elements of the ring, once each, in the canonical order."""
-    check_budget(spec.cardinality, budget, f"elements of {spec.label}")
-    ring = make_ring(spec)
-    return ring.elements()
+    return budgeted_ring(spec, budget).elements()
 
 
 def ideal_closure(ring: Ring, element_indices) -> frozenset:

@@ -319,13 +319,14 @@ def _check_purity_and_euler(ctx):
 def _check_nerve_consistency(ctx):
     cx = ctx.complex("Z/4", 3)
     ring = cx.ring
+    vindex = {s.members: i for i, s in enumerate(cx.vertices)}
     by_dim: dict[int, set] = {}
     for lam in [(1, 2), (2, 1), (1, 1, 1), (3,)]:
         ranks = proper_ranks(flag_type(lam, 3))
         if not ranks:
             continue
         for fl in enumerate_good_flags(ring, 3, lam, ctx.budget):
-            t = tuple(cx.vindex[s.members] for s in fl.summands)
+            t = tuple(vindex[s.members] for s in fl.summands)
             by_dim.setdefault(len(t) - 1, set()).add(t)
     for d, level in enumerate(cx.simplices):
         if set(level) != by_dim.get(d, set()):

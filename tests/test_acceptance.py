@@ -216,11 +216,12 @@ def test_criterion_13_structure(built):
             ), (label, n, m)
     # nerve consistency, double construction on T3(Z/4)
     cx = built.complex("Z/4", 3)
+    vindex = {s.members: i for i, s in enumerate(cx.vertices)}
     by_dim = {}
     for lam in [(1, 2), (2, 1), (1, 1, 1)]:
         proper_ranks(flag_type(lam, 3))
         for fl in enumerate_good_flags(cx.ring, 3, lam):
-            t = tuple(cx.vindex[s.members] for s in fl.summands)
+            t = tuple(vindex[s.members] for s in fl.summands)
             by_dim.setdefault(len(t) - 1, set()).add(t)
     for d, level in enumerate(cx.simplices):
         assert set(level) == by_dim[d]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -281,6 +282,8 @@ def test_rank_rejects_a_repeated_ring(capsys):
     ["apartments", "--ring", "Z/100000", "--n", "3"],
     ["orbits", "--ring", "Z/100000"],
     ["flags", "--ring", "Z/100000", "--n", "2", "--type", "1,1"],
+    ["grass", "--ring", "Z/100000", "--n", "2", "--k", "0", "--enumerate"],
+    ["complex", "--ring", "Z/100000", "--n", "1"],
 ])
 def test_budget_is_checked_before_the_tables(forbid_tables, capsys, argv):
     forbid_tables(10**4)
@@ -300,3 +303,18 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     code, out, _ = run(capsys, "grass", "--ring", "Z/100000", "--n", "2", "--format", "csv")
     assert code == 0
     assert out == "k,formula\n0,1\n1,180000\n2,1\n"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("complex --ring Z/9 --n 3", "18362f204bf9a23542db2b3943373e84ad9512a1973871065b156ecec084ff82"),
+    ("complex --ring F3 --n 4", "2ffe066ebb6df4f4c164318693130aa50cbe78a2424a31a2c182fc397e93e34a"),
+    ("complex --ring Z/2xZ/2 --n 3", "e19e54ac5338d8891171053cef04694e04b2e1e5023c1bf0f43b35cce78d4879"),
+    ("apartments --ring F7 --n 3 --seed 0", "0ab69dac7754d4ec937357a6eebcaa2c6e36747ddfaa39e30ce9b6989a501d73"),
+    ("apartments --ring Z/2xZ/2 --n 3", "2b3fbbdb528ed20608373423596ba88ed7d805275f9b32d0cf53c5c4da51f77a"),
+])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    """Vertex order and every exported byte stay the same across changes
+    to how the complexes are enumerated."""
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

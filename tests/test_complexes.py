@@ -192,11 +192,12 @@ def test_link_of_line_matches_quotient_line_count(built):
 def test_nerve_double_construction(built):
     cx = built.complex("Z/4", 3)
     ring = cx.ring
+    vindex = {s.members: i for i, s in enumerate(cx.vertices)}
     by_dim = {}
     for lam in [(1, 2), (2, 1), (1, 1, 1)]:
         ranks = proper_ranks(flag_type(lam, 3))
         for fl in enumerate_good_flags(ring, 3, lam):
-            t = tuple(cx.vindex[s.members] for s in fl.summands)
+            t = tuple(vindex[s.members] for s in fl.summands)
             by_dim.setdefault(len(t) - 1, set()).add(t)
     for d, level in enumerate(cx.simplices):
         assert set(level) == by_dim[d], f"dimension {d}"
@@ -247,7 +248,8 @@ def test_action_transitive_per_stratum(built):
 
 def member_vertex_permutation(cx, g):
     """Test oracle: the vertex permutation from g applied to every member."""
-    return tuple(cx.vindex[frozenset(g.apply(v) for v in s.members)] for s in cx.vertices)
+    vindex = {s.members: i for i, s in enumerate(cx.vertices)}
+    return tuple(vindex[frozenset(g.apply(v) for v in s.members)] for s in cx.vertices)
 
 
 @pytest.mark.parametrize("label,n", [("Z/4", 3), ("Z/8", 2), ("Z/6", 3)])
@@ -292,9 +294,10 @@ def test_reduction_of_bases_equals_reduction_of_members(built, label, n, d):
     cx = built.complex(label, n)
     red = reduction_map(cx, [d])
     ring, tring = cx.ring, red.dst.ring
+    vindex = {s.members: i for i, s in enumerate(red.dst.vertices)}
     for i, s in enumerate(cx.vertices):
         image = frozenset(tuple(tring.el(ring.payload(x) % d) for x in v) for v in s.members)
-        assert red.dst.vindex[image] == red.vertex_map[i]
+        assert vindex[image] == red.vertex_map[i]
 
 
 def test_vertex_of_span(built):

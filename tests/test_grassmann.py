@@ -10,7 +10,6 @@ from titscomplex import (
     enumerate_grassmannian,
     flag_type,
     gaussian_binomial,
-    gl_generators,
     gl_order,
     grassmannian_size_formula,
     make_ring,
@@ -18,7 +17,9 @@ from titscomplex import (
     span_summand,
     steinberg_rank,
 )
-from titscomplex.linalg import all_vectors
+from titscomplex import linalg
+from titscomplex.grassmann import row_operation, walk_generators
+from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
 
 
@@ -142,22 +143,48 @@ def test_orbit_enumeration_equals_brute_force_spans():
         assert len(set(orbit)) == len(orbit) and set(orbit) == brute, (label, n, k)
 
 
-@pytest.mark.parametrize("label,n,calls", [("Z/9", 3, [1287, 2574]), ("F3", 4, [520, 3380, 1560])])
-def test_orbit_walk_applies_generators_to_bases_only(monkeypatch, label, n, calls):
-    applied = [0]
-    apply = Mat.apply
-
-    def counted(self, v):
-        applied[0] += 1
-        return apply(self, v)
-
-    monkeypatch.setattr(Mat, "apply", counted)
+@pytest.mark.parametrize("label,n", [
+    ("F2", 2), ("F3", 2), ("Z/4", 2), ("Z/6", 2), ("Z/2xZ/2", 2), ("F2[e]^2", 2), ("F2", 3),
+])
+def test_walk_generators_generate_gl(label, n):
+    """The row operations of the walk generate GL_n(R): close the group
+    they generate, acting on the columns of the identity, and count it."""
     ring = make_ring(parse_ring_spec(label))
-    gens = len(gl_generators(ring, n))
-    for k, want in enumerate(calls, start=1):
-        applied[0] = 0
-        size = len(SummandCatalog(ring.spec, n).grassmannian(k))
-        assert applied[0] == want == gens * k * size, (label, n, k)
+    ops = walk_generators(ring, n)
+    moves = [row_operation(ring, op) for op in ops]
+    for (i, j, a), g in zip(ops, moves):
+        m = unit_scaling(ring, n, a) if i == j else elementary_matrix(ring, n, i, j, a)
+        assert all(g(v) == m.apply(v) for v in all_vectors(ring, n))
+    ident = Mat.identity(ring, n).columns()
+    group = {tuple(ident)}
+    frontier = list(group)
+    while frontier:
+        frontier = [
+            h for cols in frontier for g in moves
+            if (h := tuple(map(g, cols))) not in group and not group.add(h)
+        ]
+    assert len(group) == gl_order(ring.spec, n), label
+
+
+@pytest.mark.parametrize("label,n,ops,sizes", [
+    ("Z/9", 3, 5, [117, 117]), ("F3", 4, 7, [40, 130, 40]),
+    ("F7", 3, 6, [57, 57]), ("Z/2xZ/2", 3, 8, [49, 49]), ("Z/6", 3, 5, [91, 91]),
+])
+def test_orbit_walk_moves_by_row_operations(monkeypatch, label, n, ops, sizes):
+    """The walk runs on a few row operations, applies no matrix and builds no span."""
+    calls = []
+    monkeypatch.setattr(Mat, "apply", lambda *args: calls.append("apply"))
+    monkeypatch.setattr(linalg, "span_if_free", lambda *args, **kw: calls.append("span"))
+    monkeypatch.setattr(linalg, "_extend_span", lambda *args: calls.append("extend"))
+    spec = parse_ring_spec(label)
+    ring = make_ring(spec)
+    assert len(walk_generators(ring, n)) == ops
+    catalog = SummandCatalog(spec, n)
+    for k, want in enumerate(sizes, start=1):
+        gr = catalog.grassmannian(k)
+        assert len(gr) == want == grassmannian_size_formula(spec, n, k), (label, n, k)
+        assert all(len(s.members) == ring.card**k for s in gr)
+    assert calls == []
 
 
 def test_walk_ends_over_a_product_ring():

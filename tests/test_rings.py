@@ -75,9 +75,13 @@ def test_enumeration_order_examples():
     ]
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(forbid_tables):
     with pytest.raises(BudgetExceeded):
         enumerate_elements(RingSpec.modular(50), budget=10)
+    # 10^5 elements fit the default budget, their 10^10 table entries do not
+    forbid_tables(10**4)
+    with pytest.raises(BudgetExceeded):
+        enumerate_elements(RingSpec.modular(100000))
 
 
 def test_arithmetic_examples():

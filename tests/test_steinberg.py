@@ -25,7 +25,7 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import complexes, grassmann, steinberg
+from titscomplex import complexes, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 
@@ -398,7 +398,6 @@ def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
         return span_if_free(*args, **kwargs)
 
     monkeypatch.setattr(complexes, "span_if_free", counting_span)
-    monkeypatch.setattr(grassmann, "span_if_free", counting_span)
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert res.mode == mode and res.apartments_used == used
     assert res.rank == res.top_betti
