@@ -1,10 +1,11 @@
 """The Tits complex of a finite ring: flags of free-and-cofree summands.
 
 Vertices are the summands of rank 1..m (m = n-1 for the full complex, lower
-for the rank filtration), ordered by (rank, fingerprint).  A d-simplex is a
-chain of d+1 vertices under the cofree order; since ranks are strictly
-increasing along a chain, listing vertices by rank gives every simplex one
-canonical orientation and no per-simplex sign choices survive.
+for the rank filtration), in the catalog's order: by rank, then by sorted
+member list.  A d-simplex is a chain of d+1 vertices under the cofree
+order; since ranks are strictly increasing along a chain, listing vertices
+by rank gives every simplex one canonical orientation and no per-simplex
+sign choices survive.
 
 The order relation is containment between vertices of rising rank, read
 from the summand catalog's vector index (W contains V exactly when it holds
@@ -16,11 +17,10 @@ independent oracle and recounts cofreeness with the quotient oracle.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, check_budget, make_ring, quotient_spec, spec_of
 from .linalg import Mat, Summand, span_if_free
-from .grassmann import SummandCatalog, grassmannian_size_formula
+from .grassmann import SummandCatalog, good_flag_count, grassmannian_size_formula
 
 
 class TitsComplex:
@@ -37,7 +37,7 @@ class TitsComplex:
         self.ring = ring
         self.n = n
         self.max_rank = max_rank
-        self.vertices = vertices  # list[Summand], sorted by (rank, key)
+        self.vertices = vertices  # list[Summand], sorted by (rank, sorted members)
         self.simplices = simplices  # simplices[d] = sorted list of vertex-index tuples
         self.simplex_pos = [
             {t: i for i, t in enumerate(level)} for level in simplices
@@ -223,9 +223,8 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
     spec = spec_of(spec_or_ring)
     est = sum(grassmannian_size_formula(spec, n, k) for k in range(1, m + 1))
     check_budget(est, budget, f"vertices of the rank-{m} Tits complex of {spec.label}^{n}")
-    # a facet is a flag V_1 < ... < V_m, and V_(i+1)/V_i is a line of the
-    # free module R^n/V_i of rank n - i
-    facets = math.prod(grassmannian_size_formula(spec, n - i, 1) for i in range(m))
+    # a facet is a flag V_1 < ... < V_m with rank(V_i) = i
+    facets = good_flag_count(spec, n, range(1, m + 1))
     check_budget(facets, budget, f"facets of the rank-{m} Tits complex of {spec.label}^{n}")
     catalog = SummandCatalog(spec, n, budget)
     vertices: list[Summand] = []

@@ -74,6 +74,20 @@ def flag_type(parts, n: int) -> tuple:
     return parts
 
 
+def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
+    """Number of good flags V_1 < ... < V_k of R^n with the given ranks.
+
+    V_i/V_(i-1) runs over the free-and-cofree summands of rank r_i - r_(i-1)
+    of the free module R^n/V_(i-1) of rank n - r_(i-1), so the count is the
+    product of |Gr_(r_i - r_(i-1))^(n - r_(i-1))| (r_0 = 0).
+    """
+    out, prev = 1, 0
+    for r in ranks:
+        out *= grassmannian_size_formula(spec, n - prev, r - prev)
+        prev = r
+    return out
+
+
 def proper_ranks(lam) -> tuple:
     """Ranks of the proper summands in a flag of the given type."""
     ranks = []
@@ -106,10 +120,6 @@ class Flag:
         parts.append(n - prev)
         return tuple(parts)
 
-    @property
-    def key(self):
-        return tuple(s.key for s in self.summands)
-
     def verify(self, budget: int | None = DEFAULT_BUDGET) -> bool:
         """Re-check every step of the chain for cofreeness (independent of
         how the flag was built)."""
@@ -122,7 +132,7 @@ class Flag:
             if prev is not None:
                 if not prev.members <= s.members:
                     return False
-                gap = quotient_free_rank_members(ring, n, s.key, prev.members, budget)
+                gap = quotient_free_rank_members(ring, n, s.members, prev.members, budget)
                 if gap != s.rank - prev.rank:
                     return False
             prev = s
@@ -130,13 +140,10 @@ class Flag:
         return quotient_free_rank_members(ring, n, None, top.members, budget) == n - top.rank
 
     def __eq__(self, other):
-        return isinstance(other, Flag) and self.key == other.key
+        return isinstance(other, Flag) and self.summands == other.summands
 
     def __hash__(self):
-        return hash(self.key)
-
-    def __lt__(self, other):
-        return self.key < other.key
+        return hash(self.summands)
 
     def __len__(self):
         return len(self.summands)
@@ -266,7 +273,9 @@ class SummandCatalog:
                         add(t)
                         nxt.append(t)
             frontier = nxt
-        order = sorted(range(len(found)), key=found.__getitem__)
+        # the one place summands are ordered, each sort key computed once
+        keys = [tuple(sorted(s.members)) for s in found]
+        order = sorted(range(len(found)), key=keys.__getitem__)
         pos = [0] * len(order)
         for p, i in enumerate(order):
             pos[i] = p
@@ -298,15 +307,21 @@ def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DE
 def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
     """All good flags of the given type, by iterated containment in the Grassmannians.
 
-    Containment is enough for each step: W/V is projective of constant rank
-    and hence free (see complexes.build_filtration).
+    Each chain steps to the summands of the next rank that contain its last
+    one (`SummandCatalog.containing`), in ascending position, so the flags
+    come out in the catalog's order.  Containment is enough for each step:
+    W/V is projective of constant rank and hence free (see
+    complexes.build_filtration).
     """
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
+    spec = spec_of(spec_or_ring)
+    check_budget(good_flag_count(spec, n, ranks), budget, f"good flags of type {lam} in {spec.label}^{n}")
     if not ranks:
         return [Flag(())]
-    catalog = SummandCatalog(spec_of(spec_or_ring), n, budget)
+    catalog = SummandCatalog(spec, n, budget)
     chains = [(s,) for s in catalog.grassmannian(ranks[0])]
     for r in ranks[1:]:
-        chains = [c + (w,) for c in chains for w in catalog.grassmannian(r) if c[-1].members <= w.members]
-    return sorted(Flag(c) for c in chains)
+        gr = catalog.grassmannian(r)
+        chains = [c + (gr[p],) for c in chains for p in catalog.containing(r, c[-1].basis)]
+    return [Flag(c) for c in chains]

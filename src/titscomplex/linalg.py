@@ -2,10 +2,10 @@
 
 Vectors are tuples of element indices (see rings.Ring).  A Summand is a
 free direct summand of R^n whose quotient is also free; its identity is the
-full member set, which doubles as a canonical fingerprint.  Freeness of a
-finite module is decided by cardinality plus generator count: a surjection
-R^r -> M between finite sets of equal size is a bijection.  GL_n(R) and
-its principal congruence subgroups enter only as generating sets.
+full member set.  Freeness of a finite module is decided by cardinality
+plus generator count: a surjection R^r -> M between finite sets of equal
+size is a bijection.  GL_n(R) and its principal congruence subgroups enter
+only as generating sets.
 """
 
 from __future__ import annotations
@@ -283,18 +283,18 @@ def _extend_span(ring: Ring, members, v):
 class Summand:
     """A free-and-cofree direct summand of R^n.
 
-    Identity is the member set; `key` (the sorted member tuple) is the
-    canonical fingerprint used for deduplication and deterministic ordering.
+    Identity is the member set.  Summands carry no order of their own: the
+    deterministic (rank, sorted members) order is decided once, by the sort
+    in `grassmann.SummandCatalog.grassmannian`.
     """
 
-    __slots__ = ("ring", "ambient", "rank", "members", "key", "basis", "_preferred")
+    __slots__ = ("ring", "ambient", "rank", "members", "basis", "_preferred")
 
     def __init__(self, ring: Ring, ambient: int, rank: int, members: frozenset, basis):
         self.ring = ring
         self.ambient = ambient
         self.rank = rank
         self.members = members
-        self.key = tuple(sorted(members))
         self.basis = tuple(basis)
         self._preferred = None
 
@@ -302,8 +302,9 @@ class Summand:
     def preferred_basis(self):
         """Lexicographically least member tuple that is a basis (canonical).
 
-        One greedy pass over `key`: a member joins the tuple when it extends
-        the span of the tuple so far freely (`_extend_span`).  It returns
+        One greedy pass over the sorted members: a member joins the tuple
+        when it extends the span of the tuple so far freely
+        (`_extend_span`).  It returns
         what the depth-first search over member tuples in lexicographic
         order, pruning prefixes that do not span freely, returns, with the
         same `_extend_span` calls, because that search never backtracks:
@@ -322,7 +323,7 @@ class Summand:
         if self._preferred is None:
             zero = zero_vector(self.ring, self.ambient)
             span, basis = {zero}, []
-            for m in self.key:
+            for m in sorted(self.members):
                 if len(basis) == self.rank:
                     break
                 if m != zero:
@@ -348,9 +349,6 @@ class Summand:
 
     def __hash__(self):
         return hash((self.ring.spec, self.ambient, self.members))
-
-    def __lt__(self, other):
-        return (self.rank, self.key) < (other.rank, other.key)
 
     def __repr__(self):
         return f"Summand(rank {self.rank} of {self.ring.spec.label}^{self.ambient})"

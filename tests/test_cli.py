@@ -8,8 +8,9 @@ import pytest
 
 import titscomplex
 from titscomplex.cli import main
+from titscomplex.grassmann import SummandCatalog
 from titscomplex.homology import ChainComplex, SparseCols
-from titscomplex.verify import CheckContext
+from titscomplex.verify import CheckContext, run_verify
 
 TABLE1_CSV = """n,Z/4,Z/6,Z/8,Z/9,Z/10
 1,1,1,1,1,1
@@ -213,6 +214,24 @@ def test_verify_corrupt_hook_fails(monkeypatch, capsys):
     assert "dd != 0" in doc["checks"][0]["detail"]
 
 
+def test_nerve_check_is_independent_of_the_catalog_index(monkeypatch):
+    """The complex reads containment from the catalog's vector index; the
+    nerve check builds its chains by member sets, so one lost hit fails it."""
+    containing = SummandCatalog.containing
+    dropped = []
+
+    def drop_one(self, k, vectors):
+        hits = containing(self, k, vectors)
+        if hits and not dropped:
+            dropped.append(hits.pop())
+        return hits
+
+    monkeypatch.setattr(SummandCatalog, "containing", drop_one)
+    report = run_verify("full", only=["structure-nerve"])
+    assert dropped
+    assert [c["status"] for c in report["checks"]] == ["fail"]
+
+
 def test_verify_budget_skip(capsys):
     code, out, _ = run(capsys, "verify", "--only", "homology-n2", "--budget", "10", "--format", "json")
     assert code == 0
@@ -292,6 +311,14 @@ def test_budget_is_checked_before_the_tables(forbid_tables, capsys, argv):
     assert err.startswith("error: enumeration of ")
 
 
+def test_flags_budget_is_the_closed_flag_count(forbid_tables, capsys):
+    # 1080 * 117 * 12 = 1,516,320 complete flags of (Z/9)^4, over 10^6
+    forbid_tables(0)
+    code, out, err = run(capsys, "flags", "--ring", "Z/9", "--n", "4", "--type", "1,1,1,1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: enumeration of ") and "1516320" in err
+
+
 def test_formula_commands_build_no_tables(forbid_tables, capsys):
     forbid_tables(0)
     code, out, _ = run(capsys, "rank", "--rings", "Z/1000003,Z/4000", "--n-max", "3", "--format", "csv")
@@ -311,6 +338,10 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("complex --ring Z/2xZ/2 --n 3", "e19e54ac5338d8891171053cef04694e04b2e1e5023c1bf0f43b35cce78d4879"),
     ("apartments --ring F7 --n 3 --seed 0", "0ab69dac7754d4ec937357a6eebcaa2c6e36747ddfaa39e30ce9b6989a501d73"),
     ("apartments --ring Z/2xZ/2 --n 3", "2b3fbbdb528ed20608373423596ba88ed7d805275f9b32d0cf53c5c4da51f77a"),
+    ("flags --ring Z/4 --n 3 --type 1,1,1 --list", "58d67cde2f986956d1e3082afcd5a255490ded05f297061dfb50d682535f49b5"),
+    ("flags --ring F2[e]^2 --n 3 --type 1,2 --list", "8f979e90a36be53bb468e19eff359af62462306d1d8cdcf6e9987dd7e8a137e4"),
+    ("flags --ring Z/6 --n 3 --type 2,1 --list", "71a1b457850eeb420f31244adb0649367bc98415bb213afc8a1e4e68393308b6"),
+    ("grass --ring Z/4 --n 3 --enumerate --list", "55f60ef813b3c0cbdc4ca85d9dde5f2f0eb32dd1701b1aee36f696432684ba63"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     """Vertex order and every exported byte stay the same across changes

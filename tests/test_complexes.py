@@ -45,7 +45,7 @@ def test_empty_complex():
 
 def test_vertices_sorted_by_rank_then_fingerprint(built):
     cx = built.complex("F2", 3)
-    keys = [(s.rank, s.key) for s in cx.vertices]
+    keys = [(s.rank, tuple(sorted(s.members))) for s in cx.vertices]
     assert keys == sorted(keys)
 
 
@@ -76,7 +76,7 @@ def test_simplices_respect_cofree_order(built):
         cx = built.complex(label, 3)
         for i, j in cx.simplices[1]:
             v, w = cx.vertices[i], cx.vertices[j]
-            gap = quotient_free_rank_members(cx.ring, 3, w.key, v.members)
+            gap = quotient_free_rank_members(cx.ring, 3, w.members, v.members)
             assert gap == w.rank - v.rank, (label, i, j)
 
 
@@ -118,7 +118,7 @@ def test_filtration_examples(built):
     full = built.complex("Z/4", 3)
     filt = build_filtration(z4, 3, 2)
     assert filt.f_vector == full.f_vector
-    assert [s.key for s in filt.vertices] == [s.key for s in full.vertices]
+    assert [s.members for s in filt.vertices] == [s.members for s in full.vertices]
     rank1 = build_filtration(z4, 3, 1)
     assert rank1.f_vector == [28]
     f42 = built.complex("Z/4", 4, 2)

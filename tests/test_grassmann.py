@@ -18,7 +18,7 @@ from titscomplex import (
     steinberg_rank,
 )
 from titscomplex import linalg
-from titscomplex.grassmann import row_operation, walk_generators
+from titscomplex.grassmann import good_flag_count, proper_ranks, row_operation, walk_generators
 from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
 
@@ -121,9 +121,10 @@ def test_enumeration_is_deterministic_and_deduplicated():
     spec = RingSpec.modular(4)
     a = enumerate_grassmannian(spec, 2, 1)
     b = enumerate_grassmannian(make_ring(spec), 2, 1)
-    assert [s.key for s in a] == [s.key for s in b]
+    assert [s.members for s in a] == [s.members for s in b]
     assert len({s.members for s in a}) == len(a)
-    assert all(a[i].key < a[i + 1].key for i in range(len(a) - 1))
+    keys = [tuple(sorted(s.members)) for s in a]
+    assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
 
 def test_orbit_enumeration_equals_brute_force_spans():
@@ -208,6 +209,14 @@ def test_good_flags_examples():
     empty = enumerate_good_flags(RingSpec.modular(4), 2, (2,))
     assert len(empty) == 1 and len(empty[0]) == 0
     assert len(enumerate_good_flags(RingSpec.prime_field(2), 3, (1, 1, 1))) == 21
+
+
+@pytest.mark.parametrize("label", ["Z/4", "Z/6", "F3", "F2[e]^2", "Z/2xZ/2"])
+@pytest.mark.parametrize("lam", [(1, 2), (2, 1), (1, 1, 1), (1, 1, 2), (2, 2), (3, 1)])
+def test_good_flag_count_matches_enumeration(label, lam):
+    spec = parse_ring_spec(label)
+    n = sum(lam)
+    assert good_flag_count(spec, n, proper_ranks(lam)) == len(enumerate_good_flags(spec, n, lam))
 
 
 def test_flag_type_validation():
