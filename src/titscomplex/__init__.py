@@ -74,6 +74,14 @@ from .steinberg import (
     ut_apartment_pairing,
     ut_bases,
 )
-from .verify import run_verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `verify` is compiled only when used: no CLI command but `verify` needs it
+    if name == "run_verify":
+        from .verify import run_verify
+
+        return run_verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ from .grassmann import (
 from .complexes import build_filtration, build_tits_complex
 from .homology import chain_complex, reduced_homology
 from .steinberg import apartment_span_rank, p1_orbit_and_commutant, table_generate
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -213,6 +212,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify
+
     only = [x for x in args.only.split(",") if x] if args.only else None
     report = run_verify(args.tier, args.budget, only=only)
     if args.format == "json":

@@ -8,9 +8,9 @@ verify suite hold the two against each other, and against brute-force spans.
 The orbit walk uses the small generating set of `walk_generators`:
 elementary row operations between neighbouring coordinates and scalings
 of the first coordinate by generators of R^x.  Each generator acts as the
-row operation it is, on the basis vectors of a summand and, for a new
-summand, on the members of the summand it was reached from; no matrix is
-applied and no span is built.
+row operation it is, tabulated once over R^n, on the basis vectors of a
+summand and, for a new summand, on the members of the summand it was
+reached from; no matrix is applied and no span is built.
 """
 
 from __future__ import annotations
@@ -221,8 +221,17 @@ class SummandCatalog:
     ranks: V lies in W exactly when W holds every basis vector of V
     (`containing`).
 
-    The catalog holds the ring's spec, and builds the ring's tables only
-    after the budget checks of the first Grassmannian it enumerates.
+    Each walk generator is tabulated once per catalog, as a dict from every
+    vector of R^n to its image, and then moves bases and members by lookup.
+    The catalog holds the ring's spec, and builds the ring's tables and the
+    walk tables only after the budget checks of the first Grassmannian it
+    enumerates.  A walk table has q^n entries, and for 1 <= k <= n that is
+    at most the |Gr_k|*q^k members the budget admits: per residue field
+    F_i, |Gr_k^n(F_i)| is a Gaussian binomial, a polynomial in q_i with
+    nonnegative coefficients and leading term q_i^(k(n-k)), so
+    |Gr_k^n(R)| >= |J|^(k(n-k)) * prod q_i^(k(n-k)) = q^(k(n-k)), and
+    |Gr_k|*q^k >= q^(k(n-k+1)) = q^n * q^((k-1)(n-k)) >= q^n.  Gr_0 needs
+    no table.
     """
 
     def __init__(self, spec: RingSpec, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -233,6 +242,8 @@ class SummandCatalog:
         # rank -> vector -> ascending positions in grassmannian(rank) of the
         # summands holding it
         self._index: dict[int, dict[tuple, list[int]]] = {}
+        # one vector -> image table per walk generator, built by the first Gr_k, k >= 1
+        self._moves: list[dict[tuple, tuple]] | None = None
 
     def grassmannian(self, k: int) -> list[Summand]:
         if not (0 <= k <= self.n):
@@ -262,14 +273,14 @@ class SummandCatalog:
         add(Summand(ring, n, k, members, basis))
         frontier = list(found)
         # Gr_0 = {0} is fixed by every g, and its empty basis finds nothing
-        moves = [row_operation(ring, op) for op in walk_generators(ring, n)] if k else []
+        moves = self._walk_tables(ring) if k else []
         while frontier:
             nxt = []
             for s in frontier:
                 for g in moves:
-                    image = tuple(map(g, s.basis))
+                    image = tuple(map(g.__getitem__, s.basis))
                     if not _holding_all(index, image):
-                        t = Summand(ring, n, k, frozenset(map(g, s.members)), image)
+                        t = Summand(ring, n, k, frozenset(map(g.__getitem__, s.members)), image)
                         add(t)
                         nxt.append(t)
             frontier = nxt
@@ -285,6 +296,15 @@ class SummandCatalog:
         out = [found[i] for i in order]
         self._gr[k] = out
         return out
+
+    def _walk_tables(self, ring: Ring) -> list[dict[tuple, tuple]]:
+        """The vector -> image table of each `walk_generators` move, built once."""
+        if self._moves is None:
+            space = list(itertools.product(range(ring.card), repeat=self.n))
+            self._moves = [
+                dict(zip(space, map(row_operation(ring, op), space))) for op in walk_generators(ring, self.n)
+            ]
+        return self._moves
 
     def containing(self, k: int, vectors) -> list[int]:
         """Ascending positions in grassmannian(k) of the summands holding

@@ -13,8 +13,8 @@ makes every canonical form reproducible across runs.
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass
 
 DEFAULT_BUDGET = 10**6
 
@@ -264,12 +264,13 @@ def _pay_mul(spec, a, b):
     return tuple(_pay_mul(f, x, y) for f, x, y in zip(spec.params, a, b))
 
 
-@dataclass(frozen=True)
-class RadicalData:
-    """Jacobson radical of a ring plus the residue field orders of R/J."""
+class RadicalData(collections.namedtuple("RadicalData", ["elements", "residue_field_orders"])):
+    """Jacobson radical of a ring plus the residue field orders of R/J.
 
-    elements: frozenset  # element indices
-    residue_field_orders: tuple
+    `elements` is the frozenset of element indices in J.
+    """
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:

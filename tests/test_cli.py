@@ -148,16 +148,50 @@ def test_apartments_command(capsys):
     assert doc["span_rank"] == 5 and doc["top_betti"] == 5 and doc["match"]
 
 
-def test_python_m_entry_point():
+def fresh_python(*args):
+    """Run the interpreter in a new process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(titscomplex.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", "3", "--format", "csv"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_entry_point():
+    proc = fresh_python("-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", "3", "--format", "csv")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "n,Z/4\n1,1\n2,5\n3,113\n"
+
+
+def test_cli_import_leaves_out_verify_and_dataclasses():
+    proc = fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules); import titscomplex.cli; "
+        "print(*sorted(set(sys.modules) - before))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert {"titscomplex.cli", "titscomplex.homology", "titscomplex.steinberg", "argparse", "json"} <= set(added)
+    assert "titscomplex.verify" not in added
+    assert "dataclasses" not in added
+
+
+def test_run_verify_is_served_on_demand():
+    proc = fresh_python(
+        "-c",
+        "import sys, titscomplex; loaded = 'titscomplex.verify' in sys.modules; "
+        "from titscomplex import run_verify; import titscomplex.verify as v; "
+        "print(loaded, run_verify is v.run_verify, titscomplex.run_verify is v.run_verify)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True True\n"
+    with pytest.raises(AttributeError):
+        titscomplex.no_such_name
+
+
+def test_verify_runs_from_a_cold_process():
+    proc = fresh_python("-m", "titscomplex", "verify", "--tier", "fast", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_orbits_command(capsys):

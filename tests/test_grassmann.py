@@ -17,7 +17,7 @@ from titscomplex import (
     span_summand,
     steinberg_rank,
 )
-from titscomplex import linalg
+from titscomplex import grassmann, linalg
 from titscomplex.grassmann import good_flag_count, proper_ranks, row_operation, walk_generators
 from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
@@ -186,6 +186,81 @@ def test_orbit_walk_moves_by_row_operations(monkeypatch, label, n, ops, sizes):
         assert len(gr) == want == grassmannian_size_formula(spec, n, k), (label, n, k)
         assert all(len(s.members) == ring.card**k for s in gr)
     assert calls == []
+
+
+@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 2)])
+def test_walk_tables_are_bijections_matching_row_operation(label, n):
+    ring = make_ring(parse_ring_spec(label))
+    catalog = SummandCatalog(ring.spec, n)
+    catalog.grassmannian(1)
+    tables = catalog._walk_tables(ring)
+    ops = walk_generators(ring, n)
+    assert len(tables) == len(ops)
+    space = all_vectors(ring, n)
+    for op, table in zip(ops, tables):
+        g = row_operation(ring, op)
+        assert sorted(table) == space, (label, op)
+        assert sorted(table.values()) == space, (label, op)
+        assert all(table[v] == g(v) for v in space), (label, op)
+
+
+def test_walk_tables_are_built_once_per_catalog(monkeypatch):
+    built = []
+
+    def counted(ring, op):
+        built.append(op)
+        return row_operation(ring, op)
+
+    monkeypatch.setattr(grassmann, "row_operation", counted)
+    spec = parse_ring_spec("Z/9")
+    # the Gr_1 budget check fails before any table is built
+    with pytest.raises(BudgetExceeded):
+        SummandCatalog(spec, 3, budget=100).grassmannian(1)
+    assert built == []
+    ring = make_ring(spec)
+    catalog = SummandCatalog(spec, 3)
+    catalog.grassmannian(0)
+    assert built == []  # Gr_0 needs no table
+    catalog.grassmannian(2)
+    tables = catalog._walk_tables(ring)
+    for k in (1, 3):
+        catalog.grassmannian(k)
+        assert catalog._walk_tables(ring) is tables, k
+    assert built == walk_generators(ring, 3)
+
+
+def _walk_by_row_operation(ring, n, k):
+    """Test-side breadth-first orbit walk of Gr_k: each move applied by
+    `row_operation`, repeats found by member set, output in (sorted members)
+    order with the first basis found for each summand."""
+    basis = tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(k))
+    start = frozenset(t + (ring.zero,) * (n - k) for t in itertools.product(range(ring.card), repeat=k))
+    found = {start: basis}
+    frontier = [(start, basis)]
+    moves = [row_operation(ring, op) for op in walk_generators(ring, n)] if k else []
+    while frontier:
+        nxt = []
+        for members, b in frontier:
+            for g in moves:
+                image = frozenset(map(g, members))
+                if image not in found:
+                    found[image] = tuple(map(g, b))
+                    nxt.append((image, found[image]))
+        frontier = nxt
+    return sorted(found.items(), key=lambda item: sorted(item[0]))
+
+
+@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3)])
+def test_grassmannian_equals_a_walk_by_row_operation(label, n):
+    ring = make_ring(parse_ring_spec(label))
+    catalog = SummandCatalog(ring.spec, n)
+    space = all_vectors(ring, n)
+    for k in range(n + 1):
+        want = _walk_by_row_operation(ring, n, k)
+        got = catalog.grassmannian(k)
+        assert [(s.members, s.basis) for s in got] == want, (label, k)
+        for v in space:
+            assert catalog.containing(k, [v]) == [p for p, (m, _) in enumerate(want) if v in m], (label, k, v)
 
 
 def test_walk_ends_over_a_product_ring():

@@ -153,6 +153,16 @@ def test_radical_examples():
     assert list(r7.radical.residue_field_orders) == [7]
 
 
+def test_radical_data_is_immutable():
+    rad = make_ring(parse_ring_spec("Z/4")).radical
+    with pytest.raises(AttributeError):
+        rad.elements = frozenset()
+    with pytest.raises(AttributeError):
+        rad.residue_field_orders = (3,)
+    with pytest.raises(AttributeError):
+        rad.size = 0
+
+
 def zero_one_payloads(spec):
     """The zero and one payloads of a spec, worked out from its kind."""
     if spec.kind == "product":
