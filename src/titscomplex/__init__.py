@@ -53,9 +53,9 @@ from .homology import (
     SparseCols,
     chain_complex,
     coreduce,
+    exact_rank,
     fixed_subspace_dim,
     induced_top_map,
-    kernel_basis,
     reduced_homology,
     smith_rank_and_divisors,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, budgeted_ring, check_budget, spec_of
-from .linalg import Summand, quotient_free_rank_members
+from .linalg import Summand
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -88,6 +88,24 @@ def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
     return out
 
 
+def budgeted_flag_count(spec: RingSpec, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> int:
+    """`good_flag_count` of the type lam, after the budget checks that
+    `enumerate_good_flags` makes before it builds anything: the flag count,
+    then the member vectors of each Grassmannian it walks."""
+    lam = flag_type(lam, n)
+    ranks = proper_ranks(lam)
+    count = good_flag_count(spec, n, ranks)
+    check_budget(count, budget, f"good flags of type {lam} in {spec.label}^{n}")
+    for r in ranks:
+        check_grassmannian_budget(spec, n, r, budget)
+    return count
+
+
+def check_grassmannian_budget(spec: RingSpec, n: int, k: int, budget: int | None = DEFAULT_BUDGET):
+    """Budget Gr_k^n(R) by its member vectors: |Gr_k| summands of q^k each."""
+    check_budget(grassmannian_size_formula(spec, n, k) * spec.cardinality**k, budget, f"Gr_{k}^{n}({spec.label})")
+
+
 def proper_ranks(lam) -> tuple:
     """Ranks of the proper summands in a flag of the given type."""
     ranks = []
@@ -119,25 +137,6 @@ class Flag:
             prev = r
         parts.append(n - prev)
         return tuple(parts)
-
-    def verify(self, budget: int | None = DEFAULT_BUDGET) -> bool:
-        """Re-check every step of the chain for cofreeness (independent of
-        how the flag was built)."""
-        if not self.summands:
-            return True
-        ring = self.summands[0].ring
-        n = self.summands[0].ambient
-        prev = None
-        for s in self.summands:
-            if prev is not None:
-                if not prev.members <= s.members:
-                    return False
-                gap = quotient_free_rank_members(ring, n, s.members, prev.members, budget)
-                if gap != s.rank - prev.rank:
-                    return False
-            prev = s
-        top = self.summands[-1]
-        return quotient_free_rank_members(ring, n, None, top.members, budget) == n - top.rank
 
     def __eq__(self, other):
         return isinstance(other, Flag) and self.summands == other.summands
@@ -252,12 +251,7 @@ class SummandCatalog:
         if got is not None:
             return got
         spec, n = self.spec, self.n
-        # |Gr_k| summands of q^k member vectors each
-        check_budget(
-            grassmannian_size_formula(spec, n, k) * spec.cardinality**k,
-            self.budget,
-            f"Gr_{k}^{n}({spec.label})",
-        )
+        check_grassmannian_budget(spec, n, k, self.budget)
         ring = budgeted_ring(spec, self.budget)
         basis = [tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(k)]
         zeros = (ring.zero,) * (n - k)
@@ -333,10 +327,9 @@ def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT
     W/V is projective of constant rank and hence free (see
     complexes.build_filtration).
     """
-    lam = flag_type(lam, n)
-    ranks = proper_ranks(lam)
     spec = spec_of(spec_or_ring)
-    check_budget(good_flag_count(spec, n, ranks), budget, f"good flags of type {lam} in {spec.label}^{n}")
+    budgeted_flag_count(spec, n, lam, budget)
+    ranks = proper_ranks(flag_type(lam, n))
     if not ranks:
         return [Flag(())]
     catalog = SummandCatalog(spec, n, budget)

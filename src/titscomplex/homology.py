@@ -1,13 +1,13 @@
 """Exact integral homology of the flag complexes.
 
-Everything here is exact: boundary matrices carry Python integers.  Ranks
-and elementary divisors start with a unit-pivot pass (a reduced echelon
-form whose pivots lead at +-1 entries), which splits off an identity block;
+Everything here is exact: boundary matrices carry Python integers.  Every
+exact rank starts with one unit-pivot pass (`_unit_pivots`: a reduced
+echelon form whose pivots lead at +-1 entries), which splits off an
+identity block.  For the invariant factors of `smith_rank_and_divisors`
 what it leaves goes through alternating column and row echelon forms
-(Kannan-Bachem) built by the unimodular echelon insertion `_insert`.  The
-same `_insert` gives integer kernel bases by tracking its column
-operations, and incremental ranks (`IntEchelon`, `sparse_rank`) by
-inserting one vector at a time.  Induced maps are reported by their ranks.
+(Kannan-Bachem); for a rank alone (`exact_rank`) it goes through one
+lattice echelon pass.  Both use the one lattice echelon, `IntEchelon`.
+Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, at a +-1
 incidence, with that face) from the augmented complex; restriction to its
 survivors is an isomorphism of top cycle lattices over Z, which gives
@@ -37,26 +37,12 @@ class SparseCols:
     def ncols(self) -> int:
         return len(self.cols)
 
-    def entry(self, r: int, c: int) -> int:
-        return self.cols[c].get(r, 0)
-
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
 
     def compose(self, other: "SparseCols") -> "SparseCols":
         """self @ other (apply other first)."""
-        out = []
-        for col in other.cols:
-            acc: dict[int, int] = {}
-            for k, v in col.items():
-                for r, w in self.cols[k].items():
-                    nv = acc.get(r, 0) + v * w
-                    if nv:
-                        acc[r] = nv
-                    else:
-                        acc.pop(r, None)
-            out.append(acc)
-        return SparseCols(self.nrows, out)
+        return SparseCols(self.nrows, [self.apply(col) for col in other.cols])
 
     def apply(self, vec: dict) -> dict:
         acc: dict[int, int] = {}
@@ -115,77 +101,60 @@ def chain_complex(cx) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# the echelon step and everything built on it
-
-
-def _insert(pivots: dict, vec: dict, tracks: dict | None = None, track: dict | None = None):
-    """Insert vec into a lattice echelon form: the step behind Kannan-Bachem,
-    kernel bases and `IntEchelon`.
-
-    pivots maps each lead (smallest) index to the one stored vector with that
-    lead.  vec is reduced against the pivot at its lead: by a multiple of it
-    when the pivot's lead entry divides vec's, otherwise by the unimodular
-    2x2 gcd step, which replaces both.  Every step is unimodular, so the
-    pivots always span the lattice of the inserted vectors.  When tracks is
-    given (lead -> tracker), the same column operations are applied to the
-    trackers, with track as vec's.
-
-    Returns None when vec became a new pivot; otherwise vec reduced to zero
-    and the result is its tracker ({} when nothing is tracked).
-    """
-    while vec:
-        lead = min(vec)
-        piv = pivots.get(lead)
-        if piv is None:
-            pivots[lead] = vec
-            if tracks is not None:
-                tracks[lead] = track
-            return None
-        a = vec[lead]
-        b = piv[lead]
-        if a % b == 0:
-            vec = _lincomb(vec, 1, piv, -(a // b))
-            if tracks is not None:
-                track = _lincomb(track, 1, tracks[lead], -(a // b))
-        else:
-            # new pivot = x*piv + y*vec, new vec = -(a/g)*piv + (b/g)*vec (det 1)
-            g, x, y = _ext_gcd(b, a)
-            pivots[lead] = _lincomb(piv, x, vec, y)
-            vec = _lincomb(piv, -(a // g), vec, b // g)
-            if tracks is not None:
-                old = tracks[lead]
-                tracks[lead] = _lincomb(old, x, track, y)
-                track = _lincomb(old, -(a // g), track, b // g)
-    return {} if tracks is None else track
+# exact ranks and invariant factors
 
 
 def smith_rank_and_divisors(mat: SparseCols) -> tuple[int, list[int]]:
     """Exact rank and invariant factors (SNF diagonal) of an integer matrix.
 
-    First a unit-pivot pass (the first phase of sparse integer Smith form,
-    Dumas-Saunders-Villard 2001): the columns are inserted one by one into
-    an echelon form kept reduced, where every pivot has lead entry +1 and is
-    zero at every other pivot's lead.  An incoming column is reduced in one
-    pass over its own entries at pivot leads.  If it still has an entry
-    +-1, it becomes a pivot led at the +-1 entry whose row the fewest
-    pivots touch (ties by index; the rule `ModPEchelon` uses mod p), scaled
-    by -1 if needed, and its lead row is cleared from every pivot touching
-    it.  A nonzero column with no unit entry goes to the residual.  At the
-    end each residual column is reduced against the final pivots, since a
-    pivot added after it was stashed may lead on its rows.
+    `_unit_pivots` splits M into k unit pivots and a residual R with
+    SNF(M) = I_k + SNF(R); the residual, usually empty on the boundaries of
+    these complexes, goes through `_kannan_bachem`.
+    """
+    k, residual = _unit_pivots(mat.cols)
+    r, divisors = _kannan_bachem(residual)
+    return k + r, [1] * k + divisors
+
+
+def exact_rank(mat: SparseCols) -> int:
+    """Exact rank of an integer matrix: the k unit pivots of `_unit_pivots`
+    plus the rank of the residual, from one `IntEchelon` pass.  No invariant
+    factor is asked for, so the residual needs no Kannan-Bachem alternation.
+    """
+    k, residual = _unit_pivots(mat.cols)
+    ech = IntEchelon()
+    for vec in residual:
+        ech.add(vec)
+    return k + ech.rank
+
+
+def _unit_pivots(cols) -> tuple[int, list[dict]]:
+    """The unit-pivot pass (the first phase of sparse integer Smith form,
+    Dumas-Saunders-Villard 2001): the number k of unit pivots, and the
+    residual columns.
+
+    The columns are inserted one by one into an echelon form kept reduced,
+    where every pivot has lead entry +1 and is zero at every other pivot's
+    lead.  An incoming column is reduced in one pass over its own entries
+    at pivot leads.  If it still has an entry +-1, it becomes a pivot led
+    at the +-1 entry whose row the fewest pivots touch (ties by index; the
+    rule `ModPEchelon` uses mod p), scaled by -1 if needed, and its lead row
+    is cleared from every pivot touching it.  A nonzero column with no unit
+    entry goes to the residual.  At the end each residual column is reduced
+    against the final pivots, since a pivot added after it was stashed may
+    lead on its rows.
 
     Why this is exact: every step is a unimodular column operation, so
     M U = [P | R | 0] with U unimodular, P the k pivots (the identity on
     their lead rows) and R the residual (zero on every lead row).  Row
     operations with the lead rows clear P off its lead rows and leave R
-    alone, so SNF(M) = I_k + SNF(R).  The residual, usually empty on the
-    boundaries of these complexes, goes through `_kannan_bachem`.
-    Arithmetic is on exact integers, with no modulus and no division.
+    alone, so SNF(M) = I_k + SNF(R) and rank M = k + rank R.  Arithmetic is
+    on exact integers, with no modulus and no division.
     """
     pivots: dict[int, dict] = {}  # lead row -> pivot column, +1 at its lead
     touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
     residual = []
-    for col in mat.cols:
+    for col in cols:
         vec = _reduce(pivots, col)
         units = [k for k, v in vec.items() if v == 1 or v == -1]
         if not units:
@@ -214,9 +183,7 @@ def smith_rank_and_divisors(mat: SparseCols) -> tuple[int, list[int]]:
             if k != lead:
                 touching.setdefault(k, set()).add(lead)
     residual = [vec for vec in (_reduce(pivots, r) for r in residual) if vec]
-    r, divisors = _kannan_bachem(residual)
-    k = len(pivots)
-    return k + r, [1] * k + divisors
+    return len(pivots), residual
 
 
 def _reduce(pivots: dict, vec: dict) -> dict:
@@ -238,14 +205,16 @@ def _kannan_bachem(vectors) -> tuple[int, list[int]]:
     """Rank and invariant factors of the matrix with the given columns.
 
     Alternates column and row echelon forms (Kannan-Bachem): insert the
-    columns with `_insert`, then the rows of the resulting pivots, and so
-    on, until every pivot has a single entry.  The diagonal left behind is
-    turned into the divisibility chain by `normalize_divisors`.
+    columns into an `IntEchelon`, then the rows of its pivots into a new
+    one, and so on, until every pivot has a single entry.  The diagonal
+    left behind is turned into the divisibility chain by
+    `normalize_divisors`.
     """
     while True:
-        pivots: dict[int, dict] = {}
+        ech = IntEchelon()
         for vec in vectors:
-            _insert(pivots, vec)
+            ech.add(vec)
+        pivots = ech.pivots
         leads = [piv[lead] for lead, piv in pivots.items()]
         # Ordered by lead, the pivots are lower-triangular on their lead
         # indices; with a unit diagonal that r x r minor is +-1, so every
@@ -259,6 +228,49 @@ def _kannan_bachem(vectors) -> tuple[int, list[int]]:
             for i, v in pivots[lead].items():
                 rows.setdefault(i, {})[k] = v
         vectors = [rows[i] for i in sorted(rows)]
+
+
+class IntEchelon:
+    """Incremental exact rank of a growing family of sparse integer vectors.
+
+    `pivots` is a lattice echelon form: it maps each lead (smallest) index
+    to the one stored vector with that lead, and spans exactly the lattice
+    of the vectors added so far.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: dict) -> bool:
+        """Insert a vector; True when it increased the rank.
+
+        vec is reduced against the pivot at its lead: by a multiple of it
+        when the pivot's lead entry divides vec's, otherwise by the
+        unimodular 2x2 gcd step, which replaces both.  Every step is
+        unimodular, so the pivots always span the lattice of the inserted
+        vectors.
+        """
+        pivots = self.pivots
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = vec
+                return True
+            a = vec[lead]
+            b = piv[lead]
+            if a % b == 0:
+                vec = _lincomb(vec, 1, piv, -(a // b))
+            else:
+                # new pivot = x*piv + y*vec, new vec = -(a/g)*piv + (b/g)*vec (det 1)
+                g, x, y = _ext_gcd(b, a)
+                pivots[lead] = _lincomb(piv, x, vec, y)
+                vec = _lincomb(piv, -(a // g), vec, b // g)
+        return False
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -311,43 +323,6 @@ def normalize_divisors(pivots) -> list[int]:
     return [1] * (ones + new_ones) + [d for d in nontrivial if d != 1]
 
 
-def kernel_basis(mat: SparseCols) -> list[dict]:
-    """Integer basis of ker(mat) as sparse column vectors.
-
-    The columns are inserted with trackers starting at the identity; the
-    tracked operations form a unimodular U with mat*U = [pivots | 0], so the
-    trackers of the columns that reduce to zero are a lattice basis of the
-    whole integer kernel.
-    """
-    pivots: dict[int, dict] = {}
-    tracks: dict[int, dict] = {}
-    out = []
-    for j, col in enumerate(mat.cols):
-        zero = _insert(pivots, col, tracks, {j: 1})
-        if zero is not None:
-            out.append(zero)
-    return out
-
-
-class IntEchelon:
-    """Incremental exact rank of a growing family of sparse integer vectors.
-
-    `pivots` is the lattice echelon form kept by `_insert`: one vector per
-    lead index, spanning exactly the lattice of the vectors added so far.
-    """
-
-    def __init__(self):
-        self.pivots: dict[int, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vec: dict) -> bool:
-        """Insert a vector; True when it increased the rank."""
-        return _insert(self.pivots, vec) is None
-
-
 MOD_P = (1 << 61) - 1  # a Mersenne prime
 
 
@@ -360,9 +335,9 @@ class ModPEchelon:
     every other pivot's lead), so a vector is reduced in one pass over its
     own entries.  A new pivot leads at the entry whose column the fewest
     pivots touch, which keeps back-substitution and fill small.  The
-    unit-pivot pass of `smith_rank_and_divisors` is the same scheme over
-    the integers, restricted to +-1 leads; the two are kept apart so that
-    no modulus enters the exact path.
+    unit-pivot pass `_unit_pivots` is the same scheme over the integers,
+    restricted to +-1 leads; the two are kept apart so that no modulus
+    enters the exact path.
     """
 
     def __init__(self):
@@ -409,13 +384,6 @@ class ModPEchelon:
             if k != lead:
                 touching.setdefault(k, set()).add(lead)
         return True
-
-
-def sparse_rank(vectors) -> int:
-    ech = IntEchelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
 
 
 class HomologyResult:
@@ -563,38 +531,40 @@ class InducedTopMap:
 
 def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) -> InducedTopMap:
     """The induced map on top cycle lattices for a rank-preserving simplicial
-    map (top homology is the full cycle lattice there)."""
+    map (top homology is the full cycle lattice there), by three exact ranks.
+
+    With d the top boundary of the source and F its facet push-forward (a
+    facet goes to its image facet, a degenerate one to 0), the cycle ranks
+    are f_top - rank d on each side, and the rank of F on Z = ker d is
+
+        rank F(Z) = rank [d ; F] - rank d,
+
+    [d ; F] being F stacked under d: its kernel is ker d meet ker F, so its
+    rank is f_top - dim(Z meet ker F), and dim F(Z) = dim Z - dim(Z meet ker F).
+    """
     src, dst = simplicial_map.src, simplicial_map.dst
     top = src.dim
     if dst.dim != top:
         raise ValueError("map is not dimension-preserving on facets")
     dst_pos = dst.simplex_pos[top]
-    images = []
-    for t in src.simplices[top]:
+    d_src = src_cc.boundaries[top]
+    stacked = []
+    for t, col in zip(src.simplices[top], d_src.cols):
         img = simplicial_map.simplex_image(t)
         if len(set(img)) != len(img):
-            images.append(None)  # degenerate facet contributes 0
+            stacked.append(col)  # degenerate facet contributes 0
             continue
         j = dst_pos.get(img)
         if j is None:
             raise ValueError("image of a facet is not a facet; map is not simplicial")
-        images.append(j)
-    z_src = kernel_basis(src_cc.boundaries[top])
-    z_dst = kernel_basis(dst_cc.boundaries[top])
-    pushed = []
-    for z in z_src:
-        acc: dict[int, int] = {}
-        for i, v in z.items():
-            j = images[i]
-            if j is None:
-                continue
-            nv = acc.get(j, 0) + v
-            if nv:
-                acc[j] = nv
-            else:
-                acc.pop(j, None)
-        pushed.append(acc)
-    return InducedTopMap(sparse_rank(pushed), len(z_src), len(z_dst))
+        stacked.append({**col, d_src.nrows + j: 1})
+    rank_d = exact_rank(d_src)
+    rank_stacked = exact_rank(SparseCols(d_src.nrows + dst_cc.f[top], stacked))
+    return InducedTopMap(
+        rank_stacked - rank_d,
+        src_cc.f[top] - rank_d,
+        dst_cc.f[top] - exact_rank(dst_cc.boundaries[top]),
+    )
 
 
 def permutation_orbits(size: int, perms) -> list[list[int]]:
@@ -632,13 +602,12 @@ def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:
     """
     if not (0 <= degree <= cc.dim):
         raise ValueError(f"degree {degree} out of range")
-    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(cc.f[degree], simplex_perms)]
-    rank_d_sums = sparse_rank(cc.boundaries[degree].apply(s) for s in sums)
-    ech = IntEchelon()
-    if degree < cc.dim:
-        for col in cc.boundaries[degree + 1].cols:
-            ech.add(col)
-    rank_b = ech.rank
-    for s in sums:
-        ech.add(s)
-    return ech.rank - rank_b - rank_d_sums
+    f_d = cc.f[degree]
+    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(f_d, simplex_perms)]
+    d = cc.boundaries[degree]
+    rank_d_sums = exact_rank(SparseCols(d.nrows, [d.apply(s) for s in sums]))
+    if degree == cc.dim:
+        # B = 0, and orbit sums have disjoint supports: rank [B | O] = #orbits
+        return len(sums) - rank_d_sums
+    b = cc.boundaries[degree + 1]
+    return exact_rank(SparseCols(f_d, b.cols + sums)) - exact_rank(b) - rank_d_sums

@@ -23,8 +23,8 @@ from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce,
-    permutation_orbits, reduced_homology, smith_rank_and_divisors, sparse_rank,
+    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, exact_rank,
+    permutation_orbits, reduced_homology,
 )
 
 
@@ -367,7 +367,7 @@ def apartment_span_rank(
     (`ModPEchelon`), whose rank is at most the rank over Q, so a mod-p rank
     equal to top_betti is exact.  If the frames run out, the sampled rule
     saturates or the budget is spent first, the classes used are recounted
-    exactly by `smith_rank_and_divisors`: a mod-p rank is never reported.
+    exactly by `exact_rank`: a mod-p rank is never reported.
 
     The mod-p echelon sees each class only on the top cells that survive
     `coreduce`, and the rank after every class is the one the full classes
@@ -408,7 +408,7 @@ def apartment_span_rank(
     def result(saturated: bool) -> SpanRankResult:
         rank = ech.rank
         if rank != top_betti:
-            rank = smith_rank_and_divisors(SparseCols(len(cx.facets()), used))[0]
+            rank = exact_rank(SparseCols(len(cx.facets()), used))
         return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
     if mode == "exhaustive":
@@ -479,9 +479,9 @@ def p1_orbit_and_commutant(
         pair_perms.append([perm[i] * nl + perm[j] for i in range(nl) for j in range(nl)])
     orbits = len(permutation_orbits(nl * nl, pair_perms))
     # commutant dimension: solve X P_g = P_g X, i.e. X[i][j] = X[g i][g j]
-    commutant = nl * nl - sparse_rank(
+    commutant = nl * nl - exact_rank(SparseCols(nl * nl, [
         {min(a, b): 1, max(a, b): -1} for perm in pair_perms for a, b in enumerate(perm) if a != b
-    )
+    ]))
     return orbits, commutant
 
 

@@ -395,11 +395,32 @@ def _check_reduction_functoriality(ctx):
                 return False, "reduction does not commute with the group action"
     return True, "reduction simplicial, facet-preserving, surjective, equivariant"
 
+
+def reverify_flag(flag, budget: int | None = DEFAULT_BUDGET) -> bool:
+    """Re-check every step of a flag for cofreeness by brute quotients,
+    independent of how the flag was built."""
+    if not flag.summands:
+        return True
+    ring = flag.summands[0].ring
+    n = flag.summands[0].ambient
+    prev = None
+    for s in flag.summands:
+        if prev is not None:
+            if not prev.members <= s.members:
+                return False
+            gap = quotient_free_rank_members(ring, n, s.members, prev.members, budget)
+            if gap != s.rank - prev.rank:
+                return False
+        prev = s
+    top = flag.summands[-1]
+    return quotient_free_rank_members(ring, n, None, top.members, budget) == n - top.rank
+
+
 def _check_flag_reverification(ctx):
     ring = make_ring(RingSpec.modular(4))
     flags = enumerate_good_flags(ring, 3, (1, 1, 1), ctx.budget)
     for fl in flags[::17]:
-        if not fl.verify(ctx.budget):
+        if not reverify_flag(fl, ctx.budget):
             return False, "an enumerated flag failed cofree re-verification"
     # quotient_free_rank(R^n, V) = n - rank(V) on the vertices of T3(Z/4)
     cx = ctx.complex("Z/4", 3)

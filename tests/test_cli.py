@@ -353,6 +353,29 @@ def test_flags_budget_is_the_closed_flag_count(forbid_tables, capsys):
     assert err.startswith("error: enumeration of ") and "1516320" in err
 
 
+def test_flags_counts_without_enumerating_unless_listed(forbid_tables, monkeypatch, capsys):
+    # 91 * 12 = 1092 complete flags of (Z/6)^3; without --list the
+    # closed count is printed, with no ring table and no enumeration
+    def listed(args):
+        code, out, _ = run(capsys, "flags", "--ring", "Z/6", "--n", "3", "--type", "1,1,1", *args)
+        assert code == 0
+        return out
+
+    want = {fmt: listed(["--format", fmt]) for fmt in ("text", "csv", "json")}
+    listed_doc = json.loads(listed(["--format", "json", "--list"]))
+    assert listed_doc["count"] == json.loads(want["json"])["count"] == 1092
+    forbid_tables(0)
+
+    def no_enumeration(*args):
+        raise AssertionError("flags enumerated without --list")
+
+    monkeypatch.setattr("titscomplex.cli.enumerate_good_flags", no_enumeration)
+    for fmt, out in want.items():
+        assert listed(["--format", fmt]) == out
+    code, out, _ = run(capsys, "flags", "--ring", "Z/6", "--n", "4", "--type", "1,1,1,1")
+    assert code == 0 and out == "good flags of type (1, 1, 1, 1) in Z/6^4: 655200\n"
+
+
 def test_formula_commands_build_no_tables(forbid_tables, capsys):
     forbid_tables(0)
     code, out, _ = run(capsys, "rank", "--rings", "Z/1000003,Z/4000", "--n-max", "3", "--format", "csv")

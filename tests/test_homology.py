@@ -15,8 +15,8 @@ from titscomplex import (
     coreduce,
     fixed_subspace_dim,
     gl_generators,
+    exact_rank,
     induced_top_map,
-    kernel_basis,
     make_ring,
     parse_ring_spec,
     reduced_homology,
@@ -29,9 +29,10 @@ from titscomplex.homology import (
     IntEchelon,
     MOD_P,
     ModPEchelon,
+    _unit_pivots,
     euler_characteristic_checks,
     normalize_divisors,
-    sparse_rank,
+    permutation_orbits,
 )
 
 from conftest import congruence_elements
@@ -87,6 +88,59 @@ def dense_snf(M):
     return len(res), normalize_divisors(res)
 
 
+def kernel_basis(mat):
+    """Test-local oracle: integer basis of ker(mat) as sparse vectors.
+
+    The columns enter a lattice echelon form with trackers starting at the
+    identity, and every unimodular step is applied to the trackers too, so
+    the tracked operations form a unimodular U with mat*U = [pivots | 0]:
+    the trackers of the columns that reduce to zero are a lattice basis of
+    the whole integer kernel.
+    """
+    def comb(d0, a, d1, b):
+        out = {k: a * d0.get(k, 0) + b * d1.get(k, 0) for k in d0.keys() | d1.keys()}
+        return {k: v for k, v in out.items() if v}
+
+    def ext_gcd(a, b):
+        if b == 0:
+            return (a, 1, 0) if a > 0 else (-a, -1, 0)
+        g, x, y = ext_gcd(b, a % b)
+        return g, y, x - (a // b) * y
+
+    pivots, tracks, out = {}, {}, []
+    for j, vec in enumerate(mat.cols):
+        track = {j: 1}
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead], tracks[lead] = vec, track
+                break
+            a, b = vec[lead], piv[lead]
+            if a % b == 0:
+                vec = comb(vec, 1, piv, -(a // b))
+                track = comb(track, 1, tracks[lead], -(a // b))
+            else:
+                # new pivot = x*piv + y*vec, new vec = -(a/g)*piv + (b/g)*vec (det 1)
+                g, x, y = ext_gcd(b, a)
+                pivots[lead] = comb(piv, x, vec, y)
+                vec = comb(piv, -(a // g), vec, b // g)
+                old = tracks[lead]
+                tracks[lead] = comb(old, x, track, y)
+                track = comb(old, -(a // g), track, b // g)
+        else:
+            out.append(track)
+    return out
+
+
+def sparse_rank(vectors):
+    """Test-local oracle: the rank of the vectors by `IntEchelon` alone."""
+    ech = IntEchelon()
+    for v in vectors:
+        ech.add(v)
+    return ech.rank
+
+
 def to_sparse(M):
     m = len(M)
     n = len(M[0]) if M else 0
@@ -127,6 +181,7 @@ SMITH_CASES = [
 def test_smith_against_dense_oracle():
     for M in SMITH_CASES:
         assert smith_rank_and_divisors(to_sparse(M)) == dense_snf(M), M
+        assert exact_rank(to_sparse(M)) == dense_snf(M)[0], M
     random.seed(42)
     for _ in range(250):
         m = random.randrange(1, 6)
@@ -168,6 +223,7 @@ def test_smith_and_kernel_properties(M):
     sp = to_sparse(M)
     rank, divisors = smith_rank_and_divisors(sp)
     assert (rank, divisors) == dense_snf(M)
+    assert exact_rank(sp) == sparse_rank(sp.cols) == rank
     # minors of these matrices are far below MOD_P, so no rank is lost mod p
     ech = ModPEchelon()
     assert sum(ech.add(col) for col in sp.cols) == ech.rank == rank
@@ -177,6 +233,23 @@ def test_smith_and_kernel_properties(M):
     assert all(not sp.apply(vec) for vec in kb)
     # the basis spans the saturated kernel, not a finite-index sublattice
     assert smith_rank_and_divisors(SparseCols(len(M[0]), kb)) == (k, [1] * k)
+
+
+def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built):
+    # Gamma((2)) on the top chains of T3(Z/4): the boundaries of the orbit
+    # sums are all +-2, so the unit-pivot pass finds nothing and the whole
+    # rank comes from the echelon pass over the residual
+    cx = built.complex("Z/4", 3)
+    d = built.chain("Z/4", 3).boundaries[1]
+    perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [2])]
+    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(d.ncols, perms)]
+    mat = SparseCols(d.nrows, [d.apply(s) for s in sums])
+    assert {abs(v) for col in mat.cols for v in col.values()} == {2}
+    assert _unit_pivots(mat.cols) == (0, mat.cols)
+    dense = [[col.get(i, 0) for col in mat.cols] for i in range(mat.nrows)]
+    assert exact_rank(mat) == dense_snf(dense)[0] == 13
+    # 21 orbits less rank 13: the rank of St_3(Z/2)
+    assert fixed_subspace_dim(built.chain("Z/4", 3), 1, perms) == len(sums) - 13 == 8
 
 
 def test_chain_complex_structure(built):
@@ -389,6 +462,19 @@ def test_induced_top_map_reduction(built):
     itm3 = induced_top_map(red3, built.chain("Z/4", 3), chain_complex(red3.dst))
     assert itm3.rank == 8
     assert itm3.kernel_rank == 113 - 8
+
+
+@pytest.mark.parametrize("label,n,ideal,want", [
+    ("Z/8", 3, 2, (8, 1121, 8)),
+    ("Z/9", 3, 3, (27, 1171, 27)),
+    ("Z/4", 4, 2, (64, 10879, 64)),
+])
+def test_induced_top_map_onto_the_quotient_ring(built, label, n, ideal, want):
+    # R -> R/I is onto St_n(R/I): rank St_n(R/I) = rank of the induced map
+    red = reduction_map(built.complex(label, n), [ideal])
+    itm = induced_top_map(red, built.chain(label, n), chain_complex(red.dst))
+    assert (itm.rank, itm.src_cycle_rank, itm.dst_cycle_rank) == want
+    assert itm.rank == steinberg_rank(RingSpec.modular(ideal), n)
 
 
 def test_fixed_subspace_trivial_group(built):
