@@ -215,7 +215,7 @@ def cmd_orbits(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verify
 
-    only = [x for x in args.only.split(",") if x] if args.only else None
+    only = None if args.only is None else [x for x in args.only.split(",") if x]
     report = run_verify(args.tier, args.budget, only=only)
     if args.format == "json":
         _emit(args, _json_text(report))

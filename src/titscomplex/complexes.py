@@ -166,11 +166,7 @@ class TitsComplex:
             "max_rank": self.max_rank,
             "f_vector": self.f_vector,
             "included_not_cofree": self.included_not_cofree,
-            "vertices": [
-                {"rank": s.rank, "basis": [list(_jsonable(p) for p in self.ring.vec_payloads(v))
-                                            for v in s.preferred_basis]}
-                for s in self.vertices
-            ],
+            "vertices": [{"rank": s.rank, "basis": s.payload_basis()} for s in self.vertices],
             "simplices": {str(d): [list(t) for t in level] for d, level in enumerate(self.simplices)},
         }
 
@@ -179,12 +175,6 @@ class TitsComplex:
             f"TitsComplex({self.ring.spec.label}, n={self.n}, max_rank={self.max_rank}, "
             f"f={self.f_vector})"
         )
-
-
-def _jsonable(payload):
-    if isinstance(payload, tuple):
-        return [_jsonable(x) for x in payload]
-    return payload
 
 
 def _trim(levels):

@@ -569,24 +569,29 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
 
 def permutation_orbits(size: int, perms) -> list[list[int]]:
     """Orbits of {0, ..., size-1} under the group the permutations generate,
-    each in increasing order, listed by least element (union-find closure)."""
-    parent = list(range(size))
+    each in increasing order, listed by least element.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for x, y in enumerate(perm):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    orbits: dict[int, list[int]] = {}
-    for x in range(size):
-        orbits.setdefault(find(x), []).append(x)
-    return list(orbits.values())
+    One breadth-first sweep: every point not yet seen, in increasing order,
+    starts an orbit, which grows by the images of its points under each
+    generator.  The forward closure is the whole orbit, because the inverse
+    of a permutation of a finite set is one of its powers."""
+    perms = list(perms)
+    seen = bytearray(size)
+    orbits = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the list grows while it is walked
+            for perm in perms:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit.sort()
+        orbits.append(orbit)
+    return orbits
 
 
 def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:

@@ -123,19 +123,9 @@ class Mat:
     def mul_mat(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        ocols = list(zip(*other.rows))
-        rows = []
-        for row in self.rows:
-            out = []
-            for col in ocols:
-                acc = ring.zero
-                for a, x in zip(row, col):
-                    acc = add[acc][mul[a][x]]
-                out.append(acc)
-            rows.append(out)
-        return Mat(ring, rows)
+        cols = [self.apply(c) for c in zip(*other.rows)]
+        # with no columns the product keeps one empty row per row of self
+        return Mat(self.ring, zip(*cols) if cols else [()] * self.nrows)
 
     def det(self) -> int:
         """Determinant as an element index (subset DP over columns, n <= 8)."""
@@ -169,9 +159,7 @@ def elementary_matrix(ring: Ring, n: int, i: int, j: int, a: int) -> Mat:
 
 
 def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
-    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
-    rows[pos][pos] = u
-    return Mat(ring, rows)
+    return elementary_matrix(ring, n, pos, pos, u)
 
 
 def gl_generators(ring: Ring, n: int) -> list[Mat]:
@@ -355,8 +343,17 @@ class Summand:
 
 
 def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Summand | None:
-    """Summand spanned by the vectors when they are a basis of a free,
-    cofree submodule of R^n; None otherwise."""
+    """Summand spanned by the vectors when they are a free basis of their
+    span in R^n; None otherwise.
+
+    Every such span is cofree, so no quotient is counted.  Z/m,
+    F_p[x]/(x^k) and their finite products are quasi-Frobenius rings, and
+    over a quasi-Frobenius ring a free module is injective: a free
+    submodule F of rank k splits off, R^n = F + C.  The complement C is
+    projective, so free over each local factor R_j, where it has
+    |R_j|^(n-k) elements; hence C is free of rank n - k.  (A free span of
+    rank k has |R|^k <= |R|^n members, so k <= n.)
+    """
     if not vectors:
         raise ValueError("span_summand needs at least one vector")
     n = len(vectors[0])
@@ -365,12 +362,7 @@ def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Su
     members = span_if_free(ring, vectors, budget)
     if members is None:
         return None
-    k = len(vectors)
-    if k > n:
-        return None
-    if quotient_free_rank_members(ring, n, None, members, budget) != n - k:
-        return None
-    return Summand(ring, n, k, members, vectors)
+    return Summand(ring, n, len(vectors), members, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,7 @@ def check_budget(estimate, budget, what=""):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

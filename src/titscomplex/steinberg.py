@@ -100,16 +100,7 @@ class SteinbergChain:
         return not self.coeffs
 
     def boundary_is_zero(self, cc: ChainComplex) -> bool:
-        top = self.cx.dim
-        acc: dict[int, int] = {}
-        for k, v in self.coeffs.items():
-            for r, w in cc.boundaries[top].cols[k].items():
-                nv = acc.get(r, 0) + v * w
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
-        return not acc
+        return not cc.boundaries[self.cx.dim].apply(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, SteinbergChain) and self.cx is other.cx and self.coeffs == other.coeffs
@@ -369,16 +360,16 @@ def apartment_span_rank(
     saturates or the budget is spent first, the classes used are recounted
     exactly by `exact_rank`: a mod-p rank is never reported.
 
-    The mod-p echelon sees each class only on the top cells that survive
-    `coreduce`, and the rank after every class is the one the full classes
-    give.  Restriction to the survivors maps the top cycle lattice
-    isomorphically over Z onto the top cycle lattice of the coreduced
-    complex (proof in `coreduce`).  Both lattices are saturated, so a basis
-    of either stays independent mod p and the isomorphism stays invertible
-    mod p: any top cycles, apartment classes among them, have the same
-    rank mod p as their restrictions.  The stopping point and
-    `apartments_used` are therefore unchanged, and the exact recount still
-    takes the full classes.
+    Each class is kept only on the top cells that survive `coreduce`, and
+    both the mod-p echelon and the exact recount read these restrictions;
+    the rank after every class is the one the full classes give.
+    Restriction to the survivors maps the top cycle lattice isomorphically
+    over Z onto the top cycle lattice of the coreduced complex (proof in
+    `coreduce`), so any top cycles, apartment classes among them, have the
+    same rank over Q as their restrictions.  Both lattices are saturated,
+    so a basis of either stays independent mod p and the isomorphism stays
+    invertible mod p: the ranks mod p agree too.  The stopping point and
+    `apartments_used` are therefore unchanged.
     """
     _require_full(cx)
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -396,13 +387,13 @@ def apartment_span_rank(
         kept[k] = 1
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
-    used: list[dict] = []  # the classes added, in order
+    used: list[dict] = []  # the classes added, in order, restricted to `kept`
 
     def add(frame, cols) -> bool:
         """Add the class of one frame; True once the rank has reached top_betti."""
         coeffs = _class_coeffs(cx, frame, cols)
-        used.append(coeffs)
-        ech.add({k: v for k, v in coeffs.items() if kept[k]})
+        used.append({k: v for k, v in coeffs.items() if kept[k]})
+        ech.add(used[-1])
         return ech.rank == top_betti
 
     def result(saturated: bool) -> SpanRankResult:
@@ -464,9 +455,14 @@ def p1_orbit_and_commutant(
     """(orbit count of the diagonal action on pairs of lines in R^2,
     dimension of the commutant of the line permutation action).
 
-    The two numbers are computed by genuinely different routes (union-find
-    closure vs. the nullity of the commutation linear system) and agree by
-    the double-coset description of the endomorphism algebra.
+    Both numbers count the connected components of one graph, whose nodes
+    are the pairs of lines and whose edges join each pair to its images
+    under the generators: the orbit count by the `permutation_orbits`
+    sweep, and the commutant dimension as the nullity of the system
+    X[a] = X[g a], one equation per edge, which is the rank defect of the
+    graph's incidence matrix.  Their agreement therefore checks the orbit
+    sweep against an exact rank, not the double-coset description of the
+    endomorphism algebra.
     """
     cx = build_tits_complex(spec_or_ring, 2, budget)  # its vertices are the lines
     ring = cx.ring

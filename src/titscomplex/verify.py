@@ -7,6 +7,8 @@ budget report SKIPPED rather than silently passing.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .rings import BudgetExceeded, DEFAULT_BUDGET, RingSpec, make_ring, parse_ring_spec, quotient_spec
 from .linalg import congruence_generators, gl_generators, quotient_free_rank_members
 from .grassmann import (
@@ -114,10 +116,7 @@ def _check_gaussian_identities(ctx):
                     return False, f"alternating identity fails at n={n}, q={q}: {s}"
     return True, "symmetry and alternating identity hold for q <= 9, n <= 6"
 
-GRASS_FAST = [("Z/4", 2), ("F2", 3), ("F2[e]^2", 2), ("Z/2xZ/3", 2)]
-GRASS_FULL = [("Z/4", 3), ("Z/6", 3), ("F2", 4), ("F3", 4), ("F2[e]^2", 3), ("Z/2xZ/3", 3)]
-
-def _grass_oracle(ctx, cases):
+def _check_grass(ctx, cases):
     checked = 0
     for label, nmax in cases:
         spec = parse_ring_spec(label)
@@ -133,39 +132,15 @@ def _grass_oracle(ctx, cases):
                 checked += 1
     return True, f"{checked} Grassmannians agree with the closed formula"
 
-def _check_grass_fast(ctx):
-    return _grass_oracle(ctx, GRASS_FAST)
-
-def _check_grass_full(ctx):
-    return _grass_oracle(ctx, GRASS_FULL)
-
-def _ut_identity(ctx, label, n):
-    cx = ctx.complex(label, n)
-    M = ut_apartment_pairing(cx, ctx.budget)
-    size = len(M)
-    for i in range(size):
-        for j in range(size):
-            want_diag = i == j
-            v = M[i][j]
-            if want_diag and v not in (1, -1):
-                return False, f"({label}, n={n}): diagonal entry {v} at {i}"
-            if not want_diag and v != 0:
-                return False, f"({label}, n={n}): off-diagonal entry {v} at ({i},{j})"
-    return True, f"({label}, n={n}): {size}x{size} pairing is diagonal +-1"
-
-def _check_ut_fast(ctx):
-    for label, n in [("Z/4", 2), ("F2", 2), ("F2", 3)]:
-        ok, detail = _ut_identity(ctx, label, n)
-        if not ok:
-            return ok, detail
-    return True, "upper-triangular pairings diagonal for (Z/4,2), (F2,2), (F2,3)"
-
-def _check_ut_full(ctx):
-    for label, n in [("Z/9", 2), ("Z/4", 3)]:
-        ok, detail = _ut_identity(ctx, label, n)
-        if not ok:
-            return ok, detail
-    return True, "upper-triangular pairings diagonal for (Z/9,2), (Z/4,3)"
+def _check_ut(ctx, cases):
+    for label, n in cases:
+        for i, row in enumerate(ut_apartment_pairing(ctx.complex(label, n), ctx.budget)):
+            for j, v in enumerate(row):
+                if i == j and v not in (1, -1):
+                    return False, f"({label}, n={n}): diagonal entry {v} at {i}"
+                if i != j and v != 0:
+                    return False, f"({label}, n={n}): off-diagonal entry {v} at ({i},{j})"
+    return True, "upper-triangular pairings diagonal for " + ", ".join(f"({label},{n})" for label, n in cases)
 
 def _eta_case(ctx, label, n, m_payload):
     cx = ctx.complex(label, n)
@@ -259,18 +234,9 @@ def _check_reducibility(ctx):
     ok = itm.rank == 2 and itm.kernel_rank > 0 and itm.kernel_rank < itm.src_cycle_rank
     return ok, f"induced rank {itm.rank}, kernel rank {itm.kernel_rank} of {itm.src_cycle_rank}"
 
-def _check_orbits_fast(ctx):
+def _check_orbits(ctx, cases):
     details = []
-    for label, k in [("Z/4", 2), ("F5", 1)]:
-        got = p1_orbit_and_commutant(parse_ring_spec(label), ctx.budget)
-        details.append(f"{label}: {got}")
-        if got != (k + 1, k + 1):
-            return False, "; ".join(details) + f" (expected {(k+1, k+1)})"
-    return True, "; ".join(details)
-
-def _check_orbits_full(ctx):
-    details = []
-    for label, k in [("Z/8", 3), ("Z/9", 2)]:
+    for label, k in cases:
         got = p1_orbit_and_commutant(parse_ring_spec(label), ctx.budget)
         details.append(f"{label}: {got}")
         if got != (k + 1, k + 1):
@@ -435,23 +401,23 @@ CHECKS = [
     ("field-formula", "fast", "rank recursion equals q^(n choose 2) over prime fields", _check_field_formula),
     ("trunc-poly-match", "fast", "Z/4 and F2[e]^2 rank columns coincide", _check_trunc_poly_match),
     ("gaussian-identities", "fast", "Gaussian binomial symmetry and alternating identity", _check_gaussian_identities),
-    ("grassmann-oracle", "fast", "Grassmannian enumeration equals the size formula (small)", _check_grass_fast),
-    ("ut-pairing", "fast", "upper-triangular apartment pairing is diagonal +-1 (small)", _check_ut_fast),
+    ("grassmann-oracle", "fast", "Grassmannian enumeration equals the size formula (small)", partial(_check_grass, cases=[("Z/4", 2), ("F2", 3), ("F2[e]^2", 2), ("Z/2xZ/3", 2)])),
+    ("ut-pairing", "fast", "upper-triangular apartment pairing is diagonal +-1 (small)", partial(_check_ut, cases=[("Z/4", 2), ("F2", 2), ("F2", 3)])),
     ("eta-witness", "fast", "eta class nonzero and killed by UT chamber maps (small)", _check_eta_fast),
     ("homology-n2", "fast", "degree-0 homology of the n=2 complexes", _check_homology_n2),
     ("reducibility-witness", "fast", "induced map to the residue field has a proper nonzero kernel", _check_reducibility),
-    ("orbit-commutant", "fast", "line-pair orbit count equals commutant dimension (small)", _check_orbits_fast),
+    ("orbit-commutant", "fast", "line-pair orbit count equals commutant dimension (small)", partial(_check_orbits, cases=[("Z/4", 2), ("F5", 1)])),
     ("boundary-composition", "fast", "composed boundaries vanish", _check_boundary_composition),
-    ("grassmann-oracle-full", "full", "Grassmannian enumeration equals the size formula (full sweep)", _check_grass_full),
+    ("grassmann-oracle-full", "full", "Grassmannian enumeration equals the size formula (full sweep)", partial(_check_grass, cases=[("Z/4", 3), ("Z/6", 3), ("F2", 4), ("F3", 4), ("F2[e]^2", 3), ("Z/2xZ/3", 3)])),
     ("homology-n3", "full", "brute-force homology of T3(Z/4) and T3(Z/6) matches the recursion", _check_homology_n3),
     ("homology-t4f2", "full", "T4(F2) homology is concentrated in the top degree", _check_homology_t4f2),
     ("homotopy-equivalence", "full", "T3(Z/4) and T3(F2[e]^2) have equal homology", _check_homotopy_equivalence),
     ("filtration-identity", "full", "graph homology of T_(4,2)(Z/4) equals the recursion-side count", _check_filtration_identity),
-    ("ut-pairing-full", "full", "upper-triangular apartment pairing is diagonal +-1 (large)", _check_ut_full),
+    ("ut-pairing-full", "full", "upper-triangular apartment pairing is diagonal +-1 (large)", partial(_check_ut, cases=[("Z/9", 2), ("Z/4", 3)])),
     ("eta-witness-full", "full", "eta class nonzero and killed by UT chamber maps (large)", _check_eta_full),
     ("apartment-span", "full", "apartment classes span the full top homology", _check_apartment_span),
     ("invariants-dims", "full", "congruence-invariant dimensions equal downstairs ranks", _check_invariants_dims),
-    ("orbit-commutant-full", "full", "line-pair orbit count equals commutant dimension (large)", _check_orbits_full),
+    ("orbit-commutant-full", "full", "line-pair orbit count equals commutant dimension (large)", partial(_check_orbits, cases=[("Z/8", 3), ("Z/9", 2)])),
     ("structure-purity-euler", "full", "purity, cofree diagnostics and Euler identities", _check_purity_and_euler),
     ("structure-nerve", "full", "double construction of T3(Z/4) agrees", _check_nerve_consistency),
     ("structure-action", "full", "group action axioms and stratum transitivity", _check_action_axioms),
@@ -465,10 +431,14 @@ def run_verify(
     budget: int | None = DEFAULT_BUDGET,
     only=None,
 ) -> dict:
-    """Run the named checks of a tier; returns the machine-readable report."""
+    """Run the named checks of a tier; returns the machine-readable report.
+
+    `only` None runs the whole tier; an empty list of ids is an error."""
     if tier not in ("fast", "full"):
         raise ValueError(f"unknown tier {tier!r}")
-    wanted = set(only) if only else None
+    wanted = None if only is None else set(only)
+    if wanted == set():
+        raise ValueError("no check id given")
     tiers = {cid: ctier for cid, ctier, *_ in CHECKS}
     unknown = sorted((wanted or set()) - set(tiers))
     if unknown:

@@ -282,6 +282,15 @@ def test_verify_rejects_unknown_check_ids(capsys):
         assert "nosuch" in err and "table1" not in err
 
 
+def test_verify_rejects_an_empty_id_list(capsys):
+    for only in (",", "", ",,"):
+        code, out, err = run(capsys, "verify", "--tier", "full", "--only", only)
+        assert code == 2 and out == ""
+        assert err == "error: no check id given\n"
+    with pytest.raises(ValueError, match="no check id given"):
+        run_verify("full", only=[])
+
+
 def test_verify_rejects_check_ids_outside_the_tier(capsys):
     for only in ("homology-n3", "table1,homology-n3,invariants-dims"):
         code, out, err = run(capsys, "verify", "--tier", "fast", "--only", only)
@@ -399,10 +408,13 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("flags --ring F2[e]^2 --n 3 --type 1,2 --list", "8f979e90a36be53bb468e19eff359af62462306d1d8cdcf6e9987dd7e8a137e4"),
     ("flags --ring Z/6 --n 3 --type 2,1 --list", "71a1b457850eeb420f31244adb0649367bc98415bb213afc8a1e4e68393308b6"),
     ("grass --ring Z/4 --n 3 --enumerate --list", "55f60ef813b3c0cbdc4ca85d9dde5f2f0eb32dd1701b1aee36f696432684ba63"),
+    ("verify --tier fast", "23826842f5d1eb6b86bc7f64bc1ace3629e897b1c633d499cd27b9210ec86065"),
+    ("verify --tier full", "7a3c21ea29efda867aaac021b807318620b681c0eefc431842bd4f15abad8e20"),
+    ("orbits --ring Z/8", "3d225c457c56187cc3d25ce55c37346dd47b7c8ba6907ead43d4f5c40b08f21f"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     """Vertex order and every exported byte stay the same across changes
-    to how the complexes are enumerated."""
+    to how the complexes are enumerated and the checks are computed."""
     code, out, err = run(capsys, *argv.split(), "--format", "json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

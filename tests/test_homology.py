@@ -600,3 +600,41 @@ def test_homology_result_serialization(built):
     assert doc["schema_version"] == 1
     assert doc["homology"][0]["betti"] == 5
     assert HomologyResult([5], [[]], [6]) == hom
+
+
+def union_find_orbits(size, perms):
+    """Test-local oracle: orbits by union-find, merged to the least root."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for x, y in enumerate(perm):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    orbits = {}
+    for x in range(size):
+        orbits.setdefault(find(x), []).append(x)
+    return list(orbits.values())
+
+
+def test_permutation_orbits_match_union_find():
+    rng = random.Random(18)
+    for _ in range(300):
+        size = rng.randrange(0, 40)
+        perms = []
+        for _ in range(rng.randrange(0, 4)):
+            # a random permutation of a third of the points, so orbits stay small
+            perm = list(range(size))
+            moved = rng.sample(range(size), size // 3)
+            images = moved[:]
+            rng.shuffle(images)
+            for a, b in zip(moved, images):
+                perm[a] = b
+            perms.append(perm)
+        assert permutation_orbits(size, iter(perms)) == union_find_orbits(size, perms)

@@ -152,6 +152,26 @@ def test_preferred_basis_is_canonical():
     assert [r4.vec_payloads(v) for v in a.preferred_basis] == [(1, 0)]
 
 
+def test_every_free_span_is_cofree():
+    """span_summand counts no quotient, on the theorem in its docstring:
+    over these quasi-Frobenius rings a free span of rank k in R^n has a
+    free quotient of rank n - k.  The coset oracle checks it on every free
+    span of rank < n that combinations of nonzero vectors give."""
+    cases = [("Z/4", 3), ("Z/6", 2), ("Z/8", 2), ("Z/9", 2), ("F2[e]^2", 2), ("Z/2xZ/2", 2)]
+    spans = 0
+    for label, n in cases:
+        ring = make_ring(parse_ring_spec(label))
+        nonzero = [v for v in all_vectors(ring, n) if v != zero_vector(ring, n)]
+        for k in range(1, n):
+            for combo in itertools.combinations(nonzero, k):
+                members = span_if_free(ring, combo)
+                if members is not None:
+                    spans += 1
+                    assert quotient_free_rank_members(ring, n, None, members) == n - k
+                    assert span_summand(ring, list(combo)).members == members
+    assert spans == 1565
+
+
 def test_span_reproduces_fingerprint():
     ring = make_ring(parse_ring_spec("Z/6"))
     from titscomplex import enumerate_grassmannian
