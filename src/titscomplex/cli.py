@@ -105,7 +105,11 @@ def cmd_grass(args) -> int:
 
 def cmd_flags(args) -> int:
     spec = parse_ring_spec(args.ring)
-    lam = flag_type([int(x) for x in args.type.split(",")], args.n)
+    try:
+        parts = [int(x) for x in args.type.split(",")]
+    except ValueError:
+        raise ValueError(f"--type must be comma-separated integers, got {args.type!r}") from None
+    lam = flag_type(parts, args.n)
     doc = {"schema_version": 1, "ring": spec.label, "n": args.n, "type": list(lam)}
     if args.list:
         flags = enumerate_good_flags(spec, args.n, lam, args.budget)

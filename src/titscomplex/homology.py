@@ -11,8 +11,8 @@ Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, at a +-1
 incidence, with that face) from the augmented complex; restriction to its
 survivors is an isomorphism of top cycle lattices over Z, which gives
-apartment classes short exact coordinates.  `reduced_homology` reduces
-every boundary by Smith.
+apartment classes short exact coordinates and the apartment span its
+bound.  `reduced_homology` reduces every boundary by Smith.
 No floating point and no fractions.  The one modular computation,
 `ModPEchelon`, is a lower bound on a rank over Q; it certifies an exact
 rank only when it meets a proven upper bound, and is never reported alone.
@@ -36,13 +36,6 @@ class SparseCols:
     @property
     def ncols(self) -> int:
         return len(self.cols)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
-    def compose(self, other: "SparseCols") -> "SparseCols":
-        """self @ other (apply other first)."""
-        return SparseCols(self.nrows, [self.apply(col) for col in other.cols])
 
     def apply(self, vec: dict) -> dict:
         acc: dict[int, int] = {}
@@ -72,10 +65,8 @@ class ChainComplex:
         return len(self.f) - 1
 
     def dd_is_zero(self) -> bool:
-        for d in range(1, len(self.boundaries)):
-            if not self.boundaries[d - 1].compose(self.boundaries[d]).is_zero():
-                return False
-        return True
+        bs = self.boundaries
+        return not any(any(map(d_prev.apply, d.cols)) for d_prev, d in zip(bs, bs[1:]))
 
 
 def chain_complex(cx) -> ChainComplex:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from math import comb
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget
 from .linalg import Mat, gl_generators, subset_minors
@@ -24,7 +25,7 @@ from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
     ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, exact_rank,
-    permutation_orbits, reduced_homology,
+    permutation_orbits,
 )
 
 
@@ -317,6 +318,38 @@ def _invertible_frames(cx: TitsComplex, lines):
                 yield frame + [lines[k]], cols + [w]
 
 
+def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
+    """(lines, columns) of the frames of sampled mode: the identity frame
+    and seeded random sets of `lines` whose columns `Mat.det` finds
+    invertible, then rounds of their images under the generators of
+    GL_n(R), each frame once, each round sorted by its lines.  They end
+    after the first orbit round that leaves `ech.rank` where it was; the
+    seed round is never tested this way.
+    """
+    ring, n = cx.ring, cx.n
+    rng = random.Random(seed)
+    perms = [cx.vertex_permutation(g) for g in gl_generators(ring, n)]
+    ident = Mat.identity(ring, n)
+    candidates = [frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(n))]
+    candidates += [frozenset(rng.sample(lines, n)) for _ in range(n * 4)]
+    frontier = [
+        f for f in dict.fromkeys(candidates)
+        if Mat.from_columns(ring, _frame_columns(cx, f)).is_invertible()
+    ]
+    seen = set(frontier)
+    rank = None
+    while True:
+        for f in frontier:
+            frame = sorted(f)
+            yield frame, _frame_columns(cx, frame)
+        if ech.rank == rank:
+            return
+        rank = ech.rank
+        # images of frames older than the frontier are seen already
+        frontier = sorted({frozenset(p[i] for i in f) for f in frontier for p in perms} - seen, key=sorted)
+        seen.update(frontier)
+
+
 EXHAUSTIVE_GL_LIMIT = 10**5
 
 
@@ -333,43 +366,45 @@ def apartment_span_rank(
     and reorderings change the class by at most a sign, so frames exhaust
     all apartment classes up to sign).
 
-    exhaustive mode scans every frame; sampled mode grows an orbit closure
-    from the identity frame plus seeded random frames and declares
-    saturation when a full sweep of the group generators adds no rank.
-    Sampled mode computes at most `budget` classes and reports a run cut
-    short by it as unsaturated.
+    exhaustive mode scans every frame (`_invertible_frames`); sampled mode
+    grows an orbit closure from the identity frame plus seeded random
+    frames and declares saturation when a full sweep of the group
+    generators adds no rank (`_orbit_frames`).  Both modes compute at most
+    `budget` classes, and a run cut short by it is reported as unsaturated;
+    exhaustive mode never is, since its frame count passed the same budget.
 
     Each candidate is tested once.  Exhaustive mode tests a set of lines by
-    the cofactors of its (n-1)-prefix (`_invertible_frames`).  Sampled mode
-    tests only its seed candidates, with `Mat.det`; every later frame is
-    the image p_g(F) of a frame F = {L_1, ..., L_n} already known to be
-    one, under a generator g of GL_n(R), and needs no test: if v_i is the
-    canonical generator of L_i, then g v_i generates the free line g L_i,
-    so its canonical generator is w_i = u_i g v_i for a unit u_i (two
-    generators of a free rank-1 module differ by a unit), and
+    the cofactors of its (n-1)-prefix.  Sampled mode tests only its seed
+    candidates, with `Mat.det`; every later frame is the image p_g(F) of a
+    frame F = {L_1, ..., L_n} already known to be one, under a generator g
+    of GL_n(R), and needs no test: if v_i is the canonical generator of
+    L_i, then g v_i generates the free line g L_i, so its canonical
+    generator is w_i = u_i g v_i for a unit u_i (two generators of a free
+    rank-1 module differ by a unit), and
     det(w_1 | ... | w_n) = +-det(g) u_1 ... u_n det(v_1 | ... | v_n) is a
     unit, the sign coming from putting the lines in vertex order.
 
-    The bound is the top reduced Betti number of `cx`, computed here by
-    exact homology and returned as `top_betti`.  Apartment classes are top
-    cycles and top homology is the top cycle lattice, so the span rank is
-    at most top_betti, and both modes stop at the first apartment that
-    brings the rank to it.  The classes are reduced mod a large prime
-    (`ModPEchelon`), whose rank is at most the rank over Q, so a mod-p rank
-    equal to top_betti is exact.  If the frames run out, the sampled rule
-    saturates or the budget is spent first, the classes used are recounted
-    exactly by `exact_rank`: a mod-p rank is never reported.
+    Everything is read on the cells that survive `coreduce`.  Restriction
+    to the survivors maps the top cycle lattice isomorphically over Z onto
+    the top cycle lattice of the coreduced complex (proof in `coreduce`),
+    whose boundaries are the restrictions of the original ones.  Top
+    homology is the top cycle lattice, so the bound `top_betti`, the top
+    reduced Betti number of `cx`, is the number of surviving top cells less
+    the exact rank of the top boundary restricted to the surviving faces.
+    At n = 2 the only face is the empty simplex, which never survives.
 
-    Each class is kept only on the top cells that survive `coreduce`, and
-    both the mod-p echelon and the exact recount read these restrictions;
-    the rank after every class is the one the full classes give.
-    Restriction to the survivors maps the top cycle lattice isomorphically
-    over Z onto the top cycle lattice of the coreduced complex (proof in
-    `coreduce`), so any top cycles, apartment classes among them, have the
-    same rank over Q as their restrictions.  Both lattices are saturated,
-    so a basis of either stays independent mod p and the isomorphism stays
-    invertible mod p: the ranks mod p agree too.  The stopping point and
-    `apartments_used` are therefore unchanged.
+    Apartment classes are top cycles, so the span rank is at most
+    top_betti, and both modes stop at the first apartment that brings the
+    rank to it.  Each class is kept only on the surviving top cells, where
+    it has the same rank over Q as the full classes.  The restrictions are
+    reduced mod a large prime (`ModPEchelon`), whose rank is at most the
+    rank over Q, so a mod-p rank equal to top_betti is exact.  Both cycle
+    lattices are saturated, so a basis of either stays independent mod p
+    and the isomorphism stays invertible mod p: the ranks mod p after every
+    class are the ones the full classes give, and so are the stopping point
+    and `apartments_used`.  If the frames run out, the sampled rule
+    saturates or the budget is spent first, the restrictions used are
+    recounted exactly by `exact_rank`: a mod-p rank is never reported.
     """
     _require_full(cx)
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -381,68 +416,35 @@ def apartment_span_rank(
             else "sampled"
         )
     cc = chain_complex(cx)
-    top_betti = reduced_homology(cc).betti[-1]
-    kept = bytearray(len(cx.facets()))  # the top cells that survive coreduction
-    for k in coreduce(cc)[-1]:
+    *_, faces, top = [[]] + coreduce(cc)  # the empty simplex never survives
+    d, live = cc.boundaries[-1], set(faces)
+    top_betti = len(top) - exact_rank(
+        SparseCols(d.nrows, [{r: v for r, v in d.cols[k].items() if r in live} for k in top])
+    )
+    kept = bytearray(d.ncols)  # the surviving top cells
+    for k in top:
         kept[k] = 1
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
-    used: list[dict] = []  # the classes added, in order, restricted to `kept`
-
-    def add(frame, cols) -> bool:
-        """Add the class of one frame; True once the rank has reached top_betti."""
-        coeffs = _class_coeffs(cx, frame, cols)
-        used.append({k: v for k, v in coeffs.items() if kept[k]})
-        ech.add(used[-1])
-        return ech.rank == top_betti
-
-    def result(saturated: bool) -> SpanRankResult:
-        rank = ech.rank
-        if rank != top_betti:
-            rank = exact_rank(SparseCols(len(cx.facets()), used))
-        return SpanRankResult(rank, mode, saturated, len(used), top_betti)
-
     if mode == "exhaustive":
-        from math import comb
-
         check_budget(comb(len(lines), cx.n), budget, "apartment frames")
-        for frame, cols in _invertible_frames(cx, lines):
-            if add(frame, cols):
-                break
-        return result(True)
-
-    # sampled: orbit closure with a rank-saturation stopping rule
-    def sweep(frames) -> SpanRankResult | None:
-        """Add the classes of frames; a result when the run ends inside."""
-        for frame in frames:
-            if budget is not None and len(used) >= budget:
-                return result(False)
-            frame = sorted(frame)
-            if add(frame, _frame_columns(cx, frame)):
-                return result(True)
-        return None
-
-    rng = random.Random(seed)
-    perms = [cx.vertex_permutation(g) for g in gl_generators(cx.ring, cx.n)]
-    ident = Mat.identity(cx.ring, cx.n)
-    candidates = [frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(cx.n))]
-    candidates += [frozenset(rng.sample(lines, cx.n)) for _ in range(cx.n * 4)]
-    frontier = [
-        f for f in dict.fromkeys(candidates)
-        if Mat.from_columns(cx.ring, _frame_columns(cx, f)).is_invertible()
-    ]
-    done = sweep(frontier)
-    frames = set(frontier)
-    while done is None:
-        before = ech.rank
-        # images of frames older than the frontier are in `frames` already
-        new_frames = {frozenset(p[i] for i in f) for f in frontier for p in perms} - frames
-        frontier = sorted(new_frames, key=sorted)
-        done = sweep(frontier)
-        frames |= new_frames
-        if done is None and ech.rank == before:
-            done = result(True)
-    return done
+        frames = _invertible_frames(cx, lines)
+    else:
+        frames = _orbit_frames(cx, lines, seed, ech)
+    used: list[dict] = []  # the classes added, in order, restricted to `kept`
+    saturated = True
+    for frame, cols in frames:
+        if budget is not None and len(used) >= budget:
+            saturated = False
+            break
+        used.append({k: v for k, v in _class_coeffs(cx, frame, cols).items() if kept[k]})
+        ech.add(used[-1])
+        if ech.rank == top_betti:
+            break
+    rank = ech.rank
+    if rank != top_betti:
+        rank = exact_rank(SparseCols(d.ncols, used))
+    return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,9 @@ def run_verify(
         except BudgetExceeded as e:
             status = "skip"
             detail = f"budget exceeded: {e}"
+        except Exception as e:  # a check that raises has failed
+            status = "fail"
+            detail = f"{type(e).__name__}: {e}"
         if status == "pass":
             npass += 1
         elif status == "fail":

@@ -131,6 +131,13 @@ def test_flags_command(capsys):
     assert json.loads(out)["count"] == 21
 
 
+
+@pytest.mark.parametrize("value", ["1,,2", "1,x", ""])
+def test_flags_type_must_be_integers(capsys, value):
+    code, out, err = run(capsys, "flags", "--ring", "F2", "--n", "3", "--type", value)
+    assert code == 2 and out == ""
+    assert err == f"error: --type must be comma-separated integers, got {value!r}\n"
+
 def test_complex_export_deterministic(tmp_path, capsys):
     a, b, t = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.txt"
     for path, fmt in ((a, "json"), (b, "json"), (t, "text")):
@@ -265,6 +272,21 @@ def test_nerve_check_is_independent_of_the_catalog_index(monkeypatch):
     assert dropped
     assert [c["status"] for c in report["checks"]] == ["fail"]
 
+
+
+@pytest.mark.parametrize("error", [ValueError("no such element"), RuntimeError("eta collapsed to zero")])
+def test_verify_records_a_check_that_raises_as_failed(monkeypatch, capsys, error):
+    def raising(cx, m_payload):
+        raise error
+
+    monkeypatch.setattr("titscomplex.verify.eta_class", raising)
+    code, out, err = run(capsys, "verify", "--only", "eta-witness,table1", "--format", "json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert (doc["passed"], doc["failed"]) == (1, 1)
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == ["eta-witness"]
+    assert failed[0]["detail"] == f"{type(error).__name__}: {error}"
 
 def test_verify_budget_skip(capsys):
     code, out, _ = run(capsys, "verify", "--only", "homology-n2", "--budget", "10", "--format", "json")
@@ -418,3 +440,17 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split(), "--format", "json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unsaturated_apartment_span_bytes_are_pinned(capsys):
+    """The budget cuts the sampled run short and the classes used are
+    recounted exactly; the run is reported unsaturated with exit 1."""
+    argv = "apartments --ring Z/4 --n 3 --mode sampled --seed 1 --budget 500 --format json"
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert (doc["span_rank"], doc["top_betti"], doc["apartments_used"]) == (112, 113, 500)
+    assert not doc["saturated"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e23e9842b25652ef8c89478af8f6488777824f526776a057db1344fd59a16e62"
+    )

@@ -25,7 +25,7 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import complexes, steinberg
+from titscomplex import complexes, homology, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 
@@ -376,10 +376,10 @@ def test_apartment_span_needs_n_at_least_two(built):
 def test_apartments_need_the_full_complex(built, monkeypatch, label, n, m):
     cx = built.complex(label, n, m)
 
-    def no_homology(cc):
-        raise AssertionError("homology computed before the complex was checked")
+    def no_chains(cx):
+        raise AssertionError("chains built before the complex was checked")
 
-    monkeypatch.setattr(steinberg, "reduced_homology", no_homology)
+    monkeypatch.setattr(steinberg, "chain_complex", no_chains)
     named = f"n={n}, max_rank={cx.max_rank}"
     with pytest.raises(ValueError, match=named):
         apartment_class(cx, Mat.identity(cx.ring, n))
@@ -441,6 +441,30 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
         assert full.rank == restricted.rank
     assert full.rank == res.rank == res.top_betti
 
+
+
+@pytest.mark.parametrize("label,mode,rank,used", SPAN_PINS[:2])
+def test_apartment_span_runs_no_smith_reduction(built, monkeypatch, label, mode, rank, used):
+    # the bound top_betti comes from the coreduced complex, not from Smith
+    def no_smith(mat):
+        raise AssertionError("Smith reduction on the apartment path")
+
+    monkeypatch.setattr(homology, "smith_rank_and_divisors", no_smith)
+    res = apartment_span_rank(built.complex(label, 3), mode=mode, seed=0)
+    assert (res.rank, res.apartments_used, res.top_betti) == (rank, used, rank)
+
+
+@pytest.mark.parametrize("label,mode,rank,used", [
+    ("F7", "sampled", 343, 855), ("Z/2xZ/2", "exhaustive", 344, 1793),
+    ("Z/4", "exhaustive", 113, 593), ("F3", "exhaustive", 27, 27),
+])
+def test_apartment_span_without_coreduction_keeps_its_results(built, monkeypatch, label, mode, rank, used):
+    # every cell survives, so the top boundary restricted to the surviving
+    # faces is the whole top boundary and its exact rank does real work
+    monkeypatch.setattr(steinberg, "coreduce", lambda cc: [list(range(f)) for f in cc.f])
+    res = apartment_span_rank(built.complex(label, 3), seed=0)
+    assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
+    assert res.saturated and res.top_betti == rank
 
 # -- orbit and commutant ---------------------------------------------------------
 
