@@ -169,7 +169,7 @@ def cmd_homology(args) -> int:
 
 def cmd_apartments(args) -> int:
     if args.n < 2:
-        raise ValueError("apartments need n >= 2 (the complex is empty for n = 1)")
+        raise ValueError(f"apartments need n >= 2, got n={args.n}")
     cx = _build(args)
     res = apartment_span_rank(cx, mode=args.mode, seed=args.seed, budget=args.budget)
     doc = {

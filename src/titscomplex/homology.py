@@ -5,8 +5,10 @@ exact rank starts with one unit-pivot pass (`_unit_pivots`: a reduced
 echelon form whose pivots lead at +-1 entries), which splits off an
 identity block.  For the invariant factors of `smith_rank_and_divisors`
 what it leaves goes through alternating column and row echelon forms
-(Kannan-Bachem); for a rank alone (`exact_rank`) it goes through one
-lattice echelon pass.  Both use the one lattice echelon, `IntEchelon`.
+(Kannan-Bachem); for a rank alone (`exact_rank`) its columns are divided
+by their contents for a second unit-pivot pass, and what is left goes
+through one lattice echelon pass.  Both use the one lattice echelon,
+`IntEchelon`.
 Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, at a +-1
 incidence, with that face) from the augmented complex; restriction to its
@@ -14,8 +16,9 @@ survivors is an isomorphism of top cycle lattices over Z, which gives
 apartment classes short exact coordinates and the apartment span its
 bound.  `reduced_homology` reduces every boundary by Smith.
 No floating point and no fractions.  The one modular computation,
-`ModPEchelon`, is a lower bound on a rank over Q; it certifies an exact
-rank only when it meets a proven upper bound, and is never reported alone.
+`ModPEchelon` (balanced residues mod a prime), is a lower bound on a rank
+over Q; it certifies an exact rank only when it meets a proven upper
+bound, and is never reported alone.
 """
 
 from __future__ import annotations
@@ -111,12 +114,25 @@ def exact_rank(mat: SparseCols) -> int:
     """Exact rank of an integer matrix: the k unit pivots of `_unit_pivots`
     plus the rank of the residual, from one `IntEchelon` pass.  No invariant
     factor is asked for, so the residual needs no Kannan-Bachem alternation.
+
+    Before that pass each residual column is divided by the gcd of its
+    entries and the quotients go through `_unit_pivots` once more: scaling
+    a column by a nonzero rational keeps the rank over Q, and a residual
+    whose columns have a common content (the orbit-sum boundaries of
+    `fixed_subspace_dim`) becomes unit pivots that way, which keeps it off
+    the gcd steps of `IntEchelon`.  `smith_rank_and_divisors` never does
+    this, since it would change the invariant factors.
     """
     k, residual = _unit_pivots(mat.cols)
+    primitive = []
+    for vec in residual:  # nonzero columns, so every content is positive
+        g = math.gcd(*vec.values())
+        primitive.append({r: v // g for r, v in vec.items()})
+    more, residual = _unit_pivots(primitive)
     ech = IntEchelon()
     for vec in residual:
         ech.add(vec)
-    return k + ech.rank
+    return k + more + ech.rank
 
 
 def _unit_pivots(cols) -> tuple[int, list[dict]]:
@@ -315,6 +331,12 @@ def normalize_divisors(pivots) -> list[int]:
 
 
 MOD_P = (1 << 61) - 1  # a Mersenne prime
+_HALF_P = MOD_P // 2
+
+
+def _balanced(x: int) -> int:
+    """The residue of x mod MOD_P in [-_HALF_P, _HALF_P], i.e. (-p/2, p/2]."""
+    return (x + _HALF_P) % MOD_P - _HALF_P
 
 
 class ModPEchelon:
@@ -329,6 +351,14 @@ class ModPEchelon:
     unit-pivot pass `_unit_pivots` is the same scheme over the integers,
     restricted to +-1 leads; the two are kept apart so that no modulus
     enters the exact path.
+
+    Entries are balanced residues, in (-p/2, p/2]: an integer is reduced
+    mod p only when it leaves that range, so the +-1 entries of apartment
+    classes and the small sums they make are never divided, and a +-1 lead
+    is made monic by a sign, not by `pow(., -1, p)`.  Each residue has one
+    balanced representative, and an entry is dropped exactly when it is 0
+    mod p, so the pivots (as residues), their leads and the rank after
+    every vector are those of the same echelon kept in [0, p).
     """
 
     def __init__(self):
@@ -341,12 +371,18 @@ class ModPEchelon:
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; True when it increased the rank mod p."""
-        p, pivots, touching = MOD_P, self.pivots, self._touching
-        vec = {k: v % p for k, v in vec.items() if v % p}
+        lo, hi, pivots, touching = -_HALF_P, _HALF_P, self.pivots, self._touching
+        vals = vec.values()
+        if vals and (min(vals) < lo or max(vals) > hi or 0 in vals):
+            vec = {k: b for k, v in vec.items() if (b := _balanced(v))}
+        else:
+            vec = dict(vec)
         for lead in [k for k in vec if k in pivots]:
             c = vec[lead]
             for k, v in pivots[lead].items():
-                nv = (vec.get(k, 0) - c * v) % p
+                nv = vec.get(k, 0) - c * v
+                if not lo <= nv <= hi:
+                    nv = _balanced(nv)
                 if nv:
                     vec[k] = nv
                 else:
@@ -354,14 +390,22 @@ class ModPEchelon:
         if not vec:
             return False
         lead = min(vec, key=lambda k: (len(touching.get(k, ())), k))
-        inv = pow(vec[lead], -1, p)
-        new = {k: v * inv % p for k, v in vec.items()}
+        c = vec[lead]
+        if c == 1:
+            new = vec
+        elif c == -1:
+            new = {k: -v for k, v in vec.items()}
+        else:
+            inv = pow(c, -1, MOD_P)
+            new = {k: _balanced(v * inv) for k, v in vec.items()}
         # clear the new lead's column from every other pivot
         for other in touching.pop(lead, ()):
             row = pivots[other]
             c = row[lead]
             for k, v in new.items():
-                nv = (row.get(k, 0) - c * v) % p
+                nv = row.get(k, 0) - c * v
+                if not lo <= nv <= hi:
+                    nv = _balanced(nv)
                 if nv:
                     if k not in row:
                         touching.setdefault(k, set()).add(other)

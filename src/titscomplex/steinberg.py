@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from math import comb
 
@@ -125,14 +126,18 @@ def _require_full(cx: TitsComplex) -> None:
 
 @functools.cache
 def _flag_terms(n: int) -> tuple:
-    """(column masks of the proper prefixes, coefficient) per permutation
-    of n columns, in permutation order; the coefficient carries the global
-    sign of the module docstring."""
+    """(getter, coefficient) per permutation of n columns, in permutation
+    order.  The getter takes a list of vertices indexed by column bit mask
+    to the facet of the permutation's proper prefixes, as a tuple; the
+    coefficient carries the global sign of the module docstring."""
     global_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return tuple(
-        (tuple(itertools.accumulate(1 << j for j in perm[:-1])), global_sign * _perm_sign(perm))
-        for perm in itertools.permutations(range(n))
-    )
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        masks = tuple(itertools.accumulate(1 << j for j in perm[:-1]))
+        # an itemgetter of one index returns the item, not a 1-tuple
+        get = operator.itemgetter(*masks) if n > 2 else lambda seq, m=masks[0]: (seq[m],)
+        terms.append((get, global_sign * _perm_sign(perm)))
+    return tuple(terms)
 
 
 def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
@@ -144,43 +149,57 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
     cols = basis.columns()
-    return SteinbergChain(cx, _class_coeffs(cx, [cx.vertex_of_span([c]) for c in cols], cols))
+    frame = [cx.vertex_of_span([c]) for c in cols]
+    return SteinbergChain(cx, _class_coeffs(cx, frame, cols, cx.simplex_pos[n - 2], {}))
 
 
 @functools.cache
 def _span_subsets(n: int) -> tuple:
-    """(bit mask, column indices) of every subset of n columns with 2 to
-    n - 1 elements: the spans an apartment class looks up beyond its lines."""
+    """(bit mask, getter of its members, column indices) of every subset of
+    n columns with 2 to n - 1 elements: the spans an apartment class looks
+    up beyond its lines."""
     return tuple(
-        (sum(1 << j for j in subset), subset)
+        (sum(1 << j for j in subset), operator.itemgetter(*subset), subset)
         for size in range(2, n)
         for subset in itertools.combinations(range(n), size)
     )
 
 
-def _class_coeffs(cx: TitsComplex, frame, cols) -> dict[int, int]:
-    """Facet coefficients of the apartment class of the lines `frame`
-    (vertex indices) with generators `cols`, in the same order, which the
-    caller knows to form an invertible matrix."""
+def _class_coeffs(cx: TitsComplex, frame, cols, pos: dict, spans: dict) -> dict[int, int]:
+    """Coefficients of the apartment class of the lines `frame` (vertex
+    indices) with generators `cols`, in the same order, which the caller
+    knows to form an invertible matrix.
+
+    `pos` maps every facet to its coordinate.  With `cx.simplex_pos[top]`
+    this is the full class, keyed by facet position; a facet sent to a
+    negative coordinate is left out, so a map that keeps only some facets
+    builds the class restricted to them and never the full one.  A flag
+    missing from `pos` raises: it is not a facet.  `spans` memoises, per
+    tuple of the frame's lines, the vertex they span: the span of a set of
+    lines does not depend on their generators, so the lookup needs no
+    sorting of vectors, and only a first lookup goes to `vertex_of_span`.
+    """
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
     # at the subset's bit mask; a single column spans its own line
     vertex_of = [0] * (1 << n)
     for j, v in enumerate(frame):
         vertex_of[1 << j] = v
-    for mask, subset in _span_subsets(n):
-        vertex_of[mask] = cx.vertex_of_span([cols[j] for j in subset])
-    top_pos = cx.simplex_pos[n - 2]
+    for mask, members, subset in _span_subsets(n):
+        key = members(frame)
+        v = spans.get(key)
+        if v is None:
+            v = spans[key] = cx.vertex_of_span([cols[j] for j in subset])
+        vertex_of[mask] = v
     coeffs: dict[int, int] = {}
-    for masks, c in _flag_terms(n):
-        pos = top_pos.get(tuple(map(vertex_of.__getitem__, masks)))
-        if pos is None:
+    # the n! flags are distinct facets (distinct subsets of a basis span
+    # distinct summands), so no two terms meet at one coordinate
+    for facet, c in _flag_terms(n):
+        k = pos.get(facet(vertex_of))
+        if k is None:
             raise RuntimeError("apartment flag is not a facet (complex incomplete?)")
-        nv = coeffs.get(pos, 0) + c
-        if nv:
-            coeffs[pos] = nv
-        else:
-            coeffs.pop(pos, None)
+        if k >= 0:
+            coeffs[k] = c
     return coeffs
 
 
@@ -320,33 +339,44 @@ def _invertible_frames(cx: TitsComplex, lines):
 
 def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     """(lines, columns) of the frames of sampled mode: the identity frame
-    and seeded random sets of `lines` whose columns `Mat.det` finds
-    invertible, then rounds of their images under the generators of
-    GL_n(R), each frame once, each round sorted by its lines.  They end
+    and seeded random sets of `lines` (vertex indices in increasing order)
+    whose columns `Mat.det` finds invertible, then rounds of their images
+    under the generators of GL_n(R), each frame once, each round sorted by
+    its lines.  They end
     after the first orbit round that leaves `ech.rank` where it was; the
     seed round is never tested this way.
+
+    Only lines are mapped: one table per generator g sends each line to
+    the line spanned by g times its generator, and the columns of every
+    frame come from one table of line generators.  Both are built once
+    and dropped with the generator.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
-    perms = [cx.vertex_permutation(g) for g in gl_generators(ring, n)]
+    gen = dict(zip(lines, _frame_columns(cx, lines)))
+    images = [
+        {i: cx.vertex_of_span([g.apply(v)]) for i, v in gen.items()} for g in gl_generators(ring, n)
+    ]
     ident = Mat.identity(ring, n)
     candidates = [frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(n))]
     candidates += [frozenset(rng.sample(lines, n)) for _ in range(n * 4)]
     frontier = [
         f for f in dict.fromkeys(candidates)
-        if Mat.from_columns(ring, _frame_columns(cx, f)).is_invertible()
+        if Mat.from_columns(ring, [gen[i] for i in sorted(f)]).is_invertible()
     ]
     seen = set(frontier)
     rank = None
     while True:
         for f in frontier:
             frame = sorted(f)
-            yield frame, _frame_columns(cx, frame)
+            yield frame, [gen[i] for i in frame]
         if ech.rank == rank:
             return
         rank = ech.rank
         # images of frames older than the frontier are seen already
-        frontier = sorted({frozenset(p[i] for i in f) for f in frontier for p in perms} - seen, key=sorted)
+        frontier = sorted(
+            {frozenset(map(p.__getitem__, f)) for f in frontier for p in images} - seen, key=sorted
+        )
         seen.update(frontier)
 
 
@@ -395,7 +425,8 @@ def apartment_span_rank(
 
     Apartment classes are top cycles, so the span rank is at most
     top_betti, and both modes stop at the first apartment that brings the
-    rank to it.  Each class is kept only on the surviving top cells, where
+    rank to it.  Each class is built on the surviving top cells only
+    (`_class_coeffs` with a map that sends the other facets to -1), where
     it has the same rank over Q as the full classes.  The restrictions are
     reduced mod a large prime (`ModPEchelon`), whose rank is at most the
     rank over Q, so a mod-p rank equal to top_betti is exact.  Both cycle
@@ -421,9 +452,13 @@ def apartment_span_rank(
     top_betti = len(top) - exact_rank(
         SparseCols(d.nrows, [{r: v for r, v in d.cols[k].items() if r in live} for k in top])
     )
-    kept = bytearray(d.ncols)  # the surviving top cells
+    # the class coordinates: a facet's index if it survives, else -1; and
+    # the spans of tuples of lines, which `_class_coeffs` fills per call
+    facets = cx.facets()
+    pos = dict.fromkeys(facets, -1)
     for k in top:
-        kept[k] = 1
+        pos[facets[k]] = k
+    spans: dict = {}
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
     if mode == "exhaustive":
@@ -431,13 +466,13 @@ def apartment_span_rank(
         frames = _invertible_frames(cx, lines)
     else:
         frames = _orbit_frames(cx, lines, seed, ech)
-    used: list[dict] = []  # the classes added, in order, restricted to `kept`
+    used: list[dict] = []  # the classes added, in order, on the surviving top cells
     saturated = True
     for frame, cols in frames:
         if budget is not None and len(used) >= budget:
             saturated = False
             break
-        used.append({k: v for k, v in _class_coeffs(cx, frame, cols).items() if kept[k]})
+        used.append(_class_coeffs(cx, frame, cols, pos, spans))
         ech.add(used[-1])
         if ech.rank == top_betti:
             break

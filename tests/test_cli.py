@@ -155,6 +155,13 @@ def test_apartments_command(capsys):
     assert doc["span_rank"] == 5 and doc["top_betti"] == 5 and doc["match"]
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_apartments_name_the_rejected_n(capsys, n):
+    code, out, err = run(capsys, "apartments", "--ring", "F2", "--n", n)
+    assert (code, out) == (2, "")
+    assert f"n >= 2, got n={n}" in err
+
+
 def fresh_python(*args):
     """Run the interpreter in a new process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(titscomplex.__file__)))

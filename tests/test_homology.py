@@ -235,10 +235,69 @@ def test_smith_and_kernel_properties(M):
     assert smith_rank_and_divisors(SparseCols(len(M[0]), kb)) == (k, [1] * k)
 
 
-def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built):
+P = MOD_P
+# the edges of the balanced residue range (-p/2, p/2], multiples of p,
+# their neighbours, and integers far beyond p
+RESIDUE_EDGES = [
+    0, 1, -1, 2, -3, P, -P, 2 * P, P - 1, P + 1, -P - 1,
+    P // 2, P // 2 + 1, -(P // 2), -(P // 2) - 1, 3**200, -(2**300) + 7,
+]
+mod_p_entries = st.one_of(
+    st.sampled_from(RESIDUE_EDGES), st.integers(-5, 5), st.integers(-(2**70), 2**70)
+)
+
+
+def dense_rank_mod_p(vectors, size):
+    """Test-local oracle: rank mod MOD_P by Gaussian elimination on dense rows."""
+    rows = [[v.get(i, 0) % P for i in range(size)] for v in vectors]
+    rank = 0
+    for col in range(size):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, P)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % P
+                rows[r] = [(a - f * b) % P for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mod_p_echelon_against_dense_elimination(data):
+    size = 6
+    vectors = []
+    ech = ModPEchelon()
+    for _ in range(data.draw(st.integers(1, 9))):
+        vec = data.draw(st.dictionaries(st.integers(0, size - 1), mod_p_entries, max_size=size))
+        if vectors and data.draw(st.booleans()):
+            # plus a combination of earlier vectors: coefficients such as p
+            # or p + 1 make it depend on them mod p but not over Q
+            for old in data.draw(st.lists(st.sampled_from(vectors), max_size=3)):
+                c = data.draw(mod_p_entries)
+                for k, v in old.items():
+                    vec[k] = vec.get(k, 0) + c * v
+            vec = {k: v for k, v in vec.items() if v}
+        before, snapshot = ech.rank, dict(vec)
+        vectors.append(vec)
+        want = dense_rank_mod_p(vectors, size)
+        assert ech.add(vec) == (want > before)
+        assert ech.rank == want
+        assert vec == snapshot
+
+
+def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatch):
     # Gamma((2)) on the top chains of T3(Z/4): the boundaries of the orbit
-    # sums are all +-2, so the unit-pivot pass finds nothing and the whole
-    # rank comes from the echelon pass over the residual
+    # sums are all +-2, so the first unit-pivot pass finds nothing; divided
+    # by their content 2 the columns are +-1, and the second unit-pivot pass
+    # finds the whole rank, so no lattice echelon step runs
+    def no_lattice_echelon(self, vec):
+        raise AssertionError("IntEchelon.add on a residual with a common content")
+
+    monkeypatch.setattr(IntEchelon, "add", no_lattice_echelon)
     cx = built.complex("Z/4", 3)
     d = built.chain("Z/4", 3).boundaries[1]
     perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [2])]

@@ -304,9 +304,9 @@ def _record_frames(monkeypatch):
     recorded = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, cols):
+    def recording_class(cx, frame, cols, pos, spans):
         recorded.append(list(cols))
-        return class_coeffs(cx, frame, cols)
+        return class_coeffs(cx, frame, cols, pos, spans)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     return recorded
@@ -414,7 +414,12 @@ SPAN_PINS = [
 
 
 @pytest.mark.parametrize("label,mode,rank,used", SPAN_PINS)
-def test_apartment_span_results_are_pinned(built, label, mode, rank, used):
+def test_apartment_span_results_are_pinned(built, monkeypatch, label, mode, rank, used):
+    # the span maps lines only, never every vertex
+    def no_vertex_permutation(cx, g):
+        raise AssertionError("vertex permutation on the apartment path")
+
+    monkeypatch.setattr(complexes.TitsComplex, "vertex_permutation", no_vertex_permutation)
     res = apartment_span_rank(built.complex(label, 3), mode=mode, seed=0)
     assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
     assert res.saturated and res.top_betti == rank
@@ -426,9 +431,10 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
     classes = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, cols):
-        classes.append(class_coeffs(cx, frame, cols))
-        return classes[-1]
+    def recording_class(cx, frame, cols, pos, spans):
+        # the full class, by the full position map; the span gets its own
+        classes.append(class_coeffs(cx, frame, cols, cx.simplex_pos[cx.dim], {}))
+        return class_coeffs(cx, frame, cols, pos, spans)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
