@@ -28,13 +28,17 @@ import math
 
 
 class SparseCols:
-    """An integer matrix stored as a list of sparse columns (dict row -> value)."""
+    """An integer matrix stored as a list of sparse columns (dict row -> value).
+
+    The columns are the objects given, not copies: no consumer mutates one
+    (the reductions build new dicts), and one column object may stand for
+    several equal columns."""
 
     __slots__ = ("nrows", "cols")
 
     def __init__(self, nrows: int, cols):
         self.nrows = nrows
-        self.cols = [dict(c) for c in cols]
+        self.cols = list(cols)
 
     @property
     def ncols(self) -> int:

@@ -4,8 +4,11 @@ Vectors are tuples of element indices (see rings.Ring).  A Summand is a
 free direct summand of R^n whose quotient is also free; its identity is the
 full member set.  Freeness of a finite module is decided by cardinality
 plus generator count: a surjection R^r -> M between finite sets of equal
-size is a bijection.  GL_n(R) and its principal congruence subgroups enter
-only as generating sets.
+size is a bijection.  A quotient W/V is decided on member sets too: one
+greedy pass grows V by members of W whose line meets the span only in 0
+(`_free_extension`), and the same pass gives each summand its preferred
+basis.  GL_n(R) and its principal congruence subgroups enter only as
+generating sets.
 """
 
 from __future__ import annotations
@@ -288,37 +291,11 @@ class Summand:
 
     @property
     def preferred_basis(self):
-        """Lexicographically least member tuple that is a basis (canonical).
-
-        One greedy pass over the sorted members: a member joins the tuple
-        when it extends the span of the tuple so far freely
-        (`_extend_span`).  It returns
-        what the depth-first search over member tuples in lexicographic
-        order, pruning prefixes that do not span freely, returns, with the
-        same `_extend_span` calls, because that search never backtracks:
-        - a member rejected at one step stays rejected at every later step:
-          the rejection means a nonzero multiple of it already lies in the
-          span, or |Rv| < q, and both facts persist as the span grows;
-        - a free span S of rank j < k inside V is a direct summand of V with
-          a free complement C (in each local factor by Nakayama's lemma and
-          a socle element that kills J*V), and every c + s, with c a basis
-          vector of C and s in S, extends S; such a member extends every
-          smaller span too, so none of them sits at a position already
-          passed, and the pass finds one ahead;
-        - a free span of rank k inside V is V itself, since equal-rank
-          containment is equality.
-        """
+        """Lexicographically least member tuple that is a basis (canonical):
+        the members `_free_extension` joins to the zero span."""
         if self._preferred is None:
             zero = zero_vector(self.ring, self.ambient)
-            span, basis = {zero}, []
-            for m in sorted(self.members):
-                if len(basis) == self.rank:
-                    break
-                if m != zero:
-                    ext = _extend_span(self.ring, span, m)
-                    if ext is not None:
-                        span = ext
-                        basis.append(m)
+            span, basis = _free_extension(self.ring, {zero}, self.members)
             if span != self.members:
                 raise RuntimeError("summand has no basis among its members")
             self._preferred = tuple(basis)
@@ -365,86 +342,42 @@ def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Su
     return Summand(ring, n, len(vectors), members, vectors)
 
 
-# ---------------------------------------------------------------------------
-# quotient modules
+def _free_extension(ring: Ring, span, members):
+    """Grow a span by the members whose line meets it only in 0: (span, joined).
 
+    span is a submodule S0 of the module M the members form.  One pass over
+    sorted(members) skips each member w already in the span and joins w
+    when no nonzero a has a*w in the span; `_extend_span` then adds R*w.
+    The pass stops once the span has len(members) elements.  So the span
+    modulo S0 is always free on the joined members, and M / S0 is free
+    exactly when the pass ends at M.
 
-class _FiniteModule:
-    """A finite quotient module presented by canonical coset representatives.
-
-    reps are vectors of the ambient R^n; repmap sends every element of the
-    underlying submodule W to its coset representative.  Addition and
-    scaling act through the ambient operations followed by repmap.
+    When M / S0 is free of rank k, the pass ends at M and never has to
+    backtrack, so it returns what the depth-first search over member tuples
+    in lexicographic order, pruning prefixes not free modulo S0, returns;
+    from S0 = 0 that is the lexicographically least basis tuple:
+    - a member rejected at one step stays rejected at every later step:
+      {a : a*w in S} is an ideal that only grows with the span S;
+    - a span S with S / S0 free of rank j < k is, modulo S0, a direct
+      summand of M / S0 with a free complement C (in each local factor by
+      Nakayama's lemma and a socle element that kills J*(M / S0)), and
+      the line of every c + s, with c a member lifting a basis vector of C
+      and s in S, meets S only in 0, and so every smaller span too,
+      so none of them sits at a position already passed, and the pass
+      finds one ahead;
+    - a span free of rank k modulo S0 is M itself, by cardinality.
     """
-
-    __slots__ = ("ring", "reps", "repmap")
-
-    def __init__(self, ring: Ring, reps, repmap):
-        self.ring = ring
-        self.reps = reps
-        self.repmap = repmap
-
-    @staticmethod
-    def quotient(ring: Ring, w_members, v_members) -> "_FiniteModule":
-        order = sorted(w_members)
-        vlist = sorted(v_members)
-        repmap = {}
-        reps = []
-        for w in order:
-            if w in repmap:
-                continue
-            coset = [vadd(ring, w, v) for v in vlist]
-            rep = min(coset)
-            reps.append(rep)
-            for c in coset:
-                repmap[c] = rep
-        return _FiniteModule(ring, reps, repmap)
-
-    def scale_orbit(self, x):
-        return {self.repmap[vscale(self.ring, a, x)] for a in range(self.ring.card)}
-
-    def quotient_by_cyclic(self, x) -> "_FiniteModule":
-        orbit = sorted(self.scale_orbit(x))
-        repmap = {}
-        reps = []
-        for r in self.reps:
-            if r in repmap:
-                continue
-            coset = [self.repmap[vadd(self.ring, r, u)] for u in orbit]
-            rep = min(coset)
-            reps.append(rep)
-            for c in set(coset):
-                repmap[c] = rep
-        # compose with the existing quotient map so repmap keeps full domain
-        full = {w: repmap[r] for w, r in self.repmap.items()}
-        return _FiniteModule(self.ring, reps, full)
-
-    def free_rank(self) -> int | None:
-        """Rank if this module is free, else None.
-
-        Peels off one free cyclic summand at a time: an element whose scalar
-        orbit has full size |R| has zero annihilator, and over the supported
-        rings (finite products of chain rings) such an element is a basis
-        vector, so the quotient by it stays free exactly when the module
-        was free.  If no such element exists the module cannot be free,
-        since any basis vector has zero annihilator.
-        """
-        mod = self
-        rank = 0
-        card = self.ring.card
-        while len(mod.reps) > 1:
-            pick = None
-            for r in sorted(mod.reps):
-                if all(x == self.ring.zero for x in r):
-                    continue
-                if len(mod.scale_orbit(r)) == card:
-                    pick = r
-                    break
-            if pick is None:
-                return None
-            mod = mod.quotient_by_cyclic(pick)
-            rank += 1
-        return rank
+    mul = ring.mul
+    scalars = [mul[a] for a in range(ring.card) if a != ring.zero]
+    joined = []
+    for w in sorted(members):
+        if len(span) == len(members):
+            break
+        if w in span or any(tuple(row[x] for x in w) in span for row in scalars):
+            continue
+        span = _extend_span(ring, span, w)
+        joined.append(w)
+    return span, joined
 
 
 def quotient_free_rank_members(
@@ -452,28 +385,13 @@ def quotient_free_rank_members(
 ) -> int | None:
     """Free rank of W/V, or None when the quotient is not free.
 
-    w_members None means W = R^n.  V must be contained in W.
+    w_members None means W = R^n.  V must be contained in W.  The rank is
+    the number of members `_free_extension` joins to V, when it reaches W.
     """
     if w_members is None:
         check_budget(ring.card**n, budget, f"cosets in {ring.spec.label}^{n}")
         w_members = all_vectors(ring, n, budget)
-        wset = None
-    else:
-        wset = w_members
-    if wset is not None and not (set(v_members) <= set(wset)):
+    elif not set(v_members) <= set(w_members):
         raise ValueError("V is not contained in W")
-    mod = _FiniteModule.quotient(ring, w_members, v_members)
-    size = len(mod.reps)
-    # size must be a power of |R| for freeness
-    r = 0
-    s = size
-    while s > 1:
-        if s % ring.card != 0:
-            return None
-        s //= ring.card
-        r += 1
-    rank = mod.free_rank()
-    if rank is None:
-        return None
-    assert rank == r
-    return rank
+    span, joined = _free_extension(ring, set(v_members), w_members)
+    return len(joined) if len(span) == len(w_members) else None

@@ -89,15 +89,6 @@ class SteinbergChain:
                 out.pop(k, None)
         return SteinbergChain(self.cx, out)
 
-    def __neg__(self) -> "SteinbergChain":
-        return SteinbergChain(self.cx, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other) -> "SteinbergChain":
-        return self + (-other)
-
-    def scale(self, a: int) -> "SteinbergChain":
-        return SteinbergChain(self.cx, {k: a * v for k, v in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -252,8 +252,8 @@ def _check_boundary_composition(ctx):
 
 def count_included_not_cofree(cx, budget: int | None = DEFAULT_BUDGET) -> int:
     """Pairs of vertices V, W with V contained in W and rank(V) < rank(W)
-    whose quotient W/V is, by coset enumeration, not free of rank
-    rank(W) - rank(V).
+    whose quotient W/V is not free of rank rank(W) - rank(V), by the
+    member-set peel of `quotient_free_rank_members`.
 
     The complex orders its vertices by containment alone, relying on the
     theorem that every such quotient is free; this is the independent count.
@@ -363,8 +363,8 @@ def _check_reduction_functoriality(ctx):
 
 
 def reverify_flag(flag, budget: int | None = DEFAULT_BUDGET) -> bool:
-    """Re-check every step of a flag for cofreeness by brute quotients,
-    independent of how the flag was built."""
+    """Re-check every step of a flag for cofreeness by the member-set peel
+    of `quotient_free_rank_members`, independent of how the flag was built."""
     if not flag.summands:
         return True
     ring = flag.summands[0].ring

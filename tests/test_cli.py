@@ -249,7 +249,7 @@ def test_verify_corrupt_hook_fails(monkeypatch, capsys):
         cc = chain(self, label, n, m)
         if len(cc.boundaries) < 2:
             return cc
-        bad = SparseCols(cc.boundaries[1].nrows, cc.boundaries[1].cols)  # copies the columns
+        bad = SparseCols(cc.boundaries[1].nrows, [dict(c) for c in cc.boundaries[1].cols])
         r = next(iter(bad.cols[0]))
         bad.cols[0][r] += 1
         return ChainComplex(cc.f, [cc.boundaries[0], bad] + list(cc.boundaries[2:]))

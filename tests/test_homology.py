@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,21 @@ def test_chain_complex_structure(built):
     for col in d1.cols:
         assert sorted(col.values()) == [-1, 1]
     assert cc3.dd_is_zero()
+
+
+@pytest.mark.parametrize("label,n", [("Z/4", 3), ("F2", 4), ("Z/6", 3)])
+def test_consumers_never_mutate_a_boundary_column(built, label, n):
+    """SparseCols keeps the column objects it is given; read-only columns
+    give the same homology, survivors and ranks as the plain complex."""
+    cc = built.chain(label, n)
+    frozen = ChainComplex(cc.f, [
+        SparseCols(b.nrows, [types.MappingProxyType(col) for col in b.cols]) for b in cc.boundaries
+    ])
+    assert all(isinstance(col, types.MappingProxyType) for b in frozen.boundaries for col in b.cols)
+    assert frozen.dd_is_zero()
+    assert reduced_homology(frozen) == reduced_homology(cc)
+    assert coreduce(frozen) == coreduce(cc)
+    assert [exact_rank(b) for b in frozen.boundaries] == [exact_rank(b) for b in cc.boundaries]
 
 
 def test_dd_zero_everywhere(built):

@@ -152,6 +152,41 @@ def test_preferred_basis_is_canonical():
     assert [r4.vec_payloads(v) for v in a.preferred_basis] == [(1, 0)]
 
 
+def submodule(ring, n, gens):
+    """Member set of the submodule of R^n the vectors generate (free or not)."""
+    span = {zero_vector(ring, n)}
+    for g in gens:
+        span = {vadd(ring, w, vscale(ring, a, g)) for w in span for a in range(ring.card)}
+    return frozenset(span)
+
+
+def lex_least_basis(ring, members, rank):
+    """Test oracle: the definition of the preferred basis, a depth-first
+    search over member tuples in lexicographic order that prunes every
+    prefix whose span has fewer than |R|^length elements."""
+    order = sorted(members)
+    n = len(order[0])
+
+    def search(prefix):
+        if len(prefix) == rank:
+            return tuple(prefix)
+        for m in order:
+            if len(submodule(ring, n, prefix + [m])) == ring.card ** (len(prefix) + 1):
+                found = search(prefix + [m])
+                if found is not None:
+                    return found
+        return None
+
+    return search([])
+
+
+@pytest.mark.parametrize("label", ["Z/4", "Z/6", "Z/8", "F2[e]^2", "Z/2xZ/2"])
+def test_preferred_basis_is_the_lexicographically_least_basis(built, label):
+    cx = built.complex(label, 3)
+    for s in cx.vertices:
+        assert s.preferred_basis == lex_least_basis(cx.ring, s.members, s.rank), (label, s)
+
+
 def test_every_free_span_is_cofree():
     """span_summand counts no quotient, on the theorem in its docstring:
     over these quasi-Frobenius rings a free span of rank k in R^n has a
@@ -264,7 +299,20 @@ def test_quotient_against_brute_oracle():
     # mixed component module: not free over Z/2xZ/3
     sub = {r23.vec([(0, 0), (0, 0)]), r23.vec([(1, 0), (0, 0)])}
     cases.append((r23, 2, None, frozenset(sub)))
+    # seeded submodules V of R^2 generated by 0-2 vectors, in R^2 and in V + R*h
+    rng = random.Random(2121)
+    for label in ["Z/8", "Z/9", "F2[e]^2", "Z/6", "Z/2xZ/3"]:
+        ring = make_ring(parse_ring_spec(label))
+        vectors = all_vectors(ring, 2)
+        for _ in range(8):
+            gens = [rng.choice(vectors) for _ in range(rng.randrange(3))]
+            v = submodule(ring, 2, gens)
+            cases.append((ring, 2, None, v))
+            cases.append((ring, 2, submodule(ring, 2, gens + [rng.choice(vectors)]), v))
+    non_free = 0
     for ring, n, w, v in cases:
         got = quotient_free_rank_members(ring, n, w, v)
         want = brute_quotient_free_rank(ring, n, w, v)
         assert got == want, (ring.spec.label, sorted(v), got, want)
+        non_free += want is None
+    assert non_free == 32  # of 87 cases

@@ -108,7 +108,7 @@ def test_apartment_column_permutation_scales_by_sign(built):
     swapped = Mat.from_columns(ring, [base.column(1), base.column(0)])
     a = apartment_class(cx, base)
     b = apartment_class(cx, swapped)
-    assert b == a.scale(-1)
+    assert b.coeffs == {k: -v for k, v in a.coeffs.items()}
     cx3 = built.complex("F2", 3)
     m = Mat.identity(cx3.ring, 3)
     cols = m.columns()
@@ -150,7 +150,7 @@ def test_chamber_map_examples(built):
     ident = Mat.identity(ring, 2)
     a = apartment_class(cx, ident)
     assert chamber_map(a, reverse_ut_facet(cx, ident)) == 1
-    zero = a - a
+    zero = steinberg.SteinbergChain(cx, {})
     assert chamber_map(zero, reverse_ut_facet(cx, ident)) == 0
     outside = next(t for t in cx.facets() if t not in a.support_facets())
     assert chamber_map(a, outside) == 0
