@@ -5,12 +5,10 @@ formulas (Gaussian binomials, the radical factorisation of |Gr_k^n|) and
 enumeration of each Grassmannian as one GL_n(R)-orbit.  Tests and the
 verify suite hold the two against each other, and against brute-force spans.
 
-The orbit walk uses the small generating set of `walk_generators`:
-elementary row operations between neighbouring coordinates and scalings
-of the first coordinate by generators of R^x.  Each generator acts as the
-row operation it is, tabulated once over R^n, on the basis vectors of a
-summand and, for a new summand, on the members of the summand it was
-reached from; no matrix is applied and no span is built.
+The orbit walk runs on `walk_generators`, elementary row operations
+between neighbouring coordinates and scalings of the first coordinate by
+generators of R^x, each tabulated once as a list over the integer codes of
+R^n; it applies no matrix and builds no span (`SummandCatalog`).
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    num = 1
-    den = 1
+    num = den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
@@ -90,8 +87,8 @@ def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
 
 def budgeted_flag_count(spec: RingSpec, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> int:
     """`good_flag_count` of the type lam, after the budget checks that
-    `enumerate_good_flags` makes before it builds anything: the flag count,
-    then the member vectors of each Grassmannian it walks."""
+    `enumerate_good_flags` makes first: the flag count, then the member
+    vectors of each Grassmannian it walks."""
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
     count = good_flag_count(spec, n, ranks)
@@ -108,12 +105,7 @@ def check_grassmannian_budget(spec: RingSpec, n: int, k: int, budget: int | None
 
 def proper_ranks(lam) -> tuple:
     """Ranks of the proper summands in a flag of the given type."""
-    ranks = []
-    total = 0
-    for p in lam[:-1]:
-        total += p
-        ranks.append(total)
-    return tuple(ranks)
+    return tuple(itertools.accumulate(lam[:-1]))
 
 
 class Flag:
@@ -130,13 +122,7 @@ class Flag:
 
     def type(self, n: int) -> tuple:
         ranks = self.ranks
-        parts = []
-        prev = 0
-        for r in ranks:
-            parts.append(r - prev)
-            prev = r
-        parts.append(n - prev)
-        return tuple(parts)
+        return tuple(b - a for a, b in zip((0,) + ranks, ranks + (n,)))
 
     def __eq__(self, other):
         return isinstance(other, Flag) and self.summands == other.summands
@@ -202,35 +188,36 @@ def row_operation(ring: Ring, op: tuple[int, int, int]):
 class SummandCatalog:
     """Per-(ring, n) cache of Grassmannians and of which summands hold which vectors.
 
-    Gr_k is the orbit of the coordinate summand span(e_1..e_k) under
-    GL_n(R), which acts transitively on it: summands V, V' of Gr_k have free
-    complements C, C', and the matrix sending a basis of V followed by one
-    of C to a basis of V' followed by one of C' takes V to V'.  The orbit is
-    walked breadth-first under `walk_generators`, 2(n-1) elementary row
-    operations per additive generator of R plus a few unit scalings, each
-    applied as a row operation, never as a matrix.
-
-    Equal-rank containment is equality: if a free summand W of rank k holds
-    every vector of a basis of the free summand V of rank k, then W contains
-    V, both have q^k members, and so V = W.  The walk therefore knows g*V is
-    already found exactly when some found summand holds every g*b for the
-    basis b of V.  A new summand g*V takes the members {g*v : v in V}: g is
-    a bijection of R^n, so this is exactly g*V, with q^k members, and no
-    span is built.  The same vector index answers containment between
-    ranks: V lies in W exactly when W holds every basis vector of V
+    Gr_k is the orbit of span(e_1..e_k) under GL_n(R), which is transitive
+    on it: for V, V' in Gr_k with free complements C, C', the matrix taking
+    a basis of V, then of C, to one of V', then of C', takes V to V'.  The
+    orbit is walked breadth-first under `walk_generators`.  Equal-rank
+    containment is equality: a free rank-k summand holding a basis of
+    another contains it, and both have q^k members.  So g*V is already
+    found exactly when a found summand holds every g*b, b a basis of V, and
+    a new g*V takes the members {g*v : v in V} (g is a bijection of R^n);
+    no span is built.  The same index answers containment between ranks
     (`containing`).
 
-    Each walk generator is tabulated once per catalog, as a dict from every
-    vector of R^n to its image, and then moves bases and members by lookup.
-    The catalog holds the ring's spec, and builds the ring's tables and the
-    walk tables only after the budget checks of the first Grassmannian it
-    enumerates.  A walk table has q^n entries, and for 1 <= k <= n that is
-    at most the |Gr_k|*q^k members the budget admits: per residue field
-    F_i, |Gr_k^n(F_i)| is a Gaussian binomial, a polynomial in q_i with
-    nonnegative coefficients and leading term q_i^(k(n-k)), so
-    |Gr_k^n(R)| >= |J|^(k(n-k)) * prod q_i^(k(n-k)) = q^(k(n-k)), and
-    |Gr_k|*q^k >= q^(k(n-k+1)) = q^n * q^((k-1)(n-k)) >= q^n.  Gr_0 needs
-    no table.
+    The walk runs on codes c(v) = sum v_i*q^(n-1-i), the position of v in
+    `space`, R^n in lexicographic order; `code` is the inverse dict.  Each
+    generator is a list code -> image code, built once per catalog from
+    `row_operation`; bases and members are code lists, the index is a list
+    over codes, and each `Summand` is decoded through `space` after the
+    sort.  c is an order isomorphism onto range(q^n): if v < w first differ
+    at i, c(w) - c(v) >= q^(n-1-i) - sum_{j>i} (q-1)*q^(n-1-j) = 1.  So
+    sorted code lists compare as the sorted member tuples they decode to,
+    and Gr_k is ordered by its sorted member tuples.
+
+    The ring's tables and the walk tables are built only after the budget
+    checks of the first Gr_k, k >= 1; Gr_0 = {0} needs none.  `space`,
+    `code`, each walk table and each index have q^n entries (an index also
+    holds |Gr_k|*q^k ids), and q^n <= |Gr_k|*q^k, the count the budget
+    admits, for 1 <= k <= n: per residue field F_i, |Gr_k^n(F_i)| is a
+    Gaussian binomial, a polynomial in q_i with nonnegative coefficients
+    and leading term q_i^(k(n-k)), so |Gr_k^n(R)| >= |J|^(k(n-k)) * prod
+    q_i^(k(n-k)) = q^(k(n-k)), and |Gr_k|*q^k >= q^(k(n-k+1)) =
+    q^n * q^((k-1)(n-k)) >= q^n.
     """
 
     def __init__(self, spec: RingSpec, n: int, budget: int | None = DEFAULT_BUDGET):
@@ -238,11 +225,9 @@ class SummandCatalog:
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
-        # rank -> vector -> ascending positions in grassmannian(rank) of the
-        # summands holding it
-        self._index: dict[int, dict[tuple, list[int]]] = {}
-        # one vector -> image table per walk generator, built by the first Gr_k, k >= 1
-        self._moves: list[dict[tuple, tuple]] | None = None
+        # k >= 1 -> (code -> walk ids of the summands holding it, id -> position)
+        self._index: dict[int, tuple[list[list[int]], dict[int, int]]] = {}
+        self._tables = None  # (space, code, moves), built by the first Gr_k, k > 0
 
     def grassmannian(self, k: int) -> list[Summand]:
         if not (0 <= k <= self.n):
@@ -253,63 +238,69 @@ class SummandCatalog:
         spec, n = self.spec, self.n
         check_grassmannian_budget(spec, n, k, self.budget)
         ring = budgeted_ring(spec, self.budget)
-        basis = [tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(k)]
-        zeros = (ring.zero,) * (n - k)
-        members = frozenset(t + zeros for t in itertools.product(range(ring.card), repeat=k))
-        found = []  # in discovery order, which keys the index until the sort
-        index: dict[tuple, list[int]] = {}
-
-        def add(s: Summand):
-            for v in s.members:
-                index.setdefault(v, []).append(len(found))
-            found.append(s)
-
-        add(Summand(ring, n, k, members, basis))
-        frontier = list(found)
-        # Gr_0 = {0} is fixed by every g, and its empty basis finds nothing
-        moves = self._walk_tables(ring) if k else []
+        if not k:
+            out = self._gr[0] = [Summand(ring, n, 0, frozenset([(ring.zero,) * n]), ())]
+            return out
+        space, code, moves = self._walk_tables(ring)
+        zeros = (ring.zero,) * n
+        bases = [[code[zeros[:i] + (ring.one,) + zeros[i + 1:]] for i in range(k)]]
+        members = [[code[t + zeros[k:]] for t in itertools.product(range(ring.card), repeat=k)]]
+        index = [[] for _ in space]
+        for c in members[0]:
+            index[c].append(0)
+        frontier = [0]
         while frontier:
             nxt = []
-            for s in frontier:
+            for p in frontier:
                 for g in moves:
-                    image = tuple(map(g.__getitem__, s.basis))
+                    image = [g[c] for c in bases[p]]
                     if not _holding_all(index, image):
-                        t = Summand(ring, n, k, frozenset(map(g.__getitem__, s.members)), image)
-                        add(t)
-                        nxt.append(t)
+                        new = len(bases)  # one shared int per summand
+                        moved = [g[c] for c in members[p]]
+                        for c in moved:
+                            index[c].append(new)
+                        nxt.append(new)
+                        bases.append(image)
+                        members.append(moved)
             frontier = nxt
         # the one place summands are ordered, each sort key computed once
-        keys = [tuple(sorted(s.members)) for s in found]
-        order = sorted(range(len(found)), key=keys.__getitem__)
-        pos = [0] * len(order)
-        for p, i in enumerate(order):
-            pos[i] = p
-        for ids in index.values():
-            ids[:] = sorted(pos[i] for i in ids)
-        self._index[k] = index
-        out = [found[i] for i in order]
+        for m in members:
+            m.sort()
+        order = sorted(range(len(members)), key=members.__getitem__)
+        self._index[k] = index, dict(zip(order, range(len(order))))
+        decode = space.__getitem__
+        out = [Summand(ring, n, k, frozenset(map(decode, members[i])), map(decode, bases[i])) for i in order]
         self._gr[k] = out
         return out
 
-    def _walk_tables(self, ring: Ring) -> list[dict[tuple, tuple]]:
-        """The vector -> image table of each `walk_generators` move, built once."""
-        if self._moves is None:
+    def _walk_tables(self, ring: Ring):
+        """`space`, `code` and the walk tables, built once."""
+        if self._tables is None:
             space = list(itertools.product(range(ring.card), repeat=self.n))
-            self._moves = [
-                dict(zip(space, map(row_operation(ring, op), space))) for op in walk_generators(ring, self.n)
-            ]
-        return self._moves
+            code = dict(zip(space, range(len(space))))
+            ops = walk_generators(ring, self.n)
+            self._tables = space, code, [list(map(code.__getitem__, map(row_operation(ring, op), space))) for op in ops]
+        return self._tables
 
     def containing(self, k: int, vectors) -> list[int]:
         """Ascending positions in grassmannian(k) of the summands holding
-        every one of the (at least one) vectors."""
-        self.grassmannian(k)
-        return sorted(_holding_all(self._index[k], vectors))
+        every one of the vectors: all of them for no vectors, none when a
+        vector lies outside R^n."""
+        gr = self.grassmannian(k)
+        if not vectors:
+            return list(range(len(gr)))
+        if not k:
+            return [0] if gr[0].members.issuperset(vectors) else []
+        codes = list(map(self._tables[1].get, vectors))
+        if None in codes:
+            return []
+        index, pos = self._index[k]
+        return sorted(map(pos.__getitem__, _holding_all(index, codes)))
 
 
-def _holding_all(index, vectors) -> set[int]:
-    """Intersection of the index entries of the vectors, smallest first."""
-    hits = sorted((index.get(v, ()) for v in vectors), key=len)
+def _holding_all(index, codes) -> set[int]:
+    """Intersection of the codes' index entries, smallest first."""
+    hits = sorted(map(index.__getitem__, codes), key=len)
     return set(hits[0]).intersection(*hits[1:])
 
 

@@ -372,6 +372,9 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
 
 
 EXHAUSTIVE_GL_LIMIT = 10**5
+# entries the span's pivots may hold, recounted every 256 classes; above the
+# 70,367 that T3(Z/9) peaks at, and separate from the class budget
+SPAN_ENTRY_CAP = 10**6
 
 
 def apartment_span_rank(
@@ -427,6 +430,9 @@ def apartment_span_rank(
     and `apartments_used`.  If the frames run out, the sampled rule
     saturates or the budget is spent first, the restrictions used are
     recounted exactly by `exact_rank`: a mod-p rank is never reported.
+
+    The entries the pivots hold are recounted every 256 classes, and past
+    `SPAN_ENTRY_CAP` the span raises `BudgetExceeded`.
     """
     _require_full(cx)
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -467,6 +473,10 @@ def apartment_span_rank(
         ech.add(used[-1])
         if ech.rank == top_betti:
             break
+        if len(used) % 256 == 0:
+            held = sum(map(len, ech.pivots.values()))
+            what = f"pivot entries of the apartment span of {cx.ring.spec.label}^{cx.n} (SPAN_ENTRY_CAP)"
+            check_budget(held, SPAN_ENTRY_CAP, what)
     rank = ech.rank
     if rank != top_betti:
         rank = exact_rank(SparseCols(d.ncols, used))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import titscomplex
+from titscomplex import homology, steinberg
 from titscomplex.cli import main
 from titscomplex.grassmann import SummandCatalog
 from titscomplex.homology import ChainComplex, SparseCols
@@ -160,6 +161,21 @@ def test_apartments_name_the_rejected_n(capsys, n):
     code, out, err = run(capsys, "apartments", "--ring", "F2", "--n", n)
     assert (code, out) == (2, "")
     assert f"n >= 2, got n={n}" in err
+
+
+def test_apartment_span_entry_cap_exits_3(capsys, monkeypatch):
+    """Past SPAN_ENTRY_CAP pivot entries the span stops at a recount, every
+    256 classes, and the command exits 3; the default cap lets it finish."""
+    code, out, _ = run(capsys, "apartments", "--ring", "Z/6", "--n", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["span_rank"] == 911
+    added = []
+    add = homology.ModPEchelon.add
+    monkeypatch.setattr(homology.ModPEchelon, "add", lambda self, vec: added.append(1) or add(self, vec))
+    monkeypatch.setattr(steinberg, "SPAN_ENTRY_CAP", 1000)
+    code, out, err = run(capsys, "apartments", "--ring", "Z/6", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: enumeration of ") and "SPAN_ENTRY_CAP" in err
+    assert added and len(added) % 256 == 0
 
 
 def fresh_python(*args):

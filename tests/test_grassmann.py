@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -189,20 +190,29 @@ def test_orbit_walk_moves_by_row_operations(monkeypatch, label, n, ops, sizes):
     assert calls == []
 
 
+def _lex_code(v, q):
+    """Test-local coding: the position of v in itertools.product(range(q), repeat=len(v))."""
+    return sum(x * q ** (len(v) - 1 - i) for i, x in enumerate(v))
+
+
 @pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 2)])
 def test_walk_tables_are_bijections_matching_row_operation(label, n):
+    """Each coded walk table permutes range(q^n) and decodes, code by code,
+    to the row operation it tabulates."""
     ring = make_ring(parse_ring_spec(label))
+    q = ring.card
     catalog = SummandCatalog(ring.spec, n)
     catalog.grassmannian(1)
-    tables = catalog._walk_tables(ring)
+    space, code, tables = catalog._walk_tables(ring)
     ops = walk_generators(ring, n)
     assert len(tables) == len(ops)
-    space = all_vectors(ring, n)
+    assert space == list(itertools.product(range(q), repeat=n))
+    assert code == {v: _lex_code(v, q) for v in space}
+    codes = list(range(q**n))
     for op, table in zip(ops, tables):
         g = row_operation(ring, op)
-        assert sorted(table) == space, (label, op)
-        assert sorted(table.values()) == space, (label, op)
-        assert all(table[v] == g(v) for v in space), (label, op)
+        assert sorted(table) == codes, (label, op)
+        assert all(space[table[c]] == g(space[c]) for c in codes), (label, op)
 
 
 def test_walk_tables_are_built_once_per_catalog(monkeypatch):
@@ -215,19 +225,60 @@ def test_walk_tables_are_built_once_per_catalog(monkeypatch):
     monkeypatch.setattr(grassmann, "row_operation", counted)
     spec = parse_ring_spec("Z/9")
     # the Gr_1 budget check fails before any table is built
+    over = SummandCatalog(spec, 3, budget=100)
     with pytest.raises(BudgetExceeded):
-        SummandCatalog(spec, 3, budget=100).grassmannian(1)
-    assert built == []
+        over.grassmannian(1)
+    assert built == [] and over._tables is None
     ring = make_ring(spec)
     catalog = SummandCatalog(spec, 3)
     catalog.grassmannian(0)
-    assert built == []  # Gr_0 needs no table
+    assert catalog.containing(0, [(0, 0, 0)]) == [0]
+    assert built == [] and catalog._tables is None  # Gr_0 needs no table
     catalog.grassmannian(2)
     tables = catalog._walk_tables(ring)
     for k in (1, 3):
         catalog.grassmannian(k)
         assert catalog._walk_tables(ring) is tables, k
     assert built == walk_generators(ring, 3)
+
+
+@pytest.mark.parametrize("label", ["Z/9", "F2[e]^2", "Z/2xZ/3", "F3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vector_codes_round_trip_and_sort_as_tuples(label, n):
+    """code -> tuple -> code is the identity on range(q^n), and sorted code
+    lists decode to the sorted tuple lists, comparing as those do."""
+    ring = make_ring(parse_ring_spec(label))
+    q = ring.card
+    space, code, _ = SummandCatalog(ring.spec, n)._walk_tables(ring)
+    assert len(space) == len(code) == q**n
+    assert all(code[space[c]] == c == _lex_code(space[c], q) for c in range(q**n))
+    rng = random.Random(f"{label}-{n}")
+    lists = [rng.sample(range(q**n), rng.randint(1, min(12, q**n))) for _ in range(200)]
+    lists += [[c, c + 1] for c in range(0, q**n - 1, max(1, q**n // 50))]
+    keys = [sorted(cs) for cs in lists]
+    tuples = [sorted(space[c] for c in cs) for cs in lists]
+    assert all([space[c] for c in key] == t for key, t in zip(keys, tuples))
+    assert sorted(range(len(lists)), key=keys.__getitem__) == sorted(range(len(lists)), key=tuples.__getitem__)
+    for (a, ta), (b, tb) in zip(zip(keys, tuples), zip(keys[1:], tuples[1:])):
+        assert (a < b, a == b) == (ta < tb, ta == tb)
+
+
+@pytest.mark.parametrize("label", ["Z/9", "F2[e]^2", "Z/2xZ/3", "F3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_containing_outside_the_space_and_of_no_vectors(label, n):
+    """A vector of the wrong length or with an entry >= q lies in no summand,
+    and every summand holds all of no vectors."""
+    ring = make_ring(parse_ring_spec(label))
+    q = ring.card
+    catalog = SummandCatalog(ring.spec, n)
+    zero = (ring.zero,) * n
+    for k in range(n + 1):
+        size = len(catalog.grassmannian(k))
+        assert catalog.containing(k, []) == list(range(size)), (label, n, k)
+        assert catalog.containing(k, [zero]) == list(range(size)), (label, n, k)
+        for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
+            assert catalog.containing(k, [bad]) == [], (label, n, k, bad)
+            assert catalog.containing(k, [zero, bad]) == [], (label, n, k, bad)
 
 
 def _walk_by_row_operation(ring, n, k):

@@ -262,6 +262,7 @@ class _LossyEchelon:
     """Stands in for the mod-p echelon and loses every vector."""
 
     rank = 0
+    pivots: dict = {}  # holds no entry, which the span recounts every 256 classes
 
     def add(self, vec):
         return False
