@@ -16,6 +16,7 @@ independent oracle and recounts cofreeness with the quotient oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, check_budget, make_ring, quotient_spec, spec_of
@@ -59,6 +60,19 @@ class TitsComplex:
 
     def facets(self):
         return self.simplices[-1] if self.simplices else []
+
+    @functools.cached_property
+    def line_upsets(self) -> dict:
+        """k -> the frozenset of rank-k vertices holding each line (rank-1
+        vertex), 2 <= k <= max_rank, read once from the 1-simplices: every
+        comparable pair is an edge, and the lines' edges come first."""
+        lines = self.start.get(2, len(self.vertices))
+        ups = {k: [set() for _ in range(lines)] for k in range(2, self.max_rank + 1)}
+        for a, b in self.simplices[1] if self.dim >= 1 else ():
+            if a >= lines:
+                break
+            ups[self.vertices[b].rank][a].add(b)
+        return {k: list(map(frozenset, sets)) for k, sets in ups.items()}
 
     def vertex_of_span(self, vectors) -> int:
         """Index of the vertex spanned by the vectors.

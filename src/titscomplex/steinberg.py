@@ -139,36 +139,48 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
-    cols = basis.columns()
-    frame = [cx.vertex_of_span([c]) for c in cols]
-    return SteinbergChain(cx, _class_coeffs(cx, frame, cols, cx.simplex_pos[n - 2], {}))
+    frame = [cx.vertex_of_span([c]) for c in basis.columns()]
+    return SteinbergChain(cx, _class_coeffs(cx, frame, cx.simplex_pos[n - 2], {}))
 
 
 @functools.cache
 def _span_subsets(n: int) -> tuple:
-    """(bit mask, getter of its members, column indices) of every subset of
-    n columns with 2 to n - 1 elements: the spans an apartment class looks
+    """(bit mask, getter of its members, size) of every subset of n
+    columns with 2 to n - 1 elements: the spans an apartment class looks
     up beyond its lines."""
     return tuple(
-        (sum(1 << j for j in subset), operator.itemgetter(*subset), subset)
+        (sum(1 << j for j in subset), operator.itemgetter(*subset), size)
         for size in range(2, n)
         for subset in itertools.combinations(range(n), size)
     )
 
 
-def _class_coeffs(cx: TitsComplex, frame, cols, pos: dict, spans: dict) -> dict[int, int]:
+def _vertex_of_lines(ups: list, lines) -> int:
+    """The one vertex in the up-set `ups[i]` of every line i in `lines`."""
+    hits = frozenset.intersection(*map(ups.__getitem__, lines))
+    if len(hits) != 1:
+        raise RuntimeError("lines lie in no vertex, or in more than one, of their rank")
+    return next(iter(hits))
+
+
+def _class_coeffs(cx: TitsComplex, frame, pos: dict, spans: dict) -> dict[int, int]:
     """Coefficients of the apartment class of the lines `frame` (vertex
-    indices) with generators `cols`, in the same order, which the caller
-    knows to form an invertible matrix.
+    indices), which the caller knows to be a frame: their generators form
+    an invertible matrix.
 
     `pos` maps every facet to its coordinate.  With `cx.simplex_pos[top]`
     this is the full class, keyed by facet position; a facet sent to a
     negative coordinate is left out, so a map that keeps only some facets
     builds the class restricted to them and never the full one.  A flag
-    missing from `pos` raises: it is not a facet.  `spans` memoises, per
-    tuple of the frame's lines, the vertex they span: the span of a set of
-    lines does not depend on their generators, so the lookup needs no
-    sorting of vectors, and only a first lookup goes to `vertex_of_span`.
+    missing from `pos` raises: it is not a facet.  `spans` memoises the
+    vertex spanned by each tuple of lines looked up.
+
+    The span W of k of the lines (2 <= k <= n - 1) is the one vertex in
+    all their rank-k up-sets (`cx.line_upsets`): k columns of an invertible
+    matrix span a free rank-k summand with a free complement, a vertex
+    holding each line.  A rank-k vertex V holding the lines contains W,
+    which is then a summand of V with a complement of rank 0, that is 0
+    (projectives over these rings are free), so V = W.
     """
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
@@ -176,11 +188,11 @@ def _class_coeffs(cx: TitsComplex, frame, cols, pos: dict, spans: dict) -> dict[
     vertex_of = [0] * (1 << n)
     for j, v in enumerate(frame):
         vertex_of[1 << j] = v
-    for mask, members, subset in _span_subsets(n):
+    for mask, members, size in _span_subsets(n):
         key = members(frame)
         v = spans.get(key)
         if v is None:
-            v = spans[key] = cx.vertex_of_span([cols[j] for j in subset])
+            v = spans[key] = _vertex_of_lines(cx.line_upsets[size], key)
         vertex_of[mask] = v
     coeffs: dict[int, int] = {}
     # the n! flags are distinct facets (distinct subsets of a basis span
@@ -290,14 +302,9 @@ class SpanRankResult:
         )
 
 
-def _frame_columns(cx: TitsComplex, frame) -> list:
-    """Canonical generators of a set of lines, in vertex order."""
-    return [cx.vertices[i].preferred_basis[0] for i in sorted(frame)]
-
-
 def _invertible_frames(cx: TitsComplex, lines):
-    """(lines, columns) of every frame among `lines` (vertex indices in
-    increasing order), in the order of `itertools.combinations(lines, n)`.
+    """Every frame among `lines` (vertex indices in increasing order), as
+    a list, in the order of `itertools.combinations(lines, n)`.
 
     The combinations are walked as an (n-1)-prefix times a last line, which
     is the same order.  The n signed cofactors of the prefix columns come
@@ -307,12 +314,11 @@ def _invertible_frames(cx: TitsComplex, lines):
     """
     ring, n = cx.ring, cx.n
     add, mul, neg, units = ring.add, ring.mul, ring.neg, ring.units
-    gens = _frame_columns(cx, lines)
+    gens = [cx.vertices[i].basis[0] for i in lines]
     full = (1 << n) - 1
     for prefix in itertools.combinations(range(len(lines) - 1), n - 1):
         frame = [lines[k] for k in prefix]
-        cols = [gens[k] for k in prefix]
-        minors = subset_minors(ring, cols, n)
+        minors = subset_minors(ring, [gens[k] for k in prefix], n)
         # the cofactor of row r in the last column: (-1)^(r + n - 1) times
         # the prefix minor without row r
         cof = [
@@ -325,11 +331,11 @@ def _invertible_frames(cx: TitsComplex, lines):
             for a, c in zip(w, cof):
                 det = add[det][mul[a][c]]
             if det in units:
-                yield frame + [lines[k]], cols + [w]
+                yield frame + [lines[k]]
 
 
 def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
-    """(lines, columns) of the frames of sampled mode: the identity frame
+    """The frames of sampled mode, as sorted lists: the identity frame
     and seeded random sets of `lines` (vertex indices in increasing order)
     whose columns `Mat.det` finds invertible, then rounds of their images
     under the generators of GL_n(R), each frame once, each round sorted by
@@ -338,13 +344,12 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     seed round is never tested this way.
 
     Only lines are mapped: one table per generator g sends each line to
-    the line spanned by g times its generator, and the columns of every
-    frame come from one table of line generators.  Both are built once
+    the line spanned by g times its generator.  The tables are built once
     and dropped with the generator.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
-    gen = dict(zip(lines, _frame_columns(cx, lines)))
+    gen = {i: cx.vertices[i].basis[0] for i in lines}
     images = [
         {i: cx.vertex_of_span([g.apply(v)]) for i, v in gen.items()} for g in gl_generators(ring, n)
     ]
@@ -358,9 +363,7 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     seen = set(frontier)
     rank = None
     while True:
-        for f in frontier:
-            frame = sorted(f)
-            yield frame, [gen[i] for i in frame]
+        yield from map(sorted, frontier)
         if ech.rank == rank:
             return
         rank = ech.rank
@@ -386,9 +389,10 @@ def apartment_span_rank(
     """Rank of the lattice spanned by apartment classes inside top chains.
 
     Apartments are indexed by frames: unordered sets of n rank-1 vertices
-    whose canonical generators form an invertible matrix (column scalings
-    and reorderings change the class by at most a sign, so frames exhaust
-    all apartment classes up to sign).
+    whose generators (`Summand.basis[0]`; a unit rescaling multiplies the
+    determinant by a unit) form an invertible matrix.  Column scalings and
+    reorderings change the class by at most a sign, so frames exhaust all
+    apartment classes up to sign.
 
     exhaustive mode scans every frame (`_invertible_frames`); sampled mode
     grows an orbit closure from the identity frame plus seeded random
@@ -401,9 +405,9 @@ def apartment_span_rank(
     the cofactors of its (n-1)-prefix.  Sampled mode tests only its seed
     candidates, with `Mat.det`; every later frame is the image p_g(F) of a
     frame F = {L_1, ..., L_n} already known to be one, under a generator g
-    of GL_n(R), and needs no test: if v_i is the canonical generator of
-    L_i, then g v_i generates the free line g L_i, so its canonical
-    generator is w_i = u_i g v_i for a unit u_i (two generators of a free
+    of GL_n(R), and needs no test: if v_i is the generator of L_i, then
+    g v_i generates the free line g L_i, so its generator is
+    w_i = u_i g v_i for a unit u_i (two generators of a free
     rank-1 module differ by a unit), and
     det(w_1 | ... | w_n) = +-det(g) u_1 ... u_n det(v_1 | ... | v_n) is a
     unit, the sign coming from putting the lines in vertex order.
@@ -465,11 +469,11 @@ def apartment_span_rank(
         frames = _orbit_frames(cx, lines, seed, ech)
     used: list[dict] = []  # the classes added, in order, on the surviving top cells
     saturated = True
-    for frame, cols in frames:
+    for frame in frames:
         if budget is not None and len(used) >= budget:
             saturated = False
             break
-        used.append(_class_coeffs(cx, frame, cols, pos, spans))
+        used.append(_class_coeffs(cx, frame, pos, spans))
         ech.add(used[-1])
         if ech.rank == top_betti:
             break

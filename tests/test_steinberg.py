@@ -25,7 +25,7 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import complexes, homology, steinberg
+from titscomplex import complexes, homology, linalg, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 
@@ -216,31 +216,36 @@ def test_apartment_span_sampled_agrees(built):
     assert res.saturated and res.rank == 8
 
 
+def _frame_matrix(cx, frame):
+    """The matrix of the lines' generators, `Summand.basis[0]`, which the
+    span uses."""
+    return Mat.from_columns(cx.ring, [cx.vertices[i].basis[0] for i in frame])
+
+
 def _oracle_frames(cx):
-    """Column lists of the n-subsets of lines whose generators form an
-    invertible matrix, by one `Mat.det` per subset, in combinations order."""
+    """The n-subsets of lines (lists of vertex indices) whose preferred
+    generators form an invertible matrix, by one `Mat.det` per subset, in
+    combinations order."""
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     gens = {i: cx.vertices[i].preferred_basis[0] for i in lines}
-    subsets = ([gens[i] for i in f] for f in itertools.combinations(lines, cx.n))
-    return [cols for cols in subsets if Mat.from_columns(cx.ring, cols).is_invertible()]
+    subsets = (list(f) for f in itertools.combinations(lines, cx.n))
+    return [f for f in subsets if Mat.from_columns(cx.ring, [gens[i] for i in f]).is_invertible()]
 
 
 def _exact_span(cx):
     """Oracle: the Smith rank of every invertible frame's apartment class,
     and the number of those frames."""
-    mats = (Mat.from_columns(cx.ring, cols) for cols in _oracle_frames(cx))
-    classes = [apartment_class(cx, m).coeffs for m in mats]
+    classes = [apartment_class(cx, _frame_matrix(cx, f)).coeffs for f in _oracle_frames(cx)]
     return smith_rank_and_divisors(SparseCols(len(cx.facets()), classes))[0], len(classes)
 
 
 @pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("F3", 3), ("Z/2xZ/2", 3)])
 def test_cofactor_frame_test_matches_the_determinant(built, label, n):
+    # the same frames in the same order, though the oracle tests the
+    # preferred generators and the span the walk's
     cx = built.complex(label, n)
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
-    frames = list(steinberg._invertible_frames(cx, lines))
-    assert [cols for _, cols in frames] == _oracle_frames(cx)
-    # each frame's line indices are the vertices its columns span
-    assert all(frame == [cx.vertex_of_span([c]) for c in cols] for frame, cols in frames)
+    assert list(steinberg._invertible_frames(cx, lines)) == _oracle_frames(cx)
 
 
 CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
@@ -301,13 +306,13 @@ def test_certified_sampled_span_reaches_top_betti(built):
 
 
 def _record_frames(monkeypatch):
-    """Record the columns of every frame whose class the span computes."""
+    """Record the lines of every frame whose class the span computes."""
     recorded = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, cols, pos, spans):
-        recorded.append(list(cols))
-        return class_coeffs(cx, frame, cols, pos, spans)
+    def recording_class(cx, frame, pos, spans):
+        recorded.append(list(frame))
+        return class_coeffs(cx, frame, pos, spans)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     return recorded
@@ -322,8 +327,7 @@ def test_sampled_budget_is_never_exceeded(built, monkeypatch):
         assert not res.saturated and res.apartments_used <= budget
         assert res.top_betti == 27
         # the frames used are recounted exactly
-        mats = [Mat.from_columns(cx.ring, cols) for cols in recorded[: res.apartments_used]]
-        used = [apartment_class(cx, m).coeffs for m in mats]
+        used = [apartment_class(cx, _frame_matrix(cx, f)).coeffs for f in recorded[: res.apartments_used]]
         assert res.rank == smith_rank_and_divisors(SparseCols(len(cx.facets()), used))[0]
 
 
@@ -336,8 +340,8 @@ def test_sampled_orbit_frames_are_invertible(built, monkeypatch, label):
         recorded.clear()
         res = apartment_span_rank(cx, mode="sampled", seed=seed)
         assert len(recorded) == res.apartments_used
-        for cols in recorded:
-            assert Mat.from_columns(cx.ring, cols).det() in cx.ring.units
+        for frame in recorded:
+            assert _frame_matrix(cx, frame).det() in cx.ring.units
 
 
 @pytest.mark.parametrize("label,want", [
@@ -405,6 +409,67 @@ def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
     assert calls == []
 
 
+@pytest.mark.parametrize("label,mode", [("F7", "sampled"), ("Z/2xZ/2", "exhaustive")])
+def test_apartment_span_computes_no_preferred_basis(monkeypatch, label, mode):
+    # a fresh complex, so that no preferred basis or span is cached
+    cx = build_tits_complex(parse_ring_spec(label), 3)
+    extensions, spans = [], []
+    free_extension = linalg._free_extension
+    vertex_of_span = complexes.TitsComplex.vertex_of_span
+
+    def counting_extension(*args):
+        extensions.append(args)
+        return free_extension(*args)
+
+    def counting_span(self, vectors):
+        spans.append(list(vectors))
+        return vertex_of_span(self, vectors)
+
+    monkeypatch.setattr(linalg, "_free_extension", counting_extension)
+    monkeypatch.setattr(complexes.TitsComplex, "vertex_of_span", counting_span)
+    res = apartment_span_rank(cx, mode=mode, seed=0)
+    assert res.mode == mode and res.rank == res.top_betti
+    assert extensions == []
+    # sampled mode looks up the identity frame's n lines and one image per
+    # line and generator of GL_n(R); no class looks up a vector
+    lines = sum(s.rank == 1 for s in cx.vertices)
+    want = cx.n + lines * len(gl_generators(cx.ring, cx.n)) if mode == "sampled" else 0
+    assert len(spans) == want and all(len(v) == 1 for v in spans)
+
+
+# (ring, n, mode, budget) of spans whose frames the line lookup is checked on
+LOOKUP_CASES = [
+    ("F7", 3, "sampled", None), ("Z/4", 3, "auto", None), ("Z/6", 3, "auto", None),
+    ("Z/2xZ/2", 3, "auto", None), ("F2[e]^2", 3, "auto", None), ("F2", 4, "exhaustive", None),
+    ("F3", 4, "sampled", 300), ("Z/4", 4, "sampled", 300),
+]
+
+
+@pytest.mark.parametrize("label,n,mode,budget", LOOKUP_CASES)
+def test_line_lookup_matches_vertex_of_span(built, monkeypatch, label, n, mode, budget):
+    cx = built.complex(label, n)
+    recorded = _record_frames(monkeypatch)
+    apartment_span_rank(cx, mode=mode, seed=0, budget=budget)
+    subsets = {s for f in recorded for k in range(2, n) for s in itertools.combinations(f, k)}
+    assert recorded and subsets
+    for lines in subsets:
+        want = cx.vertex_of_span([cx.vertices[i].basis[0] for i in lines])
+        assert steinberg._vertex_of_lines(cx.line_upsets[len(lines)], lines) == want, lines
+
+
+def test_line_lookup_raises_for_lines_in_two_planes(built):
+    # <e_1> and <e_1 + 2 e_2> over Z/4 span no free plane, and both lie in
+    # <e_1, e_2> and in <e_1, e_2 + 2 e_3>
+    cx = built.complex("Z/4", 3)
+    vec = cx.ring.vec
+    a, b = (cx.vertex_of_span([vec(v)]) for v in ([1, 0, 0], [1, 2, 0]))
+    planes = {cx.vertex_of_span([vec([1, 0, 0]), vec(v)]) for v in ([0, 1, 0], [0, 1, 2])}
+    ups = cx.line_upsets[2]
+    assert len(planes) == 2 and planes <= ups[a] & ups[b]
+    with pytest.raises(RuntimeError, match="more than one"):
+        steinberg._vertex_of_lines(ups, (a, b))
+
+
 # (ring, mode, rank, apartments used) at n = 3, seed 0
 SPAN_PINS = [
     ("F7", "sampled", 343, 855),
@@ -426,16 +491,34 @@ def test_apartment_span_results_are_pinned(built, monkeypatch, label, mode, rank
     assert res.saturated and res.top_betti == rank
 
 
+# (ring, mode, budget, rank, apartments used, saturated, top_betti) at
+# n = 4, seed 0: the first case with spans of three lines
+SPAN_PINS_N4 = [
+    ("F2", "exhaustive", None, 64, 80, True, 64),
+    ("F3", "sampled", None, 729, 1495, True, 729),
+    ("Z/4", "sampled", 300, 262, 300, False, 10879),
+]
+
+
+@pytest.mark.parametrize("label,mode,budget,rank,used,saturated,top_betti", SPAN_PINS_N4)
+def test_apartment_span_results_are_pinned_at_n4(built, label, mode, budget, rank, used, saturated, top_betti):
+    kwargs = {} if budget is None else {"budget": budget}
+    res = apartment_span_rank(built.complex(label, 4), mode=mode, seed=0, **kwargs)
+    assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
+    assert (res.saturated, res.top_betti) == (saturated, top_betti)
+
+
 @pytest.mark.parametrize("label,mode", [("F7", "sampled"), ("Z/2xZ/2", "exhaustive")])
 def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch, label, mode):
     cx = built.complex(label, 3)
     classes = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, cols, pos, spans):
+    def recording_class(cx, frame, pos, spans):
         # the full class, by the full position map; the span gets its own
-        classes.append(class_coeffs(cx, frame, cols, cx.simplex_pos[cx.dim], {}))
-        return class_coeffs(cx, frame, cols, pos, spans)
+        assert _frame_matrix(cx, frame).det() in cx.ring.units
+        classes.append(class_coeffs(cx, frame, cx.simplex_pos[cx.dim], {}))
+        return class_coeffs(cx, frame, pos, spans)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
