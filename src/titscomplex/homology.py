@@ -14,7 +14,10 @@ Induced maps and fixed subspaces are reported by their ranks.
 incidence, with that face) from the augmented complex; restriction to its
 survivors is an isomorphism of top cycle lattices over Z, which gives
 apartment classes short exact coordinates and the apartment span its
-bound.  `reduced_homology` reduces every boundary by Smith.
+bound.  `reduced_homology` coreduces first and runs Smith on each
+boundary restricted to the survivors (`restricted`), with an identity
+block for the pairs removed there, which gives the full boundary's rank
+and invariant factors.
 No floating point and no fractions.  The one modular computation,
 `ModPEchelon` (balanced residues mod a prime), is a lower bound on a rank
 over Q; it certifies an exact rank only when it meets a proven upper
@@ -102,15 +105,21 @@ def chain_complex(cx) -> ChainComplex:
 # exact ranks and invariant factors
 
 
-def smith_rank_and_divisors(mat: SparseCols) -> tuple[int, list[int]]:
-    """Exact rank and invariant factors (SNF diagonal) of an integer matrix.
+def smith_rank_and_divisors(mat: SparseCols, units: int = 0) -> tuple[int, list[int]]:
+    """Exact rank and invariant factors (SNF diagonal) of the integer matrix
+    I_units + M, the identity block of size `units` beside M.
 
     `_unit_pivots` splits M into k unit pivots and a residual R with
     SNF(M) = I_k + SNF(R); the residual, usually empty on the boundaries of
-    these complexes, goes through `_kannan_bachem`.
+    these complexes, goes through `_kannan_bachem`.  The identity block
+    adds `units` to the rank and `units` ones to the front of the divisor
+    chain, and is never built: `reduced_homology` passes the coreduction
+    pairs of a degree there, so that the call on a restricted boundary
+    returns the Smith data of the full one.
     """
     k, residual = _unit_pivots(mat.cols)
     r, divisors = _kannan_bachem(residual)
+    k += units
     return k + r, [1] * k + divisors
 
 
@@ -166,6 +175,8 @@ def _unit_pivots(cols) -> tuple[int, list[dict]]:
     touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
     residual = []
     for col in cols:
+        if not col:  # adds nothing; most columns of a restricted boundary are zero
+            continue
         vec = _reduce(pivots, col)
         units = [k for k, v in vec.items() if v == 1 or v == -1]
         if not units:
@@ -455,14 +466,41 @@ class HomologyResult:
 
 
 def reduced_homology(cc: ChainComplex) -> HomologyResult:
-    """Reduced integral homology from exact Smith data of the boundaries."""
+    """Reduced integral homology from exact Smith data of the boundaries,
+    read on the cells that survive coreduction.
+
+    `_coreduction` runs once.  Then each degree d = 0..dim, in order, gets
+    one `smith_rank_and_divisors` call on its boundary restricted to the
+    surviving d-cells and (d-1)-faces, with `units` = p_d, the number of
+    coreduction pairs between degrees d and d - 1 (p_0 pairs a vertex with
+    the empty simplex, or is 0 when the augmentation has no row).  The call
+    returns the Smith data of I_{p_d} + M_d, and that is the Smith data of
+    the full boundary.
+
+    Why.  Let f_d be the cells of degree d, s_d the survivors, r_d and r'_d
+    the ranks of the full and the restricted boundary out of degree d, and
+    count the empty simplex as degree -1 with r_{-1} = 0.  Every removed
+    d-cell is in one pair, as the upper cell or the lower one, so
+    f_d - s_d = p_d + p_{d+1}.  The survivors have the homology of the
+    complex, degree -1 included (proof in `coreduce`), so their Betti
+    numbers agree: f_d - r_d - r_{d+1} = s_d - r'_d - r'_{d+1}.  At d = -1
+    this reads f_{-1} - r_0 = s_{-1} - r'_0, so r_0 = r'_0 + p_0; and if
+    r_d = r'_d + p_d, the identity at d gives
+    r_{d+1} = f_d - s_d - p_d + r'_{d+1} = r'_{d+1} + p_{d+1}.  So
+    r_d = r'_d + p_d in every degree.  The torsion of H_{d-1} is the non-unit
+    invariant factors of either boundary, by the same isomorphism, so the
+    full divisor chain of the boundary out of degree d is p_d more ones in
+    front of that of the restricted one.
+    """
     top = cc.dim
     if top < 0:
         return HomologyResult([], [], [])
+    survivors, pairs = _coreduction(cc)
     ranks = []
     divisors = []
     for d in range(top + 1):
-        r, dv = smith_rank_and_divisors(cc.boundaries[d])
+        m = restricted(cc.boundaries[d], survivors[d + 1], set(survivors[d]))
+        r, dv = smith_rank_and_divisors(m, units=pairs[d])
         ranks.append(r)
         divisors.append(dv)
     betti = []
@@ -476,6 +514,16 @@ def reduced_homology(cc: ChainComplex) -> HomologyResult:
     return HomologyResult(betti, torsion, cc.f)
 
 
+def restricted(mat: SparseCols, cols, rows) -> SparseCols:
+    """The columns of mat at the indices `cols`, in that order, each cut to
+    the row indices in the set `rows`; rows keep their indices, so the
+    result has mat's row count."""
+    mat_cols = mat.cols
+    return SparseCols(
+        mat.nrows, [{r: v for r, v in mat_cols[k].items() if r in rows} for k in cols]
+    )
+
+
 def coreduce(cc: ChainComplex) -> list[list[int]]:
     """Cells of each degree 0..dim that survive coreduction of the augmented
     complex (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko 2009), in
@@ -485,11 +533,15 @@ def coreduce(cc: ChainComplex) -> list[list[int]]:
     with incidence +-1; both are removed.  The cells with one live face wait
     in a FIFO queue, seeded in (degree, index) order, and removing a pair
     queues each live coface of a or b whose live face count drops to one.
-    The empty simplex is the one (-1)-cell, so the first pair is the first
-    vertex with it.  The survivors' boundaries are the restrictions of the
-    original ones: no entry is ever rewritten, and the homology of the
-    survivors under the restricted boundaries is that of cc, torsion
-    included.
+    The empty simplex is the (-1)-cell, the one row of the augmentation, so
+    the first pair is the first vertex with it.  The survivors' boundaries
+    are the restrictions of the original ones: no entry is ever rewritten,
+    and the homology of the survivors under the restricted boundaries is
+    that of cc, torsion included, in every degree from -1 up.  (Removing a
+    pair (a, b) with incidence e is an elementary reduction: the other cells
+    with the boundary x -> d(x) - <d(x), b>*e*d(a) form a homotopy
+    equivalent complex, and since d(a) = e*b on the live cells, that
+    boundary is the plain restriction of d.)
 
     Top cycles keep exact coordinates.  Restriction to the live cells maps
     the top cycles of the complex before a removal isomorphically over Z
@@ -504,18 +556,27 @@ def coreduce(cc: ChainComplex) -> list[list[int]]:
     their chain lattices, so any top cycles have the same rank mod a prime
     as their restrictions to the surviving top cells.
     """
+    return _coreduction(cc)[0][1:]
+
+
+def _coreduction(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
+    """The coreduction of `coreduce`: the survivors of each level 0..dim+1,
+    where level L holds the cells of degree L - 1 and level 0 the rows of
+    the augmentation (the empty simplex), and the number of pairs removed
+    between degrees d and d - 1 for each d = 0..dim."""
     top = cc.dim
     if top < 0:
-        return []
-    # level L holds the cells of degree L - 1; level 0 is the empty simplex
+        return [], []
     faces = [None] + [b.cols for b in cc.boundaries]
-    alive = [bytearray(b"\x01")] + [bytearray(b"\x01") * f for f in cc.f]
+    alive = [bytearray(b"\x01") * n for n in [cc.boundaries[0].nrows, *cc.f]]
     live = [None] + [[len(col) for col in b.cols] for b in cc.boundaries]
     cofaces = [[[] for _ in range(len(level))] for level in alive[:-1]]
     for lvl in range(1, top + 2):
+        level_cofaces = cofaces[lvl - 1]
         for a, col in enumerate(faces[lvl]):
             for b in col:
-                cofaces[lvl - 1][b].append(a)
+                level_cofaces[b].append(a)
+    pairs = [0] * (top + 1)
     queue = collections.deque(
         (lvl, a) for lvl in range(1, top + 2) for a, k in enumerate(live[lvl]) if k == 1
     )
@@ -528,6 +589,7 @@ def coreduce(cc: ChainComplex) -> list[list[int]]:
         if e != 1 and e != -1:
             continue
         alive[lvl][a] = below[b] = 0
+        pairs[lvl - 1] += 1
         # a's cofaces lose their face a, b's live cofaces their face b
         for up, cell in ((lvl + 1, a), (lvl, b)):
             if up > top + 1:
@@ -538,7 +600,8 @@ def coreduce(cc: ChainComplex) -> list[list[int]]:
                     up_live[c] -= 1
                     if up_live[c] == 1:
                         queue.append((up, c))
-    return [[a for a, x in enumerate(alive[lvl]) if x] for lvl in range(1, top + 2)]
+    survivors = [[a for a, x in enumerate(level) if x] for level in alive]
+    return survivors, pairs
 
 
 def euler_characteristic_checks(cc: ChainComplex, hom: HomologyResult) -> bool:

@@ -26,7 +26,7 @@ from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
     ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, exact_rank,
-    permutation_orbits,
+    permutation_orbits, restricted,
 )
 
 
@@ -449,10 +449,8 @@ def apartment_span_rank(
         )
     cc = chain_complex(cx)
     *_, faces, top = [[]] + coreduce(cc)  # the empty simplex never survives
-    d, live = cc.boundaries[-1], set(faces)
-    top_betti = len(top) - exact_rank(
-        SparseCols(d.nrows, [{r: v for r, v in d.cols[k].items() if r in live} for k in top])
-    )
+    d = cc.boundaries[-1]
+    top_betti = len(top) - exact_rank(restricted(d, top, set(faces)))
     # the class coordinates: a facet's index if it survives, else -1; and
     # the spans of tuples of lines, which `_class_coeffs` fills per call
     facets = cx.facets()

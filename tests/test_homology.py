@@ -25,11 +25,13 @@ from titscomplex import (
     smith_rank_and_divisors,
     steinberg_rank,
 )
+from titscomplex import homology
 from titscomplex.homology import (
     ChainComplex,
     IntEchelon,
     MOD_P,
     ModPEchelon,
+    _coreduction,
     _unit_pivots,
     euler_characteristic_checks,
     normalize_divisors,
@@ -236,6 +238,15 @@ def test_smith_and_kernel_properties(M):
     assert smith_rank_and_divisors(SparseCols(len(M[0]), kb)) == (k, [1] * k)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(small_matrices, st.integers(0, 3))
+def test_smith_units_are_an_identity_block(M, k):
+    """smith_rank_and_divisors(M, units=k) is the Smith data of I_k + M."""
+    block = [[int(i == j) for j in range(k)] + [0] * len(M[0]) for i in range(k)]
+    block += [[0] * k + row for row in M]
+    assert smith_rank_and_divisors(to_sparse(M), units=k) == dense_snf(block)
+
+
 P = MOD_P
 # the edges of the balanced residue range (-p/2, p/2], multiples of p,
 # their neighbours, and integers far beyond p
@@ -383,6 +394,17 @@ def test_circle_and_sphere():
     assert reduced_homology(chain_complex(sphere)).betti == [0, 0, 1]
 
 
+def smith_homology(cc):
+    """Test oracle: reduced homology from Smith data of every full boundary,
+    with no coreduction."""
+    if cc.dim < 0:
+        return HomologyResult([], [], [])
+    smith = [smith_rank_and_divisors(b) for b in cc.boundaries] + [(0, [])]
+    betti = [cc.f[d] - smith[d][0] - smith[d + 1][0] for d in range(cc.dim + 1)]
+    torsion = [[x for x in smith[d + 1][1] if x != 1] for d in range(cc.dim + 1)]
+    return HomologyResult(betti, torsion, cc.f)
+
+
 def residual_complex(cc, survivors):
     """The survivors of coreduction with the restricted boundaries, renumbered."""
     boundaries = []
@@ -435,8 +457,13 @@ def test_coreduction_keeps_the_torsion_of_rp2():
     assert survivors[1] and survivors[2]
     residual = residual_complex(cc, survivors)
     assert residual.dd_is_zero()
-    assert reduced_homology(residual) == reduced_homology(cc)
-    assert reduced_homology(residual).torsion == [[], [2], []]
+    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
+    assert reduced_homology(cc).torsion == [[], [2], []]
+    # the residual's augmentation has no row, so no pair at the empty simplex
+    assert residual.boundaries[0].nrows == 0
+    assert _coreduction(residual)[1][0] == 0
+    assert reduced_homology(residual) == smith_homology(residual)
+    assert reduced_homology(residual).betti == [0, 0, 0]
 
 
 def test_coreduction_never_pairs_a_non_unit_incidence():
@@ -444,7 +471,10 @@ def test_coreduction_never_pairs_a_non_unit_incidence():
     cc = ChainComplex([1, 1, 1], [SparseCols(1, [{0: 1}]), SparseCols(1, [{}]), SparseCols(1, [{0: 2}])])
     survivors = coreduce(cc)
     assert survivors == [[], [0], [0]]
-    assert reduced_homology(residual_complex(cc, survivors)) == reduced_homology(cc)
+    assert _coreduction(cc) == ([[], [], [0], [0]], [1, 0, 0])
+    assert smith_homology(residual_complex(cc, survivors)) == smith_homology(cc)
+    assert reduced_homology(cc) == smith_homology(cc)
+    assert reduced_homology(cc).betti == [0, 0, 0]
     assert reduced_homology(cc).torsion == [[], [2], []]
 
 
@@ -454,7 +484,58 @@ def test_coreduction_then_smith_equals_smith(facets):
     cc = chain_complex(closure_complex([tuple(f) for f in facets]))
     residual = residual_complex(cc, coreduce(cc))
     assert residual.dd_is_zero()
-    assert reduced_homology(residual) == reduced_homology(cc)
+    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
+
+
+@pytest.mark.parametrize("label,n,m", [
+    ("F2", 3, None), ("Z/4", 3, None), ("Z/6", 3, None), ("Z/9", 3, None),
+    ("F2[e]^2", 3, None), ("Z/2xZ/2", 3, None), ("F2", 4, None), ("F3", 4, None),
+    ("Z/4", 4, 3), ("Z/6", 3, 1),
+])
+def test_reduced_homology_equals_smith_on_every_full_boundary(built, label, n, m):
+    cc = built.chain(label, n, m)
+    assert reduced_homology(cc) == smith_homology(cc)
+    # f_d - s_d = p_d + p_{d+1}: every removed cell is in exactly one pair
+    survivors, pairs = _coreduction(cc)
+    assert pairs[0] == 1 - len(survivors[0])
+    for d in range(cc.dim):
+        assert cc.f[d] - len(survivors[d + 1]) == pairs[d] + pairs[d + 1]
+    assert cc.f[-1] - len(survivors[-1]) == pairs[-1]
+
+
+def test_reduced_homology_of_the_smallest_complexes():
+    f2 = make_ring(parse_ring_spec("F2"))
+    # n = 1: no proper nonzero summand, the empty complex
+    empty = chain_complex(build_tits_complex(f2, 1))
+    assert empty.dim == -1
+    assert _coreduction(empty) == ([], [])
+    assert reduced_homology(empty) == smith_homology(empty) == HomologyResult([], [], [])
+    # n = 2: the three lines of F2^2, one of them paired with the empty simplex
+    cc = chain_complex(build_tits_complex(f2, 2))
+    assert _coreduction(cc) == ([[], [1, 2]], [1])
+    assert reduced_homology(cc) == smith_homology(cc)
+    assert reduced_homology(cc).betti == [2]
+
+
+@pytest.mark.parametrize("label,n,ranks", [
+    ("F2", 3, [1, 13]), ("Z/9", 3, [1, 233]), ("F3", 4, [1, 209, 1351]),
+])
+def test_reduced_homology_calls_smith_once_per_degree_in_order(built, monkeypatch, label, n, ranks):
+    """One Smith call per boundary, degree 0 first, each returning the full
+    boundary's rank: the per-degree Smith spans a trace reads."""
+    cc = built.chain(label, n)
+    calls = []
+
+    def recording(mat, units=0):
+        res = smith_rank_and_divisors(mat, units=units)
+        calls.append((mat.nrows, res[0]))
+        return res
+
+    monkeypatch.setattr(homology, "smith_rank_and_divisors", recording)
+    reduced_homology(cc)
+    assert len(calls) == cc.dim + 1
+    assert [rows for rows, _ in calls] == [1] + cc.f[:-1]
+    assert [rank for _, rank in calls] == ranks == [exact_rank(b) for b in cc.boundaries]
 
 
 def test_homology_known_rank_values(built):
