@@ -45,9 +45,9 @@ for label, ideal, n in [("Z/4", 2, 2), ("Z/8", 2, 2), ("Z/8", 4, 2), ("Z/4", 2, 
 # For n = 2 the rank-one summands of R^2 form one orbit, and the number of
 # GL_2-orbits on PAIRS of lines counts the summands of the permutation
 # module: over a chain ring of length k there are k+1 of them.  The same
-# number appears as the dimension of the commutant algebra; the library
-# computes the two as the components of one graph, by an orbit sweep and by
-# the nullity of the commutation system.
+# number appears as the dimension of the commutant algebra, whose basis is
+# the orbit sums on pairs; the library counts the orbits once, by one sweep
+# under the generators, and reports that count for both.
 for label in ("Z/4", "Z/8", "Z/9", "F5", "F2[e]^3"):
     orbits, commutant = p1_orbit_and_commutant(parse_ring_spec(label))
     print(f"{label}: {orbits} orbits on line pairs, commutant dimension {commutant}")

@@ -282,9 +282,11 @@ class SimplicialReduction:
         self.vertex_map = vertex_map  # list: src vertex index -> dst vertex index
 
     def simplex_image(self, t) -> tuple:
-        """Image of a simplex; ranks are preserved so images never degenerate."""
+        """Image of a simplex.  Ranks are preserved, so images never
+        degenerate, and need no sorting: vertices are ordered by rank first,
+        so the image of a rank-increasing tuple is in increasing order."""
         vm = self.vertex_map
-        return tuple(sorted(vm[i] for i in t))
+        return tuple(vm[i] for i in t)
 
     def is_simplicial(self) -> bool:
         return all(

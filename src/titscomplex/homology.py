@@ -170,7 +170,10 @@ def _unit_pivots(cols) -> tuple[int, list[dict]]:
     operations with the lead rows clear P off its lead rows and leave R
     alone, so SNF(M) = I_k + SNF(R) and rank M = k + rank R.  Arithmetic is
     on exact integers, with no modulus and no division.
+
+    A column holding an explicit zero entry is read without it.
     """
+    cols = [{k: v for k, v in col.items() if v} if 0 in col.values() else col for col in cols]
     pivots: dict[int, dict] = {}  # lead row -> pivot column, +1 at its lead
     touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
     residual = []
@@ -636,7 +639,8 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
     map (top homology is the full cycle lattice there), by three exact ranks.
 
     With d the top boundary of the source and F its facet push-forward (a
-    facet goes to its image facet, a degenerate one to 0), the cycle ranks
+    facet goes to its image facet: a facet's vertices have distinct ranks,
+    which the map keeps, so no image degenerates), the cycle ranks
     are f_top - rank d on each side, and the rank of F on Z = ker d is
 
         rank F(Z) = rank [d ; F] - rank d,
@@ -652,11 +656,7 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
     d_src = src_cc.boundaries[top]
     stacked = []
     for t, col in zip(src.simplices[top], d_src.cols):
-        img = simplicial_map.simplex_image(t)
-        if len(set(img)) != len(img):
-            stacked.append(col)  # degenerate facet contributes 0
-            continue
-        j = dst_pos.get(img)
+        j = dst_pos.get(simplicial_map.simplex_image(t))
         if j is None:
             raise ValueError("image of a facet is not a facet; map is not simplicial")
         stacked.append({**col, d_src.nrows + j: 1})

@@ -19,16 +19,6 @@ import operator
 from .rings import DEFAULT_BUDGET, Ring, check_budget, ideal_closure
 
 
-def vadd(ring: Ring, u, v):
-    add = ring.add
-    return tuple(add[a][b] for a, b in zip(u, v))
-
-
-def vscale(ring: Ring, a: int, v):
-    row = ring.mul[a]
-    return tuple(row[x] for x in v)
-
-
 def zero_vector(ring: Ring, n: int):
     return (ring.zero,) * n
 

@@ -30,11 +30,14 @@ from .homology import (
 )
 from .steinberg import (
     apartment_span_rank,
+    chamber_map,
     eta_class,
     p1_orbit_and_commutant,
+    reverse_ut_facet,
     steinberg_rank,
     steinberg_rank_field,
     ut_apartment_pairing,
+    ut_bases,
 )
 
 TABLE1 = {
@@ -144,7 +147,13 @@ def _check_ut(ctx, cases):
 
 def _eta_case(ctx, label, n, m_payload):
     cx = ctx.complex(label, n)
-    eta = eta_class(cx, m_payload)  # raises if zero or not annihilated
+    eta = eta_class(cx, m_payload)
+    if eta.is_zero():
+        return False, f"eta over {label}, n={n} is zero"
+    for k, b in enumerate(ut_bases(cx.ring, n, ctx.budget)):
+        c = chamber_map(eta, reverse_ut_facet(cx, b))
+        if c:
+            return False, f"eta over {label}, n={n} has chamber map {c} at upper-triangular basis {k}"
     if not eta.boundary_is_zero(ctx.chain(label, n)):
         return False, f"eta over {label}, n={n} is not a cycle"
     return True, ""

@@ -311,6 +311,26 @@ def test_verify_records_a_check_that_raises_as_failed(monkeypatch, capsys, error
     assert [c["id"] for c in failed] == ["eta-witness"]
     assert failed[0]["detail"] == f"{type(error).__name__}: {error}"
 
+def _identity_eta(cx, m_payload):
+    # nonzero and a cycle, but the chamber map of its own reverse
+    # upper-triangular flag reads 1
+    return steinberg.apartment_class(cx, titscomplex.Mat.identity(cx.ring, cx.n))
+
+
+@pytest.mark.parametrize("target,fake,cid,detail", [
+    ("eta_class", _identity_eta, "eta-witness",
+     "eta over Z/4, n=2 has chamber map 1 at upper-triangular basis 0"),
+    ("eta_class", lambda cx, m: steinberg.SteinbergChain(cx, {}), "eta-witness", "eta over Z/4, n=2 is zero"),
+    ("p1_orbit_and_commutant", lambda spec, budget: (2, 2), "orbit-commutant", "Z/4: (2, 2) (expected (3, 3))"),
+], ids=["eta-identity-class", "eta-zero", "orbits-not-k+1"])
+def test_verify_fails_a_wrong_witness(monkeypatch, capsys, target, fake, cid, detail):
+    monkeypatch.setattr(f"titscomplex.verify.{target}", fake)
+    code, out, err = run(capsys, "verify", "--only", cid, "--format", "json")
+    assert code == 1 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert (check["status"], check["detail"]) == ("fail", detail)
+
+
 def test_verify_budget_skip(capsys):
     code, out, _ = run(capsys, "verify", "--only", "homology-n2", "--budget", "10", "--format", "json")
     assert code == 0
@@ -456,6 +476,8 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("verify --tier fast", "23826842f5d1eb6b86bc7f64bc1ace3629e897b1c633d499cd27b9210ec86065"),
     ("verify --tier full", "7a3c21ea29efda867aaac021b807318620b681c0eefc431842bd4f15abad8e20"),
     ("orbits --ring Z/8", "3d225c457c56187cc3d25ce55c37346dd47b7c8ba6907ead43d4f5c40b08f21f"),
+    ("orbits --ring Z/27", "e308a1fa3de3bd6be76c90595c6fd3ca76001a8f11563b4bb7c533abf07257dd"),
+    ("orbits --ring Z/2xZ/3", "4147be7faa43c7160a450cc3e576e45fc33cbbf35b8d888c71454d78192cea03"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     """Vertex order and every exported byte stay the same across changes

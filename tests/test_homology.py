@@ -239,12 +239,20 @@ def test_smith_and_kernel_properties(M):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(small_matrices, st.integers(0, 3))
-def test_smith_units_are_an_identity_block(M, k):
-    """smith_rank_and_divisors(M, units=k) is the Smith data of I_k + M."""
+@given(small_matrices, st.integers(0, 3), st.integers(0, 2))
+def test_smith_units_are_an_identity_block(M, k, zeros):
+    """smith_rank_and_divisors(M, units=k) is the Smith data of I_k + M.
+
+    `zeros` keeps explicit zero entries in the sparse columns: none (0),
+    all (1), or those at an even i + j (2); they must read as absent."""
     block = [[int(i == j) for j in range(k)] + [0] * len(M[0]) for i in range(k)]
     block += [[0] * k + row for row in M]
-    assert smith_rank_and_divisors(to_sparse(M), units=k) == dense_snf(block)
+    sp = SparseCols(len(M), [
+        {i: row[j] for i, row in enumerate(M) if row[j] or zeros == 1 or zeros == 2 and (i + j) % 2 == 0}
+        for j in range(len(M[0]))
+    ])
+    assert smith_rank_and_divisors(sp, units=k) == dense_snf(block)
+    assert exact_rank(sp) == dense_snf(M)[0]
 
 
 P = MOD_P

@@ -17,11 +17,18 @@ from titscomplex.linalg import (
     all_vectors,
     quotient_free_rank_members,
     span_if_free,
-    vadd,
-    vscale,
     zero_vector,
 )
 from titscomplex.rings import ideal_closure
+
+
+# vector sum and scalar multiple in R^n, for the brute oracles below
+def vadd(ring, u, v):
+    return tuple(ring.add[a][b] for a, b in zip(u, v))
+
+
+def vscale(ring, a, v):
+    return tuple(ring.mul[a][x] for x in v)
 
 
 # -- determinant --------------------------------------------------------------

@@ -13,6 +13,7 @@ from titscomplex import (
     chamber_map,
     coreduce,
     eta_class,
+    exact_rank,
     gl_generators,
     make_ring,
     p1_orbit_and_commutant,
@@ -169,7 +170,13 @@ def test_ut_pairing_small(built):
                 assert M[i][j] == (1 if i == j else 0), (label, n, i, j)
 
 
-def test_eta_example_z4(built):
+def _second_route(*args):
+    raise AssertionError("a second route ran inside the library")
+
+
+def test_eta_example_z4(built, monkeypatch):
+    # eta is only built; the chamber maps below are the test's own import
+    monkeypatch.setattr(steinberg, "chamber_map", _second_route)
     cx = built.complex("Z/4", 2)
     ring = cx.ring
     eta = eta_class(cx, 2)
@@ -559,17 +566,43 @@ def test_apartment_span_without_coreduction_keeps_its_results(built, monkeypatch
 # -- orbit and commutant ---------------------------------------------------------
 
 
-def test_p1_orbit_and_commutant():
-    for label, k in [("Z/4", 2), ("F5", 1), ("Z/8", 3), ("Z/9", 2), ("F2[e]^2", 2)]:
+def nullity_commutant(label):
+    """Test-local oracle: the commutant dimension as the nullity of the
+    system X[a] = X[g a] over the pairs a of lines and the generators g,
+    one equation per edge of the graph joining each pair to its images,
+    i.e. the rank defect of that graph's incidence matrix."""
+    cx = build_tits_complex(parse_ring_spec(label), 2)
+    nl = len(cx.vertices)
+    edges = []
+    for g in gl_generators(cx.ring, 2):
+        perm = cx.vertex_permutation(g)
+        for i, j in itertools.product(range(nl), repeat=2):
+            a, b = i * nl + j, perm[i] * nl + perm[j]
+            if a != b:
+                edges.append({min(a, b): 1, max(a, b): -1})
+    return nl * nl - exact_rank(SparseCols(nl * nl, edges))
+
+
+def test_p1_orbit_and_commutant(monkeypatch):
+    # one orbit sweep: the library runs no rank (the oracle's exact_rank is
+    # imported here, not patched)
+    monkeypatch.setattr(steinberg, "exact_rank", _second_route)
+    # a chain ring of length k gives k + 1 orbits; a product of two fields
+    # gives (1 + 1) * (1 + 1) by CRT
+    cases = [
+        ("Z/4", 3), ("F5", 2), ("Z/8", 4), ("Z/9", 3), ("Z/27", 4), ("F2[e]^2", 3),
+        ("F2[e]^3", 4), ("Z/6", 4), ("Z/2xZ/3", 4),
+    ]
+    for label, want in cases:
         orbits, commutant = p1_orbit_and_commutant(parse_ring_spec(label))
-        assert orbits == commutant == k + 1, (label, orbits, commutant)
+        assert orbits == commutant == nullity_commutant(label) == want, (label, orbits, commutant)
 
 
 def test_p1_orbit_nonuniserial_still_agrees():
-    # products are not uniserial; no k+1 prediction, but the Mackey
-    # equality of the two computed numbers still holds
+    # products are not uniserial and the paper's k + 1 does not apply, but
+    # the orbit count still equals the commutant's nullity count
     orbits, commutant = p1_orbit_and_commutant(parse_ring_spec("Z/2xZ/3"))
-    assert orbits == commutant
+    assert orbits == commutant == nullity_commutant("Z/2xZ/3")
     assert orbits == 4  # (k1+1)*(k2+1) by CRT: orbit data splits per factor
 
 
