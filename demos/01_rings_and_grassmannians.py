@@ -35,8 +35,7 @@ print("inverse of 8 mod 12:", ring.element(8).inverse())  # None: a zero divisor
 # R/J drive all the counting formulas.  The tables give the radical itself;
 # the spec alone gives its size and the residue field orders.
 rad = ring.radical
-print("radical of Z/12: size", rad.size, "elements", sorted(ring.payload(i) for i in rad.elements),
-      "residue fields of orders", list(rad.residue_field_orders))
+print("radical of Z/12: size", len(rad), "elements", sorted(ring.payload(i) for i in rad))
 print("from the spec alone: |J| =", z12.radical_size,
       "residue fields of orders", list(z12.residue_field_orders))
 

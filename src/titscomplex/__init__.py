@@ -10,7 +10,6 @@ arithmetic; outputs are deterministic.
 from .rings import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    RadicalData,
     Ring,
     RingElement,
     RingSpec,
@@ -30,7 +29,6 @@ from .linalg import (
     unit_scaling,
 )
 from .grassmann import (
-    Flag,
     SummandCatalog,
     enumerate_good_flags,
     enumerate_grassmannian,

@@ -14,9 +14,9 @@ import sys
 
 from .rings import BudgetExceeded, DEFAULT_BUDGET, parse_ring_spec
 from .grassmann import (
+    SummandCatalog,
     budgeted_flag_count,
     enumerate_good_flags,
-    enumerate_grassmannian,
     flag_type,
     grassmannian_size_formula,
 )
@@ -69,11 +69,12 @@ def cmd_grass(args) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     ks = [args.k] if args.k is not None else list(range(0, n + 1))
+    catalog = SummandCatalog(spec, n, args.budget)
     rows = []
     for k in ks:
         row = {"k": k, "formula": grassmannian_size_formula(spec, n, k)}
         if args.enumerate:
-            summands = enumerate_grassmannian(spec, n, k, args.budget)
+            summands = catalog.grassmannian(k)
             row["enumerated"] = len(summands)
             row["match"] = row["enumerated"] == row["formula"]
             if args.list:
@@ -114,7 +115,7 @@ def cmd_flags(args) -> int:
     if args.list:
         flags = enumerate_good_flags(spec, args.n, lam, args.budget)
         doc["count"] = len(flags)
-        doc["flags"] = [[s.payload_basis() for s in f.summands] for f in flags]
+        doc["flags"] = [[s.payload_basis() for s in f] for f in flags]
     else:
         # the closed count, which the tests hold equal to the enumeration's,
         # after the same budget checks, so every input exits as it did
@@ -197,23 +198,23 @@ def cmd_apartments(args) -> int:
 
 def cmd_orbits(args) -> int:
     spec = parse_ring_spec(args.ring)
-    orbits, commutant = p1_orbit_and_commutant(spec, args.budget)
+    orbits = p1_orbit_and_commutant(spec, args.budget)[0]
+    # GL_2(R) is transitive on the lines X and Q[X] = Q + St_2(R) (x) Q, so
+    # <St_2, St_2> = dim End_G(Q[X]) - 1 = orbits on X x X, minus 1
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "ring": spec.label,
         "orbits": orbits,
-        "commutant_dim": commutant,
-        "match": orbits == commutant,
+        "st_self_intertwining": orbits - 1,
     }
-    if args.format == "json":
-        _emit(args, _json_text(doc))
-    else:
-        _emit(
-            args,
-            f"line pairs over {spec.label}: {orbits} orbits, commutant dimension {commutant}, "
-            f"match: {orbits == commutant}\n",
-        )
-    return EXIT_OK if orbits == commutant else EXIT_CHECK_FAILED
+    text = f"line pairs over {spec.label}: {orbits} orbits, <St_2, St_2> = {orbits - 1}"
+    # the paper's value for a chain ring of length k is k; it makes no claim otherwise
+    k = spec.chain_length
+    if k is not None:
+        doc["match"] = orbits - 1 == k
+        text += f", chain length {k}, match: {doc['match']}"
+    _emit(args, _json_text(doc) if args.format == "json" else text + "\n")
+    return EXIT_OK if doc.get("match", True) else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fmt=("text", "json"))
     p.set_defaults(fn=cmd_apartments)
 
-    p = sub.add_parser("orbits", help="orbits on pairs of lines and the commutant dimension (n = 2)")
+    p = sub.add_parser("orbits", help="orbits on pairs of lines and <St_2, St_2> (n = 2)")
     p.add_argument("--ring", required=True)
     common(p, fmt=("text", "json"))
     p.set_defaults(fn=cmd_orbits)

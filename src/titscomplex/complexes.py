@@ -304,8 +304,10 @@ def reduction_map(
 ) -> SimplicialReduction:
     """Reduce the complex along R -> R/I for an ideal given by generators."""
     ring = src.ring
-    gen_idx = [ring.el(p) for p in ideal_gen_payloads]
-    tspec, reduce_payload = quotient_spec(ring.spec, ring, gen_idx)
+    gens = list(ideal_gen_payloads)
+    for g in gens:
+        ring.el(g)  # a payload outside R raises KeyError
+    tspec, reduce_payload = quotient_spec(ring.spec, gens)
     dst = build_tits_complex(tspec, src.n, budget)
     tring = dst.ring
     # the reduction of a basis of V is a basis of V/IV, a vertex downstairs

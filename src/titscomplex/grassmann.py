@@ -108,35 +108,6 @@ def proper_ranks(lam) -> tuple:
     return tuple(itertools.accumulate(lam[:-1]))
 
 
-class Flag:
-    """A good flag: a chain of summands, strictly increasing in the cofree order."""
-
-    __slots__ = ("summands",)
-
-    def __init__(self, summands):
-        self.summands = tuple(summands)
-
-    @property
-    def ranks(self) -> tuple:
-        return tuple(s.rank for s in self.summands)
-
-    def type(self, n: int) -> tuple:
-        ranks = self.ranks
-        return tuple(b - a for a, b in zip((0,) + ranks, ranks + (n,)))
-
-    def __eq__(self, other):
-        return isinstance(other, Flag) and self.summands == other.summands
-
-    def __hash__(self):
-        return hash(self.summands)
-
-    def __len__(self):
-        return len(self.summands)
-
-    def __repr__(self):
-        return f"Flag(ranks {self.ranks})"
-
-
 def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
     """Generators of GL_n(R) for the orbit walk, as row operations (i, j, a).
 
@@ -309,8 +280,9 @@ def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DE
     return SummandCatalog(spec_of(spec_or_ring), n, budget).grassmannian(k)
 
 
-def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
-    """All good flags of the given type, by iterated containment in the Grassmannians.
+def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> list[tuple[Summand, ...]]:
+    """All good flags of the given type, each a tuple of summands of strictly
+    increasing rank, by iterated containment in the Grassmannians.
 
     Each chain steps to the summands of the next rank that contain its last
     one (`SummandCatalog.containing`), in ascending position, so the flags
@@ -322,10 +294,10 @@ def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT
     budgeted_flag_count(spec, n, lam, budget)
     ranks = proper_ranks(flag_type(lam, n))
     if not ranks:
-        return [Flag(())]
+        return [()]
     catalog = SummandCatalog(spec, n, budget)
     chains = [(s,) for s in catalog.grassmannian(ranks[0])]
     for r in ranks[1:]:
         gr = catalog.grassmannian(r)
         chains = [c + (gr[p],) for c in chains for p in catalog.containing(r, c[-1].basis)]
-    return [Flag(c) for c in chains]
+    return chains

@@ -3,18 +3,18 @@
 Four kinds of rings are available: Z/m, prime fields F_p, truncated
 polynomial rings F_p[x]/(x^k), and finite products of these.  A RingSpec
 carries the counting data (cardinality, residue field orders of R/J, radical
-size), which is all the closed formulas read.  A Ring holds the full
-addition/multiplication tables, built by `make_ring` only after a budget
-check, and reads zero, one, negation, inverses, units and the radical off
-them.  Downstream code works with element *indices* into a fixed canonical
-enumeration; this keeps the hot enumeration loops at table-lookup speed and
-makes every canonical form reproducible across runs.
+size, chain length), which is all the closed formulas read.  A Ring holds
+the full addition/multiplication tables, built by `make_ring` only after a
+budget check, and reads zero, one, negation, inverses, units and the radical
+off them.  Downstream code works with element *indices* into a fixed
+canonical enumeration; this keeps the hot enumeration loops at table-lookup
+speed and makes every canonical form reproducible across runs.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
+import math
 
 DEFAULT_BUDGET = 10**6
 
@@ -111,7 +111,7 @@ class RingSpec:
         if self.kind == "trunc_poly":
             p, k = self.params
             return p**k
-        return _prod(f.cardinality for f in self.params)
+        return math.prod(f.cardinality for f in self.params)
 
     @property
     def label(self) -> str:
@@ -139,9 +139,22 @@ class RingSpec:
         return self._orders
 
     @property
+    def chain_length(self) -> int | None:
+        """k when R is a chain ring of length k, its ideals the one chain
+        R > J > J^2 > ... > J^k = 0; None when R is not local.  The local
+        kinds, Z/p^k, F_p[e]^k and F_p (k = 1), are all chain rings, with
+        residue field F_p and |R| = p^k."""
+        if len(self.residue_field_orders) != 1:
+            return None
+        (p,), k = self.residue_field_orders, 1
+        while p**k < self.cardinality:
+            k += 1
+        return k
+
+    @property
     def radical_size(self) -> int:
         """|J| = |R| / (product of the residue field orders)."""
-        return self.cardinality // _prod(self.residue_field_orders)
+        return self.cardinality // math.prod(self.residue_field_orders)
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and self.kind == other.kind and self.params == other.params
@@ -151,13 +164,6 @@ class RingSpec:
 
     def __repr__(self):
         return f"RingSpec({self.label!r})"
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -257,19 +263,6 @@ def _pay_mul(spec, a, b):
     return tuple(_pay_mul(f, x, y) for f, x, y in zip(spec.params, a, b))
 
 
-class RadicalData(collections.namedtuple("RadicalData", ["elements", "residue_field_orders"])):
-    """Jacobson radical of a ring plus the residue field orders of R/J.
-
-    `elements` is the frozenset of element indices in J.
-    """
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
 class Ring:
     """A finite commutative ring with fully tabulated arithmetic.
 
@@ -322,8 +315,8 @@ class Ring:
         return [self.index[p] for p in _additive_generator_payloads(self.spec)]
 
     @property
-    def radical(self) -> RadicalData:
-        """The Jacobson radical J with the residue field orders of R/J.
+    def radical(self) -> frozenset:
+        """The Jacobson radical J, as the frozenset of its element indices.
 
         A finite commutative ring is Artinian, so J is its nilradical, the
         set of nilpotent elements.  The ideals (x) > (x^2) > ... of a
@@ -339,7 +332,7 @@ class Ring:
                     y = mul[y][y]
                 if y == zero:
                     nil.append(x)
-            self._radical = RadicalData(frozenset(nil), self.spec.residue_field_orders)
+            self._radical = frozenset(nil)
         return self._radical
 
     def __repr__(self):
@@ -481,20 +474,15 @@ def ideal_closure(ring: Ring, element_indices) -> frozenset:
     return frozenset(closure)
 
 
-def quotient_spec(spec: RingSpec, ring: Ring, ideal_gen_indices):
-    """Quotient R/I as a supported spec, with the payload reduction map.
+def quotient_spec(spec: RingSpec, gen_payloads):
+    """Quotient R/I, I generated by the given payloads, as a supported spec
+    with the payload reduction map.
 
     Returns (target_spec, reduce) where reduce maps a source payload to the
     corresponding target payload.  Raises ValueError when R/I is the zero
-    ring or otherwise not expressible in a supported kind.
+    ring or otherwise not expressible in a supported kind.  The payloads are
+    taken as given: `complexes.reduction_map` checks them against the ring.
     """
-    gens = [ring.payloads[i] for i in ideal_gen_indices]
-    return _quotient_spec_payload(spec, gens)
-
-
-def _quotient_spec_payload(spec, gen_payloads):
-    import math
-
     if spec.kind in ("modular", "prime_field"):
         m = spec.params[0]
         d = m
@@ -522,7 +510,7 @@ def _quotient_spec_payload(spec, gen_payloads):
     for pos, f in enumerate(factors):
         comp_gens = [g[pos] for g in gen_payloads]
         try:
-            tspec, red = _quotient_spec_payload(f, comp_gens)
+            tspec, red = quotient_spec(f, comp_gens)
             sub.append((pos, tspec, red))
         except ValueError:
             continue

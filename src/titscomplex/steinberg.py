@@ -77,18 +77,6 @@ class SteinbergChain:
         self.cx = cx
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
-    def __add__(self, other: "SteinbergChain") -> "SteinbergChain":
-        if other.cx is not self.cx:
-            raise ValueError("chains live on different complexes")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return SteinbergChain(self.cx, out)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -271,9 +259,10 @@ def eta_class(cx: TitsComplex, m_payload) -> SteinbergChain:
     cols.append(tuple(second))
     for i in range(2, n):
         cols.append(e(i))
-    return apartment_class(cx, Mat.from_columns(ring, cols)) + apartment_class(
-        cx, Mat.identity(ring, n)
-    )
+    coeffs = apartment_class(cx, Mat.from_columns(ring, cols)).coeffs
+    for k, v in apartment_class(cx, Mat.identity(ring, n)).coeffs.items():
+        coeffs[k] = coeffs.get(k, 0) + v
+    return SteinbergChain(cx, coeffs)  # drops the coefficients that cancel
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from __future__ import annotations
 from functools import partial
 
 from .rings import BudgetExceeded, DEFAULT_BUDGET, RingSpec, make_ring, parse_ring_spec, quotient_spec
-from .linalg import congruence_generators, gl_generators, quotient_free_rank_members
+from .linalg import Mat, congruence_generators, gl_generators, quotient_free_rank_members
 from .grassmann import (
+    SummandCatalog,
     enumerate_good_flags,
-    enumerate_grassmannian,
     flag_type,
     gaussian_binomial,
     grassmannian_size_formula,
@@ -124,10 +124,11 @@ def _check_grass(ctx, cases):
     for label, nmax in cases:
         spec = parse_ring_spec(label)
         for n in range(1, nmax + 1):
+            catalog = SummandCatalog(spec, n, ctx.budget)
             for k in range(0, n + 1):
                 want = grassmannian_size_formula(spec, n, k)
                 try:
-                    got = len(enumerate_grassmannian(spec, n, k, ctx.budget))
+                    got = len(catalog.grassmannian(k))
                 except BudgetExceeded:
                     continue
                 if got != want:
@@ -229,7 +230,7 @@ def _check_invariants_dims(ctx):
         ring = cx.ring
         perms = [cx.simplex_permutation(g, n - 2) for g in congruence_generators(ring, n, [ideal])]
         got = fixed_subspace_dim(ctx.chain(label, n), n - 2, perms)
-        want = steinberg_rank(quotient_spec(ring.spec, ring, [ring.el(ideal)])[0], n)
+        want = steinberg_rank(quotient_spec(ring.spec, [ideal])[0], n)
         where = label if n == 2 else f"{label} n={n}"
         details.append(f"{where} Gamma(({ideal})): {got}")
         if got != want:
@@ -316,8 +317,6 @@ def _check_action_axioms(ctx):
     ring = cx.ring
     gens = gl_generators(ring, 3)
     ident = tuple(range(len(cx.vertices)))
-    from .linalg import Mat
-
     if cx.vertex_permutation(Mat.identity(ring, 3)) != ident:
         return False, "identity does not act trivially"
     import itertools as it
@@ -358,11 +357,9 @@ def _check_reduction_functoriality(ctx):
     # equivariance along GL_n(R) -> GL_n(R/I) on sampled generators
     ring = cx.ring
     tring = red.dst.ring
+    reduce = quotient_spec(ring.spec, [2])[1]
     for g in gl_generators(ring, 3)[:8]:
-        gred = [[tring.el(ring.payload(x) % 2) for x in row] for row in g.rows]
-        from .linalg import Mat
-
-        gt = Mat(tring, gred)
+        gt = Mat(tring, [[tring.el(reduce(ring.payload(x))) for x in row] for row in g.rows])
         ps = cx.vertex_permutation(g)
         pt = red.dst.vertex_permutation(gt)
         for i in range(len(cx.vertices)):
@@ -372,14 +369,15 @@ def _check_reduction_functoriality(ctx):
 
 
 def reverify_flag(flag, budget: int | None = DEFAULT_BUDGET) -> bool:
-    """Re-check every step of a flag for cofreeness by the member-set peel
-    of `quotient_free_rank_members`, independent of how the flag was built."""
-    if not flag.summands:
+    """Re-check every step of a flag, a tuple of summands, for cofreeness by
+    the member-set peel of `quotient_free_rank_members`, independent of how
+    the flag was built."""
+    if not flag:
         return True
-    ring = flag.summands[0].ring
-    n = flag.summands[0].ambient
+    ring = flag[0].ring
+    n = flag[0].ambient
     prev = None
-    for s in flag.summands:
+    for s in flag:
         if prev is not None:
             if not prev.members <= s.members:
                 return False
@@ -387,7 +385,7 @@ def reverify_flag(flag, budget: int | None = DEFAULT_BUDGET) -> bool:
             if gap != s.rank - prev.rank:
                 return False
         prev = s
-    top = flag.summands[-1]
+    top = flag[-1]
     return quotient_free_rank_members(ring, n, None, top.members, budget) == n - top.rank
 
 

@@ -221,7 +221,7 @@ def test_criterion_13_structure(built):
     for lam in [(1, 2), (2, 1), (1, 1, 1)]:
         proper_ranks(flag_type(lam, 3))
         for fl in enumerate_good_flags(cx.ring, 3, lam):
-            t = tuple(vindex[s.members] for s in fl.summands)
+            t = tuple(vindex[s.members] for s in fl)
             by_dim.setdefault(len(t) - 1, set()).add(t)
     for d, level in enumerate(cx.simplices):
         assert set(level) == by_dim[d]

@@ -225,10 +225,32 @@ def test_verify_runs_from_a_cold_process():
 
 
 def test_orbits_command(capsys):
-    code, out, _ = run(capsys, "orbits", "--ring", "Z/8", "--format", "json")
-    assert code == 0
+    """<St_2, St_2> = orbits - 1 is k over a chain ring of length k; off
+    chain rings no `match` is reported."""
+    for label, k in [("Z/4", 2), ("Z/8", 3), ("Z/9", 2), ("Z/27", 3), ("F5", 1), ("F2[e]^2", 2), ("F2[e]^3", 3)]:
+        code, out, err = run(capsys, "orbits", "--ring", label, "--format", "json")
+        assert code == 0 and err == ""
+        doc = {"schema_version": 2, "ring": label, "orbits": k + 1, "st_self_intertwining": k, "match": True}
+        assert json.loads(out) == doc
+        code, out, _ = run(capsys, "orbits", "--ring", label)
+        assert code == 0
+        assert out == f"line pairs over {label}: {k + 1} orbits, <St_2, St_2> = {k}, chain length {k}, match: True\n"
+    for label in ["Z/6", "Z/2xZ/3", "Z/2xZ/2"]:
+        code, out, _ = run(capsys, "orbits", "--ring", label, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"schema_version": 2, "ring": label, "orbits": 4, "st_self_intertwining": 3}
+        code, out, _ = run(capsys, "orbits", "--ring", label)
+        assert code == 0 and out == f"line pairs over {label}: 4 orbits, <St_2, St_2> = 3\n"
+
+
+def test_orbits_exit_1_on_a_wrong_count(monkeypatch, capsys):
+    monkeypatch.setattr("titscomplex.cli.p1_orbit_and_commutant", lambda spec, budget: (2, 2))
+    code, out, _ = run(capsys, "orbits", "--ring", "Z/4", "--format", "json")
+    assert code == 1
     doc = json.loads(out)
-    assert doc["orbits"] == 4 and doc["commutant_dim"] == 4 and doc["match"]
+    assert (doc["st_self_intertwining"], doc["match"]) == (1, False)
+    code, out, _ = run(capsys, "orbits", "--ring", "Z/4")
+    assert code == 1 and out.endswith(", chain length 2, match: False\n")
 
 
 def test_verify_fast(capsys):
@@ -475,9 +497,9 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("grass --ring Z/4 --n 3 --enumerate --list", "55f60ef813b3c0cbdc4ca85d9dde5f2f0eb32dd1701b1aee36f696432684ba63"),
     ("verify --tier fast", "23826842f5d1eb6b86bc7f64bc1ace3629e897b1c633d499cd27b9210ec86065"),
     ("verify --tier full", "7a3c21ea29efda867aaac021b807318620b681c0eefc431842bd4f15abad8e20"),
-    ("orbits --ring Z/8", "3d225c457c56187cc3d25ce55c37346dd47b7c8ba6907ead43d4f5c40b08f21f"),
-    ("orbits --ring Z/27", "e308a1fa3de3bd6be76c90595c6fd3ca76001a8f11563b4bb7c533abf07257dd"),
-    ("orbits --ring Z/2xZ/3", "4147be7faa43c7160a450cc3e576e45fc33cbbf35b8d888c71454d78192cea03"),
+    ("orbits --ring Z/8", "6fc0dd41f530bfde0f770aa6d6bcfc930ebeb3482ed1134f5c5521f5fedeada8"),
+    ("orbits --ring Z/27", "b656e827e0117fec72c84f487ad68b3b2b9d342e12fae055f7c3ced742ad03a2"),
+    ("orbits --ring Z/2xZ/3", "99e8260420709ac0e87ab9a5156e054dbf5fdb5b2d5bd708e7ba5d351f8b466c"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     """Vertex order and every exported byte stay the same across changes

@@ -197,7 +197,7 @@ def test_nerve_double_construction(built):
     for lam in [(1, 2), (2, 1), (1, 1, 1)]:
         ranks = proper_ranks(flag_type(lam, 3))
         for fl in enumerate_good_flags(ring, 3, lam):
-            t = tuple(vindex[s.members] for s in fl.summands)
+            t = tuple(vindex[s.members] for s in fl)
             by_dim.setdefault(len(t) - 1, set()).add(t)
     for d, level in enumerate(cx.simplices):
         assert set(level) == by_dim[d], f"dimension {d}"
@@ -388,6 +388,8 @@ def test_reduction_unsupported_quotient(built):
     cx2 = built.complex("Z/4", 2)
     with pytest.raises(ValueError):
         reduction_map(cx2, [1])  # unit ideal: zero ring
+    with pytest.raises(KeyError):
+        reduction_map(cx2, [6])  # not a payload of Z/4, though gcd(4, 6) = 2
 
 
 def test_congruence_generators():

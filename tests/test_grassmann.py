@@ -368,8 +368,8 @@ def test_flags_are_good_chains():
     flags = enumerate_good_flags(ring, 3, (1, 1, 1))
     for f in flags[::97]:
         assert reverify_flag(f)
-    types = {f.type(3) for f in flags}
-    assert types == {(1, 1, 1)}
+    # type (1, 1, 1) of R^3: summands of ranks 1 and 2
+    assert {tuple(s.rank for s in f) for f in flags} == {(1, 2)}
 
 
 def test_formulas_build_no_tables(forbid_tables):

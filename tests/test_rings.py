@@ -137,30 +137,20 @@ def test_radical_against_ideal_lattice():
     for label in ALL_SPECS:
         ring = make_ring(parse_ring_spec(label))
         rad = frozenset.intersection(*map(frozenset, maximal_ideals(ring)))
-        assert ring.radical.elements == rad, label
+        assert ring.radical == rad, label
 
 
 def test_radical_examples():
     r12 = make_ring(RingSpec.modular(12))
-    assert sorted(r12.payload(i) for i in r12.radical.elements) == [0, 6]
-    assert r12.radical.size == 2
-    assert list(r12.radical.residue_field_orders) == [2, 3]
+    assert sorted(r12.payload(i) for i in r12.radical) == [0, 6]
+    assert len(r12.radical) == 2
+    assert r12.spec.residue_field_orders == (2, 3)
     r4 = make_ring(RingSpec.modular(4))
-    assert sorted(r4.payload(i) for i in r4.radical.elements) == [0, 2]
-    assert list(r4.radical.residue_field_orders) == [2]
+    assert sorted(r4.payload(i) for i in r4.radical) == [0, 2]
+    assert r4.spec.residue_field_orders == (2,)
     r7 = make_ring(RingSpec.prime_field(7))
-    assert r7.radical.elements == {r7.zero}
-    assert list(r7.radical.residue_field_orders) == [7]
-
-
-def test_radical_data_is_immutable():
-    rad = make_ring(parse_ring_spec("Z/4")).radical
-    with pytest.raises(AttributeError):
-        rad.elements = frozenset()
-    with pytest.raises(AttributeError):
-        rad.residue_field_orders = (3,)
-    with pytest.raises(AttributeError):
-        rad.size = 0
+    assert r7.radical == {r7.zero}
+    assert r7.spec.residue_field_orders == (7,)
 
 
 def zero_one_payloads(spec):
@@ -175,13 +165,15 @@ def zero_one_payloads(spec):
 
 
 def test_spec_counting_data_matches_the_tables():
-    """The spec's counts agree with the radical read off the tables, and the
-    tables' zero, one and negation are the kinds' own."""
+    """The spec's counts agree with the residue fields R/m, m maximal, and
+    the radical read off the tables, and the tables' zero, one and negation
+    are the kinds' own."""
     for label in ALL_SPECS:
         spec = parse_ring_spec(label)
         ring = make_ring(spec)
-        assert spec.residue_field_orders == ring.radical.residue_field_orders, label
-        assert spec.radical_size == ring.radical.size, label
+        orders = sorted(ring.card // len(m) for m in maximal_ideals(ring))
+        assert sorted(spec.residue_field_orders) == orders, label
+        assert spec.radical_size == len(ring.radical), label
         assert (ring.payload(ring.zero), ring.payload(ring.one)) == zero_one_payloads(spec), label
         for x in range(ring.card):
             assert ring.add[x][ring.neg[x]] == ring.zero
@@ -196,6 +188,14 @@ def test_residue_field_orders_examples():
     assert parse_ring_spec("F5[e]^3").radical_size == 25
 
 
+def test_chain_length_examples():
+    for label, k in [("F7", 1), ("Z/4", 2), ("Z/27", 3), ("F2[e]^5", 5), ("F3[e]", 2)]:
+        assert parse_ring_spec(label).chain_length == k, label
+    assert RingSpec.modular(3**40).chain_length == 40
+    for label in ["Z/6", "Z/12", "Z/2xZ/2", "Z/4xF2[e]^2"]:
+        assert parse_ring_spec(label).chain_length is None, label
+
+
 def test_only_rings_reads_a_spec_kind():
     """Ring kinds stay behind one module: no other module of the package
     branches on a spec's kind."""
@@ -208,15 +208,15 @@ def test_cardinality_factorisation():
     for label in ALL_SPECS:
         ring = make_ring(parse_ring_spec(label))
         prod = 1
-        for q in ring.radical.residue_field_orders:
+        for q in ring.spec.residue_field_orders:
             prod *= q
-        assert ring.card == ring.radical.size * prod
+        assert ring.card == len(ring.radical) * prod
 
 
 def test_one_plus_radical_is_unit():
     for label in ALL_SPECS:
         ring = make_ring(parse_ring_spec(label))
-        for j in ring.radical.elements:
+        for j in ring.radical:
             assert ring.add[ring.one][j] in ring.units
 
 
