@@ -10,7 +10,7 @@ from titscomplex import (
     fixed_subspace_dim,
     induced_top_map,
     make_ring,
-    p1_orbit_and_commutant,
+    p1_orbit_count,
     parse_ring_spec,
     reduction_map,
     steinberg_rank,
@@ -49,5 +49,5 @@ for label, ideal, n in [("Z/4", 2, 2), ("Z/8", 2, 2), ("Z/8", 4, 2), ("Z/4", 2, 
 # the orbit sums on pairs; the library counts the orbits once, by one sweep
 # under the generators, and reports that count for both.
 for label in ("Z/4", "Z/8", "Z/9", "F5", "F2[e]^3"):
-    orbits, commutant = p1_orbit_and_commutant(parse_ring_spec(label))
-    print(f"{label}: {orbits} orbits on line pairs, commutant dimension {commutant}")
+    orbits = p1_orbit_count(parse_ring_spec(label))
+    print(f"{label}: {orbits} orbits on line pairs, commutant dimension {orbits}")

@@ -51,7 +51,6 @@ from .homology import (
     SparseCols,
     chain_complex,
     coreduce,
-    exact_rank,
     fixed_subspace_dim,
     induced_top_map,
     reduced_homology,
@@ -64,7 +63,7 @@ from .steinberg import (
     apartment_span_rank,
     chamber_map,
     eta_class,
-    p1_orbit_and_commutant,
+    p1_orbit_count,
     reverse_ut_facet,
     steinberg_rank,
     steinberg_rank_field,

@@ -22,7 +22,7 @@ from .grassmann import (
 )
 from .complexes import build_filtration, build_tits_complex
 from .homology import chain_complex, reduced_homology
-from .steinberg import apartment_span_rank, p1_orbit_and_commutant, table_generate
+from .steinberg import apartment_span_rank, p1_orbit_count, table_generate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -198,7 +198,7 @@ def cmd_apartments(args) -> int:
 
 def cmd_orbits(args) -> int:
     spec = parse_ring_spec(args.ring)
-    orbits = p1_orbit_and_commutant(spec, args.budget)[0]
+    orbits = p1_orbit_count(spec, args.budget)
     # GL_2(R) is transitive on the lines X and Q[X] = Q + St_2(R) (x) Q, so
     # <St_2, St_2> = dim End_G(Q[X]) - 1 = orbits on X x X, minus 1
     doc = {
@@ -242,15 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("text", "json", "csv")):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in objects")
+    def common(p, fmt=("text", "json", "csv"), budget=True):
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in objects")
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("rank", help="Steinberg rank table via the Grassmannian recursion")
     p.add_argument("--rings", required=True, help="comma-separated ring specs, e.g. Z/4,Z/6,F2[e]^2")
     p.add_argument("--n-max", type=int, required=True)
-    common(p)
+    common(p, budget=False)  # closed formulas only: nothing is enumerated
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("grass", help="Grassmannian counts (formula, optionally enumerated)")
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget < 0:
+        if getattr(args, "budget", 0) < 0:
             raise ValueError(f"budget must be >= 0, got {args.budget}")
         return args.fn(args)
     except BudgetExceeded as e:

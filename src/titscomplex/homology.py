@@ -1,23 +1,21 @@
 """Exact integral homology of the flag complexes.
 
 Everything here is exact: boundary matrices carry Python integers.  Every
-exact rank starts with one unit-pivot pass (`_unit_pivots`: a reduced
-echelon form whose pivots lead at +-1 entries), which splits off an
-identity block.  For the invariant factors of `smith_rank_and_divisors`
-what it leaves goes through alternating column and row echelon forms
-(Kannan-Bachem); for a rank alone (`exact_rank`) its columns are divided
-by their contents for a second unit-pivot pass, and what is left goes
-through one lattice echelon pass.  Both use the one lattice echelon,
-`IntEchelon`.
+exact rank is a Smith rank, `smith_rank_and_divisors(m)[0]`: one
+unit-pivot pass (`_unit_pivots`: a reduced echelon form whose pivots lead
+at +-1 entries) splits off an identity block, and what it leaves goes
+through alternating column and row echelon forms of the lattice echelon
+`IntEchelon` (Kannan-Bachem).
 Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, at a +-1
-incidence, with that face) from the augmented complex; restriction to its
-survivors is an isomorphism of top cycle lattices over Z, which gives
-apartment classes short exact coordinates and the apartment span its
-bound.  `reduced_homology` coreduces first and runs Smith on each
-boundary restricted to the survivors (`restricted`), with an identity
-block for the pairs removed there, which gives the full boundary's rank
-and invariant factors.
+incidence, with that face) from the augmented complex, and returns the
+survivors of each level, the empty simplex included, with the pair count
+of each degree.  Restriction to the survivors is an isomorphism of top
+cycle lattices over Z, which gives apartment classes short exact
+coordinates and the apartment span its bound.  `reduced_homology` runs
+Smith on each boundary restricted to the survivors (`restricted`), with an
+identity block for the pairs removed there, which gives the full
+boundary's rank and invariant factors.
 No floating point and no fractions.  The one modular computation,
 `ModPEchelon` (balanced residues mod a prime), is a lower bound on a rank
 over Q; it certifies an exact rank only when it meets a proven upper
@@ -121,31 +119,6 @@ def smith_rank_and_divisors(mat: SparseCols, units: int = 0) -> tuple[int, list[
     r, divisors = _kannan_bachem(residual)
     k += units
     return k + r, [1] * k + divisors
-
-
-def exact_rank(mat: SparseCols) -> int:
-    """Exact rank of an integer matrix: the k unit pivots of `_unit_pivots`
-    plus the rank of the residual, from one `IntEchelon` pass.  No invariant
-    factor is asked for, so the residual needs no Kannan-Bachem alternation.
-
-    Before that pass each residual column is divided by the gcd of its
-    entries and the quotients go through `_unit_pivots` once more: scaling
-    a column by a nonzero rational keeps the rank over Q, and a residual
-    whose columns have a common content (the orbit-sum boundaries of
-    `fixed_subspace_dim`) becomes unit pivots that way, which keeps it off
-    the gcd steps of `IntEchelon`.  `smith_rank_and_divisors` never does
-    this, since it would change the invariant factors.
-    """
-    k, residual = _unit_pivots(mat.cols)
-    primitive = []
-    for vec in residual:  # nonzero columns, so every content is positive
-        g = math.gcd(*vec.values())
-        primitive.append({r: v // g for r, v in vec.items()})
-    more, residual = _unit_pivots(primitive)
-    ech = IntEchelon()
-    for vec in residual:
-        ech.add(vec)
-    return k + more + ech.rank
 
 
 def _unit_pivots(cols) -> tuple[int, list[dict]]:
@@ -472,7 +445,7 @@ def reduced_homology(cc: ChainComplex) -> HomologyResult:
     """Reduced integral homology from exact Smith data of the boundaries,
     read on the cells that survive coreduction.
 
-    `_coreduction` runs once.  Then each degree d = 0..dim, in order, gets
+    `coreduce` runs once.  Then each degree d = 0..dim, in order, gets
     one `smith_rank_and_divisors` call on its boundary restricted to the
     surviving d-cells and (d-1)-faces, with `units` = p_d, the number of
     coreduction pairs between degrees d and d - 1 (p_0 pairs a vertex with
@@ -498,7 +471,7 @@ def reduced_homology(cc: ChainComplex) -> HomologyResult:
     top = cc.dim
     if top < 0:
         return HomologyResult([], [], [])
-    survivors, pairs = _coreduction(cc)
+    survivors, pairs = coreduce(cc)
     ranks = []
     divisors = []
     for d in range(top + 1):
@@ -527,10 +500,12 @@ def restricted(mat: SparseCols, cols, rows) -> SparseCols:
     )
 
 
-def coreduce(cc: ChainComplex) -> list[list[int]]:
-    """Cells of each degree 0..dim that survive coreduction of the augmented
-    complex (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko 2009), in
-    increasing index order.
+def coreduce(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
+    """Coreduction of the augmented complex (Kaczynski-Mrozek-Slusarek 1998;
+    Mrozek-Batko 2009): the cells that survive at each level 0..dim+1, in
+    increasing index order, where level L holds the cells of degree L - 1
+    and level 0 the rows of the augmentation (the empty simplex); and the
+    number of pairs removed between degrees d and d - 1 for each d = 0..dim.
 
     A coreduction pair is a live cell a with exactly one live face b, met
     with incidence +-1; both are removed.  The cells with one live face wait
@@ -559,14 +534,6 @@ def coreduce(cc: ChainComplex) -> list[list[int]]:
     their chain lattices, so any top cycles have the same rank mod a prime
     as their restrictions to the surviving top cells.
     """
-    return _coreduction(cc)[0][1:]
-
-
-def _coreduction(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
-    """The coreduction of `coreduce`: the survivors of each level 0..dim+1,
-    where level L holds the cells of degree L - 1 and level 0 the rows of
-    the augmentation (the empty simplex), and the number of pairs removed
-    between degrees d and d - 1 for each d = 0..dim."""
     top = cc.dim
     if top < 0:
         return [], []
@@ -660,12 +627,12 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
         if j is None:
             raise ValueError("image of a facet is not a facet; map is not simplicial")
         stacked.append({**col, d_src.nrows + j: 1})
-    rank_d = exact_rank(d_src)
-    rank_stacked = exact_rank(SparseCols(d_src.nrows + dst_cc.f[top], stacked))
+    rank_d = smith_rank_and_divisors(d_src)[0]
+    rank_stacked = smith_rank_and_divisors(SparseCols(d_src.nrows + dst_cc.f[top], stacked))[0]
     return InducedTopMap(
         rank_stacked - rank_d,
         src_cc.f[top] - rank_d,
-        dst_cc.f[top] - exact_rank(dst_cc.boundaries[top]),
+        dst_cc.f[top] - smith_rank_and_divisors(dst_cc.boundaries[top])[0],
     )
 
 
@@ -706,15 +673,28 @@ def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:
     the cycles and B the boundaries the fixed space is Z^G / B^G, where
     Z^G = Z meet O has dimension #orbits - rank d(O) and B^G = B meet O has
     dimension rank B + #orbits - rank [B | O].
+
+    Each column d(s) is divided by the gcd of its entries before its rank
+    is taken.  Scaling a column by a nonzero rational keeps the rank over Q,
+    and orbit sums often share a content: under Gamma((2)) every orbit-sum
+    boundary of the top chains of T3(Z/4) and of T4(Z/4) has content 2 and
+    no unit entry, so the unit-pivot pass of `smith_rank_and_divisors`
+    finds no pivot on them undivided and finds the whole rank divided.
     """
     if not (0 <= degree <= cc.dim):
         raise ValueError(f"degree {degree} out of range")
     f_d = cc.f[degree]
     sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(f_d, simplex_perms)]
     d = cc.boundaries[degree]
-    rank_d_sums = exact_rank(SparseCols(d.nrows, [d.apply(s) for s in sums]))
+    d_sums = []
+    for s in sums:
+        col = d.apply(s)
+        g = math.gcd(*col.values())
+        d_sums.append({r: v // g for r, v in col.items()})
+    rank_d_sums = smith_rank_and_divisors(SparseCols(d.nrows, d_sums))[0]
     if degree == cc.dim:
         # B = 0, and orbit sums have disjoint supports: rank [B | O] = #orbits
         return len(sums) - rank_d_sums
     b = cc.boundaries[degree + 1]
-    return exact_rank(SparseCols(f_d, b.cols + sums)) - exact_rank(b) - rank_d_sums
+    rank_b_sums = smith_rank_and_divisors(SparseCols(f_d, b.cols + sums))[0]
+    return rank_b_sums - smith_rank_and_divisors(b)[0] - rank_d_sums

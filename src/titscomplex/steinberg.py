@@ -1,6 +1,6 @@
 """Steinberg module analysis: the rank recursion, apartment classes, chamber
 pairings, the non-spanning witness, apartment span ranks, and the rank-one
-pair orbit/commutant counts for n = 2.
+pair orbit count for n = 2.
 
 Sign convention: an apartment class for a basis (v_1 | ... | v_n) is
 
@@ -25,8 +25,8 @@ from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, exact_rank,
-    permutation_orbits, restricted,
+    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, permutation_orbits,
+    restricted, smith_rank_and_divisors,
 )
 
 
@@ -402,7 +402,8 @@ def apartment_span_rank(
     homology is the top cycle lattice, so the bound `top_betti`, the top
     reduced Betti number of `cx`, is the number of surviving top cells less
     the exact rank of the top boundary restricted to the surviving faces.
-    At n = 2 the only face is the empty simplex, which never survives.
+    At n = 2 the only face is the empty simplex, which never survives: the
+    first vertex is paired with it.
 
     Apartment classes are top cycles, so the span rank is at most
     top_betti, and both modes stop at the first apartment that brings the
@@ -416,7 +417,8 @@ def apartment_span_rank(
     class are the ones the full classes give, and so are the stopping point
     and `apartments_used`.  If the frames run out, the sampled rule
     saturates or the budget is spent first, the restrictions used are
-    recounted exactly by `exact_rank`: a mod-p rank is never reported.
+    recounted exactly by `smith_rank_and_divisors`: a mod-p rank is never
+    reported.  That recount is not budgeted.
 
     The entries the pivots hold are recounted every 256 classes, and past
     `SPAN_ENTRY_CAP` the span raises `BudgetExceeded`.
@@ -431,9 +433,10 @@ def apartment_span_rank(
             else "sampled"
         )
     cc = chain_complex(cx)
-    *_, faces, top = [[]] + coreduce(cc)  # the empty simplex never survives
+    survivors, _ = coreduce(cc)
+    faces, top = survivors[-2:]
     d = cc.boundaries[-1]
-    top_betti = len(top) - exact_rank(restricted(d, top, set(faces)))
+    top_betti = len(top) - smith_rank_and_divisors(restricted(d, top, set(faces)))[0]
     # the class coordinates: a facet's index if it survives, else -1; and
     # the spans of tuples of lines, which `_class_coeffs` fills per call
     facets = cx.facets()
@@ -464,26 +467,23 @@ def apartment_span_rank(
             check_budget(held, SPAN_ENTRY_CAP, what)
     rank = ech.rank
     if rank != top_betti:
-        rank = exact_rank(SparseCols(d.ncols, used))
+        rank = smith_rank_and_divisors(SparseCols(d.ncols, used))[0]
     return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
 
 # ---------------------------------------------------------------------------
-# orbit and commutant counts on pairs of lines (n = 2)
+# the orbit count on pairs of lines (n = 2)
 
 
-def p1_orbit_and_commutant(
-    spec_or_ring, budget: int | None = DEFAULT_BUDGET
-) -> tuple[int, int]:
-    """(orbit count of the diagonal action on pairs of lines in R^2,
-    dimension of the commutant of the line permutation action).
+def p1_orbit_count(spec_or_ring, budget: int | None = DEFAULT_BUDGET) -> int:
+    """Orbit count of the diagonal action of GL_2(R) on pairs of lines in R^2,
+    by one `permutation_orbits` sweep over the pairs under the generators.
 
-    One `permutation_orbits` sweep over the pairs of lines under the
-    generators gives both.  With X the lines and G = GL_2(R), the commutant
-    End_G(Q[X]) is the space of G-invariant matrices on X x X, which has the
-    orbit sums of G on X x X as a basis, so its dimension is the orbit
-    count.  The paper predicts k + 1 for a chain ring of length k; `verify`
-    (orbit-commutant) compares with that.
+    It is also the dimension of the commutant of the line permutation
+    action: with X the lines and G = GL_2(R), End_G(Q[X]) is the space of
+    G-invariant matrices on X x X, which has the orbit sums of G on X x X
+    as a basis.  The paper predicts k + 1 for a chain ring of length k;
+    `verify` (orbit-commutant) compares with that.
     """
     cx = build_tits_complex(spec_or_ring, 2, budget)  # its vertices are the lines
     nl = len(cx.vertices)
@@ -493,8 +493,7 @@ def p1_orbit_and_commutant(
     for g in gl_generators(cx.ring, 2):
         perm = cx.vertex_permutation(g)
         pair_perms.append([perm[i] * nl + perm[j] for i in range(nl) for j in range(nl)])
-    orbits = len(permutation_orbits(nl * nl, pair_perms))
-    return orbits, orbits
+    return len(permutation_orbits(nl * nl, pair_perms))
 
 
 # ---------------------------------------------------------------------------

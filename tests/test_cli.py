@@ -117,6 +117,14 @@ def test_negative_budget_is_rejected(capsys):
     assert err.startswith("error: ") and "budget must be >= 0" in err
 
 
+def test_rank_has_no_budget(capsys):
+    # the table comes from closed formulas, so there is nothing to budget
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--rings", "Z/4", "--n-max", "3", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_grass_list_needs_enumerate(capsys):
     code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "2", "--list")
     assert code == 2 and out == ""
@@ -244,7 +252,7 @@ def test_orbits_command(capsys):
 
 
 def test_orbits_exit_1_on_a_wrong_count(monkeypatch, capsys):
-    monkeypatch.setattr("titscomplex.cli.p1_orbit_and_commutant", lambda spec, budget: (2, 2))
+    monkeypatch.setattr("titscomplex.cli.p1_orbit_count", lambda spec, budget: 2)
     code, out, _ = run(capsys, "orbits", "--ring", "Z/4", "--format", "json")
     assert code == 1
     doc = json.loads(out)
@@ -343,7 +351,7 @@ def _identity_eta(cx, m_payload):
     ("eta_class", _identity_eta, "eta-witness",
      "eta over Z/4, n=2 has chamber map 1 at upper-triangular basis 0"),
     ("eta_class", lambda cx, m: steinberg.SteinbergChain(cx, {}), "eta-witness", "eta over Z/4, n=2 is zero"),
-    ("p1_orbit_and_commutant", lambda spec, budget: (2, 2), "orbit-commutant", "Z/4: (2, 2) (expected (3, 3))"),
+    ("p1_orbit_count", lambda spec, budget: 2, "orbit-commutant", "Z/4: 2 (expected 3)"),
 ], ids=["eta-identity-class", "eta-zero", "orbits-not-k+1"])
 def test_verify_fails_a_wrong_witness(monkeypatch, capsys, target, fake, cid, detail):
     monkeypatch.setattr(f"titscomplex.verify.{target}", fake)
@@ -495,8 +503,8 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("flags --ring F2[e]^2 --n 3 --type 1,2 --list", "8f979e90a36be53bb468e19eff359af62462306d1d8cdcf6e9987dd7e8a137e4"),
     ("flags --ring Z/6 --n 3 --type 2,1 --list", "71a1b457850eeb420f31244adb0649367bc98415bb213afc8a1e4e68393308b6"),
     ("grass --ring Z/4 --n 3 --enumerate --list", "55f60ef813b3c0cbdc4ca85d9dde5f2f0eb32dd1701b1aee36f696432684ba63"),
-    ("verify --tier fast", "23826842f5d1eb6b86bc7f64bc1ace3629e897b1c633d499cd27b9210ec86065"),
-    ("verify --tier full", "7a3c21ea29efda867aaac021b807318620b681c0eefc431842bd4f15abad8e20"),
+    ("verify --tier fast", "415090e7830d848a809effa352c00acd147459772da61635c143280270b2b406"),
+    ("verify --tier full", "5ef62f6fcc6ef9dc22f3004a96b2c95d4352945cf934b0892b2c967973798e32"),
     ("orbits --ring Z/8", "6fc0dd41f530bfde0f770aa6d6bcfc930ebeb3482ed1134f5c5521f5fedeada8"),
     ("orbits --ring Z/27", "b656e827e0117fec72c84f487ad68b3b2b9d342e12fae055f7c3ced742ad03a2"),
     ("orbits --ring Z/2xZ/3", "99e8260420709ac0e87ab9a5156e054dbf5fdb5b2d5bd708e7ba5d351f8b466c"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 
@@ -16,7 +17,6 @@ from titscomplex import (
     coreduce,
     fixed_subspace_dim,
     gl_generators,
-    exact_rank,
     induced_top_map,
     make_ring,
     parse_ring_spec,
@@ -31,7 +31,6 @@ from titscomplex.homology import (
     IntEchelon,
     MOD_P,
     ModPEchelon,
-    _coreduction,
     _unit_pivots,
     euler_characteristic_checks,
     normalize_divisors,
@@ -184,7 +183,6 @@ SMITH_CASES = [
 def test_smith_against_dense_oracle():
     for M in SMITH_CASES:
         assert smith_rank_and_divisors(to_sparse(M)) == dense_snf(M), M
-        assert exact_rank(to_sparse(M)) == dense_snf(M)[0], M
     random.seed(42)
     for _ in range(250):
         m = random.randrange(1, 6)
@@ -226,7 +224,7 @@ def test_smith_and_kernel_properties(M):
     sp = to_sparse(M)
     rank, divisors = smith_rank_and_divisors(sp)
     assert (rank, divisors) == dense_snf(M)
-    assert exact_rank(sp) == sparse_rank(sp.cols) == rank
+    assert sparse_rank(sp.cols) == rank
     # minors of these matrices are far below MOD_P, so no rank is lost mod p
     ech = ModPEchelon()
     assert sum(ech.add(col) for col in sp.cols) == ech.rank == rank
@@ -252,7 +250,7 @@ def test_smith_units_are_an_identity_block(M, k, zeros):
         for j in range(len(M[0]))
     ])
     assert smith_rank_and_divisors(sp, units=k) == dense_snf(block)
-    assert exact_rank(sp) == dense_snf(M)[0]
+    assert smith_rank_and_divisors(sp)[0] == dense_snf(M)[0]
 
 
 P = MOD_P
@@ -310,14 +308,14 @@ def test_mod_p_echelon_against_dense_elimination(data):
 
 
 def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatch):
-    # Gamma((2)) on the top chains of T3(Z/4): the boundaries of the orbit
-    # sums are all +-2, so the first unit-pivot pass finds nothing; divided
-    # by their content 2 the columns are +-1, and the second unit-pivot pass
-    # finds the whole rank, so no lattice echelon step runs
+    # Gamma((2)) on the top chains of T3(Z/4) and T4(Z/4): the boundaries of
+    # the orbit sums all have content 2 and no unit entry, so the unit-pivot
+    # pass finds nothing on them; `fixed_subspace_dim` divides each by its
+    # content, the unit-pivot pass then finds the whole rank, and no
+    # lattice echelon step runs
     def no_lattice_echelon(self, vec):
         raise AssertionError("IntEchelon.add on a residual with a common content")
 
-    monkeypatch.setattr(IntEchelon, "add", no_lattice_echelon)
     cx = built.complex("Z/4", 3)
     d = built.chain("Z/4", 3).boundaries[1]
     perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [2])]
@@ -326,9 +324,20 @@ def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatc
     assert {abs(v) for col in mat.cols for v in col.values()} == {2}
     assert _unit_pivots(mat.cols) == (0, mat.cols)
     dense = [[col.get(i, 0) for col in mat.cols] for i in range(mat.nrows)]
-    assert exact_rank(mat) == dense_snf(dense)[0] == 13
+    halves = SparseCols(mat.nrows, [{r: v // 2 for r, v in col.items()} for col in mat.cols])
+    monkeypatch.setattr(IntEchelon, "add", no_lattice_echelon)
+    # halving every column keeps the rank over Q
+    assert smith_rank_and_divisors(halves)[0] == dense_snf(dense)[0] == 13
     # 21 orbits less rank 13: the rank of St_3(Z/2)
     assert fixed_subspace_dim(built.chain("Z/4", 3), 1, perms) == len(sums) - 13 == 8
+    cx4 = built.complex("Z/4", 4)
+    d4 = built.chain("Z/4", 4).boundaries[2]
+    perms4 = [cx4.simplex_permutation(g, 2) for g in congruence_generators(cx4.ring, 4, [2])]
+    orbits4 = permutation_orbits(d4.ncols, perms4)
+    assert len(orbits4) == 315
+    assert all(math.gcd(*d4.apply(dict.fromkeys(o, 1)).values()) == 2 for o in orbits4)
+    got = fixed_subspace_dim(built.chain("Z/4", 4), 2, perms4)
+    assert got == steinberg_rank(parse_ring_spec("Z/2"), 4) == 64
 
 
 def test_chain_complex_structure(built):
@@ -355,7 +364,7 @@ def test_consumers_never_mutate_a_boundary_column(built, label, n):
     assert frozen.dd_is_zero()
     assert reduced_homology(frozen) == reduced_homology(cc)
     assert coreduce(frozen) == coreduce(cc)
-    assert [exact_rank(b) for b in frozen.boundaries] == [exact_rank(b) for b in cc.boundaries]
+    assert [smith_rank_and_divisors(b) for b in frozen.boundaries] == [smith_rank_and_divisors(b) for b in cc.boundaries]
 
 
 def test_dd_zero_everywhere(built):
@@ -413,8 +422,11 @@ def smith_homology(cc):
     return HomologyResult(betti, torsion, cc.f)
 
 
-def residual_complex(cc, survivors):
-    """The survivors of coreduction with the restricted boundaries, renumbered."""
+def residual_complex(cc, levels):
+    """The survivors of coreduction with the restricted boundaries, renumbered;
+    `levels` are the survivors of `coreduce`, whose level 0 (the empty
+    simplex) is dropped, so the augmentation has no row."""
+    survivors = levels[1:]
     boundaries = []
     for d, cells in enumerate(survivors):
         below = {c: i for i, c in enumerate(survivors[d - 1])} if d else {}
@@ -427,16 +439,17 @@ def residual_complex(cc, survivors):
     ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/6", 3), ("Z/9", 3), ("F3", 4),
 ])
 def test_coreduction_leaves_b_top_top_cells(built, label, n):
-    survivors = coreduce(built.chain(label, n))
+    survivors, _ = coreduce(built.chain(label, n))
     b_top = built.homology(label, n).betti[-1]
-    assert [len(cells) for cells in survivors] == [0] * (n - 2) + [b_top]
+    # level 0 is the empty simplex, paired with the first vertex
+    assert [len(cells) for cells in survivors] == [0] * (n - 1) + [b_top]
     assert b_top == steinberg_rank(parse_ring_spec(label), n)
 
 
 @pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("Z/6", 3)])
 def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
     cc = built.chain(label, n)
-    kept = set(coreduce(cc)[-1])
+    kept = set(coreduce(cc)[0][-1])
     basis = kernel_basis(cc.boundaries[-1])
     rng = random.Random(11)
     # coefficients that vanish mod p drop a basis cycle from the combination
@@ -460,16 +473,16 @@ def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
 
 def test_coreduction_keeps_the_torsion_of_rp2():
     cc = chain_complex(closure_complex(RP2_FACETS))
-    survivors = coreduce(cc)
+    survivors, _ = coreduce(cc)
     # survivors below the top degree: the residual boundary carries the 2
-    assert survivors[1] and survivors[2]
+    assert survivors[2] and survivors[3]
     residual = residual_complex(cc, survivors)
     assert residual.dd_is_zero()
     assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
     assert reduced_homology(cc).torsion == [[], [2], []]
     # the residual's augmentation has no row, so no pair at the empty simplex
     assert residual.boundaries[0].nrows == 0
-    assert _coreduction(residual)[1][0] == 0
+    assert coreduce(residual)[1][0] == 0
     assert reduced_homology(residual) == smith_homology(residual)
     assert reduced_homology(residual).betti == [0, 0, 0]
 
@@ -477,9 +490,8 @@ def test_coreduction_keeps_the_torsion_of_rp2():
 def test_coreduction_never_pairs_a_non_unit_incidence():
     # the CW projective plane: one cell per degree, d(e) = 0 and d(c) = 2e
     cc = ChainComplex([1, 1, 1], [SparseCols(1, [{0: 1}]), SparseCols(1, [{}]), SparseCols(1, [{0: 2}])])
-    survivors = coreduce(cc)
-    assert survivors == [[], [0], [0]]
-    assert _coreduction(cc) == ([[], [], [0], [0]], [1, 0, 0])
+    survivors, pairs = coreduce(cc)
+    assert (survivors, pairs) == ([[], [], [0], [0]], [1, 0, 0])
     assert smith_homology(residual_complex(cc, survivors)) == smith_homology(cc)
     assert reduced_homology(cc) == smith_homology(cc)
     assert reduced_homology(cc).betti == [0, 0, 0]
@@ -490,7 +502,7 @@ def test_coreduction_never_pairs_a_non_unit_incidence():
 @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9))
 def test_coreduction_then_smith_equals_smith(facets):
     cc = chain_complex(closure_complex([tuple(f) for f in facets]))
-    residual = residual_complex(cc, coreduce(cc))
+    residual = residual_complex(cc, coreduce(cc)[0])
     assert residual.dd_is_zero()
     assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
 
@@ -504,7 +516,7 @@ def test_reduced_homology_equals_smith_on_every_full_boundary(built, label, n, m
     cc = built.chain(label, n, m)
     assert reduced_homology(cc) == smith_homology(cc)
     # f_d - s_d = p_d + p_{d+1}: every removed cell is in exactly one pair
-    survivors, pairs = _coreduction(cc)
+    survivors, pairs = coreduce(cc)
     assert pairs[0] == 1 - len(survivors[0])
     for d in range(cc.dim):
         assert cc.f[d] - len(survivors[d + 1]) == pairs[d] + pairs[d + 1]
@@ -516,11 +528,11 @@ def test_reduced_homology_of_the_smallest_complexes():
     # n = 1: no proper nonzero summand, the empty complex
     empty = chain_complex(build_tits_complex(f2, 1))
     assert empty.dim == -1
-    assert _coreduction(empty) == ([], [])
+    assert coreduce(empty) == ([], [])
     assert reduced_homology(empty) == smith_homology(empty) == HomologyResult([], [], [])
     # n = 2: the three lines of F2^2, one of them paired with the empty simplex
     cc = chain_complex(build_tits_complex(f2, 2))
-    assert _coreduction(cc) == ([[], [1, 2]], [1])
+    assert coreduce(cc) == ([[], [1, 2]], [1])
     assert reduced_homology(cc) == smith_homology(cc)
     assert reduced_homology(cc).betti == [2]
 
@@ -543,7 +555,7 @@ def test_reduced_homology_calls_smith_once_per_degree_in_order(built, monkeypatc
     reduced_homology(cc)
     assert len(calls) == cc.dim + 1
     assert [rows for rows, _ in calls] == [1] + cc.f[:-1]
-    assert [rank for _, rank in calls] == ranks == [exact_rank(b) for b in cc.boundaries]
+    assert [rank for _, rank in calls] == ranks == [smith_rank_and_divisors(b)[0] for b in cc.boundaries]
 
 
 def test_homology_known_rank_values(built):

@@ -13,10 +13,9 @@ from titscomplex import (
     chamber_map,
     coreduce,
     eta_class,
-    exact_rank,
     gl_generators,
     make_ring,
-    p1_orbit_and_commutant,
+    p1_orbit_count,
     parse_ring_spec,
     reverse_ut_facet,
     smith_rank_and_divisors,
@@ -26,7 +25,7 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import complexes, homology, linalg, steinberg
+from titscomplex import complexes, linalg, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 
@@ -530,7 +529,7 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert len(classes) == res.apartments_used
-    kept = set(coreduce(built.chain(label, 3))[-1])
+    kept = set(coreduce(built.chain(label, 3))[0][-1])
     full, restricted = ModPEchelon(), ModPEchelon()
     for coeffs in classes:
         full.add(coeffs)
@@ -542,13 +541,20 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
 
 @pytest.mark.parametrize("label,mode,rank,used", SPAN_PINS[:2])
 def test_apartment_span_runs_no_smith_reduction(built, monkeypatch, label, mode, rank, used):
-    # the bound top_betti comes from the coreduced complex, not from Smith
-    def no_smith(mat):
-        raise AssertionError("Smith reduction on the apartment path")
+    # the bound top_betti comes from the coreduced complex: no face
+    # survives, so the one Smith call sees only empty columns, and a
+    # certified span needs no exact recount
+    calls = []
 
-    monkeypatch.setattr(homology, "smith_rank_and_divisors", no_smith)
+    def recording(mat, units=0):
+        calls.append(mat)
+        return smith_rank_and_divisors(mat, units)
+
+    monkeypatch.setattr(steinberg, "smith_rank_and_divisors", recording)
     res = apartment_span_rank(built.complex(label, 3), mode=mode, seed=0)
     assert (res.rank, res.apartments_used, res.top_betti) == (rank, used, rank)
+    [mat] = calls
+    assert mat.ncols == rank and not any(mat.cols)
 
 
 @pytest.mark.parametrize("label,mode,rank,used", [
@@ -558,7 +564,8 @@ def test_apartment_span_runs_no_smith_reduction(built, monkeypatch, label, mode,
 def test_apartment_span_without_coreduction_keeps_its_results(built, monkeypatch, label, mode, rank, used):
     # every cell survives, so the top boundary restricted to the surviving
     # faces is the whole top boundary and its exact rank does real work
-    monkeypatch.setattr(steinberg, "coreduce", lambda cc: [list(range(f)) for f in cc.f])
+    everything = lambda cc: ([[0]] + [list(range(f)) for f in cc.f], [0] * len(cc.f))
+    monkeypatch.setattr(steinberg, "coreduce", everything)
     res = apartment_span_rank(built.complex(label, 3), seed=0)
     assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
     assert res.saturated and res.top_betti == rank
@@ -580,13 +587,13 @@ def nullity_commutant(label):
             a, b = i * nl + j, perm[i] * nl + perm[j]
             if a != b:
                 edges.append({min(a, b): 1, max(a, b): -1})
-    return nl * nl - exact_rank(SparseCols(nl * nl, edges))
+    return nl * nl - smith_rank_and_divisors(SparseCols(nl * nl, edges))[0]
 
 
 def test_p1_orbit_and_commutant(monkeypatch):
-    # one orbit sweep: the library runs no rank (the oracle's exact_rank is
+    # one orbit sweep: the library runs no rank (the oracle's Smith rank is
     # imported here, not patched)
-    monkeypatch.setattr(steinberg, "exact_rank", _second_route)
+    monkeypatch.setattr(steinberg, "smith_rank_and_divisors", _second_route)
     # a chain ring of length k gives k + 1 orbits; a product of two fields
     # gives (1 + 1) * (1 + 1) by CRT
     cases = [
@@ -594,15 +601,15 @@ def test_p1_orbit_and_commutant(monkeypatch):
         ("F2[e]^3", 4), ("Z/6", 4), ("Z/2xZ/3", 4),
     ]
     for label, want in cases:
-        orbits, commutant = p1_orbit_and_commutant(parse_ring_spec(label))
-        assert orbits == commutant == nullity_commutant(label) == want, (label, orbits, commutant)
+        orbits = p1_orbit_count(parse_ring_spec(label))
+        assert orbits == nullity_commutant(label) == want, (label, orbits)
 
 
 def test_p1_orbit_nonuniserial_still_agrees():
     # products are not uniserial and the paper's k + 1 does not apply, but
     # the orbit count still equals the commutant's nullity count
-    orbits, commutant = p1_orbit_and_commutant(parse_ring_spec("Z/2xZ/3"))
-    assert orbits == commutant == nullity_commutant("Z/2xZ/3")
+    orbits = p1_orbit_count(parse_ring_spec("Z/2xZ/3"))
+    assert orbits == nullity_commutant("Z/2xZ/3")
     assert orbits == 4  # (k1+1)*(k2+1) by CRT: orbit data splits per factor
 
 
