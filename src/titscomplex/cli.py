@@ -310,6 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact integers print in full at any length (the rank of St_170(F2) has
+    # 4325 digits): the int-to-str digit limit of Python 3.10.7 and later is
+    # lifted while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "budget", 0) < 0:
             raise ValueError(f"budget must be >= 0, got {args.budget}")
@@ -320,6 +326,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

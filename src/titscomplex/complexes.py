@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, check_budget, make_ring, quotient_spec, spec_of
-from .linalg import Mat, Summand, span_if_free
-from .grassmann import SummandCatalog, good_flag_count, grassmannian_size_formula
+from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, make_ring, quotient_spec, spec_of
+from .linalg import Mat, Summand
+from .grassmann import SummandCatalog, budgeted_flag_count
 
 
 class TitsComplex:
@@ -75,17 +75,16 @@ class TitsComplex:
         return {k: list(map(frozenset, sets)) for k, sets in ups.items()}
 
     def vertex_of_span(self, vectors) -> int:
-        """Index of the vertex spanned by the vectors.
+        """Index of the vertex of which the vectors are a basis, memoised
+        per complex by the sorted vectors.
 
-        Raises ValueError when the vectors do not span freely and
-        RuntimeError when their span is not a vertex (the empty set spans
-        the zero summand freely, which is not one).  Memoised per complex
-        by the sorted vectors; only the index is kept.
-
-        No member set is built on success: for k = len(vectors) with
-        1 <= k <= max_rank (< n) the vectors are a basis of a rank-k vertex
-        W exactly when W is the only rank-k vertex holding all of them,
-        which the catalog's vector index answers.
+        For k = len(vectors), raises RuntimeError unless 1 <= k <= max_rank
+        (the empty set spans the zero summand, no vertex), and ValueError
+        unless one rank-k vertex holds them all.  No member set is built:
+        for such k (< n) the vectors are a basis of a rank-k vertex W
+        exactly when W is the only rank-k vertex holding all of them, which
+        the catalog's vector index answers (a vector outside R^n is held
+        by none).
         - If they are a basis of W, every rank-k vertex holding them
           contains W, and equal-rank containment is equality.
         - Conversely, let W be the only rank-k vertex holding them and
@@ -97,17 +96,16 @@ class TitsComplex:
           (it is the image of W under an invertible map fixing the
           complement) holding every vector B*C + d*y*C = B*C; a
           contradiction.
-        The member-set span is built only to tell the two errors apart.
         """
         key = tuple(sorted(vectors))
         got = self._span_cache.get(key)
         if got is None:
             k = len(key)
-            hits = self.catalog.containing(k, key) if 1 <= k <= self.max_rank else ()
-            if len(hits) != 1:
-                if k and span_if_free(self.ring, key) is None:
-                    raise ValueError("vectors do not span freely")
+            if not 1 <= k <= self.max_rank:
                 raise RuntimeError("span is not a vertex of the complex")
+            hits = self.catalog.containing(k, key)
+            if len(hits) != 1:
+                raise ValueError("vectors are not a basis of a vertex")
             got = self.start[k] + hits[0]
             self._span_cache[key] = got
         return got
@@ -219,17 +217,14 @@ class Subcomplex:
 def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:
     """Full subcomplex on the summands of rank at most m (1 <= m <= n-1).
 
-    The vertex and facet counts are checked against the budget from the
-    spec's closed formulas, before the ring's tables are built.
+    Its facets are the good flags of type (1, ..., 1, n - m), budgeted by
+    `budgeted_flag_count` from the spec's closed formulas before the ring's
+    tables are built.
     """
     if not (1 <= m <= n - 1):
         raise ValueError(f"filtration rank must satisfy 1 <= m <= n-1, got m={m}, n={n}")
     spec = spec_of(spec_or_ring)
-    est = sum(grassmannian_size_formula(spec, n, k) for k in range(1, m + 1))
-    check_budget(est, budget, f"vertices of the rank-{m} Tits complex of {spec.label}^{n}")
-    # a facet is a flag V_1 < ... < V_m with rank(V_i) = i
-    facets = good_flag_count(spec, n, range(1, m + 1))
-    check_budget(facets, budget, f"facets of the rank-{m} Tits complex of {spec.label}^{n}")
+    budgeted_flag_count(spec, n, (1,) * m + (n - m,), budget)
     catalog = SummandCatalog(spec, n, budget)
     vertices: list[Summand] = []
     start = {}  # rank -> index of its first vertex

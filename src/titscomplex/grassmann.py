@@ -87,14 +87,18 @@ def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
 
 def budgeted_flag_count(spec: RingSpec, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> int:
     """`good_flag_count` of the type lam, after the budget checks that
-    `enumerate_good_flags` makes first: the flag count, then the member
-    vectors of each Grassmannian it walks."""
+    `enumerate_good_flags` and `complexes.build_filtration` make first: the
+    member vectors of each Grassmannian the flags walk, in rank order, then
+    the flag count, so a large n is refused at the rank-1 estimate, one
+    product, before the flag count multiplies n - 1 Grassmannian sizes.
+    They bound the vertices too: if |Gr_k|*q^k <= B for each rank k, the
+    |Gr_k| sum to at most B/(q - 1) <= B."""
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
-    count = good_flag_count(spec, n, ranks)
-    check_budget(count, budget, f"good flags of type {lam} in {spec.label}^{n}")
     for r in ranks:
         check_grassmannian_budget(spec, n, r, budget)
+    count = good_flag_count(spec, n, ranks)
+    check_budget(count, budget, f"good flags of type {lam} in {spec.label}^{n}")
     return count
 
 

@@ -13,6 +13,7 @@ speed and makes every canonical form reproducible across runs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -26,8 +27,18 @@ class BudgetExceeded(RuntimeError):
         self.estimate = estimate
         self.budget = budget
         self.what = what
-        msg = f"enumeration of {what or 'objects'} needs ~{estimate} objects, budget is {budget}"
+        msg = f"enumeration of {what or 'objects'} needs {_about(estimate)} objects, budget is {budget}"
         super().__init__(msg)
+
+
+def _about(count: int) -> str:
+    """`~count` in full up to 4300 digits, the interpreter's default
+    int-to-str limit; beyond it, or under a lower limit, `more than 10^d`
+    for the bit length b: log10(2) > 0.30102, so 10^d <= 2^(b-1) <= count."""
+    with contextlib.suppress(ValueError):
+        if count < 10**4300:
+            return f"~{count}"
+    return f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
 
 
 def check_budget(estimate, budget, what=""):

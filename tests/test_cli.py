@@ -186,12 +186,12 @@ def test_apartment_span_entry_cap_exits_3(capsys, monkeypatch):
     assert added and len(added) % 256 == 0
 
 
-def fresh_python(*args):
+def fresh_python(*args, timeout=120):
     """Run the interpreter in a new process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(titscomplex.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_python_m_entry_point():
@@ -455,6 +455,44 @@ def test_flags_budget_is_the_closed_flag_count(forbid_tables, capsys):
     code, out, err = run(capsys, "flags", "--ring", "Z/9", "--n", "4", "--type", "1,1,1,1")
     assert code == 3 and out == ""
     assert err.startswith("error: enumeration of ") and "1516320" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flags", "--ring", "F2", "--n", "15000", "--type", "1,14999"],
+    ["grass", "--ring", "F2", "--n", "15000", "--k", "1", "--enumerate"],
+])
+def test_budget_refusal_of_an_estimate_over_4300_digits(forbid_tables, capsys, argv):
+    # the rank-1 member estimate has 4516 digits
+    forbid_tables(0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: enumeration of Gr_1^15000(F2) needs more than 10^4515 objects")
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--ring", "F2", "--n", "400"],
+    ["homology", "--ring", "F2", "--n", "800"],
+    ["homology", "--ring", "F2", "--n", "3000"],
+    ["complex", "--ring", "F2", "--n", "3000"],
+])
+def test_large_complexes_are_refused_before_any_large_count(argv):
+    # the rank-1 member check refuses these before the facet count (a
+    # product of n - 1 Grassmannian sizes) is formed
+    proc = fresh_python("-m", "titscomplex", *argv, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error: enumeration of Gr_1^{argv[-1]}(F2) needs ~")
+
+
+def test_cli_prints_exact_integers_of_any_length(capsys):
+    # the rank of St_170(F2), 2^(170*169/2) = 2^14365, has 4325 digits,
+    # over the interpreter's default int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "rank", "--rings", "F2", "--n-max", "170", "--format", "csv")
+    n, rank = out.split()[-1].split(",")
+    assert (code, n, len(rank)) == (0, "170", 4325)
+    # read back in two pieces, each within that limit
+    assert int(rank[:-2000]) * 10**2000 + int(rank[-2000:]) == 2 ** 14365
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
 
 def test_flags_counts_without_enumerating_unless_listed(forbid_tables, monkeypatch, capsys):

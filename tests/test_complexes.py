@@ -153,7 +153,7 @@ def test_facet_budget_guards_chain_growth():
     with pytest.raises(BudgetExceeded) as exc:
         build_tits_complex(z4, 4, budget=10000)
     assert exc.value.estimate == 20160
-    assert "facets" in str(exc.value)
+    assert "good flags of type (1, 1, 1, 1) in Z/4^4" in str(exc.value)
     # T4(Z/9) is refused at the default budget before any enumeration
     with pytest.raises(BudgetExceeded) as exc:
         build_tits_complex(make_ring(RingSpec.modular(9)), 4)
@@ -313,6 +313,17 @@ def test_vertex_of_span(built):
     filt = built.complex("Z/4", 4, 2)
     with pytest.raises(RuntimeError):
         filt.vertex_of_span(Mat.identity(filt.ring, 4).rows[:3])  # rank 3 is above the filtration
+    with pytest.raises(RuntimeError):
+        filt.vertex_of_span([(2, 0, 0, 0)] * 3)  # so are three vectors that span no free module
+
+
+def test_vertex_of_span_rejects_malformed_vectors(built):
+    # vectors outside R^3 are held by no vertex: a wrong length, or an
+    # entry that is no element index of Z/4
+    cx = built.complex("Z/4", 3)
+    for vectors in ([(1, 0)], [(1, 0, 0, 0)], [(5, 0, 0)], [(1, 0, 0), (0, 4, 0)], [(0, 1, 0), (0, 0, 1, 0)]):
+        with pytest.raises(ValueError):
+            cx.vertex_of_span(vectors)
 
 
 def test_vertex_of_span_rejects_the_empty_set(built):
@@ -324,12 +335,16 @@ def test_vertex_of_span_rejects_the_empty_set(built):
 
 def span_oracle(cx, vectors):
     """Test oracle: the member-set route, span_if_free then a {members: index}
-    dict; an exception type where vertex_of_span must raise."""
-    zero = (cx.ring.zero,) * cx.n
-    members = span_if_free(cx.ring, vectors) if vectors else frozenset([zero])
+    dict; an exception type where vertex_of_span must raise.  No vertex has
+    a basis of k vectors outside 1 <= k <= max_rank (RuntimeError); inside,
+    k vectors that span no free module are no basis (ValueError), and a free
+    span of rank k must be a vertex (a KeyError here would refute it)."""
+    if not 1 <= len(vectors) <= cx.max_rank:
+        return RuntimeError
+    members = span_if_free(cx.ring, vectors)
     if members is None:
         return ValueError
-    return {s.members: i for i, s in enumerate(cx.vertices)}.get(members, RuntimeError)
+    return {s.members: i for i, s in enumerate(cx.vertices)}[members]
 
 
 @pytest.mark.parametrize("label,n,m", [

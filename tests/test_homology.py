@@ -307,7 +307,7 @@ def test_mod_p_echelon_against_dense_elimination(data):
         assert vec == snapshot
 
 
-def test_exact_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatch):
+def test_smith_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatch):
     # Gamma((2)) on the top chains of T3(Z/4) and T4(Z/4): the boundaries of
     # the orbit sums all have content 2 and no unit entry, so the unit-pivot
     # pass finds nothing on them; `fixed_subspace_dim` divides each by its

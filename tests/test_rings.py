@@ -84,6 +84,16 @@ def test_enumeration_budget(forbid_tables):
         enumerate_elements(RingSpec.modular(100000))
 
 
+def test_budget_message_never_raises_on_a_long_estimate():
+    # 10^5000 has more digits than the interpreter's default int-to-str
+    # limit; the estimate stays exact and the message bounds it from below
+    exc = BudgetExceeded(10**5000, 10**6, "Gr_1^15000(F2)")
+    assert exc.estimate == 10**5000
+    assert str(exc) == "enumeration of Gr_1^15000(F2) needs more than 10^4999 objects, budget is 1000000"
+    # up to 4300 digits the estimate prints in full, as before
+    assert str(BudgetExceeded(10**4300 - 1, 5)).endswith(f"needs ~{'9' * 4300} objects, budget is 5")
+
+
 def test_arithmetic_examples():
     r6 = make_ring(RingSpec.modular(6))
     assert (r6.element(4) * r6.element(5)).payload == 2

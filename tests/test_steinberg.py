@@ -408,7 +408,7 @@ def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
         calls.append(args)
         return span_if_free(*args, **kwargs)
 
-    monkeypatch.setattr(complexes, "span_if_free", counting_span)
+    monkeypatch.setattr(linalg, "span_if_free", counting_span)
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert res.mode == mode and res.apartments_used == used
     assert res.rank == res.top_betti
@@ -590,7 +590,7 @@ def nullity_commutant(label):
     return nl * nl - smith_rank_and_divisors(SparseCols(nl * nl, edges))[0]
 
 
-def test_p1_orbit_and_commutant(monkeypatch):
+def test_p1_orbit_count(monkeypatch):
     # one orbit sweep: the library runs no rank (the oracle's Smith rank is
     # imported here, not patched)
     monkeypatch.setattr(steinberg, "smith_rank_and_divisors", _second_route)
