@@ -24,7 +24,6 @@ bound, and is never reported alone.
 
 from __future__ import annotations
 
-import collections
 import math
 
 
@@ -508,18 +507,30 @@ def coreduce(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
     number of pairs removed between degrees d and d - 1 for each d = 0..dim.
 
     A coreduction pair is a live cell a with exactly one live face b, met
-    with incidence +-1; both are removed.  The cells with one live face wait
-    in a FIFO queue, seeded in (degree, index) order, and removing a pair
-    queues each live coface of a or b whose live face count drops to one.
-    The empty simplex is the (-1)-cell, the one row of the augmentation, so
-    the first pair is the first vertex with it.  The survivors' boundaries
-    are the restrictions of the original ones: no entry is ever rewritten,
-    and the homology of the survivors under the restricted boundaries is
-    that of cc, torsion included, in every degree from -1 up.  (Removing a
-    pair (a, b) with incidence e is an elementary reduction: the other cells
-    with the boundary x -> d(x) - <d(x), b>*e*d(a) form a homotopy
-    equivalent complex, and since d(a) = e*b on the live cells, that
-    boundary is the plain restriction of d.)
+    with incidence +-1; both are removed.  The degrees d = 0..dim are taken
+    in rising order, and the d-cells are swept in index order, each one
+    that forms a pair being removed with its face at once, until a sweep
+    removes none.  The empty simplex is the (-1)-cell, the one row of the
+    augmentation, so the first pair is the first vertex with it.  One pass
+    up the degrees leaves no pair anywhere: the faces of a d-cell are
+    (d-1)-cells, which only the sweeps of degrees d - 1 and d remove, and
+    the later sweeps remove cells of degree d and up, which takes away
+    candidates but never a face.  The order of removals does not matter:
+    every statement below holds for each single removal, taken in the
+    complex as it stands at that moment.  A degree needs one sweep per link
+    of a chain of cells that free each other in falling index order (the
+    path 0-k-(k-1)-...-1 takes k sweeps of its edges), so the sweep count
+    has no small bound; on every Tits complex tried (measured, up to T6(F2)
+    and T4 over Z/4, Z/8 and Z/9), a degree took two sweeps, the last one
+    finding nothing, or three.
+
+    The survivors' boundaries are the restrictions of the original ones: no
+    entry is ever rewritten, and the homology of the survivors under the
+    restricted boundaries is that of cc, torsion included, in every degree
+    from -1 up.  (Removing a pair (a, b) with incidence e is an elementary
+    reduction: the other cells with the boundary x -> d(x) - <d(x), b>*e*d(a)
+    form a homotopy equivalent complex, and since d(a) = e*b on the live
+    cells, that boundary is the plain restriction of d.)
 
     Top cycles keep exact coordinates.  Restriction to the live cells maps
     the top cycles of the complex before a removal isomorphically over Z
@@ -537,41 +548,21 @@ def coreduce(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
     top = cc.dim
     if top < 0:
         return [], []
-    faces = [None] + [b.cols for b in cc.boundaries]
     alive = [bytearray(b"\x01") * n for n in [cc.boundaries[0].nrows, *cc.f]]
-    live = [None] + [[len(col) for col in b.cols] for b in cc.boundaries]
-    cofaces = [[[] for _ in range(len(level))] for level in alive[:-1]]
-    for lvl in range(1, top + 2):
-        level_cofaces = cofaces[lvl - 1]
-        for a, col in enumerate(faces[lvl]):
-            for b in col:
-                level_cofaces[b].append(a)
     pairs = [0] * (top + 1)
-    queue = collections.deque(
-        (lvl, a) for lvl in range(1, top + 2) for a, k in enumerate(live[lvl]) if k == 1
-    )
-    while queue:
-        lvl, a = queue.popleft()
-        if not alive[lvl][a] or live[lvl][a] != 1:
-            continue
-        below = alive[lvl - 1]
-        b, e = next((b, e) for b, e in faces[lvl][a].items() if below[b])
-        if e != 1 and e != -1:
-            continue
-        alive[lvl][a] = below[b] = 0
-        pairs[lvl - 1] += 1
-        # a's cofaces lose their face a, b's live cofaces their face b
-        for up, cell in ((lvl + 1, a), (lvl, b)):
-            if up > top + 1:
-                continue
-            up_alive, up_live = alive[up], live[up]
-            for c in cofaces[up - 1][cell]:
-                if up_alive[c]:
-                    up_live[c] -= 1
-                    if up_live[c] == 1:
-                        queue.append((up, c))
-    survivors = [[a for a, x in enumerate(level) if x] for level in alive]
-    return survivors, pairs
+    for d, boundary in enumerate(cc.boundaries):
+        below, here = alive[d], alive[d + 1]
+        changed = True
+        while changed:
+            changed = False
+            for a, col in enumerate(boundary.cols):
+                if here[a]:
+                    live = [b for b in col if below[b]]
+                    if len(live) == 1 and col[live[0]] in (1, -1):
+                        here[a] = below[live[0]] = 0
+                        pairs[d] += 1
+                        changed = True
+    return [[a for a, x in enumerate(level) if x] for level in alive], pairs
 
 
 def euler_characteristic_checks(cc: ChainComplex, hom: HomologyResult) -> bool:

@@ -51,10 +51,16 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending (trial division; n is desk-scale)."""
+    """Distinct prime factors of n, ascending, by trial division.  The
+    divisors are budgeted: a divisor d > DEFAULT_BUDGET with d * d <= n
+    still to try raises `BudgetExceeded`, so every n below
+    (DEFAULT_BUDGET + 1)^2 is factored, and a prime near 10^18 is refused
+    at once instead of after 10^9 divisions."""
     out = []
     d = 2
     while d * d <= n:
+        if d > DEFAULT_BUDGET:
+            raise BudgetExceeded(math.isqrt(n), DEFAULT_BUDGET, "trial divisors")
         if n % d == 0:
             out.append(d)
             while n % d == 0:

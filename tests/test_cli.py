@@ -483,6 +483,20 @@ def test_large_complexes_are_refused_before_any_large_count(argv):
     assert proc.stderr.startswith(f"error: enumeration of Gr_1^{argv[-1]}(F2) needs ~")
 
 
+@pytest.mark.parametrize("ring", ["Z/1000000000000000003", "F1000000000000000003"])
+def test_trial_division_past_the_budget_is_refused(ring):
+    # a prime near 10^18 would need about 10^9 trial divisions
+    proc = fresh_python("-m", "titscomplex", "rank", "--rings", ring, "--n-max", "2", timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: enumeration of trial divisors needs ~1000000000 objects, budget is 1000000\n"
+
+
+def test_trial_division_factors_a_prime_below_the_budget_squared(capsys):
+    # 10^12 + 39 is prime; its square root is under 10^6 + 1
+    code, out, err = run(capsys, "rank", "--rings", "Z/1000000000039", "--n-max", "2", "--format", "csv")
+    assert (code, out, err) == (0, "n,Z/1000000000039\n1,1\n2,1000000000039\n", "")
+
+
 def test_cli_prints_exact_integers_of_any_length(capsys):
     # the rank of St_170(F2), 2^(170*169/2) = 2^14365, has 4325 digits,
     # over the interpreter's default int-to-str limit of 4300

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import types
 
 import pytest
@@ -436,7 +437,7 @@ def residual_complex(cc, levels):
 
 
 @pytest.mark.parametrize("label,n", [
-    ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/6", 3), ("Z/9", 3), ("F3", 4),
+    ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/6", 3), ("Z/8", 3), ("Z/9", 3), ("F3", 4), ("Z/4", 4),
 ])
 def test_coreduction_leaves_b_top_top_cells(built, label, n):
     survivors, _ = coreduce(built.chain(label, n))
@@ -496,6 +497,28 @@ def test_coreduction_never_pairs_a_non_unit_incidence():
     assert reduced_homology(cc) == smith_homology(cc)
     assert reduced_homology(cc).betti == [0, 0, 0]
     assert reduced_homology(cc).torsion == [[], [2], []]
+
+
+def test_coreduction_sweeps_until_a_sweep_removes_nothing():
+    # the path 0-6-5-4-3-2-1: each edge is freed by the one after it in
+    # index order, so the edge sweep removes one pair per pass
+    cc = chain_complex(closure_complex([(0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
+    assert coreduce(cc) == ([[], [], []], [1, 6])
+    assert reduced_homology(cc) == smith_homology(cc)
+
+
+def test_coreduction_holds_few_bytes_per_cell():
+    # alive flags and pair counts only: no coface lists, counters or queue
+    cc = chain_complex(build_tits_complex(make_ring(parse_ring_spec("F2")), 5))
+    cells = cc.boundaries[0].nrows + sum(cc.f)
+    assert cells == 27808
+    tracemalloc.start()
+    try:
+        coreduce(cc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * cells
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -482,6 +482,7 @@ SPAN_PINS = [
     ("Z/2xZ/2", "exhaustive", 344, 1793),
     ("Z/6", "sampled", 911, 3202),
     ("Z/6", "exhaustive", 911, 8101),
+    ("Z/8", "sampled", 1121, 5857),
 ]
 
 
