@@ -64,15 +64,13 @@ class TitsComplex:
     @functools.cached_property
     def line_upsets(self) -> dict:
         """k -> the frozenset of rank-k vertices holding each line (rank-1
-        vertex), 2 <= k <= max_rank, read once from the 1-simplices: every
-        comparable pair is an edge, and the lines' edges come first."""
-        lines = self.start.get(2, len(self.vertices))
-        ups = {k: [set() for _ in range(lines)] for k in range(2, self.max_rank + 1)}
-        for a, b in self.simplices[1] if self.dim >= 1 else ():
-            if a >= lines:
-                break
-            ups[self.vertices[b].rank][a].add(b)
-        return {k: list(map(frozenset, sets)) for k, sets in ups.items()}
+        vertex), 2 <= k <= max_rank, from the catalog's vector index, the
+        query build_filtration makes for every vertex."""
+        return {
+            k: [frozenset(self.start[k] + p for p in self.catalog.containing(k, line.basis))
+                for line in self.vertices[: self.start[2]]]
+            for k in range(2, self.max_rank + 1)
+        }
 
     def vertex_of_span(self, vectors) -> int:
         """Index of the vertex of which the vectors are a basis, memoised

@@ -379,7 +379,6 @@ def quotient_free_rank_members(
     the number of members `_free_extension` joins to V, when it reaches W.
     """
     if w_members is None:
-        check_budget(ring.card**n, budget, f"cosets in {ring.spec.label}^{n}")
         w_members = all_vectors(ring, n, budget)
     elif not set(v_members) <= set(w_members):
         raise ValueError("V is not contained in W")

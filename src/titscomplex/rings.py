@@ -188,8 +188,9 @@ def parse_ring_spec(text: str) -> RingSpec:
 
     Grammar (round-trips through RingSpec.label):
         spec    := atom ("x" atom)*
-        atom    := "Z/" int | "F" prime | "F" prime "[e]" ("^" int)?
-    F2[e] with no exponent means F2[e]^2, the dual numbers.
+        atom    := "Z/" int | "F" int | "F" int "[e]" ("^" int)?
+    F2[e] with no exponent means F2[e]^2, the dual numbers.  Only the syntax
+    is checked here; the RingSpec constructors check primality and ranges.
     """
     text = text.strip()
     if not text:
@@ -226,8 +227,6 @@ def _parse_atom(atom: str, full: str) -> RingSpec:
             p = int(rest)
         except ValueError:
             raise err from None
-        if not is_prime(p):
-            raise ValueError(f"cannot parse ring spec {full!r}: {p} is not prime")
         if k is None:
             return RingSpec.prime_field(p)
         return RingSpec.truncated_poly(p, k)

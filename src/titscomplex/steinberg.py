@@ -547,6 +547,14 @@ class RankTable:
 
 
 def table_generate(specs, n_max: int) -> RankTable:
+    """Steinberg ranks of each spec for n = 1..n_max.
+
+    Before any recursion, the digits the table can print are budgeted
+    against DEFAULT_BUDGET: rank St_m(R) <= #facets of T_m(R) <= |R|^C(m+1,2),
+    so column R has at most sum_m (C(m+1,2) log10|R| + 1)
+    = C(n_max+2,3) log10|R| + n_max digits, with log10|R| <= b log10(2)
+    < b * 0.30103 for b the bit length of |R| - 1.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not specs:
@@ -555,5 +563,8 @@ def table_generate(specs, n_max: int) -> RankTable:
     repeated = sorted({l for l in labels if labels.count(l) > 1})
     if repeated:
         raise ValueError(f"ring spec repeated: {', '.join(repeated)}")
+    bits = sum((s.cardinality - 1).bit_length() for s in specs)
+    digits = -(-comb(n_max + 2, 3) * bits * 30103 // 100000) + n_max * len(specs)
+    check_budget(digits, DEFAULT_BUDGET, f"digits of the rank table up to n = {n_max}")
     columns = {s.label: [steinberg_rank(s, n) for n in range(1, n_max + 1)] for s in specs}
     return RankTable(labels, n_max, columns)

@@ -194,6 +194,15 @@ def fresh_python(*args, timeout=120):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
+@pytest.mark.parametrize("n_max", ["400", "2000"])
+def test_rank_refuses_long_tables_before_the_recursion(n_max):
+    # the digit bound C(n+2,3) log10|R| exceeds DEFAULT_BUDGET, so the
+    # recursion never starts (at n = 400 it ran over 120 s without a bound)
+    proc = fresh_python("-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", n_max, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error: enumeration of digits of the rank table up to n = {n_max} needs ~")
+
+
 def test_python_m_entry_point():
     proc = fresh_python("-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", "3", "--format", "csv")
     assert proc.returncode == 0, proc.stderr

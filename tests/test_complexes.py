@@ -379,6 +379,43 @@ def test_vertex_of_span_equals_member_set_oracle(built, label, n, m):
     assert seen == {int, ValueError, RuntimeError}
 
 
+class _Unread(list):
+    """A simplex level that fails when anything iterates over it."""
+
+    def __iter__(self):
+        raise AssertionError("line_upsets read a simplex level")
+
+
+def edge_walk_upsets(cx, edges):
+    """Test oracle: k -> the rank-k vertices above each line, from the
+    edges (every comparable pair of vertices is an edge)."""
+    lines = [i for i, v in enumerate(cx.vertices) if v.rank == 1]
+    ups = {k: [set() for _ in lines] for k in range(2, cx.max_rank + 1)}
+    for a, b in edges:
+        if cx.vertices[a].rank == 1:
+            ups[cx.vertices[b].rank][a].add(b)
+    return {k: list(map(frozenset, sets)) for k, sets in ups.items()}
+
+
+@pytest.mark.parametrize("label,n,m", [
+    ("F7", 3, None), ("Z/4", 3, None), ("Z/2xZ/2", 3, None), ("F2", 4, None), ("Z/4", 4, 2),
+])
+def test_line_upsets_come_from_the_catalog(label, n, m):
+    spec = parse_ring_spec(label)
+    cx = build_tits_complex(spec, n) if m is None else build_filtration(spec, n, m)
+    edges = cx.simplices[1]
+    cx.simplices[1] = _Unread(edges)
+    got = cx.line_upsets
+    assert got == edge_walk_upsets(cx, edges)
+    assert sorted(got) == list(range(2, cx.max_rank + 1))
+    assert all(sum(map(len, sets)) for sets in got.values())
+
+
+def test_line_upsets_without_planes():
+    for label, n in [("F2", 2), ("Z/6", 2), ("Z/4", 1)]:
+        assert build_tits_complex(parse_ring_spec(label), n).line_upsets == {}
+
+
 def test_reduction_sends_facets_to_facets(built):
     cx3 = built.complex("Z/4", 3)
     red = reduction_map(cx3, [2])

@@ -19,7 +19,8 @@ from titscomplex.linalg import (
     span_if_free,
     zero_vector,
 )
-from titscomplex.rings import ideal_closure
+from titscomplex import linalg
+from titscomplex.rings import BudgetExceeded, ideal_closure
 
 
 # vector sum and scalar multiple in R^n, for the brute oracles below
@@ -278,6 +279,26 @@ def test_quotient_examples():
     assert quotient_free_rank_members(r6, 3, W6.members, V6.members) == 1
     # coset count along the way: 36 elements over a 6 element line
     assert len(W6.members) // len(V6.members) == 6
+
+
+def test_quotient_into_the_whole_space_checks_its_budget_once(monkeypatch):
+    # W = R^n: the vectors of R^n are budgeted by all_vectors alone
+    r4 = make_ring(RingSpec.modular(4))
+    V = span_summand(r4, [r4.vec([1, 0])])
+    with pytest.raises(BudgetExceeded) as info:
+        quotient_free_rank_members(r4, 2, None, V.members, budget=15)
+    assert str(info.value).count("vectors of") == 1
+    assert "vectors of Z/4^2 needs ~16 objects" in str(info.value)
+    checks = []
+    check = linalg.check_budget
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(linalg, "check_budget", counted)
+    assert quotient_free_rank_members(r4, 2, None, V.members, budget=16) == 1
+    assert checks == [(16, 16, "vectors of Z/4^2")]
 
 
 def test_quotient_containment_error():

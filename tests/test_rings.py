@@ -259,6 +259,35 @@ def test_parse_roundtrip_and_errors():
             parse_ring_spec(bad)
 
 
+def test_parse_leaves_values_to_the_ring_spec(monkeypatch):
+    # syntax is the parser's, primality and ranges are RingSpec's, so a
+    # large prime base is trial-divided once
+    for bad in ["Q8", "Z/x", "F2[e]x", "F2[e]^y", "Fz"]:
+        with pytest.raises(ValueError, match="cannot parse ring spec"):
+            parse_ring_spec(bad)
+    for bad, msg in [
+        ("Z/1", "modular ring needs modulus >= 2, got 1"),
+        ("F4", "prime field needs a prime, got 4"),
+        ("F6[e]^2", "truncated polynomial ring needs a prime base, got 6"),
+        ("F2[e]^0", "truncation order must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            parse_ring_spec(bad)
+    calls = []
+    factor = titscomplex.rings.prime_factors
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(titscomplex.rings, "prime_factors", counted)
+    p = 1000000000039
+    for text, params in [(f"F{p}", (p,)), (f"F{p}[e]^2", (p, 2))]:
+        calls.clear()
+        assert parse_ring_spec(text).params == params
+        assert calls == [p], text
+
+
 def test_ideal_closure_examples():
     r6 = make_ring(RingSpec.modular(6))
     assert ideal_closure(r6, [r6.el(2), r6.el(3)]) == frozenset(range(6))

@@ -28,6 +28,7 @@ from titscomplex import (
 from titscomplex import complexes, linalg, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
+from titscomplex.rings import BudgetExceeded
 
 TABLE1 = {
     4: [1, 5, 113, 10879, 4324129, 6984271295],
@@ -623,6 +624,19 @@ def test_table_generate_matches_published():
     for d in (4, 6, 8, 9, 10):
         for n in range(1, 7):
             assert table.value(f"Z/{d}", n) == TABLE1[d][n - 1]
+
+
+def test_table_digit_bound_is_never_below_the_digits(monkeypatch):
+    # with the budget one below the digits the columns print, the bound
+    # refuses: it never undercounts them
+    for labels, n_max in [(["F2"], 40), (["Z/4", "Z/6"], 30), (["Z/10"], 25), (["Z/2xZ/9", "F3[e]^2"], 15)]:
+        specs = [parse_ring_spec(l) for l in labels]
+        table = table_generate(specs, n_max)
+        digits = sum(len(str(v)) for col in table.columns.values() for v in col)
+        monkeypatch.setattr(steinberg, "DEFAULT_BUDGET", digits - 1)
+        with pytest.raises(BudgetExceeded, match=f"digits of the rank table up to n = {n_max}"):
+            table_generate(specs, n_max)
+        monkeypatch.undo()
 
 
 def test_table_serialisations_are_stable():
