@@ -6,7 +6,6 @@ from titscomplex import (
     RingSpec,
     build_filtration,
     build_tits_complex,
-    chain_complex,
     grassmannian_size_formula,
     make_ring,
     parse_ring_spec,
@@ -15,12 +14,13 @@ from titscomplex import (
     table_generate,
 )
 
-# Homology is computed from sparse integer boundary matrices by an exact
-# Smith reduction; Betti numbers and torsion divisors are exact.
+# Homology is read from the complex's faces: coreduction removes cells in
+# pairs, and an exact Smith reduction of what is left gives the Betti
+# numbers and torsion divisors.
 z4 = make_ring(RingSpec.modular(4))
 for n in (2, 3):
     cx = build_tits_complex(z4, n)
-    hom = reduced_homology(chain_complex(cx))
+    hom = reduced_homology(cx)
     print(f"T_{n}(Z/4): betti {hom.betti}, torsion {hom.torsion}")
 
 # The top Betti number satisfies an alternating recursion over Grassmannian
@@ -36,14 +36,14 @@ print(table.to_csv())
 # Z/4 and F2[x]/(x^2) are non-isomorphic rings with the same radical profile,
 # so their complexes have the same homology (they are homotopy equivalent).
 fe = make_ring(parse_ring_spec("F2[e]^2"))
-a = reduced_homology(chain_complex(build_tits_complex(z4, 3)))
-b = reduced_homology(chain_complex(build_tits_complex(fe, 3)))
+a = reduced_homology(build_tits_complex(z4, 3))
+b = reduced_homology(build_tits_complex(fe, 3))
 print("T_3(Z/4) betti", a.betti, "== T_3(F2[e]^2) betti", b.betti, ":", a == b)
 
 # On the rank-2 filtration the complex is a connected graph, so its first
 # Betti number is E - V + 1; the same number falls out of the recursion.
 cx42 = build_filtration(z4, 4, 2)
-hom42 = reduced_homology(chain_complex(cx42))
+hom42 = reduced_homology(cx42)
 nv, ne = cx42.f_vector
 z4s = RingSpec.modular(4)
 recursion_side = grassmannian_size_formula(z4s, 4, 2) * steinberg_rank(z4s, 2) - (

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .rings import BudgetExceeded, DEFAULT_BUDGET, parse_ring_spec
+from .rings import BudgetExceeded, DEFAULT_BUDGET, check_budget, log10_bound, parse_ring_spec
 from .grassmann import (
     SummandCatalog,
     budgeted_flag_count,
@@ -21,7 +21,7 @@ from .grassmann import (
     grassmannian_size_formula,
 )
 from .complexes import build_filtration, build_tits_complex
-from .homology import chain_complex, reduced_homology
+from .homology import reduced_homology
 from .steinberg import apartment_span_rank, p1_orbit_count, table_generate
 
 EXIT_OK = 0
@@ -68,6 +68,15 @@ def cmd_grass(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError("n must be >= 0")
+    # Before any formula, the digits it prints are budgeted: [n,k]_q <
+    # 3.47 q^(k(n-k)) for q >= 2, so |Gr_k^n(R)| < 4^f |R|^(k(n-k)) with f
+    # residue fields, and row k has at most k(n-k) log10|R| + 0.61f + 1
+    # digits; over every k, sum k(n-k) = (n^3 - n)/6.
+    count = 1 if args.k is not None else n + 1
+    exponent = args.k * (n - args.k) if args.k is not None else (n**3 - n) // 6
+    f = len(spec.residue_field_orders)
+    digits = log10_bound([spec.cardinality], exponent) - (-count * (61 * f + 100) // 100)
+    check_budget(digits, DEFAULT_BUDGET, f"digits of the Grassmannian counts of {spec.label}^{n}")
     ks = [args.k] if args.k is not None else list(range(0, n + 1))
     catalog = SummandCatalog(spec, n, args.budget)
     rows = []
@@ -145,7 +154,7 @@ def cmd_complex(args) -> int:
 
 def cmd_homology(args) -> int:
     cx = _build(args)
-    hom = reduced_homology(chain_complex(cx))
+    hom = reduced_homology(cx)
     doc = hom.to_json_dict()
     doc["ring"] = cx.ring.spec.label
     doc["n"] = cx.n

@@ -7,15 +7,14 @@ at +-1 entries) splits off an identity block, and what it leaves goes
 through alternating column and row echelon forms of the lattice echelon
 `IntEchelon` (Kannan-Bachem).
 Induced maps and fixed subspaces are reported by their ranks.
-`coreduce` removes coreduction pairs (a cell with one live face, at a +-1
-incidence, with that face) from the augmented complex, and returns the
-survivors of each level, the empty simplex included, with the pair count
-of each degree.  Restriction to the survivors is an isomorphism of top
-cycle lattices over Z, which gives apartment classes short exact
+`coreduce` removes coreduction pairs (a cell with one live face, and that
+face) from the augmented complex, read from the simplices' faces, and
+returns the coreduced complex.  Restriction to its cells is an isomorphism
+of top cycle lattices over Z, which gives apartment classes short exact
 coordinates and the apartment span its bound.  `reduced_homology` runs
-Smith on each boundary restricted to the survivors (`restricted`), with an
-identity block for the pairs removed there, which gives the full
-boundary's rank and invariant factors.
+Smith on each boundary of the coreduced complex, with an identity block
+for the pairs removed there, which gives the full boundary's rank and
+invariant factors.
 No floating point and no fractions.  The one modular computation,
 `ModPEchelon` (balanced residues mod a prime), is a lower bound on a rank
 over Q; it certifies an exact rank only when it meets a proven upper
@@ -25,6 +24,9 @@ bound, and is never reported alone.
 from __future__ import annotations
 
 import math
+from itertools import compress, cycle
+from operator import itemgetter
+from types import MappingProxyType
 
 
 class SparseCols:
@@ -76,26 +78,33 @@ class ChainComplex:
         return not any(any(map(d_prev.apply, d.cols)) for d_prev, d in zip(bs, bs[1:]))
 
 
+def _faces(cx, d: int) -> list[tuple]:
+    """The positions of the faces of each d-cell of a simplicial complex,
+    one tuple per cell, in vertex-deletion order: face i drops vertex i and
+    has incidence (-1)^i.  A vertex's one face is row 0, the empty simplex.
+
+    Every loop runs in C (`map`, `zip`), and tuples of ints, unlike lists,
+    leave the cyclic collector's tracking once it has seen them."""
+    level = cx.simplices[d]
+    if d == 0:
+        return [(0,)] * len(level)
+    pos = cx.simplex_pos[d - 1].__getitem__
+    # face i of every cell: its vertices but the i-th, zipped
+    drop = [zip(*[map(itemgetter(j), level) for j in range(d + 1) if j != i]) for i in range(d + 1)]
+    return list(zip(*[map(pos, keys) for keys in drop]))
+
+
 def chain_complex(cx) -> ChainComplex:
     """Boundary matrices of a TitsComplex in its canonical orientation.
 
     The boundary of a d-simplex is the alternating sum of its faces in the
     rank-increasing vertex order; the augmentation sends every vertex to 1.
     """
-    if cx.dim < 0:
-        return ChainComplex([], [])
-    boundaries = [SparseCols(1, [{0: 1}] * len(cx.simplices[0]))]
-    for d in range(1, cx.dim + 1):
-        pos = cx.simplex_pos[d - 1]
-        cols = []
-        for t in cx.simplices[d]:
-            col = {}
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1 :]
-                col[pos[face]] = 1 if i % 2 == 0 else -1
-            cols.append(col)
-        boundaries.append(SparseCols(len(cx.simplices[d - 1]), cols))
-    return ChainComplex(cx.f_vector, boundaries)
+    rows = [1, *cx.f_vector]
+    return ChainComplex(cx.f_vector, [
+        SparseCols(rows[d], [dict(zip(fs, cycle((1, -1)))) for fs in _faces(cx, d)])
+        for d in range(cx.dim + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +120,8 @@ def smith_rank_and_divisors(mat: SparseCols, units: int = 0) -> tuple[int, list[
     these complexes, goes through `_kannan_bachem`.  The identity block
     adds `units` to the rank and `units` ones to the front of the divisor
     chain, and is never built: `reduced_homology` passes the coreduction
-    pairs of a degree there, so that the call on a restricted boundary
-    returns the Smith data of the full one.
+    pairs of a degree there, so that the call on a boundary of the
+    coreduced complex returns the Smith data of the full one.
     """
     k, residual = _unit_pivots(mat.cols)
     r, divisors = _kannan_bachem(residual)
@@ -150,7 +159,7 @@ def _unit_pivots(cols) -> tuple[int, list[dict]]:
     touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
     residual = []
     for col in cols:
-        if not col:  # adds nothing; most columns of a restricted boundary are zero
+        if not col:  # adds nothing; most columns of a coreduced boundary are zero
             continue
         vec = _reduce(pivots, col)
         units = [k for k, v in vec.items() if v == 1 or v == -1]
@@ -440,20 +449,19 @@ class HomologyResult:
         return f"HomologyResult(betti={self.betti}, torsion={self.torsion})"
 
 
-def reduced_homology(cc: ChainComplex) -> HomologyResult:
-    """Reduced integral homology from exact Smith data of the boundaries,
-    read on the cells that survive coreduction.
+def reduced_homology(cx) -> HomologyResult:
+    """Reduced integral homology of a simplicial complex from exact Smith
+    data of the boundaries, read on the complex `coreduce` returns.
 
     `coreduce` runs once.  Then each degree d = 0..dim, in order, gets
-    one `smith_rank_and_divisors` call on its boundary restricted to the
-    surviving d-cells and (d-1)-faces, with `units` = p_d, the number of
-    coreduction pairs between degrees d and d - 1 (p_0 pairs a vertex with
-    the empty simplex, or is 0 when the augmentation has no row).  The call
-    returns the Smith data of I_{p_d} + M_d, and that is the Smith data of
-    the full boundary.
+    one `smith_rank_and_divisors` call on the coreduced boundary out of
+    degree d, with `units` = p_d, the number of coreduction pairs between
+    degrees d and d - 1 (p_0 pairs a vertex with the empty simplex).  The
+    call returns the Smith data of I_{p_d} + M_d, and that is the Smith
+    data of the full boundary.
 
     Why.  Let f_d be the cells of degree d, s_d the survivors, r_d and r'_d
-    the ranks of the full and the restricted boundary out of degree d, and
+    the ranks of the full and the coreduced boundary out of degree d, and
     count the empty simplex as degree -1 with r_{-1} = 0.  Every removed
     d-cell is in one pair, as the upper cell or the lower one, so
     f_d - s_d = p_d + p_{d+1}.  The survivors have the homology of the
@@ -465,68 +473,52 @@ def reduced_homology(cc: ChainComplex) -> HomologyResult:
     r_d = r'_d + p_d in every degree.  The torsion of H_{d-1} is the non-unit
     invariant factors of either boundary, by the same isomorphism, so the
     full divisor chain of the boundary out of degree d is p_d more ones in
-    front of that of the restricted one.
+    front of that of the coreduced one.
     """
-    top = cc.dim
-    if top < 0:
-        return HomologyResult([], [], [])
-    survivors, pairs = coreduce(cc)
-    ranks = []
-    divisors = []
-    for d in range(top + 1):
-        m = restricted(cc.boundaries[d], survivors[d + 1], set(survivors[d]))
-        r, dv = smith_rank_and_divisors(m, units=pairs[d])
-        ranks.append(r)
-        divisors.append(dv)
-    betti = []
-    torsion = []
-    for d in range(top + 1):
-        null_d = cc.f[d] - ranks[d]
-        r_above = ranks[d + 1] if d + 1 <= top else 0
-        betti.append(null_d - r_above)
-        tors = [x for x in (divisors[d + 1] if d + 1 <= top else []) if x != 1]
-        torsion.append(tors)
-    return HomologyResult(betti, torsion, cc.f)
+    f = cx.f_vector
+    _, pairs, boundaries = coreduce(cx)
+    smith = [smith_rank_and_divisors(b, units=p) for b, p in zip(boundaries, pairs)] + [(0, [])]
+    betti = [f[d] - smith[d][0] - smith[d + 1][0] for d in range(len(f))]
+    torsion = [[x for x in smith[d + 1][1] if x != 1] for d in range(len(f))]
+    return HomologyResult(betti, torsion, f)
 
 
-def restricted(mat: SparseCols, cols, rows) -> SparseCols:
-    """The columns of mat at the indices `cols`, in that order, each cut to
-    the row indices in the set `rows`; rows keep their indices, so the
-    result has mat's row count."""
-    mat_cols = mat.cols
-    return SparseCols(
-        mat.nrows, [{r: v for r, v in mat_cols[k].items() if r in rows} for k in cols]
-    )
+_NO_ENTRY = MappingProxyType({})  # every empty column of a coreduced boundary, read-only
 
 
-def coreduce(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
-    """Coreduction of the augmented complex (Kaczynski-Mrozek-Slusarek 1998;
-    Mrozek-Batko 2009): the cells that survive at each level 0..dim+1, in
+def coreduce(cx) -> tuple[list[list[int]], list[int], list[SparseCols]]:
+    """Coreduction of the augmented complex of a simplicial complex cx
+    (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko 2009), read from its
+    faces (`_faces`).  Returns the coreduced complex (survivors, pairs,
+    boundaries): the cells that survive at each level 0..dim+1, in
     increasing index order, where level L holds the cells of degree L - 1
-    and level 0 the rows of the augmentation (the empty simplex); and the
-    number of pairs removed between degrees d and d - 1 for each d = 0..dim.
+    and level 0 the empty simplex; the number of pairs removed between
+    degrees d and d - 1 for each d = 0..dim; and the boundary of the
+    surviving d-cells, with entries only at the surviving (d-1)-cells,
+    renumbered by their place in survivors[d].
 
-    A coreduction pair is a live cell a with exactly one live face b, met
-    with incidence +-1; both are removed.  The degrees d = 0..dim are taken
-    in rising order, and the d-cells are swept in index order, each one
-    that forms a pair being removed with its face at once, until a sweep
-    removes none.  The empty simplex is the (-1)-cell, the one row of the
-    augmentation, so the first pair is the first vertex with it.  One pass
-    up the degrees leaves no pair anywhere: the faces of a d-cell are
-    (d-1)-cells, which only the sweeps of degrees d - 1 and d remove, and
-    the later sweeps remove cells of degree d and up, which takes away
-    candidates but never a face.  The order of removals does not matter:
-    every statement below holds for each single removal, taken in the
-    complex as it stands at that moment.  A degree needs one sweep per link
-    of a chain of cells that free each other in falling index order (the
-    path 0-k-(k-1)-...-1 takes k sweeps of its edges), so the sweep count
-    has no small bound; on every Tits complex tried (measured, up to T6(F2)
-    and T4 over Z/4, Z/8 and Z/9), a degree took two sweeps, the last one
-    finding nothing, or three.
+    A coreduction pair is a live cell a with exactly one live face b (at
+    incidence +-1, as every simplicial one is); both are removed.  The
+    degrees d = 0..dim are taken in rising order, and the d-cells are swept
+    in index order, each one that forms a pair being removed with its face
+    at once, until a sweep removes none.  The empty simplex is the
+    (-1)-cell, the one row of the augmentation, so the first pair is the
+    first vertex with it.  One pass up the degrees leaves no pair anywhere:
+    the faces of a d-cell are (d-1)-cells, which only the sweeps of degrees
+    d - 1 and d remove, and the later sweeps remove cells of degree d and
+    up, which takes away candidates but never a face.  So the faces of the
+    d-cells are kept only until degree d + 1 is swept, when the d-cells are
+    final.  The order of removals does not matter: every statement below
+    holds for each single removal, taken in the complex as it stands at that
+    moment.  A degree needs one sweep per link of a chain of cells that free
+    each other in falling index order (the path 0-k-(k-1)-...-1 takes k
+    sweeps of its edges), so the sweep count has no small bound; on every
+    Tits complex tried (measured, up to T6(F2) and T4 over Z/4, Z/8 and
+    Z/9), a degree took two sweeps, the last one finding nothing, or three.
 
     The survivors' boundaries are the restrictions of the original ones: no
     entry is ever rewritten, and the homology of the survivors under the
-    restricted boundaries is that of cc, torsion included, in every degree
+    restricted boundaries is that of cx, torsion included, in every degree
     from -1 up.  (Removing a pair (a, b) with incidence e is an elementary
     reduction: the other cells with the boundary x -> d(x) - <d(x), b>*e*d(a)
     form a homotopy equivalent complex, and since d(a) = e*b on the live
@@ -538,31 +530,40 @@ def coreduce(cc: ChainComplex) -> tuple[list[list[int]], list[int]]:
     cycle, since d(a) = e*b with e = +-1 is dropped together with b; and for
     a cycle z' of the smaller complex, d(z') taken before the removal is a
     multiple of b, so z' lifts back by z' -> z' - <d(z'), b>*e*a, the only
-    lift.  If a is not a top
-    cell, the top chains are unchanged, and a top chain z whose boundary
-    is c*a satisfies 0 = d(d(z)) = c*e*b, so c = 0: the top cycles are
-    unchanged too.  Both cycle lattices are kernels, hence saturated in
-    their chain lattices, so any top cycles have the same rank mod a prime
-    as their restrictions to the surviving top cells.
+    lift.  If a is not a top cell, the top chains are unchanged, and a top
+    chain z whose boundary is c*a satisfies 0 = d(d(z)) = c*e*b, so c = 0:
+    the top cycles are unchanged too.  Both cycle lattices are kernels,
+    hence saturated in their chain lattices, so any top cycles have the same
+    rank mod a prime as their restrictions to the surviving top cells.
     """
-    top = cc.dim
+    top = cx.dim
     if top < 0:
-        return [], []
-    alive = [bytearray(b"\x01") * n for n in [cc.boundaries[0].nrows, *cc.f]]
+        return [], [], []
+    alive = [bytearray(b"\x01") * n for n in [1, *cx.f_vector]]
     pairs = [0] * (top + 1)
-    for d, boundary in enumerate(cc.boundaries):
-        below, here = alive[d], alive[d + 1]
-        changed = True
-        while changed:
-            changed = False
-            for a, col in enumerate(boundary.cols):
-                if here[a]:
-                    live = [b for b in col if below[b]]
-                    if len(live) == 1 and col[live[0]] in (1, -1):
-                        here[a] = below[live[0]] = 0
-                        pairs[d] += 1
-                        changed = True
-    return [[a for a, x in enumerate(level) if x] for level in alive], pairs
+    survivors, boundaries = [], []
+    for d, below in enumerate(alive):
+        if d <= top:
+            faces, here = _faces(cx, d), alive[d + 1]
+            changed = True
+            while changed:
+                changed = False
+                for a, fs in enumerate(faces):
+                    if here[a]:
+                        live = [b for b in fs if below[b]]
+                        if len(live) == 1:
+                            here[a] = below[live[0]] = 0
+                            pairs[d] += 1
+                            changed = True
+        survivors.append(list(compress(range(len(below)), below)))
+        if d:  # level d is final: the boundary of degree d - 1
+            row = {b: i for i, b in enumerate(survivors[d - 1])}
+            boundaries.append(SparseCols(len(row), [
+                {row[b]: e for b, e in zip(lower[a], cycle((1, -1))) if b in row} or _NO_ENTRY
+                for a in survivors[d]
+            ]))
+        lower = faces
+    return survivors, pairs, boundaries
 
 
 def euler_characteristic_checks(cc: ChainComplex, hom: HomologyResult) -> bool:

@@ -46,6 +46,13 @@ def check_budget(estimate, budget, what=""):
         raise BudgetExceeded(estimate, budget, what)
 
 
+def log10_bound(cards, exponent: int) -> int:
+    """An integer at least exponent * log10 of the product of `cards`: each
+    c is at most 2^b, b the bit length of c - 1, and log10(2) < 0.30103."""
+    bits = sum((c - 1).bit_length() for c in cards)
+    return -(-exponent * bits * 30103 // 100000)
+
+
 def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 

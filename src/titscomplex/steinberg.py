@@ -20,13 +20,12 @@ import operator
 import random
 from math import comb
 
-from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget
+from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, log10_bound
 from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ChainComplex, ModPEchelon, SparseCols, chain_complex, coreduce, permutation_orbits,
-    restricted, smith_rank_and_divisors,
+    ChainComplex, ModPEchelon, SparseCols, coreduce, permutation_orbits, smith_rank_and_divisors,
 )
 
 
@@ -396,13 +395,12 @@ def apartment_span_rank(
     det(w_1 | ... | w_n) = +-det(g) u_1 ... u_n det(v_1 | ... | v_n) is a
     unit, the sign coming from putting the lines in vertex order.
 
-    Everything is read on the cells that survive `coreduce`.  Restriction
-    to the survivors maps the top cycle lattice isomorphically over Z onto
-    the top cycle lattice of the coreduced complex (proof in `coreduce`),
-    whose boundaries are the restrictions of the original ones.  Top
-    homology is the top cycle lattice, so the bound `top_betti`, the top
-    reduced Betti number of `cx`, is the number of surviving top cells less
-    the exact rank of the top boundary restricted to the surviving faces.
+    Everything is read on the complex `coreduce` returns.  Restriction to
+    its cells maps the top cycle lattice isomorphically over Z onto its top
+    cycle lattice (proof in `coreduce`).  Top homology is the top cycle
+    lattice, so the bound `top_betti`, the top reduced Betti number of
+    `cx`, is the number of surviving top cells less the exact rank of the
+    coreduced top boundary.
     At n = 2 the only face is the empty simplex, which never survives: the
     first vertex is paired with it.
 
@@ -433,11 +431,9 @@ def apartment_span_rank(
             if gl_order(cx.ring.spec, cx.n) <= EXHAUSTIVE_GL_LIMIT
             else "sampled"
         )
-    cc = chain_complex(cx)
-    survivors, _ = coreduce(cc)
-    faces, top = survivors[-2:]
-    d = cc.boundaries[-1]
-    top_betti = len(top) - smith_rank_and_divisors(restricted(d, top, set(faces)))[0]
+    survivors, _, boundaries = coreduce(cx)
+    top = survivors[-1]
+    top_betti = len(top) - smith_rank_and_divisors(boundaries[-1])[0]
     # the class coordinates: a facet's index if it survives, else -1; and
     # the spans of tuples of lines, which `_class_coeffs` fills per call
     facets = cx.facets()
@@ -468,7 +464,7 @@ def apartment_span_rank(
             check_budget(held, SPAN_ENTRY_CAP, what)
     rank = ech.rank
     if rank != top_betti:
-        rank = smith_rank_and_divisors(SparseCols(d.ncols, used))[0]
+        rank = smith_rank_and_divisors(SparseCols(len(facets), used))[0]
     return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
 
@@ -552,8 +548,7 @@ def table_generate(specs, n_max: int) -> RankTable:
     Before any recursion, the digits the table can print are budgeted
     against DEFAULT_BUDGET: rank St_m(R) <= #facets of T_m(R) <= |R|^C(m+1,2),
     so column R has at most sum_m (C(m+1,2) log10|R| + 1)
-    = C(n_max+2,3) log10|R| + n_max digits, with log10|R| <= b log10(2)
-    < b * 0.30103 for b the bit length of |R| - 1.
+    = C(n_max+2,3) log10|R| + n_max digits (`log10_bound`).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -563,8 +558,7 @@ def table_generate(specs, n_max: int) -> RankTable:
     repeated = sorted({l for l in labels if labels.count(l) > 1})
     if repeated:
         raise ValueError(f"ring spec repeated: {', '.join(repeated)}")
-    bits = sum((s.cardinality - 1).bit_length() for s in specs)
-    digits = -(-comb(n_max + 2, 3) * bits * 30103 // 100000) + n_max * len(specs)
+    digits = log10_bound([s.cardinality for s in specs], comb(n_max + 2, 3)) + n_max * len(specs)
     check_budget(digits, DEFAULT_BUDGET, f"digits of the rank table up to n = {n_max}")
     columns = {s.label: [steinberg_rank(s, n) for n in range(1, n_max + 1)] for s in specs}
     return RankTable(labels, n_max, columns)

@@ -77,7 +77,7 @@ class CheckContext:
     def homology(self, label: str, n: int, m: int | None = None):
         key = (label, n, m)
         if key not in self._hom:
-            self._hom[key] = reduced_homology(self.chain(label, n, m))
+            self._hom[key] = reduced_homology(self.complex(label, n, m))
         return self._hom[key]
 
 

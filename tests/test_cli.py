@@ -7,10 +7,10 @@ import sys
 import pytest
 
 import titscomplex
-from titscomplex import homology, steinberg
+from titscomplex import cli, homology, steinberg
 from titscomplex.cli import main
 from titscomplex.grassmann import SummandCatalog
-from titscomplex.homology import ChainComplex, SparseCols
+from titscomplex.homology import ChainComplex, SparseCols, reduced_homology
 from titscomplex.verify import CheckContext, run_verify
 
 TABLE1_CSV = """n,Z/4,Z/6,Z/8,Z/9,Z/10
@@ -109,6 +109,64 @@ def test_grass_rejects_negative_n(capsys):
     code, out, _ = run(capsys, "grass", "--ring", "Z/2xZ/3", "--n", "0", "--enumerate", "--format", "csv")
     assert code == 0
     assert out == "k,formula,enumerated,match\n0,1,1,true\n"
+
+
+@pytest.mark.parametrize("argv", [["--n", "20000", "--k", "10000"], ["--n", "2000"], ["--n", "100000"]])
+def test_grass_refuses_long_counts_before_any_formula(monkeypatch, capsys, argv):
+    # the digit bound sum k(n-k) log10|R| + 1.61 per row exceeds DEFAULT_BUDGET
+    # (--n 20000 --k 10000 ran over 20 s without it)
+    def no_formula(*args):
+        raise AssertionError("a Grassmannian count was computed")
+
+    monkeypatch.setattr(cli, "grassmannian_size_formula", no_formula)
+    code, out, err = run(capsys, "grass", "--ring", "Z/4", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: enumeration of digits of the Grassmannian counts of Z/4^{argv[1]} needs ~")
+
+
+def test_grass_keeps_its_range_errors_and_bytes(capsys):
+    for k in ("5", "-1"):
+        code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "3", "--k", k)
+        assert (code, out, err) == (2, "", f"error: need 0 <= k <= n, got k={k}, n=3\n")
+    code, out, _ = run(capsys, "grass", "--ring", "Z/4", "--n", "10000000000", "--k", "-1")
+    assert code == 2 and out == ""
+    # bound 803,051 digits, under the budget: it still prints every row
+    code, out, err = run(capsys, "grass", "--ring", "Z/4", "--n", "200")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2908c0e610a5b9e18f686417e06505fc302b3abd91dc64f8077d92689ec00a47"
+    )
+
+
+@pytest.fixture
+def no_boundary_matrices(monkeypatch):
+    """`chain_complex` raises, at every module attribute of the package
+    that binds it."""
+    original = homology.chain_complex
+
+    def no_chains(cx):
+        raise AssertionError("boundary matrices were built")
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "titscomplex" or name.startswith("titscomplex.")) and getattr(mod, "chain_complex", None) is original:
+            monkeypatch.setattr(mod, "chain_complex", no_chains)
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("homology --ring F2 --n 3 --format csv", "degree,betti,torsion\n0,0,\n1,8,\n"),
+    ("homology --ring Z/4 --n 4 --filtration 2 --format csv", "degree,betti,torsion\n0,0,\n1,2681,\n"),
+    ("apartments --ring Z/4 --n 3", "apartment span rank 113 (exhaustive, saturated, 593 apartments); top betti 113; match: True\n"),
+], ids=["homology", "filtration", "apartments"])
+def test_homology_and_apartments_build_no_boundary_matrix(capsys, no_boundary_matrices, argv, want):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (0, want, "")
+
+
+def test_library_homology_and_span_build_no_boundary_matrix(built, no_boundary_matrices):
+    cx = built.complex("Z/6", 3)
+    assert reduced_homology(cx).betti == [0, 911]
+    res = steinberg.apartment_span_rank(cx)
+    assert (res.rank, res.top_betti, res.saturated) == (911, 911, True)
 
 
 def test_negative_budget_is_rejected(capsys):

@@ -356,15 +356,13 @@ def test_chain_complex_structure(built):
 @pytest.mark.parametrize("label,n", [("Z/4", 3), ("F2", 4), ("Z/6", 3)])
 def test_consumers_never_mutate_a_boundary_column(built, label, n):
     """SparseCols keeps the column objects it is given; read-only columns
-    give the same homology, survivors and ranks as the plain complex."""
+    give the same ranks as the plain complex."""
     cc = built.chain(label, n)
     frozen = ChainComplex(cc.f, [
         SparseCols(b.nrows, [types.MappingProxyType(col) for col in b.cols]) for b in cc.boundaries
     ])
     assert all(isinstance(col, types.MappingProxyType) for b in frozen.boundaries for col in b.cols)
     assert frozen.dd_is_zero()
-    assert reduced_homology(frozen) == reduced_homology(cc)
-    assert coreduce(frozen) == coreduce(cc)
     assert [smith_rank_and_divisors(b) for b in frozen.boundaries] == [smith_rank_and_divisors(b) for b in cc.boundaries]
 
 
@@ -400,16 +398,16 @@ def test_projective_plane_torsion():
     rp2 = closure_complex(RP2_FACETS)
     cc = chain_complex(rp2)
     assert cc.dd_is_zero()
-    hom = reduced_homology(cc)
+    hom = reduced_homology(rp2)
     assert hom.betti == [0, 0, 0]
     assert hom.torsion == [[], [2], []]
 
 
 def test_circle_and_sphere():
     circle = closure_complex([(0, 1), (1, 2), (0, 2)])
-    assert reduced_homology(chain_complex(circle)).betti == [0, 1]
+    assert reduced_homology(circle).betti == [0, 1]
     sphere = closure_complex([t for t in itertools.combinations(range(4), 3)])
-    assert reduced_homology(chain_complex(sphere)).betti == [0, 0, 1]
+    assert reduced_homology(sphere).betti == [0, 0, 1]
 
 
 def smith_homology(cc):
@@ -436,11 +434,39 @@ def residual_complex(cc, levels):
     return ChainComplex([len(cells) for cells in survivors], boundaries)
 
 
+def same_boundaries(got, want):
+    """Equal boundary lists: the same row counts and the same columns."""
+    return [(b.nrows, b.cols) for b in got] == [(b.nrows, b.cols) for b in want]
+
+
+def coreduce_columns(cc):
+    """Test oracle: coreduction read from the boundary columns of a chain
+    complex, the level sweeps of `coreduce` with a +-1 incidence test; the
+    survivors of each level and the pair count of each degree."""
+    if cc.dim < 0:
+        return [], []
+    alive = [bytearray(b"\x01") * n for n in [cc.boundaries[0].nrows, *cc.f]]
+    pairs = [0] * (cc.dim + 1)
+    for d, boundary in enumerate(cc.boundaries):
+        below, here = alive[d], alive[d + 1]
+        changed = True
+        while changed:
+            changed = False
+            for a, col in enumerate(boundary.cols):
+                if here[a]:
+                    live = [b for b in col if below[b]]
+                    if len(live) == 1 and col[live[0]] in (1, -1):
+                        here[a] = below[live[0]] = 0
+                        pairs[d] += 1
+                        changed = True
+    return [[a for a, x in enumerate(level) if x] for level in alive], pairs
+
+
 @pytest.mark.parametrize("label,n", [
     ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/6", 3), ("Z/8", 3), ("Z/9", 3), ("F3", 4), ("Z/4", 4),
 ])
 def test_coreduction_leaves_b_top_top_cells(built, label, n):
-    survivors, _ = coreduce(built.chain(label, n))
+    survivors, _, _ = coreduce(built.complex(label, n))
     b_top = built.homology(label, n).betti[-1]
     # level 0 is the empty simplex, paired with the first vertex
     assert [len(cells) for cells in survivors] == [0] * (n - 1) + [b_top]
@@ -450,7 +476,7 @@ def test_coreduction_leaves_b_top_top_cells(built, label, n):
 @pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("Z/6", 3)])
 def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
     cc = built.chain(label, n)
-    kept = set(coreduce(cc)[0][-1])
+    kept = set(coreduce(built.complex(label, n))[0][-1])
     basis = kernel_basis(cc.boundaries[-1])
     rng = random.Random(11)
     # coefficients that vanish mod p drop a basis cycle from the combination
@@ -473,61 +499,57 @@ def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
 
 
 def test_coreduction_keeps_the_torsion_of_rp2():
-    cc = chain_complex(closure_complex(RP2_FACETS))
-    survivors, _ = coreduce(cc)
-    # survivors below the top degree: the residual boundary carries the 2
+    rp2 = closure_complex(RP2_FACETS)
+    cc = chain_complex(rp2)
+    survivors, _, boundaries = coreduce(rp2)
+    # survivors below the top degree: the coreduced boundary carries the 2
     assert survivors[2] and survivors[3]
     residual = residual_complex(cc, survivors)
+    assert same_boundaries(boundaries, residual.boundaries)
     assert residual.dd_is_zero()
-    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
-    assert reduced_homology(cc).torsion == [[], [2], []]
-    # the residual's augmentation has no row, so no pair at the empty simplex
-    assert residual.boundaries[0].nrows == 0
-    assert coreduce(residual)[1][0] == 0
-    assert reduced_homology(residual) == smith_homology(residual)
-    assert reduced_homology(residual).betti == [0, 0, 0]
-
-
-def test_coreduction_never_pairs_a_non_unit_incidence():
-    # the CW projective plane: one cell per degree, d(e) = 0 and d(c) = 2e
-    cc = ChainComplex([1, 1, 1], [SparseCols(1, [{0: 1}]), SparseCols(1, [{}]), SparseCols(1, [{0: 2}])])
-    survivors, pairs = coreduce(cc)
-    assert (survivors, pairs) == ([[], [], [0], [0]], [1, 0, 0])
-    assert smith_homology(residual_complex(cc, survivors)) == smith_homology(cc)
-    assert reduced_homology(cc) == smith_homology(cc)
-    assert reduced_homology(cc).betti == [0, 0, 0]
-    assert reduced_homology(cc).torsion == [[], [2], []]
+    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(rp2)
+    assert reduced_homology(rp2).torsion == [[], [2], []]
+    # no survivor at the empty simplex: the augmentation has no row
+    assert boundaries[0].nrows == 0
 
 
 def test_coreduction_sweeps_until_a_sweep_removes_nothing():
     # the path 0-6-5-4-3-2-1: each edge is freed by the one after it in
     # index order, so the edge sweep removes one pair per pass
-    cc = chain_complex(closure_complex([(0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
-    assert coreduce(cc) == ([[], [], []], [1, 6])
-    assert reduced_homology(cc) == smith_homology(cc)
+    path = closure_complex([(0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    survivors, pairs, boundaries = coreduce(path)
+    assert (survivors, pairs) == ([[], [], []], [1, 6])
+    assert [(b.nrows, b.cols) for b in boundaries] == [(0, []), (0, [])]
+    assert reduced_homology(path) == smith_homology(chain_complex(path))
 
 
-def test_coreduction_holds_few_bytes_per_cell():
-    # alive flags and pair counts only: no coface lists, counters or queue
-    cc = chain_complex(build_tits_complex(make_ring(parse_ring_spec("F2")), 5))
-    cells = cc.boundaries[0].nrows + sum(cc.f)
+def test_homology_holds_few_bytes_per_cell():
+    # the whole route from the complex: two levels of face tuples, alive
+    # flags and the coreduced complex, and no boundary matrix
+    cx = build_tits_complex(make_ring(parse_ring_spec("F2")), 5)
+    cells = 1 + sum(cx.f_vector)
     assert cells == 27808
     tracemalloc.start()
     try:
-        coreduce(cc)
+        hom = reduced_homology(cx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * cells
+    assert hom.betti == [0, 0, 0, 1024]
+    assert peak < 100 * cells
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9))
 def test_coreduction_then_smith_equals_smith(facets):
-    cc = chain_complex(closure_complex([tuple(f) for f in facets]))
-    residual = residual_complex(cc, coreduce(cc)[0])
+    cx = closure_complex([tuple(f) for f in facets])
+    cc = chain_complex(cx)
+    survivors, pairs, boundaries = coreduce(cx)
+    assert (survivors, pairs) == coreduce_columns(cc)
+    residual = residual_complex(cc, survivors)
+    assert same_boundaries(boundaries, residual.boundaries)
     assert residual.dd_is_zero()
-    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cc)
+    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cx)
 
 
 @pytest.mark.parametrize("label,n,m", [
@@ -536,10 +558,12 @@ def test_coreduction_then_smith_equals_smith(facets):
     ("Z/4", 4, 3), ("Z/6", 3, 1),
 ])
 def test_reduced_homology_equals_smith_on_every_full_boundary(built, label, n, m):
-    cc = built.chain(label, n, m)
-    assert reduced_homology(cc) == smith_homology(cc)
+    cx, cc = built.complex(label, n, m), built.chain(label, n, m)
+    assert reduced_homology(cx) == smith_homology(cc)
     # f_d - s_d = p_d + p_{d+1}: every removed cell is in exactly one pair
-    survivors, pairs = coreduce(cc)
+    survivors, pairs, boundaries = coreduce(cx)
+    assert (survivors, pairs) == coreduce_columns(cc)
+    assert same_boundaries(boundaries, residual_complex(cc, survivors).boundaries)
     assert pairs[0] == 1 - len(survivors[0])
     for d in range(cc.dim):
         assert cc.f[d] - len(survivors[d + 1]) == pairs[d] + pairs[d + 1]
@@ -549,24 +573,27 @@ def test_reduced_homology_equals_smith_on_every_full_boundary(built, label, n, m
 def test_reduced_homology_of_the_smallest_complexes():
     f2 = make_ring(parse_ring_spec("F2"))
     # n = 1: no proper nonzero summand, the empty complex
-    empty = chain_complex(build_tits_complex(f2, 1))
+    empty = build_tits_complex(f2, 1)
     assert empty.dim == -1
-    assert coreduce(empty) == ([], [])
-    assert reduced_homology(empty) == smith_homology(empty) == HomologyResult([], [], [])
+    assert coreduce(empty) == ([], [], [])
+    assert reduced_homology(empty) == smith_homology(chain_complex(empty)) == HomologyResult([], [], [])
     # n = 2: the three lines of F2^2, one of them paired with the empty simplex
-    cc = chain_complex(build_tits_complex(f2, 2))
-    assert coreduce(cc) == ([[], [1, 2]], [1])
-    assert reduced_homology(cc) == smith_homology(cc)
-    assert reduced_homology(cc).betti == [2]
+    cx = build_tits_complex(f2, 2)
+    survivors, pairs, [boundary] = coreduce(cx)
+    assert (survivors, pairs, boundary.nrows, boundary.cols) == ([[], [1, 2]], [1], 0, [{}, {}])
+    assert reduced_homology(cx) == smith_homology(chain_complex(cx))
+    assert reduced_homology(cx).betti == [2]
 
 
 @pytest.mark.parametrize("label,n,ranks", [
     ("F2", 3, [1, 13]), ("Z/9", 3, [1, 233]), ("F3", 4, [1, 209, 1351]),
 ])
 def test_reduced_homology_calls_smith_once_per_degree_in_order(built, monkeypatch, label, n, ranks):
-    """One Smith call per boundary, degree 0 first, each returning the full
-    boundary's rank: the per-degree Smith spans a trace reads."""
-    cc = built.chain(label, n)
+    """One Smith call per boundary of the coreduced complex, degree 0
+    first, each returning the full boundary's rank: the per-degree Smith
+    spans a trace reads."""
+    cx, cc = built.complex(label, n), built.chain(label, n)
+    survivors = coreduce(cx)[0]
     calls = []
 
     def recording(mat, units=0):
@@ -575,9 +602,9 @@ def test_reduced_homology_calls_smith_once_per_degree_in_order(built, monkeypatc
         return res
 
     monkeypatch.setattr(homology, "smith_rank_and_divisors", recording)
-    reduced_homology(cc)
+    reduced_homology(cx)
     assert len(calls) == cc.dim + 1
-    assert [rows for rows, _ in calls] == [1] + cc.f[:-1]
+    assert [rows for rows, _ in calls] == [len(level) for level in survivors[:-1]]
     assert [rank for _, rank in calls] == ranks == [smith_rank_and_divisors(b)[0] for b in cc.boundaries]
 
 
@@ -605,7 +632,7 @@ def test_t4_f2e2_homology_equals_t4_z4(built):
 
 def test_t5_f2_homology_matches_rank_recursion():
     f2 = parse_ring_spec("F2")
-    hom = reduced_homology(chain_complex(build_tits_complex(make_ring(f2), 5)))
+    hom = reduced_homology(build_tits_complex(make_ring(f2), 5))
     assert hom.betti == [0, 0, 0, 1024] == [0, 0, 0, steinberg_rank(f2, 5)]
     assert hom.torsion == [[], [], [], []]
 
@@ -626,18 +653,13 @@ def test_euler_characteristic(built):
 def test_betti_invariant_under_relabeling(built):
     random.seed(13)
     cx = built.complex("F2", 3)
-    cc = built.chain("F2", 3)
     hom = built.homology("F2", 3)
     perm = list(range(cx.f_vector[0]))
     random.shuffle(perm)
-    # permute vertex labels: simplices become (perm[i], perm[j]) sorted, with sign
-    d1 = cc.boundaries[1]
-    new_cols = []
-    for t in cx.simplices[1]:
-        a, b = perm[t[0]], perm[t[1]]
-        col = {a: -1, b: 1} if a < b else {b: -1, a: 1}
-        new_cols.append(col)
-    shuffled = ChainComplex(cc.f, [cc.boundaries[0], SparseCols(cc.f[0], new_cols)])
+    # permute vertex labels: each edge becomes (perm[i], perm[j]), sorted,
+    # so the vertex order and the orientation of the edges change
+    shuffled = closure_complex([(perm[a], perm[b]) for a, b in cx.simplices[1]])
+    assert shuffled.f_vector == cx.f_vector
     assert reduced_homology(shuffled).betti == hom.betti
 
 
@@ -787,7 +809,7 @@ def test_fixed_subspace_with_boundaries():
     ccc = chain_complex(edges)
     swap_vertices = [2, 3, 0, 1]
     swap_edges = [1, 0]
-    assert reduced_homology(ccc).betti == [1, 0]
+    assert reduced_homology(edges).betti == [1, 0]
     assert fixed_subspace_dim(ccc, 0, [swap_vertices]) == 0
     assert fixed_subspace_dim(ccc, 0, [list(range(4))]) == 1
     assert fixed_subspace_dim(ccc, 1, [swap_edges]) == 0

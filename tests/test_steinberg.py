@@ -10,6 +10,7 @@ from titscomplex import (
     apartment_class,
     apartment_span_rank,
     build_tits_complex,
+    chain_complex,
     chamber_map,
     coreduce,
     eta_class,
@@ -388,10 +389,10 @@ def test_apartment_span_needs_n_at_least_two(built):
 def test_apartments_need_the_full_complex(built, monkeypatch, label, n, m):
     cx = built.complex(label, n, m)
 
-    def no_chains(cx):
-        raise AssertionError("chains built before the complex was checked")
+    def no_coreduction(cx):
+        raise AssertionError("coreduced before the complex was checked")
 
-    monkeypatch.setattr(steinberg, "chain_complex", no_chains)
+    monkeypatch.setattr(steinberg, "coreduce", no_coreduction)
     named = f"n={n}, max_rank={cx.max_rank}"
     with pytest.raises(ValueError, match=named):
         apartment_class(cx, Mat.identity(cx.ring, n))
@@ -531,7 +532,7 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert len(classes) == res.apartments_used
-    kept = set(coreduce(built.chain(label, 3))[0][-1])
+    kept = set(coreduce(built.complex(label, 3))[0][-1])
     full, restricted = ModPEchelon(), ModPEchelon()
     for coeffs in classes:
         full.add(coeffs)
@@ -564,9 +565,11 @@ def test_apartment_span_runs_no_smith_reduction(built, monkeypatch, label, mode,
     ("Z/4", "exhaustive", 113, 593), ("F3", "exhaustive", 27, 27),
 ])
 def test_apartment_span_without_coreduction_keeps_its_results(built, monkeypatch, label, mode, rank, used):
-    # every cell survives, so the top boundary restricted to the surviving
-    # faces is the whole top boundary and its exact rank does real work
-    everything = lambda cc: ([[0]] + [list(range(f)) for f in cc.f], [0] * len(cc.f))
+    # every cell survives, so the coreduced top boundary is the whole top
+    # boundary and its exact rank does real work
+    def everything(cx):
+        return [[0]] + [list(range(f)) for f in cx.f_vector], [0] * len(cx.f_vector), chain_complex(cx).boundaries
+
     monkeypatch.setattr(steinberg, "coreduce", everything)
     res = apartment_span_rank(built.complex(label, 3), seed=0)
     assert (res.mode, res.rank, res.apartments_used) == (mode, rank, used)
