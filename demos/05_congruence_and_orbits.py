@@ -5,7 +5,6 @@
 
 from titscomplex import (
     build_tits_complex,
-    chain_complex,
     congruence_generators,
     fixed_subspace_dim,
     induced_top_map,
@@ -18,13 +17,12 @@ from titscomplex import (
 
 z4 = make_ring(parse_ring_spec("Z/4"))
 cx = build_tits_complex(z4, 2)
-cc = chain_complex(cx)
 
 # The reduction to the residue field induces a map on top homology whose
 # kernel is nonzero and proper: the top homology is never irreducible away
 # from fields.
 red = reduction_map(cx, [2])
-itm = induced_top_map(red, cc, chain_complex(red.dst))
+itm = induced_top_map(red)
 print("induced map to T_2(Z/2): rank", itm.rank, "of", itm.src_cycle_rank,
       "| kernel rank", itm.kernel_rank)
 
@@ -34,10 +32,9 @@ print("induced map to T_2(Z/2): rank", itm.rank, "of", itm.src_cycle_rank,
 for label, ideal, n in [("Z/4", 2, 2), ("Z/8", 2, 2), ("Z/8", 4, 2), ("Z/4", 2, 3)]:
     ring = make_ring(parse_ring_spec(label))
     cxr = build_tits_complex(ring, n)
-    ccr = chain_complex(cxr)
     gens = congruence_generators(ring, n, [ideal])
     perms = [cxr.simplex_permutation(g, n - 2) for g in gens]
-    dim = fixed_subspace_dim(ccr, n - 2, perms)
+    dim = fixed_subspace_dim(cxr, n - 2, perms)
     downstairs = steinberg_rank(parse_ring_spec(f"Z/{ideal}"), n)
     print(f"{label}, n = {n}, congruence level ({ideal}), {len(gens)} generators: "
           f"invariant dimension {dim} (rank over Z/{ideal} is {downstairs})")

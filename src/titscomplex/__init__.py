@@ -46,9 +46,7 @@ from .complexes import (
     reduction_map,
 )
 from .homology import (
-    ChainComplex,
     HomologyResult,
-    SparseCols,
     chain_complex,
     coreduce,
     fixed_subspace_dim,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .rings import DEFAULT_BUDGET, Ring, budgeted_ring, make_ring, quotient_spec, spec_of
 from .linalg import Mat, Summand
@@ -141,9 +142,11 @@ class TitsComplex:
         """Permutation of the d-simplex list induced by g.  g preserves rank
         and vertices are ordered by rank first, so the image of a simplex is
         already increasing and no signs appear."""
-        vperm = self.vertex_permutation(g)
-        pos = self.simplex_pos[d]
-        return [pos[tuple(vperm[i] for i in t)] for t in self.simplices[d]]
+        vperm = self.vertex_permutation(g).__getitem__
+        level = self.simplices[d]
+        # vertex j of every image simplex, zipped, as `homology._faces` does
+        images = zip(*[map(vperm, map(operator.itemgetter(j), level)) for j in range(d + 1)])
+        return list(map(self.simplex_pos[d].__getitem__, images))
 
     # -- link and star ------------------------------------------------------
     def link_and_star(self, simplex) -> tuple["Subcomplex", "Subcomplex"]:

@@ -1,11 +1,12 @@
 """Exact integral homology of the flag complexes.
 
-Everything here is exact: boundary matrices carry Python integers.  Every
-exact rank is a Smith rank, `smith_rank_and_divisors(m)[0]`: one
-unit-pivot pass (`_unit_pivots`: a reduced echelon form whose pivots lead
-at +-1 entries) splits off an identity block, and what it leaves goes
-through alternating column and row echelon forms of the lattice echelon
-`IntEchelon` (Kannan-Bachem).
+Boundaries have one format, the face tuples of `_faces`.  A matrix is a
+list of sparse integer columns (dicts row -> entry), built from the faces
+only where a Smith rank needs one.  Every exact rank is a Smith rank,
+`smith_rank_and_divisors(cols)[0]`: one unit-pivot pass (`_unit_pivots`: a
+reduced echelon form whose pivots lead at +-1 entries) splits off an
+identity block, and what it leaves goes through alternating column and row
+echelon forms of the lattice echelon `IntEchelon` (Kannan-Bachem).
 Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, and that
 face) from the augmented complex, read from the simplices' faces, and
@@ -29,55 +30,6 @@ from operator import itemgetter
 from types import MappingProxyType
 
 
-class SparseCols:
-    """An integer matrix stored as a list of sparse columns (dict row -> value).
-
-    The columns are the objects given, not copies: no consumer mutates one
-    (the reductions build new dicts), and one column object may stand for
-    several equal columns."""
-
-    __slots__ = ("nrows", "cols")
-
-    def __init__(self, nrows: int, cols):
-        self.nrows = nrows
-        self.cols = list(cols)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.cols)
-
-    def apply(self, vec: dict) -> dict:
-        acc: dict[int, int] = {}
-        for k, v in vec.items():
-            for r, w in self.cols[k].items():
-                nv = acc.get(r, 0) + v * w
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
-        return acc
-
-
-class ChainComplex:
-    """Augmented simplicial chain complex with integer boundary matrices.
-
-    boundaries[d] is the map C_d -> C_{d-1} for d = 0..dim, where C_{-1} is
-    the rank-one augmentation target (so boundaries[0] is the all-ones row).
-    """
-
-    def __init__(self, f_vector, boundaries):
-        self.f = list(f_vector)
-        self.boundaries = boundaries
-
-    @property
-    def dim(self) -> int:
-        return len(self.f) - 1
-
-    def dd_is_zero(self) -> bool:
-        bs = self.boundaries
-        return not any(any(map(d_prev.apply, d.cols)) for d_prev, d in zip(bs, bs[1:]))
-
-
 def _faces(cx, d: int) -> list[tuple]:
     """The positions of the faces of each d-cell of a simplicial complex,
     one tuple per cell, in vertex-deletion order: face i drops vertex i and
@@ -94,26 +46,41 @@ def _faces(cx, d: int) -> list[tuple]:
     return list(zip(*[map(pos, keys) for keys in drop]))
 
 
-def chain_complex(cx) -> ChainComplex:
-    """Boundary matrices of a TitsComplex in its canonical orientation.
+def _columns(cx, d: int) -> list[dict]:
+    """The boundary of each d-cell as a sparse column {face position: +-1}."""
+    return [dict(zip(fs, cycle((1, -1)))) for fs in _faces(cx, d)]
+
+
+def _boundary(faces, chain: dict) -> dict:
+    """The boundary of a chain {cell: coefficient}, summed from the cells'
+    faces (`_faces`), without zero entries."""
+    acc: dict[int, int] = {}
+    for a, c in chain.items():
+        for b, e in zip(faces[a], cycle((c, -c))):
+            acc[b] = acc.get(b, 0) + e
+    return {b: v for b, v in acc.items() if v}
+
+
+def chain_complex(cx) -> list[list[dict]]:
+    """The augmented boundaries of a simplicial complex, degree 0 to dim, each
+    a list of sparse columns.  The library reads faces (`_faces`); this
+    export serves `verify`'s dd = 0 check and the tests' Smith oracles.
 
     The boundary of a d-simplex is the alternating sum of its faces in the
     rank-increasing vertex order; the augmentation sends every vertex to 1.
     """
-    rows = [1, *cx.f_vector]
-    return ChainComplex(cx.f_vector, [
-        SparseCols(rows[d], [dict(zip(fs, cycle((1, -1)))) for fs in _faces(cx, d)])
-        for d in range(cx.dim + 1)
-    ])
+    return [_columns(cx, d) for d in range(cx.dim + 1)]
 
 
 # ---------------------------------------------------------------------------
 # exact ranks and invariant factors
 
 
-def smith_rank_and_divisors(mat: SparseCols, units: int = 0) -> tuple[int, list[int]]:
+def smith_rank_and_divisors(cols, units: int = 0) -> tuple[int, list[int]]:
     """Exact rank and invariant factors (SNF diagonal) of the integer matrix
-    I_units + M, the identity block of size `units` beside M.
+    I_units + M, the identity block of size `units` beside the matrix M
+    whose columns are the sparse dicts `cols` (row -> entry).  The columns
+    are read, never mutated.
 
     `_unit_pivots` splits M into k unit pivots and a residual R with
     SNF(M) = I_k + SNF(R); the residual, usually empty on the boundaries of
@@ -123,7 +90,7 @@ def smith_rank_and_divisors(mat: SparseCols, units: int = 0) -> tuple[int, list[
     pairs of a degree there, so that the call on a boundary of the
     coreduced complex returns the Smith data of the full one.
     """
-    k, residual = _unit_pivots(mat.cols)
+    k, residual = _unit_pivots(cols)
     r, divisors = _kannan_bachem(residual)
     k += units
     return k + r, [1] * k + divisors
@@ -486,7 +453,7 @@ def reduced_homology(cx) -> HomologyResult:
 _NO_ENTRY = MappingProxyType({})  # every empty column of a coreduced boundary, read-only
 
 
-def coreduce(cx) -> tuple[list[list[int]], list[int], list[SparseCols]]:
+def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
     """Coreduction of the augmented complex of a simplicial complex cx
     (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko 2009), read from its
     faces (`_faces`).  Returns the coreduced complex (survivors, pairs,
@@ -494,8 +461,9 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[SparseCols]]:
     increasing index order, where level L holds the cells of degree L - 1
     and level 0 the empty simplex; the number of pairs removed between
     degrees d and d - 1 for each d = 0..dim; and the boundary of the
-    surviving d-cells, with entries only at the surviving (d-1)-cells,
-    renumbered by their place in survivors[d].
+    surviving d-cells as a list of sparse columns, with entries only at the
+    surviving (d-1)-cells, renumbered by their place in survivors[d], so
+    that it has len(survivors[d]) rows.
 
     A coreduction pair is a live cell a with exactly one live face b (at
     incidence +-1, as every simplicial one is); both are removed.  The
@@ -558,17 +526,17 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[SparseCols]]:
         survivors.append(list(compress(range(len(below)), below)))
         if d:  # level d is final: the boundary of degree d - 1
             row = {b: i for i, b in enumerate(survivors[d - 1])}
-            boundaries.append(SparseCols(len(row), [
+            boundaries.append([
                 {row[b]: e for b, e in zip(lower[a], cycle((1, -1))) if b in row} or _NO_ENTRY
                 for a in survivors[d]
-            ]))
+            ])
         lower = faces
     return survivors, pairs, boundaries
 
 
-def euler_characteristic_checks(cc: ChainComplex, hom: HomologyResult) -> bool:
+def euler_characteristic_checks(hom: HomologyResult) -> bool:
     """Reduced Euler characteristic computed two ways."""
-    from_f = sum((-1) ** d * f for d, f in enumerate(cc.f)) - 1
+    from_f = sum((-1) ** d * f for d, f in enumerate(hom.f_vector)) - 1
     from_b = sum((-1) ** d * b for d, b in enumerate(hom.betti))
     return from_f == from_b
 
@@ -593,7 +561,7 @@ class InducedTopMap:
         return f"InducedTopMap(rank={self.rank}, src={self.src_cycle_rank}, dst={self.dst_cycle_rank})"
 
 
-def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) -> InducedTopMap:
+def induced_top_map(simplicial_map) -> InducedTopMap:
     """The induced map on top cycle lattices for a rank-preserving simplicial
     map (top homology is the full cycle lattice there), by three exact ranks.
 
@@ -606,25 +574,28 @@ def induced_top_map(simplicial_map, src_cc: ChainComplex, dst_cc: ChainComplex) 
 
     [d ; F] being F stacked under d: its kernel is ker d meet ker F, so its
     rank is f_top - dim(Z meet ker F), and dim F(Z) = dim Z - dim(Z meet ker F).
+    d has f_{top-1} rows (1 at n = 2, the augmentation), so F starts at that
+    row.
     """
     src, dst = simplicial_map.src, simplicial_map.dst
     top = src.dim
     if dst.dim != top:
         raise ValueError("map is not dimension-preserving on facets")
     dst_pos = dst.simplex_pos[top]
-    d_src = src_cc.boundaries[top]
+    d_src = _columns(src, top)
+    below = src.f_vector[top - 1] if top else 1
     stacked = []
-    for t, col in zip(src.simplices[top], d_src.cols):
+    for t, col in zip(src.simplices[top], d_src):
         j = dst_pos.get(simplicial_map.simplex_image(t))
         if j is None:
             raise ValueError("image of a facet is not a facet; map is not simplicial")
-        stacked.append({**col, d_src.nrows + j: 1})
+        stacked.append({**col, below + j: 1})
     rank_d = smith_rank_and_divisors(d_src)[0]
-    rank_stacked = smith_rank_and_divisors(SparseCols(d_src.nrows + dst_cc.f[top], stacked))[0]
+    rank_stacked = smith_rank_and_divisors(stacked)[0]
     return InducedTopMap(
         rank_stacked - rank_d,
-        src_cc.f[top] - rank_d,
-        dst_cc.f[top] - smith_rank_and_divisors(dst_cc.boundaries[top])[0],
+        src.f_vector[top] - rank_d,
+        dst.f_vector[top] - smith_rank_and_divisors(_columns(dst, top))[0],
     )
 
 
@@ -655,16 +626,18 @@ def permutation_orbits(size: int, perms) -> list[list[int]]:
     return orbits
 
 
-def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:
+def fixed_subspace_dim(cx, degree: int, simplex_perms) -> int:
     """Dimension over Q of the simultaneous fixed space of the generators on
-    reduced homology in the given degree.
+    reduced homology in the given degree of the simplicial complex cx.
 
     The action permutes the d-simplices (ranks along a flag are distinct, so
     no orientation signs appear), so the invariant d-chains O are spanned by
     the orbit sums.  Over Q taking invariants is exact (Maschke), so with Z
     the cycles and B the boundaries the fixed space is Z^G / B^G, where
     Z^G = Z meet O has dimension #orbits - rank d(O) and B^G = B meet O has
-    dimension rank B + #orbits - rank [B | O].
+    dimension rank B + #orbits - rank [B | O].  The boundaries d(s) of the
+    orbit sums are summed from the faces; the boundary out of degree d + 1
+    is built in full, and at the top degree, where B = 0, not at all.
 
     Each column d(s) is divided by the gcd of its entries before its rank
     is taken.  Scaling a column by a nonzero rational keeps the rank over Q,
@@ -673,20 +646,20 @@ def fixed_subspace_dim(cc: ChainComplex, degree: int, simplex_perms) -> int:
     no unit entry, so the unit-pivot pass of `smith_rank_and_divisors`
     finds no pivot on them undivided and finds the whole rank divided.
     """
-    if not (0 <= degree <= cc.dim):
+    if not (0 <= degree <= cx.dim):
         raise ValueError(f"degree {degree} out of range")
-    f_d = cc.f[degree]
-    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(f_d, simplex_perms)]
-    d = cc.boundaries[degree]
+    orbits = permutation_orbits(cx.f_vector[degree], simplex_perms)
+    faces = _faces(cx, degree)
     d_sums = []
-    for s in sums:
-        col = d.apply(s)
+    for orbit in orbits:
+        col = _boundary(faces, dict.fromkeys(orbit, 1))
         g = math.gcd(*col.values())
         d_sums.append({r: v // g for r, v in col.items()})
-    rank_d_sums = smith_rank_and_divisors(SparseCols(d.nrows, d_sums))[0]
-    if degree == cc.dim:
+    del faces  # before the Smith pass, which is where the memory peaks
+    rank_d_sums = smith_rank_and_divisors(d_sums)[0]
+    if degree == cx.dim:
         # B = 0, and orbit sums have disjoint supports: rank [B | O] = #orbits
-        return len(sums) - rank_d_sums
-    b = cc.boundaries[degree + 1]
-    rank_b_sums = smith_rank_and_divisors(SparseCols(f_d, b.cols + sums))[0]
-    return rank_b_sums - smith_rank_and_divisors(b)[0] - rank_d_sums
+        return len(orbits) - rank_d_sums
+    b = _columns(cx, degree + 1)
+    sums = [dict.fromkeys(orbit, 1) for orbit in orbits]
+    return smith_rank_and_divisors(b + sums)[0] - smith_rank_and_divisors(b)[0] - rank_d_sums

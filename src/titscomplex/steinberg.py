@@ -25,7 +25,7 @@ from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ChainComplex, ModPEchelon, SparseCols, coreduce, permutation_orbits, smith_rank_and_divisors,
+    ModPEchelon, _boundary, _faces, coreduce, permutation_orbits, smith_rank_and_divisors,
 )
 
 
@@ -79,8 +79,9 @@ class SteinbergChain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def boundary_is_zero(self, cc: ChainComplex) -> bool:
-        return not cc.boundaries[self.cx.dim].apply(self.coeffs)
+    def boundary_is_zero(self) -> bool:
+        """Whether the chain is a cycle, its boundary summed from the faces."""
+        return not _boundary(_faces(self.cx, self.cx.dim), self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, SteinbergChain) and self.cx is other.cx and self.coeffs == other.coeffs
@@ -416,8 +417,8 @@ def apartment_span_rank(
     class are the ones the full classes give, and so are the stopping point
     and `apartments_used`.  If the frames run out, the sampled rule
     saturates or the budget is spent first, the restrictions used are
-    recounted exactly by `smith_rank_and_divisors`: a mod-p rank is never
-    reported.  That recount is not budgeted.
+    recounted exactly by `smith_rank_and_divisors`, with the classes as its
+    columns: a mod-p rank is never reported.  That recount is not budgeted.
 
     The entries the pivots hold are recounted every 256 classes, and past
     `SPAN_ENTRY_CAP` the span raises `BudgetExceeded`.
@@ -464,7 +465,7 @@ def apartment_span_rank(
             check_budget(held, SPAN_ENTRY_CAP, what)
     rank = ech.rank
     if rank != top_betti:
-        rank = smith_rank_and_divisors(SparseCols(len(facets), used))[0]
+        rank = smith_rank_and_divisors(used)[0]
     return SpanRankResult(rank, mode, saturated, len(used), top_betti)
 
 

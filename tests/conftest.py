@@ -8,7 +8,7 @@ from titscomplex.verify import CheckContext
 
 @pytest.fixture(scope="session")
 def built():
-    """Session-wide cache of complexes, chain complexes and homology."""
+    """Session-wide cache of complexes and homology."""
     return CheckContext()
 
 
@@ -42,3 +42,18 @@ def congruence_elements(ring, n, ideal_gen_payloads):
         if g != ident and g.is_invertible():
             out.append(g)
     return out
+
+
+def apply(cols, vec):
+    """Test oracle: the matrix with sparse columns `cols` times a sparse vector."""
+    acc = {}
+    for k, v in vec.items():
+        for r, w in cols[k].items():
+            acc[r] = acc.get(r, 0) + v * w
+    return {r: v for r, v in acc.items() if v}
+
+
+def dd_is_zero(boundaries):
+    """Test oracle: every composition of consecutive boundaries vanishes."""
+    pairs = zip(boundaries, boundaries[1:])
+    return not any(apply(lower, col) for lower, upper in pairs for col in upper)

@@ -33,6 +33,8 @@ from titscomplex.grassmann import flag_type, proper_ranks
 from titscomplex.homology import chain_complex, euler_characteristic_checks
 from titscomplex.verify import count_included_not_cofree
 
+from conftest import dd_is_zero
+
 TABLE1 = {
     4: [1, 5, 113, 10879, 4324129, 6984271295],
     6: [1, 11, 911, 497149, 1696007149, 35372169269639],
@@ -163,17 +165,16 @@ def test_criterion_10_invariants(built):
     cases = [("Z/4", [2], 2), ("Z/8", [2], 2), ("Z/8", [4], 5)]
     for label, ideal, want in cases:
         cx = built.complex(label, 2)
-        cc = built.chain(label, 2)
         gens = congruence_generators(cx.ring, 2, ideal)
         perms = [cx.simplex_permutation(g, 0) for g in gens]
-        assert fixed_subspace_dim(cc, 0, perms) == want, (label, ideal)
+        assert fixed_subspace_dim(cx, 0, perms) == want, (label, ideal)
 
 
 @criterion(11, "reducibility witness: rank 2 with nonzero kernel")
 def test_criterion_11_reducibility(built):
     cx = built.complex("Z/4", 2)
     red = reduction_map(cx, [2])
-    itm = induced_top_map(red, built.chain("Z/4", 2), chain_complex(red.dst))
+    itm = induced_top_map(red)
     assert itm.rank == 2
     assert 0 < itm.kernel_rank < itm.src_cycle_rank
 
@@ -199,10 +200,10 @@ def test_criterion_13_structure(built):
 
     for label, n, m in ALL_BUILT:
         cx = built.complex(label, n, m)
-        cc = built.chain(label, n, m)
         hom = built.homology(label, n, m)
-        assert cc.dd_is_zero(), (label, n, m)
-        assert euler_characteristic_checks(cc, hom), (label, n, m)
+        assert dd_is_zero(chain_complex(cx)), (label, n, m)
+        assert hom.f_vector == cx.f_vector, (label, n, m)
+        assert euler_characteristic_checks(hom), (label, n, m)
         assert cx.is_pure(), (label, n, m)
         assert count_included_not_cofree(cx) == 0, (label, n, m)
         # action axioms on sampled generator pairs, on this very complex

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 import titscomplex
-from titscomplex import cli, homology, steinberg
+from titscomplex import (
+    Mat, apartment_class, cli, congruence_generators, eta_class, homology, reduction_map, steinberg,
+)
 from titscomplex.cli import main
 from titscomplex.grassmann import SummandCatalog
-from titscomplex.homology import ChainComplex, SparseCols, reduced_homology
-from titscomplex.verify import CheckContext, run_verify
+from titscomplex.homology import fixed_subspace_dim, induced_top_map, reduced_homology
+from titscomplex.verify import run_verify
 
 TABLE1_CSV = """n,Z/4,Z/6,Z/8,Z/9,Z/10
 1,1,1,1,1,1
@@ -156,7 +158,11 @@ def no_boundary_matrices(monkeypatch):
     ("homology --ring F2 --n 3 --format csv", "degree,betti,torsion\n0,0,\n1,8,\n"),
     ("homology --ring Z/4 --n 4 --filtration 2 --format csv", "degree,betti,torsion\n0,0,\n1,2681,\n"),
     ("apartments --ring Z/4 --n 3", "apartment span rank 113 (exhaustive, saturated, 593 apartments); top betti 113; match: True\n"),
-], ids=["homology", "filtration", "apartments"])
+    ("verify --only eta-witness,reducibility-witness",
+     "PASS  eta-witness: eta nonzero and killed by all UT chamber maps (Z/4, n=2)\n"
+     "PASS  reducibility-witness: induced rank 2, kernel rank 3 of 5\n"
+     "2 passed, 0 failed, 0 skipped\n"),
+], ids=["homology", "filtration", "apartments", "verify-cycles-and-induced-map"])
 def test_homology_and_apartments_build_no_boundary_matrix(capsys, no_boundary_matrices, argv, want):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (0, want, "")
@@ -167,6 +173,35 @@ def test_library_homology_and_span_build_no_boundary_matrix(built, no_boundary_m
     assert reduced_homology(cx).betti == [0, 911]
     res = steinberg.apartment_span_rank(cx)
     assert (res.rank, res.top_betti, res.saturated) == (911, 911, True)
+
+
+@pytest.mark.parametrize("label,n,want", [("Z/4", 3, 8), ("Z/4", 4, 64)])
+def test_top_fixed_subspace_builds_no_boundary_matrix(built, no_boundary_matrices, label, n, want):
+    # Gamma((2)): the top invariants have the rank of St_n(Z/2)
+    cx = built.complex(label, n)
+    perms = [cx.simplex_permutation(g, n - 2) for g in congruence_generators(cx.ring, n, [2])]
+    assert fixed_subspace_dim(cx, n - 2, perms) == want
+
+
+@pytest.mark.parametrize("label,n,ideal,want", [
+    ("Z/8", 3, 2, (8, 1121, 8)),
+    ("Z/9", 3, 3, (27, 1171, 27)),
+    ("Z/4", 4, 2, (64, 10879, 64)),
+])
+def test_induced_top_map_builds_no_boundary_matrix(built, no_boundary_matrices, label, n, ideal, want):
+    itm = induced_top_map(reduction_map(built.complex(label, n), [ideal]))
+    assert (itm.rank, itm.src_cycle_rank, itm.dst_cycle_rank) == want
+
+
+@pytest.mark.parametrize("label,n", [("Z/4", 2), ("Z/4", 3)])
+def test_cycle_checks_build_no_boundary_matrix(built, no_boundary_matrices, label, n):
+    cx = built.complex(label, n)
+    apt = apartment_class(cx, Mat.identity(cx.ring, n))
+    assert apt.boundary_is_zero()
+    assert eta_class(cx, 2).boundary_is_zero()
+    outside = next(k for k in range(cx.f_vector[-1]) if k not in apt.coeffs)
+    assert not steinberg.SteinbergChain(cx, {outside: 1}).boundary_is_zero()
+    assert not steinberg.SteinbergChain(cx, {**apt.coeffs, outside: 1}).boundary_is_zero()
 
 
 def test_negative_budget_is_rejected(capsys):
@@ -355,19 +390,17 @@ def test_verify_full_tier(capsys):
 
 
 def test_verify_corrupt_hook_fails(monkeypatch, capsys):
-    """A chain complex with one boundary entry bumped fails dd = 0."""
-    chain = CheckContext.chain
+    """Boundaries with one entry bumped fail dd = 0."""
+    chain_complex = homology.chain_complex
 
-    def corrupted(self, label, n, m=None):
-        cc = chain(self, label, n, m)
-        if len(cc.boundaries) < 2:
-            return cc
-        bad = SparseCols(cc.boundaries[1].nrows, [dict(c) for c in cc.boundaries[1].cols])
-        r = next(iter(bad.cols[0]))
-        bad.cols[0][r] += 1
-        return ChainComplex(cc.f, [cc.boundaries[0], bad] + list(cc.boundaries[2:]))
+    def corrupted(cx):
+        boundaries = chain_complex(cx)
+        if len(boundaries) >= 2:
+            col = boundaries[1][0]
+            col[next(iter(col))] += 1
+        return boundaries
 
-    monkeypatch.setattr(CheckContext, "chain", corrupted)
+    monkeypatch.setattr("titscomplex.verify.chain_complex", corrupted)
     code, out, _ = run(capsys, "verify", "--only", "boundary-composition", "--format", "json")
     assert code == 1
     doc = json.loads(out)

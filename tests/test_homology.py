@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from titscomplex import (
     HomologyResult,
     RingSpec,
-    SparseCols,
     build_tits_complex,
     chain_complex,
     congruence_generators,
@@ -28,7 +27,6 @@ from titscomplex import (
 )
 from titscomplex import homology
 from titscomplex.homology import (
-    ChainComplex,
     IntEchelon,
     MOD_P,
     ModPEchelon,
@@ -38,7 +36,7 @@ from titscomplex.homology import (
     permutation_orbits,
 )
 
-from conftest import congruence_elements
+from conftest import apply, congruence_elements, dd_is_zero
 
 
 # -- test-local dense SNF oracle ------------------------------------------------
@@ -91,8 +89,9 @@ def dense_snf(M):
     return len(res), normalize_divisors(res)
 
 
-def kernel_basis(mat):
-    """Test-local oracle: integer basis of ker(mat) as sparse vectors.
+def kernel_basis(cols):
+    """Test-local oracle: integer basis of the kernel of the matrix with
+    sparse columns `cols`, as sparse vectors.
 
     The columns enter a lattice echelon form with trackers starting at the
     identity, and every unimodular step is applied to the trackers too, so
@@ -111,7 +110,7 @@ def kernel_basis(mat):
         return g, y, x - (a // b) * y
 
     pivots, tracks, out = {}, {}, []
-    for j, vec in enumerate(mat.cols):
+    for j, vec in enumerate(cols):
         track = {j: 1}
         while vec:
             lead = min(vec)
@@ -147,14 +146,14 @@ def sparse_rank(vectors):
 def to_sparse(M):
     m = len(M)
     n = len(M[0]) if M else 0
-    return SparseCols(m, [{i: M[i][j] for i in range(m) if M[i][j]} for j in range(n)])
+    return [{i: M[i][j] for i in range(m) if M[i][j]} for j in range(n)]
 
 
 def test_smith_examples():
-    assert smith_rank_and_divisors(SparseCols(2, [{}, {}])) == (0, [])
-    assert smith_rank_and_divisors(SparseCols(2, [{0: 2}, {1: 3}])) == (2, [1, 6])
+    assert smith_rank_and_divisors([{}, {}]) == (0, [])
+    assert smith_rank_and_divisors([{0: 2}, {1: 3}]) == (2, [1, 6])
     cols = [{0: -1, 1: 1}, {1: -1, 2: 1}, {2: -1, 3: 1}, {0: -1, 3: 1}]
-    rank, _ = smith_rank_and_divisors(SparseCols(4, cols))
+    rank, _ = smith_rank_and_divisors(cols)
     assert rank == 3
 
 
@@ -203,7 +202,7 @@ def test_kernel_basis_is_exact_integer_kernel():
         rank, _ = smith_rank_and_divisors(sp)
         assert len(kb) == n - rank
         for vec in kb:
-            assert not sp.apply(vec)
+            assert not apply(sp, vec)
         assert sparse_rank(kb) == len(kb)
 
 
@@ -225,16 +224,16 @@ def test_smith_and_kernel_properties(M):
     sp = to_sparse(M)
     rank, divisors = smith_rank_and_divisors(sp)
     assert (rank, divisors) == dense_snf(M)
-    assert sparse_rank(sp.cols) == rank
+    assert sparse_rank(sp) == rank
     # minors of these matrices are far below MOD_P, so no rank is lost mod p
     ech = ModPEchelon()
-    assert sum(ech.add(col) for col in sp.cols) == ech.rank == rank
+    assert sum(ech.add(col) for col in sp) == ech.rank == rank
     kb = kernel_basis(sp)
     k = len(M[0]) - rank
     assert len(kb) == k
-    assert all(not sp.apply(vec) for vec in kb)
+    assert all(not apply(sp, vec) for vec in kb)
     # the basis spans the saturated kernel, not a finite-index sublattice
-    assert smith_rank_and_divisors(SparseCols(len(M[0]), kb)) == (k, [1] * k)
+    assert smith_rank_and_divisors(kb) == (k, [1] * k)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -246,10 +245,10 @@ def test_smith_units_are_an_identity_block(M, k, zeros):
     all (1), or those at an even i + j (2); they must read as absent."""
     block = [[int(i == j) for j in range(k)] + [0] * len(M[0]) for i in range(k)]
     block += [[0] * k + row for row in M]
-    sp = SparseCols(len(M), [
+    sp = [
         {i: row[j] for i, row in enumerate(M) if row[j] or zeros == 1 or zeros == 2 and (i + j) % 2 == 0}
         for j in range(len(M[0]))
-    ])
+    ]
     assert smith_rank_and_divisors(sp, units=k) == dense_snf(block)
     assert smith_rank_and_divisors(sp)[0] == dense_snf(M)[0]
 
@@ -318,57 +317,57 @@ def test_smith_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatc
         raise AssertionError("IntEchelon.add on a residual with a common content")
 
     cx = built.complex("Z/4", 3)
-    d = built.chain("Z/4", 3).boundaries[1]
+    d = chain_complex(cx)[1]
     perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [2])]
-    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(d.ncols, perms)]
-    mat = SparseCols(d.nrows, [d.apply(s) for s in sums])
-    assert {abs(v) for col in mat.cols for v in col.values()} == {2}
-    assert _unit_pivots(mat.cols) == (0, mat.cols)
-    dense = [[col.get(i, 0) for col in mat.cols] for i in range(mat.nrows)]
-    halves = SparseCols(mat.nrows, [{r: v // 2 for r, v in col.items()} for col in mat.cols])
+    sums = [dict.fromkeys(orbit, 1) for orbit in permutation_orbits(len(d), perms)]
+    mat = [apply(d, s) for s in sums]
+    assert {abs(v) for col in mat for v in col.values()} == {2}
+    assert _unit_pivots(mat) == (0, mat)
+    dense = [[col.get(i, 0) for col in mat] for i in range(cx.f_vector[0])]
+    halves = [{r: v // 2 for r, v in col.items()} for col in mat]
     monkeypatch.setattr(IntEchelon, "add", no_lattice_echelon)
     # halving every column keeps the rank over Q
     assert smith_rank_and_divisors(halves)[0] == dense_snf(dense)[0] == 13
     # 21 orbits less rank 13: the rank of St_3(Z/2)
-    assert fixed_subspace_dim(built.chain("Z/4", 3), 1, perms) == len(sums) - 13 == 8
+    assert fixed_subspace_dim(cx, 1, perms) == len(sums) - 13 == 8
     cx4 = built.complex("Z/4", 4)
-    d4 = built.chain("Z/4", 4).boundaries[2]
+    d4 = chain_complex(cx4)[2]
     perms4 = [cx4.simplex_permutation(g, 2) for g in congruence_generators(cx4.ring, 4, [2])]
-    orbits4 = permutation_orbits(d4.ncols, perms4)
+    orbits4 = permutation_orbits(len(d4), perms4)
     assert len(orbits4) == 315
-    assert all(math.gcd(*d4.apply(dict.fromkeys(o, 1)).values()) == 2 for o in orbits4)
-    got = fixed_subspace_dim(built.chain("Z/4", 4), 2, perms4)
+    assert all(math.gcd(*apply(d4, dict.fromkeys(o, 1)).values()) == 2 for o in orbits4)
+    got = fixed_subspace_dim(cx4, 2, perms4)
     assert got == steinberg_rank(parse_ring_spec("Z/2"), 4) == 64
 
 
 def test_chain_complex_structure(built):
-    cc = built.chain("Z/4", 2)
-    assert cc.boundaries[0].nrows == 1
-    assert all(col == {0: 1} for col in cc.boundaries[0].cols)
-    cc3 = built.chain("F2", 3)
-    d1 = cc3.boundaries[1]
-    assert d1.nrows == 14 and d1.ncols == 21
-    for col in d1.cols:
+    # the augmentation: one row, every vertex sent to 1
+    cc = chain_complex(built.complex("Z/4", 2))
+    assert len(cc) == 1
+    assert all(col == {0: 1} for col in cc[0])
+    cx3 = built.complex("F2", 3)
+    cc3 = chain_complex(cx3)
+    d1 = cc3[1]
+    assert cx3.f_vector == [14, 21] and len(d1) == 21
+    for col in d1:
         assert sorted(col.values()) == [-1, 1]
-    assert cc3.dd_is_zero()
+        assert all(0 <= r < 14 for r in col)
+    assert dd_is_zero(cc3)
 
 
 @pytest.mark.parametrize("label,n", [("Z/4", 3), ("F2", 4), ("Z/6", 3)])
 def test_consumers_never_mutate_a_boundary_column(built, label, n):
-    """SparseCols keeps the column objects it is given; read-only columns
-    give the same ranks as the plain complex."""
-    cc = built.chain(label, n)
-    frozen = ChainComplex(cc.f, [
-        SparseCols(b.nrows, [types.MappingProxyType(col) for col in b.cols]) for b in cc.boundaries
-    ])
-    assert all(isinstance(col, types.MappingProxyType) for b in frozen.boundaries for col in b.cols)
-    assert frozen.dd_is_zero()
-    assert [smith_rank_and_divisors(b) for b in frozen.boundaries] == [smith_rank_and_divisors(b) for b in cc.boundaries]
+    """Read-only columns give the same ranks as the plain boundaries."""
+    cc = chain_complex(built.complex(label, n))
+    frozen = [[types.MappingProxyType(col) for col in b] for b in cc]
+    assert all(isinstance(col, types.MappingProxyType) for b in frozen for col in b)
+    assert dd_is_zero(frozen)
+    assert [smith_rank_and_divisors(b) for b in frozen] == [smith_rank_and_divisors(b) for b in cc]
 
 
 def test_dd_zero_everywhere(built):
     for label, n, m in [("Z/4", 3, None), ("F2", 4, None), ("Z/6", 2, None), ("Z/4", 4, 2)]:
-        assert built.chain(label, n, m).dd_is_zero()
+        assert dd_is_zero(chain_complex(built.complex(label, n, m)))
 
 
 def closure_complex(facets):
@@ -396,8 +395,7 @@ RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
 
 def test_projective_plane_torsion():
     rp2 = closure_complex(RP2_FACETS)
-    cc = chain_complex(rp2)
-    assert cc.dd_is_zero()
+    assert dd_is_zero(chain_complex(rp2))
     hom = reduced_homology(rp2)
     assert hom.betti == [0, 0, 0]
     assert hom.torsion == [[], [2], []]
@@ -410,49 +408,51 @@ def test_circle_and_sphere():
     assert reduced_homology(sphere).betti == [0, 0, 1]
 
 
-def smith_homology(cc):
-    """Test oracle: reduced homology from Smith data of every full boundary,
-    with no coreduction."""
-    if cc.dim < 0:
-        return HomologyResult([], [], [])
-    smith = [smith_rank_and_divisors(b) for b in cc.boundaries] + [(0, [])]
-    betti = [cc.f[d] - smith[d][0] - smith[d + 1][0] for d in range(cc.dim + 1)]
-    torsion = [[x for x in smith[d + 1][1] if x != 1] for d in range(cc.dim + 1)]
-    return HomologyResult(betti, torsion, cc.f)
+def smith_homology(boundaries, f):
+    """Test oracle: reduced homology from Smith data of every boundary (a
+    list of sparse columns per degree) of a complex with f-vector f, with no
+    coreduction."""
+    smith = [smith_rank_and_divisors(b) for b in boundaries] + [(0, [])]
+    betti = [f[d] - smith[d][0] - smith[d + 1][0] for d in range(len(f))]
+    torsion = [[x for x in smith[d + 1][1] if x != 1] for d in range(len(f))]
+    return HomologyResult(betti, torsion, f)
 
 
-def residual_complex(cc, levels):
-    """The survivors of coreduction with the restricted boundaries, renumbered;
-    `levels` are the survivors of `coreduce`, whose level 0 (the empty
-    simplex) is dropped, so the augmentation has no row."""
+def residual_complex(boundaries, levels):
+    """The boundaries of the survivors of coreduction, restricted and
+    renumbered, and their f-vector; `levels` are the survivors of
+    `coreduce`, whose level 0 (the empty simplex) is dropped, so the
+    augmentation has no row."""
     survivors = levels[1:]
-    boundaries = []
+    restricted = []
     for d, cells in enumerate(survivors):
         below = {c: i for i, c in enumerate(survivors[d - 1])} if d else {}
-        cols = [{below[r]: v for r, v in cc.boundaries[d].cols[c].items() if r in below} for c in cells]
-        boundaries.append(SparseCols(len(below), cols))
-    return ChainComplex([len(cells) for cells in survivors], boundaries)
+        restricted.append([{below[r]: v for r, v in boundaries[d][c].items() if r in below} for c in cells])
+    return restricted, [len(cells) for cells in survivors]
 
 
-def same_boundaries(got, want):
-    """Equal boundary lists: the same row counts and the same columns."""
-    return [(b.nrows, b.cols) for b in got] == [(b.nrows, b.cols) for b in want]
+def same_boundaries(got, want, survivors):
+    """Equal boundary lists, each boundary out of degree d with its rows
+    among the len(survivors[d]) surviving (d-1)-cells."""
+    return got == want and all(
+        0 <= r < len(survivors[d]) for d, b in enumerate(got) for col in b for r in col
+    )
 
 
-def coreduce_columns(cc):
-    """Test oracle: coreduction read from the boundary columns of a chain
-    complex, the level sweeps of `coreduce` with a +-1 incidence test; the
-    survivors of each level and the pair count of each degree."""
-    if cc.dim < 0:
+def coreduce_columns(boundaries, f):
+    """Test oracle: coreduction read from the boundary columns of a complex
+    with f-vector f, the level sweeps of `coreduce` with a +-1 incidence
+    test; the survivors of each level and the pair count of each degree."""
+    if not f:
         return [], []
-    alive = [bytearray(b"\x01") * n for n in [cc.boundaries[0].nrows, *cc.f]]
-    pairs = [0] * (cc.dim + 1)
-    for d, boundary in enumerate(cc.boundaries):
+    alive = [bytearray(b"\x01") * n for n in [1, *f]]
+    pairs = [0] * len(f)
+    for d, boundary in enumerate(boundaries):
         below, here = alive[d], alive[d + 1]
         changed = True
         while changed:
             changed = False
-            for a, col in enumerate(boundary.cols):
+            for a, col in enumerate(boundary):
                 if here[a]:
                     live = [b for b in col if below[b]]
                     if len(live) == 1 and col[live[0]] in (1, -1):
@@ -475,9 +475,9 @@ def test_coreduction_leaves_b_top_top_cells(built, label, n):
 
 @pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("Z/6", 3)])
 def test_top_cycles_keep_their_rank_mod_p_on_the_survivors(built, label, n):
-    cc = built.chain(label, n)
-    kept = set(coreduce(built.complex(label, n))[0][-1])
-    basis = kernel_basis(cc.boundaries[-1])
+    cx = built.complex(label, n)
+    kept = set(coreduce(cx)[0][-1])
+    basis = kernel_basis(chain_complex(cx)[-1])
     rng = random.Random(11)
     # coefficients that vanish mod p drop a basis cycle from the combination
     coeffs = [-2, -1, 1, 2, 3, MOD_P, 2 * MOD_P, MOD_P + 1]
@@ -504,13 +504,13 @@ def test_coreduction_keeps_the_torsion_of_rp2():
     survivors, _, boundaries = coreduce(rp2)
     # survivors below the top degree: the coreduced boundary carries the 2
     assert survivors[2] and survivors[3]
-    residual = residual_complex(cc, survivors)
-    assert same_boundaries(boundaries, residual.boundaries)
-    assert residual.dd_is_zero()
-    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(rp2)
+    residual, f = residual_complex(cc, survivors)
+    assert same_boundaries(boundaries, residual, survivors)
+    assert dd_is_zero(residual)
+    assert smith_homology(residual, f) == smith_homology(cc, rp2.f_vector) == reduced_homology(rp2)
     assert reduced_homology(rp2).torsion == [[], [2], []]
     # no survivor at the empty simplex: the augmentation has no row
-    assert boundaries[0].nrows == 0
+    assert len(survivors[0]) == 0 and not any(boundaries[0])
 
 
 def test_coreduction_sweeps_until_a_sweep_removes_nothing():
@@ -519,8 +519,8 @@ def test_coreduction_sweeps_until_a_sweep_removes_nothing():
     path = closure_complex([(0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
     survivors, pairs, boundaries = coreduce(path)
     assert (survivors, pairs) == ([[], [], []], [1, 6])
-    assert [(b.nrows, b.cols) for b in boundaries] == [(0, []), (0, [])]
-    assert reduced_homology(path) == smith_homology(chain_complex(path))
+    assert [(len(s), b) for s, b in zip(survivors, boundaries)] == [(0, []), (0, [])]
+    assert reduced_homology(path) == smith_homology(chain_complex(path), path.f_vector)
 
 
 def test_homology_holds_few_bytes_per_cell():
@@ -545,11 +545,11 @@ def test_coreduction_then_smith_equals_smith(facets):
     cx = closure_complex([tuple(f) for f in facets])
     cc = chain_complex(cx)
     survivors, pairs, boundaries = coreduce(cx)
-    assert (survivors, pairs) == coreduce_columns(cc)
-    residual = residual_complex(cc, survivors)
-    assert same_boundaries(boundaries, residual.boundaries)
-    assert residual.dd_is_zero()
-    assert smith_homology(residual) == smith_homology(cc) == reduced_homology(cx)
+    assert (survivors, pairs) == coreduce_columns(cc, cx.f_vector)
+    residual, f = residual_complex(cc, survivors)
+    assert same_boundaries(boundaries, residual, survivors)
+    assert dd_is_zero(residual)
+    assert smith_homology(residual, f) == smith_homology(cc, cx.f_vector) == reduced_homology(cx)
 
 
 @pytest.mark.parametrize("label,n,m", [
@@ -558,16 +558,17 @@ def test_coreduction_then_smith_equals_smith(facets):
     ("Z/4", 4, 3), ("Z/6", 3, 1),
 ])
 def test_reduced_homology_equals_smith_on_every_full_boundary(built, label, n, m):
-    cx, cc = built.complex(label, n, m), built.chain(label, n, m)
-    assert reduced_homology(cx) == smith_homology(cc)
+    cx = built.complex(label, n, m)
+    cc, f = chain_complex(cx), cx.f_vector
+    assert reduced_homology(cx) == smith_homology(cc, f)
     # f_d - s_d = p_d + p_{d+1}: every removed cell is in exactly one pair
     survivors, pairs, boundaries = coreduce(cx)
-    assert (survivors, pairs) == coreduce_columns(cc)
-    assert same_boundaries(boundaries, residual_complex(cc, survivors).boundaries)
+    assert (survivors, pairs) == coreduce_columns(cc, f)
+    assert same_boundaries(boundaries, residual_complex(cc, survivors)[0], survivors)
     assert pairs[0] == 1 - len(survivors[0])
-    for d in range(cc.dim):
-        assert cc.f[d] - len(survivors[d + 1]) == pairs[d] + pairs[d + 1]
-    assert cc.f[-1] - len(survivors[-1]) == pairs[-1]
+    for d in range(cx.dim):
+        assert f[d] - len(survivors[d + 1]) == pairs[d] + pairs[d + 1]
+    assert f[-1] - len(survivors[-1]) == pairs[-1]
 
 
 def test_reduced_homology_of_the_smallest_complexes():
@@ -576,12 +577,12 @@ def test_reduced_homology_of_the_smallest_complexes():
     empty = build_tits_complex(f2, 1)
     assert empty.dim == -1
     assert coreduce(empty) == ([], [], [])
-    assert reduced_homology(empty) == smith_homology(chain_complex(empty)) == HomologyResult([], [], [])
+    assert reduced_homology(empty) == smith_homology(chain_complex(empty), empty.f_vector) == HomologyResult([], [], [])
     # n = 2: the three lines of F2^2, one of them paired with the empty simplex
     cx = build_tits_complex(f2, 2)
     survivors, pairs, [boundary] = coreduce(cx)
-    assert (survivors, pairs, boundary.nrows, boundary.cols) == ([[], [1, 2]], [1], 0, [{}, {}])
-    assert reduced_homology(cx) == smith_homology(chain_complex(cx))
+    assert (survivors, pairs, len(survivors[0]), boundary) == ([[], [1, 2]], [1], 0, [{}, {}])
+    assert reduced_homology(cx) == smith_homology(chain_complex(cx), cx.f_vector)
     assert reduced_homology(cx).betti == [2]
 
 
@@ -592,20 +593,24 @@ def test_reduced_homology_calls_smith_once_per_degree_in_order(built, monkeypatc
     """One Smith call per boundary of the coreduced complex, degree 0
     first, each returning the full boundary's rank: the per-degree Smith
     spans a trace reads."""
-    cx, cc = built.complex(label, n), built.chain(label, n)
+    cx = built.complex(label, n)
     survivors = coreduce(cx)[0]
     calls = []
 
-    def recording(mat, units=0):
-        res = smith_rank_and_divisors(mat, units=units)
-        calls.append((mat.nrows, res[0]))
+    def recording(cols, units=0):
+        res = smith_rank_and_divisors(cols, units=units)
+        calls.append((cols, res[0]))
         return res
 
     monkeypatch.setattr(homology, "smith_rank_and_divisors", recording)
     reduced_homology(cx)
-    assert len(calls) == cc.dim + 1
-    assert [rows for rows, _ in calls] == [len(level) for level in survivors[:-1]]
-    assert [rank for _, rank in calls] == ranks == [smith_rank_and_divisors(b)[0] for b in cc.boundaries]
+    assert len(calls) == cx.dim + 1
+    # the boundary out of degree d: the surviving d-cells as columns, on
+    # the surviving (d-1)-cells as rows
+    assert [len(cols) for cols, _ in calls] == [len(level) for level in survivors[1:]]
+    for cols, rows in zip([cols for cols, _ in calls], survivors):
+        assert all(0 <= r < len(rows) for col in cols for r in col)
+    assert [rank for _, rank in calls] == ranks == [smith_rank_and_divisors(b)[0] for b in chain_complex(cx)]
 
 
 def test_homology_known_rank_values(built):
@@ -645,9 +650,9 @@ def test_top_degree_torsion_free(built):
 
 def test_euler_characteristic(built):
     for label, n, m in [("Z/4", 2, None), ("Z/4", 3, None), ("F2", 4, None), ("Z/4", 4, 2)]:
-        cc = built.chain(label, n, m)
         hom = built.homology(label, n, m)
-        assert euler_characteristic_checks(cc, hom)
+        assert hom.f_vector == built.complex(label, n, m).f_vector
+        assert euler_characteristic_checks(hom)
 
 
 def test_betti_invariant_under_relabeling(built):
@@ -666,21 +671,20 @@ def test_betti_invariant_under_relabeling(built):
 def test_induced_top_map_identity(built):
     cx = built.complex("Z/4", 2)
     red = reduction_map(cx, [0])
-    cc = built.chain("Z/4", 2)
-    itm = induced_top_map(red, cc, cc)
+    itm = induced_top_map(red)
     assert itm.rank == itm.src_cycle_rank == itm.dst_cycle_rank == 5
 
 
 def test_induced_top_map_reduction(built):
     cx = built.complex("Z/4", 2)
     red = reduction_map(cx, [2])
-    itm = induced_top_map(red, built.chain("Z/4", 2), chain_complex(red.dst))
+    itm = induced_top_map(red)
     assert itm.rank == 2
     assert itm.src_cycle_rank == 5
     assert itm.kernel_rank == 3
     cx3 = built.complex("Z/4", 3)
     red3 = reduction_map(cx3, [2])
-    itm3 = induced_top_map(red3, built.chain("Z/4", 3), chain_complex(red3.dst))
+    itm3 = induced_top_map(red3)
     assert itm3.rank == 8
     assert itm3.kernel_rank == 113 - 8
 
@@ -693,43 +697,41 @@ def test_induced_top_map_reduction(built):
 def test_induced_top_map_onto_the_quotient_ring(built, label, n, ideal, want):
     # R -> R/I is onto St_n(R/I): rank St_n(R/I) = rank of the induced map
     red = reduction_map(built.complex(label, n), [ideal])
-    itm = induced_top_map(red, built.chain(label, n), chain_complex(red.dst))
+    itm = induced_top_map(red)
     assert (itm.rank, itm.src_cycle_rank, itm.dst_cycle_rank) == want
     assert itm.rank == steinberg_rank(RingSpec.modular(ideal), n)
 
 
 def test_fixed_subspace_trivial_group(built):
-    cc = built.chain("Z/4", 2)
-    assert fixed_subspace_dim(cc, 0, []) == 5
+    assert fixed_subspace_dim(built.complex("Z/4", 2), 0, []) == 5
 
 
 def test_fixed_subspace_congruence(built):
     cx = built.complex("Z/4", 2)
-    cc = built.chain("Z/4", 2)
     gens = congruence_generators(cx.ring, 2, [2])
     perms = [cx.simplex_permutation(g, 0) for g in gens]
-    assert fixed_subspace_dim(cc, 0, perms) == 2
+    assert fixed_subspace_dim(cx, 0, perms) == 2
 
 
 def test_fixed_subspace_z8(built):
     cx = built.complex("Z/8", 2)
-    cc = built.chain("Z/8", 2)
     for ideal, want in [([2], 2), ([4], 5)]:
         gens = congruence_generators(cx.ring, 2, ideal)
         perms = [cx.simplex_permutation(g, 0) for g in gens]
-        assert fixed_subspace_dim(cc, 0, perms) == want
+        assert fixed_subspace_dim(cx, 0, perms) == want
 
 
-def stacked_fixed_dim(cc, degree, simplex_perms):
+def stacked_fixed_dim(cx, degree, simplex_perms):
     """Test-only oracle: the fixed space as {z in Z : (g-1)z in B for all
     generators g} / B, from one stacked system with a (g-1)Z block and a
-    copy of B per generator."""
-    z_basis = kernel_basis(cc.boundaries[degree])
+    copy of B per generator, on the boundaries `chain_complex` exports."""
+    cc = chain_complex(cx)
+    z_basis = kernel_basis(cc[degree])
     if not z_basis:
         return 0
-    b_cols = cc.boundaries[degree + 1].cols if degree < cc.dim else []
+    b_cols = cc[degree + 1] if degree < cx.dim else []
     rank_b = sparse_rank(b_cols)
-    f_d = cc.f[degree]
+    f_d = cx.f_vector[degree]
     big = []
     for z in z_basis:
         col = {}
@@ -749,17 +751,16 @@ def stacked_fixed_dim(cc, degree, simplex_perms):
 def test_fixed_subspace_matches_stacked_oracle(built, label, n, ideal):
     # random subsets of GL_n generators, and of congruence subgroup elements
     cx = built.complex(label, n)
-    cc = built.chain(label, n)
     pools = [gl_generators(cx.ring, n)]
     if ideal:
         pools.append(congruence_elements(cx.ring, n, ideal))
     rng = random.Random(f"{label}-{n}")
-    for degree in range(cc.dim + 1):
+    for degree in range(cx.dim + 1):
         for trial in range(6):
             chosen = rng.sample(pools[trial % len(pools)], rng.randint(0, 3))
             perms = [cx.simplex_permutation(g, degree) for g in chosen]
-            want = stacked_fixed_dim(cc, degree, perms)
-            assert fixed_subspace_dim(cc, degree, perms) == want, (label, n, degree, trial)
+            want = stacked_fixed_dim(cx, degree, perms)
+            assert fixed_subspace_dim(cx, degree, perms) == want, (label, n, degree, trial)
 
 
 def test_fixed_subspace_congruence_n3(built):
@@ -770,7 +771,7 @@ def test_fixed_subspace_congruence_n3(built):
     gens = congruence_generators(cx.ring, 3, [2])
     assert len(gens) == 9
     perms = [cx.simplex_permutation(g, 1) for g in gens]
-    got = fixed_subspace_dim(built.chain("Z/4", 3), 1, perms)
+    got = fixed_subspace_dim(cx, 1, perms)
     assert got == steinberg_rank(RingSpec.modular(2), 3) == 8
 
 
@@ -779,7 +780,7 @@ def test_fixed_subspace_congruence_levels_n3(built, label, ideal):
     # the Gamma(I)-invariants of St_3(R) have the rank of St_3(R/I)
     cx = built.complex(label, 3)
     perms = [cx.simplex_permutation(g, 1) for g in congruence_generators(cx.ring, 3, [ideal])]
-    got = fixed_subspace_dim(built.chain(label, 3), 1, perms)
+    got = fixed_subspace_dim(cx, 1, perms)
     assert got == steinberg_rank(RingSpec.modular(ideal), 3)
 
 
@@ -790,7 +791,7 @@ def test_fixed_subspace_congruence_n4(built):
     gens = congruence_generators(cx.ring, 4, [2])
     assert len(gens) == 16
     perms = [cx.simplex_permutation(g, 2) for g in gens]
-    got = fixed_subspace_dim(built.chain("Z/4", 4), 2, perms)
+    got = fixed_subspace_dim(cx, 2, perms)
     assert got == steinberg_rank(RingSpec.modular(2), 4) == 64
 
 
@@ -800,19 +801,17 @@ def test_fixed_subspace_with_boundaries():
     # two isolated points swapped: H0~ is spanned by [0]-[1], negated by the
     # swap, so the fixed space is 0; the identity fixes everything
     two_points = closure_complex([(0,), (1,)])
-    cc = chain_complex(two_points)
-    assert fixed_subspace_dim(cc, 0, [[1, 0]]) == 0
-    assert fixed_subspace_dim(cc, 0, [[0, 1]]) == 1
+    assert fixed_subspace_dim(two_points, 0, [[1, 0]]) == 0
+    assert fixed_subspace_dim(two_points, 0, [[0, 1]]) == 1
     # two disjoint edges swapped; the boundary space is nonzero in degree 0
     # and H0~ is spanned by [0]-[2], again negated by the swap
     edges = closure_complex([(0, 1), (2, 3)])
-    ccc = chain_complex(edges)
     swap_vertices = [2, 3, 0, 1]
     swap_edges = [1, 0]
     assert reduced_homology(edges).betti == [1, 0]
-    assert fixed_subspace_dim(ccc, 0, [swap_vertices]) == 0
-    assert fixed_subspace_dim(ccc, 0, [list(range(4))]) == 1
-    assert fixed_subspace_dim(ccc, 1, [swap_edges]) == 0
+    assert fixed_subspace_dim(edges, 0, [swap_vertices]) == 0
+    assert fixed_subspace_dim(edges, 0, [list(range(4))]) == 1
+    assert fixed_subspace_dim(edges, 1, [swap_edges]) == 0
 
 
 def test_homology_result_serialization(built):
