@@ -38,8 +38,8 @@ from .grassmann import (
     grassmannian_size_formula,
 )
 from .complexes import (
+    SimplicialComplex,
     SimplicialReduction,
-    Subcomplex,
     TitsComplex,
     build_filtration,
     build_tits_complex,

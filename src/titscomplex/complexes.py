@@ -25,30 +25,18 @@ from .linalg import Mat, Summand
 from .grassmann import SummandCatalog, budgeted_flag_count
 
 
-class TitsComplex:
-    """Simplicial complex of good flags, with vertices of rank <= max_rank."""
+class SimplicialComplex:
+    """A finite simplicial complex given by its sorted levels.
 
-    # exported in schema v1; always 0, since every included pair of vertices
-    # is cofree (build_filtration), which verify's recount confirms
-    included_not_cofree = 0
+    simplices[d] is the sorted list of the d-simplices, each an increasing
+    tuple of vertex indices.  The complex owns the position of each simplex
+    in its level; faces, links and permutations read it here, and code
+    outside reaches it only through `position` and `faces`.
+    """
 
-    def __init__(
-        self, ring: Ring, n: int, max_rank: int, vertices, simplices,
-        catalog: SummandCatalog, start: dict,
-    ):
-        self.ring = ring
-        self.n = n
-        self.max_rank = max_rank
-        self.vertices = vertices  # list[Summand], sorted by (rank, sorted members)
-        self.simplices = simplices  # simplices[d] = sorted list of vertex-index tuples
-        self.simplex_pos = [
-            {t: i for i, t in enumerate(level)} for level in simplices
-        ]
-        # the catalog the vertices came from (held, not copied: its vector
-        # index answers vertex_of_span) and rank -> index of its first vertex
-        self.catalog = catalog
-        self.start = start
-        self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
+    def __init__(self, simplices):
+        self.simplices = simplices
+        self._pos = [{t: i for i, t in enumerate(level)} for level in simplices]
 
     @property
     def dim(self) -> int:
@@ -61,6 +49,91 @@ class TitsComplex:
 
     def facets(self):
         return self.simplices[-1] if self.simplices else []
+
+    def position(self, t) -> int | None:
+        """Index of the simplex t (any sequence of vertex indices) in its own
+        level, or None when t is not a simplex of the complex."""
+        t = tuple(t)
+        d = len(t) - 1
+        return self._pos[d].get(t) if 0 <= d < len(self._pos) else None
+
+    def has_simplex(self, t) -> bool:
+        return self.position(t) is not None
+
+    def faces(self, d: int) -> list[tuple]:
+        """The positions of the faces of each d-cell of a simplicial complex,
+        one tuple per cell, in vertex-deletion order: face i drops vertex i and
+        has incidence (-1)^i.  A vertex's one face is row 0, the empty simplex.
+
+        Every loop runs in C (`map`, `zip`), and tuples of ints, unlike lists,
+        leave the cyclic collector's tracking once it has seen them."""
+        level = self.simplices[d]
+        if d == 0:
+            return [(0,)] * len(level)
+        pos = self._pos[d - 1].__getitem__
+        # face i of every cell: its vertices but the i-th, zipped
+        drop = [zip(*[map(operator.itemgetter(j), level) for j in range(d + 1) if j != i]) for i in range(d + 1)]
+        return list(zip(*[map(pos, keys) for keys in drop]))
+
+    def is_pure(self) -> bool:
+        """Every simplex is a face of some top-dimensional simplex."""
+        if not self.simplices:
+            return True
+        covered = set()
+        for f in self.simplices[-1]:
+            for size in range(1, len(f) + 1):
+                covered.update(itertools.combinations(f, size))
+        return all(t in covered for level in self.simplices for t in level)
+
+    def vertex_set(self):
+        return sorted({i for level in self.simplices for t in level for i in t})
+
+    def link_and_star(self, simplex) -> tuple["SimplicialComplex", "SimplicialComplex"]:
+        """The link and the closed star of a simplex, as complexes on the
+        same vertex indices."""
+        simplex = tuple(simplex)
+        if not self.has_simplex(simplex):
+            raise ValueError(f"simplex {simplex} not in complex")
+        sset = set(simplex)
+        star_simplices = [[] for _ in self.simplices]
+        link_simplices = [[] for _ in self.simplices]
+        for level in self.simplices:
+            for t in level:
+                union = tuple(sorted(sset | set(t)))
+                if self.has_simplex(union):
+                    star_simplices[len(t) - 1].append(t)
+                    if not (sset & set(t)):
+                        link_simplices[len(t) - 1].append(t)
+        return SimplicialComplex(_trim(link_simplices)), SimplicialComplex(_trim(star_simplices))
+
+
+def _trim(levels):
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+class TitsComplex(SimplicialComplex):
+    """Simplicial complex of good flags, with vertices of rank <= max_rank."""
+
+    # exported in schema v1; always 0, since every included pair of vertices
+    # is cofree (build_filtration), which verify's recount confirms
+    included_not_cofree = 0
+
+    def __init__(
+        self, ring: Ring, n: int, max_rank: int, vertices, simplices,
+        catalog: SummandCatalog, start: dict,
+    ):
+        super().__init__(simplices)
+        self.ring = ring
+        self.n = n
+        self.max_rank = max_rank
+        self.vertices = vertices  # list[Summand], sorted by (rank, sorted members)
+        # the catalog the vertices came from (held, not copied: its vector
+        # index answers vertex_of_span) and rank -> index of its first vertex
+        self.catalog = catalog
+        self.start = start
+        self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
 
     @functools.cached_property
     def line_upsets(self) -> dict:
@@ -109,20 +182,6 @@ class TitsComplex:
             self._span_cache[key] = got
         return got
 
-    def has_simplex(self, t) -> bool:
-        d = len(t) - 1
-        return 0 <= d < len(self.simplices) and t in self.simplex_pos[d]
-
-    def is_pure(self) -> bool:
-        """Every simplex is a face of some top-dimensional simplex."""
-        if not self.simplices:
-            return True
-        covered = set()
-        for f in self.simplices[-1]:
-            for size in range(1, len(f) + 1):
-                covered.update(itertools.combinations(f, size))
-        return all(t in covered for level in self.simplices for t in level)
-
     # -- group action -------------------------------------------------------
     def vertex_permutation(self, g: Mat) -> tuple:
         """Permutation of vertex indices induced by V -> gV, found from the
@@ -144,29 +203,9 @@ class TitsComplex:
         already increasing and no signs appear."""
         vperm = self.vertex_permutation(g).__getitem__
         level = self.simplices[d]
-        # vertex j of every image simplex, zipped, as `homology._faces` does
+        # vertex j of every image simplex, zipped, as `faces` does
         images = zip(*[map(vperm, map(operator.itemgetter(j), level)) for j in range(d + 1)])
-        return list(map(self.simplex_pos[d].__getitem__, images))
-
-    # -- link and star ------------------------------------------------------
-    def link_and_star(self, simplex) -> tuple["Subcomplex", "Subcomplex"]:
-        simplex = tuple(simplex)
-        if not self.has_simplex(simplex):
-            raise ValueError(f"simplex {simplex} not in complex")
-        sset = set(simplex)
-        star_simplices = [[] for _ in self.simplices]
-        link_simplices = [[] for _ in self.simplices]
-        for level in self.simplices:
-            for t in level:
-                union = tuple(sorted(sset | set(t)))
-                if self.has_simplex(union):
-                    star_simplices[len(t) - 1].append(t)
-                    if not (sset & set(t)):
-                        link_simplices[len(t) - 1].append(t)
-        return (
-            Subcomplex(self, _trim(link_simplices)),
-            Subcomplex(self, _trim(star_simplices)),
-        )
+        return list(map(self._pos[d].__getitem__, images))
 
     # -- export -------------------------------------------------------------
     def export_document(self) -> dict:
@@ -188,31 +227,6 @@ class TitsComplex:
             f"TitsComplex({self.ring.spec.label}, n={self.n}, max_rank={self.max_rank}, "
             f"f={self.f_vector})"
         )
-
-
-def _trim(levels):
-    while levels and not levels[-1]:
-        levels.pop()
-    return levels
-
-
-class Subcomplex:
-    """A subcomplex of a TitsComplex, sharing the parent's vertex indexing."""
-
-    def __init__(self, parent: TitsComplex, simplices):
-        self.parent = parent
-        self.simplices = simplices
-
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
-    @property
-    def f_vector(self) -> list[int]:
-        return [len(level) for level in self.simplices]
-
-    def vertex_set(self):
-        return sorted({i for level in self.simplices for t in level for i in t})
 
 
 def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_BUDGET) -> TitsComplex:

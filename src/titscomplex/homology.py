@@ -1,13 +1,13 @@
 """Exact integral homology of the flag complexes.
 
-Boundaries have one format, the face tuples of `_faces`.  A matrix is a
-list of sparse integer columns (dicts row -> entry), built from the faces
-only where a Smith rank needs one.  Every exact rank is a Smith rank,
-`smith_rank_and_divisors(cols)[0]`: one unit-pivot pass (`_unit_pivots`: a
-reduced echelon form whose pivots lead at +-1 entries) splits off an
-identity block, and what it leaves goes through alternating column and row
-echelon forms of the lattice echelon `IntEchelon` (Kannan-Bachem).
-Induced maps and fixed subspaces are reported by their ranks.
+Boundaries have one format, the face tuples of `SimplicialComplex.faces`.
+A matrix is a list of sparse integer columns (dicts row -> entry), built
+from the faces only where a Smith rank needs one.  Every exact rank is a
+Smith rank, `smith_rank_and_divisors(cols)[0]`: one unit-pivot pass
+(`_unit_pivots`: a reduced echelon form whose pivots lead at +-1 entries)
+splits off an identity block, and what it leaves goes through alternating
+column and row echelon forms of the lattice echelon `IntEchelon`
+(Kannan-Bachem).  Induced maps and fixed subspaces are reported by their ranks.
 `coreduce` removes coreduction pairs (a cell with one live face, and that
 face) from the augmented complex, read from the simplices' faces, and
 returns the coreduced complex.  Restriction to its cells is an isomorphism
@@ -26,34 +26,17 @@ from __future__ import annotations
 
 import math
 from itertools import compress, cycle
-from operator import itemgetter
 from types import MappingProxyType
-
-
-def _faces(cx, d: int) -> list[tuple]:
-    """The positions of the faces of each d-cell of a simplicial complex,
-    one tuple per cell, in vertex-deletion order: face i drops vertex i and
-    has incidence (-1)^i.  A vertex's one face is row 0, the empty simplex.
-
-    Every loop runs in C (`map`, `zip`), and tuples of ints, unlike lists,
-    leave the cyclic collector's tracking once it has seen them."""
-    level = cx.simplices[d]
-    if d == 0:
-        return [(0,)] * len(level)
-    pos = cx.simplex_pos[d - 1].__getitem__
-    # face i of every cell: its vertices but the i-th, zipped
-    drop = [zip(*[map(itemgetter(j), level) for j in range(d + 1) if j != i]) for i in range(d + 1)]
-    return list(zip(*[map(pos, keys) for keys in drop]))
 
 
 def _columns(cx, d: int) -> list[dict]:
     """The boundary of each d-cell as a sparse column {face position: +-1}."""
-    return [dict(zip(fs, cycle((1, -1)))) for fs in _faces(cx, d)]
+    return [dict(zip(fs, cycle((1, -1)))) for fs in cx.faces(d)]
 
 
 def _boundary(faces, chain: dict) -> dict:
     """The boundary of a chain {cell: coefficient}, summed from the cells'
-    faces (`_faces`), without zero entries."""
+    faces (`cx.faces`), without zero entries."""
     acc: dict[int, int] = {}
     for a, c in chain.items():
         for b, e in zip(faces[a], cycle((c, -c))):
@@ -63,7 +46,7 @@ def _boundary(faces, chain: dict) -> dict:
 
 def chain_complex(cx) -> list[list[dict]]:
     """The augmented boundaries of a simplicial complex, degree 0 to dim, each
-    a list of sparse columns.  The library reads faces (`_faces`); this
+    a list of sparse columns.  The library reads faces (`cx.faces`); this
     export serves `verify`'s dd = 0 check and the tests' Smith oracles.
 
     The boundary of a d-simplex is the alternating sum of its faces in the
@@ -456,7 +439,7 @@ _NO_ENTRY = MappingProxyType({})  # every empty column of a coreduced boundary, 
 def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
     """Coreduction of the augmented complex of a simplicial complex cx
     (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko 2009), read from its
-    faces (`_faces`).  Returns the coreduced complex (survivors, pairs,
+    faces (`cx.faces`).  Returns the coreduced complex (survivors, pairs,
     boundaries): the cells that survive at each level 0..dim+1, in
     increasing index order, where level L holds the cells of degree L - 1
     and level 0 the empty simplex; the number of pairs removed between
@@ -512,7 +495,7 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
     survivors, boundaries = [], []
     for d, below in enumerate(alive):
         if d <= top:
-            faces, here = _faces(cx, d), alive[d + 1]
+            faces, here = cx.faces(d), alive[d + 1]
             changed = True
             while changed:
                 changed = False
@@ -581,12 +564,11 @@ def induced_top_map(simplicial_map) -> InducedTopMap:
     top = src.dim
     if dst.dim != top:
         raise ValueError("map is not dimension-preserving on facets")
-    dst_pos = dst.simplex_pos[top]
     d_src = _columns(src, top)
     below = src.f_vector[top - 1] if top else 1
     stacked = []
     for t, col in zip(src.simplices[top], d_src):
-        j = dst_pos.get(simplicial_map.simplex_image(t))
+        j = dst.position(simplicial_map.simplex_image(t))
         if j is None:
             raise ValueError("image of a facet is not a facet; map is not simplicial")
         stacked.append({**col, below + j: 1})
@@ -649,7 +631,7 @@ def fixed_subspace_dim(cx, degree: int, simplex_perms) -> int:
     if not (0 <= degree <= cx.dim):
         raise ValueError(f"degree {degree} out of range")
     orbits = permutation_orbits(cx.f_vector[degree], simplex_perms)
-    faces = _faces(cx, degree)
+    faces = cx.faces(degree)
     d_sums = []
     for orbit in orbits:
         col = _boundary(faces, dict.fromkeys(orbit, 1))

@@ -25,7 +25,7 @@ from .linalg import Mat, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
-    ModPEchelon, _boundary, _faces, coreduce, permutation_orbits, smith_rank_and_divisors,
+    ModPEchelon, _boundary, coreduce, permutation_orbits, smith_rank_and_divisors,
 )
 
 
@@ -81,7 +81,7 @@ class SteinbergChain:
 
     def boundary_is_zero(self) -> bool:
         """Whether the chain is a cycle, its boundary summed from the faces."""
-        return not _boundary(_faces(self.cx, self.cx.dim), self.coeffs)
+        return not _boundary(self.cx.faces(self.cx.dim), self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, SteinbergChain) and self.cx is other.cx and self.coeffs == other.coeffs
@@ -128,7 +128,7 @@ def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
     frame = [cx.vertex_of_span([c]) for c in basis.columns()]
-    return SteinbergChain(cx, _class_coeffs(cx, frame, cx.simplex_pos[n - 2], {}))
+    return SteinbergChain(cx, _class_coeffs(cx, frame, cx.position, {}))
 
 
 @functools.cache
@@ -151,16 +151,16 @@ def _vertex_of_lines(ups: list, lines) -> int:
     return next(iter(hits))
 
 
-def _class_coeffs(cx: TitsComplex, frame, pos: dict, spans: dict) -> dict[int, int]:
+def _class_coeffs(cx: TitsComplex, frame, coord, spans: dict) -> dict[int, int]:
     """Coefficients of the apartment class of the lines `frame` (vertex
     indices), which the caller knows to be a frame: their generators form
     an invertible matrix.
 
-    `pos` maps every facet to its coordinate.  With `cx.simplex_pos[top]`
-    this is the full class, keyed by facet position; a facet sent to a
-    negative coordinate is left out, so a map that keeps only some facets
-    builds the class restricted to them and never the full one.  A flag
-    missing from `pos` raises: it is not a facet.  `spans` memoises the
+    `coord` takes every facet to its coordinate.  With `cx.position` this
+    is the full class, keyed by facet position; a facet sent to a negative
+    coordinate is left out, so a map that keeps only some facets builds the
+    class restricted to them and never the full one.  A flag that `coord`
+    sends to None raises: it is not a facet.  `spans` memoises the
     vertex spanned by each tuple of lines looked up.
 
     The span W of k of the lines (2 <= k <= n - 1) is the one vertex in
@@ -186,7 +186,7 @@ def _class_coeffs(cx: TitsComplex, frame, pos: dict, spans: dict) -> dict[int, i
     # the n! flags are distinct facets (distinct subsets of a basis span
     # distinct summands), so no two terms meet at one coordinate
     for facet, c in _flag_terms(n):
-        k = pos.get(facet(vertex_of))
+        k = coord(facet(vertex_of))
         if k is None:
             raise RuntimeError("apartment flag is not a facet (complex incomplete?)")
         if k >= 0:
@@ -198,10 +198,11 @@ def chamber_map(chain: SteinbergChain, facet) -> int:
     """Coefficient of the chain on one canonically oriented facet."""
     cx = chain.cx
     facet = tuple(facet)
-    pos = cx.simplex_pos[cx.dim].get(facet)
-    if pos is None:
+    # `position` answers on every level; only the top one holds facets
+    k = cx.position(facet) if len(facet) == cx.dim + 1 else None
+    if k is None:
         raise ValueError(f"facet {facet} not present in the complex")
-    return chain.coeffs.get(pos, 0)
+    return chain.coeffs.get(k, 0)
 
 
 def reverse_ut_facet(cx: TitsComplex, basis: Mat) -> tuple:
@@ -455,7 +456,7 @@ def apartment_span_rank(
         if budget is not None and len(used) >= budget:
             saturated = False
             break
-        used.append(_class_coeffs(cx, frame, pos, spans))
+        used.append(_class_coeffs(cx, frame, pos.get, spans))
         ech.add(used[-1])
         if ech.rank == top_betti:
             break

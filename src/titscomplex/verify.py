@@ -347,10 +347,8 @@ def _check_reduction_functoriality(ctx):
         return False, "reduction is not simplicial"
     if not red.is_surjective_on_vertices():
         return False, "reduction is not surjective on vertices"
-    top = cx.dim
-    dst_pos = red.dst.simplex_pos[top]
-    for t in cx.simplices[top]:
-        if red.simplex_image(t) not in dst_pos:
+    for t in cx.facets():
+        if not red.dst.has_simplex(red.simplex_image(t)):
             return False, "a facet does not map to a facet"
     # equivariance along GL_n(R) -> GL_n(R/I) on sampled generators
     ring = cx.ring

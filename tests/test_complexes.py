@@ -15,7 +15,9 @@ from titscomplex import (
     grassmannian_size_formula,
     make_ring,
     parse_ring_spec,
+    reduced_homology,
     reduction_map,
+    steinberg_rank,
 )
 from titscomplex.grassmann import flag_type, proper_ranks
 from titscomplex.linalg import span_if_free
@@ -189,6 +191,46 @@ def test_link_of_line_matches_quotient_line_count(built):
     assert len(link.vertex_set()) == grassmannian_size_formula(RingSpec.modular(4), 2, 1)
 
 
+# (ring, n, rank St_r * rank St_(n-r) for r = 1..n-1): the link of a rank-r
+# vertex is the join T_r * T_(n-r) (the summands under it and over it)
+LINK_RANKS = [
+    ("F2", 4, [8, 4, 8]),
+    ("Z/4", 4, [113, 25, 113]),
+    ("Z/4", 3, [5, 5]),
+    ("Z/6", 3, [11, 11]),
+]
+
+
+@pytest.mark.parametrize("label,n,ranks", LINK_RANKS)
+def test_links_and_stars_are_complexes_homology_reads(built, label, n, ranks):
+    cx = built.complex(label, n)
+    spec = cx.ring.spec
+    for r, want in zip(range(1, n), ranks):
+        v = next(i for i, s in enumerate(cx.vertices) if s.rank == r)
+        link, star = cx.link_and_star((v,))
+        assert want == steinberg_rank(spec, r) * steinberg_rank(spec, n - r)
+        hom = reduced_homology(link)
+        assert hom.betti == [0] * (n - 3) + [want], (label, n, r)
+        assert not any(hom.torsion), (label, n, r)
+        hom = reduced_homology(star)
+        assert not any(hom.betti) and not any(hom.torsion), (label, n, r)
+
+
+def test_position_and_has_simplex_take_any_sequence(built):
+    cx = built.complex("Z/4", 3)
+    edge = cx.simplices[1][5]
+    for t in (edge, list(edge), iter(edge)):
+        assert cx.position(t) == 5
+    assert cx.has_simplex([0, 30]) is True  # line 0 in plane 30
+    assert cx.position([0, 30]) == cx.simplices[1].index((0, 30))
+    # two lines are no edge, and no chain is longer than a facet
+    assert cx.has_simplex([0, 1]) is False
+    assert cx.position([0, 1]) is None
+    assert cx.position(cx.facets()[0] + (0,)) is None
+    assert cx.position(()) is None
+    assert cx.position([0]) == 0
+
+
 def test_nerve_double_construction(built):
     cx = built.complex("Z/4", 3)
     ring = cx.ring
@@ -259,7 +301,7 @@ def test_action_by_bases_equals_action_on_members(built, label, n):
         vperm = member_vertex_permutation(cx, g)
         assert cx.vertex_permutation(g) == vperm
         for d, level in enumerate(cx.simplices):
-            want = [cx.simplex_pos[d][tuple(sorted(vperm[i] for i in t))] for t in level]
+            want = [cx.position(sorted(vperm[i] for i in t)) for t in level]
             assert cx.simplex_permutation(g, d) == want
 
 
@@ -420,9 +462,8 @@ def test_reduction_sends_facets_to_facets(built):
     cx3 = built.complex("Z/4", 3)
     red = reduction_map(cx3, [2])
     top = cx3.dim
-    dst_pos = red.dst.simplex_pos[top]
     for t in cx3.simplices[top]:
-        assert red.simplex_image(t) in dst_pos
+        assert red.dst.position(red.simplex_image(t)) is not None
 
 
 def test_reduction_commutes_with_action(built):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from titscomplex import (
     HomologyResult,
     RingSpec,
+    SimplicialComplex,
     build_tits_complex,
     chain_complex,
     congruence_generators,
@@ -373,20 +374,12 @@ def test_dd_zero_everywhere(built):
 def closure_complex(facets):
     """Tiny standalone simplicial complex for oracle cases."""
 
-    class Fake:
-        pass
-
     simplices = {}
     for f in facets:
         for size in range(1, len(f) + 1):
             for s in itertools.combinations(sorted(f), size):
                 simplices.setdefault(size - 1, set()).add(s)
-    out = Fake()
-    out.simplices = [sorted(simplices[d]) for d in sorted(simplices)]
-    out.simplex_pos = [{t: i for i, t in enumerate(level)} for level in out.simplices]
-    out.f_vector = [len(level) for level in out.simplices]
-    out.dim = len(out.simplices) - 1
-    return out
+    return SimplicialComplex([sorted(simplices[d]) for d in sorted(simplices)])
 
 
 RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),

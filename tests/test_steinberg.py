@@ -158,6 +158,16 @@ def test_chamber_map_examples(built):
         chamber_map(a, (999,))
 
 
+def test_chamber_map_refuses_a_simplex_that_is_not_a_facet(built):
+    # (0,) and (0, 30) are simplices of T3(Z/4), but not of its top level
+    cx = built.complex("Z/4", 3)
+    a = apartment_class(cx, Mat.identity(cx.ring, 3))
+    assert cx.has_simplex((0,))
+    for t in [(0,), [0]]:
+        with pytest.raises(ValueError):
+            chamber_map(a, t)
+
+
 def test_ut_pairing_small(built):
     for label, n in [("Z/4", 2), ("F2", 2), ("F2", 3)]:
         cx = built.complex(label, n)
@@ -521,11 +531,11 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
     classes = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, pos, spans):
-        # the full class, by the full position map; the span gets its own
+    def recording_class(cx, frame, coord, spans):
+        # the full class, by the complex's positions; the span gets its own
         assert _frame_matrix(cx, frame).det() in cx.ring.units
-        classes.append(class_coeffs(cx, frame, cx.simplex_pos[cx.dim], {}))
-        return class_coeffs(cx, frame, pos, spans)
+        classes.append(class_coeffs(cx, frame, cx.position, {}))
+        return class_coeffs(cx, frame, coord, spans)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
