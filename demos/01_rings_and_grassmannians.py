@@ -4,7 +4,6 @@
 
 from titscomplex import (
     RingSpec,
-    enumerate_elements,
     enumerate_grassmannian,
     gaussian_binomial,
     gl_order,
@@ -22,14 +21,15 @@ prod = parse_ring_spec("Z/2xZ/3")    # a product ring, isomorphic to Z/6 by CRT
 for spec in (z12, f7, dual, prod):
     print(spec.label, "has", spec.cardinality, "elements")
 
-# Elements enumerate in a fixed canonical order; arithmetic is table-driven.
-print([e.payload for e in enumerate_elements(dual)])  # 0, 1, x, 1+x
+# Elements are indices into a fixed canonical list of payloads; arithmetic
+# reads the ring's add, mul, neg and inv tables at those indices.
+print(make_ring(dual).payloads)  # 0, 1, x, 1+x
 
 ring = make_ring(z12)
-a, b = ring.element(8), ring.element(9)
-print("8 * 9 mod 12 =", (a * b).payload)
-print("inverse of 5 mod 12:", ring.element(5).inverse().payload)
-print("inverse of 8 mod 12:", ring.element(8).inverse())  # None: a zero divisor
+a, b = ring.el(8), ring.el(9)
+print("8 * 9 mod 12 =", ring.payload(ring.mul[a][b]))
+print("inverse of 5 mod 12:", ring.payload(ring.inv[ring.el(5)]))
+print("inverse of 8 mod 12:", ring.inv[ring.el(8)])  # None: a zero divisor
 
 # The Jacobson radical (the nilpotent elements) and the residue fields of
 # R/J drive all the counting formulas.  The tables give the radical itself;

@@ -11,9 +11,7 @@ from .rings import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     Ring,
-    RingElement,
     RingSpec,
-    enumerate_elements,
     ideal_closure,
     make_ring,
     parse_ring_spec,

@@ -133,7 +133,9 @@ class TitsComplex(SimplicialComplex):
         # index answers vertex_of_span) and rank -> index of its first vertex
         self.catalog = catalog
         self.start = start
-        self._span_cache: dict = {}  # sorted spanning vectors -> vertex index
+        # vertex index by sorted spanning vectors (`vertex_of_span`) and by
+        # tuple of line indices (`span_of_lines`): the key shapes never collide
+        self._span_cache: dict = {}
 
     @functools.cached_property
     def line_upsets(self) -> dict:
@@ -169,7 +171,7 @@ class TitsComplex(SimplicialComplex):
           complement) holding every vector B*C + d*y*C = B*C; a
           contradiction.
         """
-        key = tuple(sorted(vectors))
+        key = tuple(sorted(map(tuple, vectors)))
         got = self._span_cache.get(key)
         if got is None:
             k = len(key)
@@ -182,10 +184,42 @@ class TitsComplex(SimplicialComplex):
             self._span_cache[key] = got
         return got
 
+    def span_of_lines(self, lines) -> int:
+        """Index of the vertex spanned by k lines (vertex indices,
+        2 <= k <= max_rank) whose generators are k columns of an invertible
+        matrix, memoised per complex by the tuple of lines.
+
+        That span W is the one vertex in all the lines' rank-k up-sets
+        (`line_upsets`): k columns of an invertible matrix span a free
+        rank-k summand with a free complement, a vertex holding each line.
+        A rank-k vertex V holding the lines contains W, which is then a
+        summand of V with a complement of rank 0, that is 0 (projectives
+        over these rings are free), so V = W.  Lines in no rank-k vertex,
+        or in more than one, raise RuntimeError.
+        """
+        lines = tuple(lines)
+        got = self._span_cache.get(lines)
+        if got is None:
+            ups = self.line_upsets[len(lines)]
+            hits = frozenset.intersection(*map(ups.__getitem__, lines))
+            if len(hits) != 1:
+                raise RuntimeError("lines lie in no vertex, or in more than one, of their rank")
+            got = self._span_cache[lines] = next(iter(hits))
+        return got
+
     # -- group action -------------------------------------------------------
+    def require_ring(self, g: Mat) -> None:
+        """Raise ValueError, naming both rings, unless g is over the ring
+        of the complex."""
+        if g.ring.spec != self.ring.spec:
+            raise ValueError(
+                f"matrix over {g.ring.spec.label} does not act on a complex over {self.ring.spec.label}"
+            )
+
     def vertex_permutation(self, g: Mat) -> tuple:
         """Permutation of vertex indices induced by V -> gV, found from the
         image of each vertex's basis."""
+        self.require_ring(g)
         perm = []
         for s in self.vertices:
             image = [g.apply(v) for v in s.basis]

@@ -319,12 +319,6 @@ class Ring:
     def payload(self, i: int):
         return self.payloads[i]
 
-    def element(self, payload) -> "RingElement":
-        return RingElement(self, self.index[payload])
-
-    def elements(self) -> list["RingElement"]:
-        return [RingElement(self, i) for i in range(self.card)]
-
     def vec(self, payloads) -> tuple:
         """Vector of element indices from a sequence of payloads."""
         return tuple(self.index[p] for p in payloads)
@@ -384,66 +378,6 @@ def _additive_generator_payloads(spec):
     return gens
 
 
-class RingElement:
-    """An element of a Ring; thin immutable wrapper over an element index."""
-
-    __slots__ = ("ring", "i")
-
-    def __init__(self, ring: Ring, i: int):
-        self.ring = ring
-        self.i = i
-
-    @property
-    def payload(self):
-        return self.ring.payloads[self.i]
-
-    def _coerce(self, other) -> int:
-        if not isinstance(other, RingElement):
-            raise TypeError(f"cannot combine RingElement with {type(other).__name__}")
-        if other.ring.spec != self.ring.spec:
-            raise ValueError(
-                f"ring mismatch: {self.ring.spec.label} vs {other.ring.spec.label}"
-            )
-        return other.i
-
-    def __add__(self, other):
-        return RingElement(self.ring, self.ring.add[self.i][self._coerce(other)])
-
-    def __sub__(self, other):
-        j = self._coerce(other)
-        return RingElement(self.ring, self.ring.add[self.i][self.ring.neg[j]])
-
-    def __mul__(self, other):
-        return RingElement(self.ring, self.ring.mul[self.i][self._coerce(other)])
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg[self.i])
-
-    def inverse(self) -> "RingElement | None":
-        """Multiplicative inverse if this element is a unit, else None."""
-        j = self.ring.inv[self.i]
-        return None if j is None else RingElement(self.ring, j)
-
-    def is_unit(self) -> bool:
-        return self.i in self.ring.units
-
-    def is_zero(self) -> bool:
-        return self.i == self.ring.zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring.spec == other.ring.spec
-            and self.i == other.i
-        )
-
-    def __hash__(self):
-        return hash((self.ring.spec, self.i))
-
-    def __repr__(self):
-        return f"<{self.payload!r} in {self.ring.spec.label}>"
-
-
 def spec_of(spec_or_ring) -> RingSpec:
     """The spec of a Ring, or the argument itself when it is a RingSpec."""
     return spec_or_ring.spec if isinstance(spec_or_ring, Ring) else spec_or_ring
@@ -465,11 +399,6 @@ def budgeted_ring(spec: RingSpec, budget: int | None = DEFAULT_BUDGET) -> Ring:
     """`make_ring` after checking the q^2 entries of each table against the budget."""
     check_budget(spec.cardinality**2, budget, f"the tables of {spec.label}")
     return make_ring(spec)
-
-
-def enumerate_elements(spec: RingSpec, budget: int | None = DEFAULT_BUDGET) -> list[RingElement]:
-    """All elements of the ring, once each, in the canonical order."""
-    return budgeted_ring(spec, budget).elements()
 
 
 def ideal_closure(ring: Ring, element_indices) -> frozenset:

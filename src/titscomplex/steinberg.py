@@ -122,36 +122,29 @@ def _flag_terms(n: int) -> tuple:
 def apartment_class(cx: TitsComplex, basis: Mat) -> SteinbergChain:
     """Signed sum over all complete flags refining the basis (a top cycle)."""
     _require_full(cx)
+    cx.require_ring(basis)
     n = cx.n
     if basis.nrows != n or basis.ncols != n:
         raise ValueError("basis matrix has wrong shape")
     if not basis.is_invertible():
         raise ValueError("apartment basis matrix is not invertible")
     frame = [cx.vertex_of_span([c]) for c in basis.columns()]
-    return SteinbergChain(cx, _class_coeffs(cx, frame, cx.position, {}))
+    return SteinbergChain(cx, _class_coeffs(cx, frame, cx.position))
 
 
 @functools.cache
 def _span_subsets(n: int) -> tuple:
-    """(bit mask, getter of its members, size) of every subset of n
-    columns with 2 to n - 1 elements: the spans an apartment class looks
-    up beyond its lines."""
+    """(bit mask, getter of its members) of every subset of n columns
+    with 2 to n - 1 elements: the spans an apartment class looks up beyond
+    its lines."""
     return tuple(
-        (sum(1 << j for j in subset), operator.itemgetter(*subset), size)
+        (sum(1 << j for j in subset), operator.itemgetter(*subset))
         for size in range(2, n)
         for subset in itertools.combinations(range(n), size)
     )
 
 
-def _vertex_of_lines(ups: list, lines) -> int:
-    """The one vertex in the up-set `ups[i]` of every line i in `lines`."""
-    hits = frozenset.intersection(*map(ups.__getitem__, lines))
-    if len(hits) != 1:
-        raise RuntimeError("lines lie in no vertex, or in more than one, of their rank")
-    return next(iter(hits))
-
-
-def _class_coeffs(cx: TitsComplex, frame, coord, spans: dict) -> dict[int, int]:
+def _class_coeffs(cx: TitsComplex, frame, coord) -> dict[int, int]:
     """Coefficients of the apartment class of the lines `frame` (vertex
     indices), which the caller knows to be a frame: their generators form
     an invertible matrix.
@@ -160,15 +153,8 @@ def _class_coeffs(cx: TitsComplex, frame, coord, spans: dict) -> dict[int, int]:
     is the full class, keyed by facet position; a facet sent to a negative
     coordinate is left out, so a map that keeps only some facets builds the
     class restricted to them and never the full one.  A flag that `coord`
-    sends to None raises: it is not a facet.  `spans` memoises the
-    vertex spanned by each tuple of lines looked up.
-
-    The span W of k of the lines (2 <= k <= n - 1) is the one vertex in
-    all their rank-k up-sets (`cx.line_upsets`): k columns of an invertible
-    matrix span a free rank-k summand with a free complement, a vertex
-    holding each line.  A rank-k vertex V holding the lines contains W,
-    which is then a summand of V with a complement of rank 0, that is 0
-    (projectives over these rings are free), so V = W.
+    sends to None raises: it is not a facet.  The span of 2 to n - 1 of
+    the lines is `cx.span_of_lines` (proof there).
     """
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
@@ -176,12 +162,9 @@ def _class_coeffs(cx: TitsComplex, frame, coord, spans: dict) -> dict[int, int]:
     vertex_of = [0] * (1 << n)
     for j, v in enumerate(frame):
         vertex_of[1 << j] = v
-    for mask, members, size in _span_subsets(n):
-        key = members(frame)
-        v = spans.get(key)
-        if v is None:
-            v = spans[key] = _vertex_of_lines(cx.line_upsets[size], key)
-        vertex_of[mask] = v
+    span = cx.span_of_lines
+    for mask, members in _span_subsets(n):
+        vertex_of[mask] = span(members(frame))
     coeffs: dict[int, int] = {}
     # the n! flags are distinct facets (distinct subsets of a basis span
     # distinct summands), so no two terms meet at one coordinate
@@ -207,6 +190,7 @@ def chamber_map(chain: SteinbergChain, facet) -> int:
 
 def reverse_ut_facet(cx: TitsComplex, basis: Mat) -> tuple:
     """The flag of trailing spans <v_n> < <v_{n-1}, v_n> < ... as a facet tuple."""
+    cx.require_ring(basis)
     n = cx.n
     cols = basis.columns()
     return tuple(cx.vertex_of_span(cols[n - size :]) for size in range(1, n))
@@ -436,13 +420,11 @@ def apartment_span_rank(
     survivors, _, boundaries = coreduce(cx)
     top = survivors[-1]
     top_betti = len(top) - smith_rank_and_divisors(boundaries[-1])[0]
-    # the class coordinates: a facet's index if it survives, else -1; and
-    # the spans of tuples of lines, which `_class_coeffs` fills per call
+    # the class coordinates: a facet's index if it survives, else -1
     facets = cx.facets()
     pos = dict.fromkeys(facets, -1)
     for k in top:
         pos[facets[k]] = k
-    spans: dict = {}
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
     if mode == "exhaustive":
@@ -456,7 +438,7 @@ def apartment_span_rank(
         if budget is not None and len(used) >= budget:
             saturated = False
             break
-        used.append(_class_coeffs(cx, frame, pos.get, spans))
+        used.append(_class_coeffs(cx, frame, pos.get))
         ech.add(used[-1])
         if ech.rank == top_betti:
             break

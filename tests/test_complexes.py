@@ -312,6 +312,16 @@ def test_action_rejects_noninvertible(built):
         cx.vertex_permutation(bad)
 
 
+def test_action_rejects_a_matrix_over_another_ring(built):
+    # the identity over F2 has the entries of the identity over Z/4, but
+    # acts on no complex over Z/4
+    cx = built.complex("Z/4", 3)
+    g = Mat.identity(make_ring(parse_ring_spec("F2")), 3)
+    for act in (cx.vertex_permutation, lambda g: cx.simplex_permutation(g, 1)):
+        with pytest.raises(ValueError, match="matrix over F2 does not act on a complex over Z/4"):
+            act(g)
+
+
 def test_reduction_map_examples(built):
     cx2 = built.complex("Z/4", 2)
     red = reduction_map(cx2, [2])
@@ -357,6 +367,12 @@ def test_vertex_of_span(built):
         filt.vertex_of_span(Mat.identity(filt.ring, 4).rows[:3])  # rank 3 is above the filtration
     with pytest.raises(RuntimeError):
         filt.vertex_of_span([(2, 0, 0, 0)] * 3)  # so are three vectors that span no free module
+
+
+def test_vertex_of_span_takes_vectors_as_any_sequence(built):
+    cx = built.complex("Z/4", 3)
+    for vectors in ([[1, 0, 0]], [(1, 0, 0)], [iter([1, 0, 0])], iter([[1, 0, 0]])):
+        assert cx.vertex_of_span(vectors) == 12
 
 
 def test_vertex_of_span_rejects_malformed_vectors(built):

@@ -144,6 +144,17 @@ def test_apartment_rejects_noninvertible(built):
         apartment_class(cx, Mat.from_payload_rows(cx.ring, [[2, 0], [0, 1]]))
 
 
+def test_apartments_reject_a_matrix_over_another_ring(built):
+    # invertible over Z/4; the same rows over Z/6 have det 3, no unit
+    cx = built.complex("Z/6", 3)
+    basis = Mat(make_ring(parse_ring_spec("Z/4")), [[1, 0, 1], [0, 1, 1], [0, 0, 3]])
+    for use in (apartment_class, reverse_ut_facet):
+        with pytest.raises(ValueError, match="matrix over Z/4 does not act on a complex over Z/6"):
+            use(cx, basis)
+    with pytest.raises(ValueError, match="not invertible"):
+        apartment_class(cx, Mat(cx.ring, basis.rows))
+
+
 def test_chamber_map_examples(built):
     cx = built.complex("Z/4", 2)
     ring = cx.ring
@@ -326,9 +337,9 @@ def _record_frames(monkeypatch):
     recorded = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, pos, spans):
+    def recording_class(cx, frame, pos):
         recorded.append(list(frame))
-        return class_coeffs(cx, frame, pos, spans)
+        return class_coeffs(cx, frame, pos)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     return recorded
@@ -470,7 +481,7 @@ def test_line_lookup_matches_vertex_of_span(built, monkeypatch, label, n, mode, 
     assert recorded and subsets
     for lines in subsets:
         want = cx.vertex_of_span([cx.vertices[i].basis[0] for i in lines])
-        assert steinberg._vertex_of_lines(cx.line_upsets[len(lines)], lines) == want, lines
+        assert cx.span_of_lines(lines) == want, lines
 
 
 def test_line_lookup_raises_for_lines_in_two_planes(built):
@@ -483,7 +494,7 @@ def test_line_lookup_raises_for_lines_in_two_planes(built):
     ups = cx.line_upsets[2]
     assert len(planes) == 2 and planes <= ups[a] & ups[b]
     with pytest.raises(RuntimeError, match="more than one"):
-        steinberg._vertex_of_lines(ups, (a, b))
+        cx.span_of_lines((a, b))
 
 
 # (ring, mode, rank, apartments used) at n = 3, seed 0
@@ -531,11 +542,11 @@ def test_survivor_coordinates_keep_the_rank_after_every_class(built, monkeypatch
     classes = []
     class_coeffs = steinberg._class_coeffs
 
-    def recording_class(cx, frame, coord, spans):
+    def recording_class(cx, frame, coord):
         # the full class, by the complex's positions; the span gets its own
         assert _frame_matrix(cx, frame).det() in cx.ring.units
-        classes.append(class_coeffs(cx, frame, cx.position, {}))
-        return class_coeffs(cx, frame, coord, spans)
+        classes.append(class_coeffs(cx, frame, cx.position))
+        return class_coeffs(cx, frame, coord)
 
     monkeypatch.setattr(steinberg, "_class_coeffs", recording_class)
     res = apartment_span_rank(cx, mode=mode, seed=0)
