@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: rank, grass, flags, complex, homology, apartments, orbits,
-verify.  All outputs are byte-stable given the same arguments; budgets are
-counted in enumerated objects, never wall time, so behaviour is machine
-independent.
+verify; `COMMANDS` is the one list of them, and `main` builds the parser
+of the invoked command only.  All outputs are byte-stable given the same
+arguments; budgets are counted in enumerated objects, never wall time, so
+behaviour is machine independent.
 """
 
 from __future__ import annotations
@@ -244,81 +245,109 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p, fmt=("text", "json", "csv"), budget=True):
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in objects")
+    p.add_argument("--format", choices=fmt, default="text")
+    p.add_argument("--output", help="write to this path instead of stdout")
+
+
+def _ring_n(p):
+    p.add_argument("--ring", required=True)
+    p.add_argument("--n", type=int, required=True)
+
+
+def _args_rank(p):
+    p.add_argument("--rings", required=True, help="comma-separated ring specs, e.g. Z/4,Z/6,F2[e]^2")
+    p.add_argument("--n-max", type=int, required=True)
+    _common(p, budget=False)  # closed formulas only: nothing is enumerated
+
+
+def _args_grass(p):
+    _ring_n(p)
+    p.add_argument("--k", type=int)
+    p.add_argument("--enumerate", action="store_true", help="also enumerate and cross-check")
+    p.add_argument("--list", action="store_true", help="include preferred bases (with --enumerate)")
+    _common(p)
+
+
+def _args_flags(p):
+    _ring_n(p)
+    p.add_argument("--type", required=True, help="composition of n, e.g. 1,1,2")
+    p.add_argument("--list", action="store_true")
+    _common(p)
+
+
+def _args_complex(p):
+    _ring_n(p)
+    p.add_argument("--filtration", type=int, help="restrict vertices to rank <= m")
+    _common(p, fmt=("text", "json"))
+
+
+def _args_homology(p):
+    _ring_n(p)
+    p.add_argument("--filtration", type=int)
+    _common(p)
+
+
+def _args_apartments(p):
+    _ring_n(p)
+    p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
+    p.add_argument("--seed", type=int, default=0)
+    _common(p, fmt=("text", "json"))
+
+
+def _args_orbits(p):
+    p.add_argument("--ring", required=True)
+    _common(p, fmt=("text", "json"))
+
+
+def _args_verify(p):
+    p.add_argument("--tier", choices=("fast", "full"), default="fast")
+    p.add_argument("--only", help="comma-separated check ids to run")
+    _common(p, fmt=("text", "json"))
+
+
+# the one list of commands: name -> (help, handler, adder of its arguments)
+COMMANDS = {
+    "rank": ("Steinberg rank table via the Grassmannian recursion", cmd_rank, _args_rank),
+    "grass": ("Grassmannian counts (formula, optionally enumerated)", cmd_grass, _args_grass),
+    "flags": ("count good flags of a given type", cmd_flags, _args_flags),
+    "complex": ("build and export the complex", cmd_complex, _args_complex),
+    "homology": ("exact reduced homology (Betti numbers and torsion)", cmd_homology, _args_homology),
+    "apartments": ("rank of the apartment-class span vs top homology", cmd_apartments, _args_apartments),
+    "orbits": ("orbits on pairs of lines and <St_2, St_2> (n = 2)", cmd_orbits, _args_orbits),
+    "verify": ("run the verification suite", cmd_verify, _args_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    A subparser's prog, usage, help and errors do not depend on its
+    siblings.  The top-level usage (printed on unrecognized arguments)
+    lists every command either way: with one command, the metavar spells
+    out the list that argparse derives from the full choices.
+    """
     parser = argparse.ArgumentParser(
         prog="titscomplex",
         description="Flag complexes of finite commutative rings: enumeration, homology, Steinberg ranks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt=("text", "json", "csv"), budget=True):
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in objects")
-        p.add_argument("--format", choices=fmt, default="text")
-        p.add_argument("--output", help="write to this path instead of stdout")
-
-    p = sub.add_parser("rank", help="Steinberg rank table via the Grassmannian recursion")
-    p.add_argument("--rings", required=True, help="comma-separated ring specs, e.g. Z/4,Z/6,F2[e]^2")
-    p.add_argument("--n-max", type=int, required=True)
-    common(p, budget=False)  # closed formulas only: nothing is enumerated
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("grass", help="Grassmannian counts (formula, optionally enumerated)")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--enumerate", action="store_true", help="also enumerate and cross-check")
-    p.add_argument("--list", action="store_true", help="include preferred bases (with --enumerate)")
-    common(p)
-    p.set_defaults(fn=cmd_grass)
-
-    p = sub.add_parser("flags", help="count good flags of a given type")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--type", required=True, help="composition of n, e.g. 1,1,2")
-    p.add_argument("--list", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_flags)
-
-    p = sub.add_parser("complex", help="build and export the complex")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--filtration", type=int, help="restrict vertices to rank <= m")
-    common(p, fmt=("text", "json"))
-    p.set_defaults(fn=cmd_complex)
-
-    p = sub.add_parser("homology", help="exact reduced homology (Betti numbers and torsion)")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--filtration", type=int)
-    common(p)
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("apartments", help="rank of the apartment-class span vs top homology")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=("text", "json"))
-    p.set_defaults(fn=cmd_apartments)
-
-    p = sub.add_parser("orbits", help="orbits on pairs of lines and <St_2, St_2> (n = 2)")
-    p.add_argument("--ring", required=True)
-    common(p, fmt=("text", "json"))
-    p.set_defaults(fn=cmd_orbits)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--tier", choices=("fast", "full"), default="fast")
-    p.add_argument("--only", help="comma-separated check ids to run")
-    common(p, fmt=("text", "json"))
-    p.set_defaults(fn=cmd_verify)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, fn, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the invoked command's parser; the full one for help and errors
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # exact integers print in full at any length (the rank of St_170(F2) has
     # 4325 digits): the int-to-str digit limit of Python 3.10.7 and later is
     # lifted while the command runs

@@ -178,11 +178,13 @@ class SummandCatalog:
     `space`, R^n in lexicographic order; `code` is the inverse dict.  Each
     generator is a list code -> image code, built once per catalog from
     `row_operation`; bases and members are code lists, the index is a list
-    over codes, and each `Summand` is decoded through `space` after the
-    sort.  c is an order isomorphism onto range(q^n): if v < w first differ
-    at i, c(w) - c(v) >= q^(n-1-i) - sum_{j>i} (q-1)*q^(n-1-j) = 1.  So
-    sorted code lists compare as the sorted member tuples they decode to,
-    and Gr_k is ordered by its sorted member tuples.
+    over codes.  Each `Summand` decodes its basis through `space` after the
+    sort, and keeps its sorted member codes undecoded until its member set
+    is first read (`Summand.members`).  c is an order isomorphism onto
+    range(q^n): if v < w first differ at i, c(w) - c(v) >= q^(n-1-i) -
+    sum_{j>i} (q-1)*q^(n-1-j) = 1.  So sorted code lists compare as the
+    sorted member tuples they decode to, and Gr_k is ordered by its sorted
+    member tuples.
 
     The ring's tables and the walk tables are built only after the budget
     checks of the first Gr_k, k >= 1; Gr_0 = {0} needs none.  `space`,
@@ -244,7 +246,7 @@ class SummandCatalog:
         order = sorted(range(len(members)), key=members.__getitem__)
         self._index[k] = index, dict(zip(order, range(len(order))))
         decode = space.__getitem__
-        out = [Summand(ring, n, k, frozenset(map(decode, members[i])), map(decode, bases[i])) for i in order]
+        out = [Summand(ring, n, k, map(decode, members[i]), map(decode, bases[i])) for i in order]
         self._gr[k] = out
         return out
 

@@ -264,20 +264,31 @@ def _extend_span(ring: Ring, members, v):
 class Summand:
     """A free-and-cofree direct summand of R^n.
 
-    Identity is the member set.  Summands carry no order of their own: the
-    deterministic (rank, sorted members) order is decided once, by the sort
-    in `grassmann.SummandCatalog.grassmannian`.
+    Identity is the member set.  It is decoded on first read: `members`
+    freezes the iterable the summand was made with into a frozenset the
+    first time it is read, so code that never reads it (the complex build,
+    homology, apartments) never pays for it.  Summands carry no order of
+    their own: the deterministic (rank, sorted members) order is decided
+    once, by the sort in `grassmann.SummandCatalog.grassmannian`.
     """
 
-    __slots__ = ("ring", "ambient", "rank", "members", "basis", "_preferred")
+    __slots__ = ("ring", "ambient", "rank", "_members", "basis", "_preferred")
 
-    def __init__(self, ring: Ring, ambient: int, rank: int, members: frozenset, basis):
+    def __init__(self, ring: Ring, ambient: int, rank: int, members, basis):
         self.ring = ring
         self.ambient = ambient
         self.rank = rank
-        self.members = members
+        self._members = members
         self.basis = tuple(basis)
         self._preferred = None
+
+    @property
+    def members(self) -> frozenset:
+        """The member set, frozen from the given iterable on first read."""
+        m = self._members
+        if not isinstance(m, frozenset):
+            m = self._members = frozenset(m)
+        return m
 
     @property
     def preferred_basis(self):

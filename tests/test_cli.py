@@ -296,6 +296,78 @@ def test_rank_refuses_long_tables_before_the_recursion(n_max):
     assert proc.stderr.startswith(f"error: enumeration of digits of the rank table up to n = {n_max} needs ~")
 
 
+COMMAND_ERRORS = {
+    "rank": ["rank", "--n-max", "3"],
+    "grass": ["grass", "--ring", "Z/4"],
+    "flags": ["flags", "--ring", "Z/4", "--n", "3"],
+    "complex": ["complex", "--n", "3"],
+    "homology": ["homology", "--ring", "Z/4"],
+    "apartments": ["apartments", "--n", "3"],
+    "orbits": ["orbits"],
+    "verify": ["verify", "--tier", "heavy"],  # verify has no required argument
+}
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The `command` argument of every `cli.build_parser` call."""
+    calls = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        calls.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    return calls
+
+
+def parse_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+def test_parser_cases_cover_every_command():
+    assert list(cli.COMMANDS) == list(COMMAND_ERRORS)
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in COMMAND_ERRORS),
+    *COMMAND_ERRORS.values(),
+    ["orbits", "--ring", "Z/4", "stray"],
+    ["homology", "--ring", "Z/4", "--n", "three"],
+], ids=lambda argv: " ".join(argv))
+def test_per_command_parser_prints_the_bytes_of_the_full_parser(capsys, parsers_built, argv):
+    want = parse_exit(capsys, cli.build_parser().parse_args, argv)
+    parsers_built.clear()
+    got = parse_exit(capsys, main, argv)
+    assert parsers_built == [argv[0]]
+    assert got == want
+    assert got[0] == (0 if "--help" in argv else 2)
+    assert got[1 if "--help" in argv else 2].startswith("usage: titscomplex ")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--help", "homology"]], ids=repr)
+def test_help_and_unknown_commands_use_the_full_parser(capsys, parsers_built, argv):
+    want = parse_exit(capsys, cli.build_parser().parse_args, argv)
+    parsers_built.clear()
+    assert parse_exit(capsys, main, argv) == want
+    assert parsers_built == [None]
+    assert want[0] == (0 if "--help" in argv else 2)
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, parsers_built):
+    argv = ["homology", "--help"]
+    want = parse_exit(capsys, cli.build_parser().parse_args, argv)
+    parsers_built.clear()
+    monkeypatch.setattr(sys, "argv", ["titscomplex", *argv])
+    assert parse_exit(capsys, lambda _: main(), None) == want
+    assert parsers_built == ["homology"]
+    assert want[1].startswith("usage: titscomplex homology [-h] --ring RING --n N [--filtration FILTRATION]\n")
+
+
 def test_python_m_entry_point():
     proc = fresh_python("-m", "titscomplex", "rank", "--rings", "Z/4", "--n-max", "3", "--format", "csv")
     assert proc.returncode == 0, proc.stderr

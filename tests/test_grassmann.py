@@ -6,7 +6,10 @@ import pytest
 from titscomplex import (
     Mat,
     RingSpec,
+    Summand,
     SummandCatalog,
+    apartment_span_rank,
+    build_tits_complex,
     enumerate_good_flags,
     enumerate_grassmannian,
     flag_type,
@@ -15,6 +18,7 @@ from titscomplex import (
     grassmannian_size_formula,
     make_ring,
     parse_ring_spec,
+    reduced_homology,
     span_summand,
     steinberg_rank,
 )
@@ -382,3 +386,54 @@ def test_formulas_build_no_tables(forbid_tables):
     assert grassmannian_size_formula(spec, 3, 1) == p**2 + p + 1
     # Z/4000: |J| = 400, residue fields F2 and F5
     assert grassmannian_size_formula(RingSpec.modular(4000), 2, 1) == 400 * 3 * 6
+
+
+@pytest.fixture
+def member_reads(monkeypatch):
+    """Every summand whose member set is read, in order of the reads."""
+    reads = []
+    members = Summand.members
+
+    def counted(s):
+        reads.append(s)
+        return members.fget(s)
+
+    monkeypatch.setattr(Summand, "members", property(counted))
+    return reads
+
+
+@pytest.mark.parametrize("label,run", [
+    ("Z/9", lambda cx: reduced_homology(cx).betti == [0, 1171]),
+    ("F7", lambda cx: apartment_span_rank(cx, mode="sampled", seed=0).rank == 343),
+    ("Z/2xZ/2", lambda cx: apartment_span_rank(cx).rank == 344),
+], ids=["Z/9-homology", "F7-sampled-span", "Z/2xZ/2-span"])
+def test_homology_and_apartments_decode_no_member_set(member_reads, label, run):
+    cx = build_tits_complex(parse_ring_spec(label), 3)
+    assert run(cx)
+    assert member_reads == []
+    assert not any(isinstance(v._members, frozenset) for v in cx.vertices)
+
+
+FIRST_READS = {
+    "members": lambda v, s: v.members == s.members,
+    "eq": lambda v, s: v == s,
+    "hash": lambda v, s: hash(v) == hash(s),
+    "preferred_basis": lambda v, s: v.preferred_basis == s.preferred_basis,
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_READS))
+@pytest.mark.parametrize("label", ["Z/4", "Z/6"])
+def test_lazy_member_set_keeps_the_identity_of_span_summand(label, first):
+    """A catalog vertex, before and after its member set is first read
+    (by each reader in turn), has the member set, equality, hash and
+    preferred basis of the span of its basis."""
+    cx = build_tits_complex(parse_ring_spec(label), 3)
+    for v in cx.vertices:
+        s = span_summand(cx.ring, list(v.basis))
+        assert not isinstance(v._members, frozenset)
+        assert FIRST_READS[first](v, s), (label, v)
+        frozen = v._members
+        assert isinstance(frozen, frozenset)
+        assert all(check(v, s) for check in FIRST_READS.values()), (label, v)
+        assert v.members is frozen and len(frozen) == cx.ring.card**v.rank
