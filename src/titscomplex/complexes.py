@@ -31,12 +31,25 @@ class SimplicialComplex:
     simplices[d] is the sorted list of the d-simplices, each an increasing
     tuple of vertex indices.  The complex owns the position of each simplex
     in its level; faces, links and permutations read it here, and code
-    outside reaches it only through `position` and `faces`.
+    outside reaches it only through `position` and `faces`.  The top
+    level's positions are built on first read (`_index`): `faces` reads
+    only the levels below, so homology and the apartment span never build
+    them.
     """
 
     def __init__(self, simplices):
         self.simplices = simplices
-        self._pos = [{t: i for i, t in enumerate(level)} for level in simplices]
+        self._pos = [{t: i for i, t in enumerate(level)} for level in simplices[:-1]]
+        if simplices:
+            self._pos.append(None)
+
+    def _index(self, d: int) -> dict:
+        """The position of each d-simplex in its level, built on first read
+        for the top level."""
+        pos = self._pos[d]
+        if pos is None:
+            pos = self._pos[d] = {t: i for i, t in enumerate(self.simplices[d])}
+        return pos
 
     @property
     def dim(self) -> int:
@@ -55,7 +68,7 @@ class SimplicialComplex:
         level, or None when t is not a simplex of the complex."""
         t = tuple(t)
         d = len(t) - 1
-        return self._pos[d].get(t) if 0 <= d < len(self._pos) else None
+        return self._index(d).get(t) if 0 <= d < len(self._pos) else None
 
     def has_simplex(self, t) -> bool:
         return self.position(t) is not None
@@ -70,7 +83,7 @@ class SimplicialComplex:
         level = self.simplices[d]
         if d == 0:
             return [(0,)] * len(level)
-        pos = self._pos[d - 1].__getitem__
+        pos = self._index(d - 1).__getitem__
         # face i of every cell: its vertices but the i-th, zipped
         drop = [zip(*[map(operator.itemgetter(j), level) for j in range(d + 1) if j != i]) for i in range(d + 1)]
         return list(zip(*[map(pos, keys) for keys in drop]))
@@ -239,7 +252,7 @@ class TitsComplex(SimplicialComplex):
         level = self.simplices[d]
         # vertex j of every image simplex, zipped, as `faces` does
         images = zip(*[map(vperm, map(operator.itemgetter(j), level)) for j in range(d + 1)])
-        return list(map(self._pos[d].__getitem__, images))
+        return list(map(self._index(d).__getitem__, images))
 
     # -- export -------------------------------------------------------------
     def export_document(self) -> dict:

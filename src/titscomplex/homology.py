@@ -452,20 +452,26 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
     incidence +-1, as every simplicial one is); both are removed.  The
     degrees d = 0..dim are taken in rising order, and the d-cells are swept
     in index order, each one that forms a pair being removed with its face
-    at once, until a sweep removes none.  The empty simplex is the
-    (-1)-cell, the one row of the augmentation, so the first pair is the
+    at once, until a sweep removes none or no (d-1)-cell is left alive: a
+    cell with no live face never pairs, so a sweep stops at the pair that
+    takes the last one, and no sweep starts after it.  The empty simplex is
+    the (-1)-cell, the one row of the augmentation, so the first pair is the
     first vertex with it.  One pass up the degrees leaves no pair anywhere:
     the faces of a d-cell are (d-1)-cells, which only the sweeps of degrees
     d - 1 and d remove, and the later sweeps remove cells of degree d and
     up, which takes away candidates but never a face.  So the faces of the
-    d-cells are kept only until degree d + 1 is swept, when the d-cells are
-    final.  The order of removals does not matter: every statement below
+    d-cells are final once degree d + 1 is swept, and are kept until then
+    only if some (d-1)-cell survives to be a row of their boundary; on a
+    Tits complex, where only top cells survive, one level of faces is held
+    at a time.  The order of removals does not matter: every statement below
     holds for each single removal, taken in the complex as it stands at that
     moment.  A degree needs one sweep per link of a chain of cells that free
     each other in falling index order (the path 0-k-(k-1)-...-1 takes k
-    sweeps of its edges), so the sweep count has no small bound; on every
-    Tits complex tried (measured, up to T6(F2) and T4 over Z/4, Z/8 and
-    Z/9), a degree took two sweeps, the last one finding nothing, or three.
+    sweeps of its edges), so the sweep count has no small bound.  On the
+    Tits complexes tried (T3 over Z/4, Z/6, Z/9, F7, F2[e]^2 and Z/2xZ/2;
+    T4 over F3, Z/6 and Z/2xZ/2; T5(F2); T6(F2)), every degree's first
+    sweep took every live face below it, so each degree was swept once;
+    the top degree of T4 over Z/4, F2[e]^2, Z/8 and Z/9 took two.
 
     The survivors' boundaries are the restrictions of the original ones: no
     entry is ever rewritten, and the homology of the survivors under the
@@ -496,8 +502,8 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
     for d, below in enumerate(alive):
         if d <= top:
             faces, here = cx.faces(d), alive[d + 1]
-            changed = True
-            while changed:
+            left, changed = below.count(1), True
+            while left and changed:
                 changed = False
                 for a, fs in enumerate(faces):
                     if here[a]:
@@ -506,14 +512,20 @@ def coreduce(cx) -> tuple[list[list[int]], list[int], list[list[dict]]]:
                             here[a] = below[live[0]] = 0
                             pairs[d] += 1
                             changed = True
+                            left -= 1
+                            if not left:
+                                break
         survivors.append(list(compress(range(len(below)), below)))
         if d:  # level d is final: the boundary of degree d - 1
             row = {b: i for i, b in enumerate(survivors[d - 1])}
             boundaries.append([
                 {row[b]: e for b, e in zip(lower[a], cycle((1, -1))) if b in row} or _NO_ENTRY
                 for a in survivors[d]
-            ])
-        lower = faces
+            ] if row else [_NO_ENTRY] * len(survivors[d]))
+        # the faces of level d + 1 have their rows in level d; without
+        # survivors there no boundary reads them, and they go before the
+        # next level's faces are built
+        lower, faces = (faces if survivors[d] else None), None
     return survivors, pairs, boundaries
 
 

@@ -6,8 +6,11 @@ import pytest
 from titscomplex import (
     Mat,
     RingSpec,
+    apartment_class,
+    apartment_span_rank,
     build_filtration,
     build_tits_complex,
+    chamber_map,
     congruence_generators,
     elementary_matrix,
     enumerate_good_flags,
@@ -229,6 +232,48 @@ def test_position_and_has_simplex_take_any_sequence(built):
     assert cx.position(cx.facets()[0] + (0,)) is None
     assert cx.position(()) is None
     assert cx.position([0]) == 0
+
+
+def assert_top_index_built_on_first_lookup(cx):
+    """The top level's positions agree with a dict over the facets, are
+    built by the first lookup, and are reused by the next."""
+    assert cx._pos[-1] is None
+    want = {t: i for i, t in enumerate(cx.facets())}
+    assert [cx.position(t) for t in want] == list(want.values())
+    index = cx._pos[-1]
+    assert index == want
+    assert all(map(cx.has_simplex, want))
+    assert cx._pos[-1] is index
+
+
+@pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("F2", 4)])
+def test_top_index_is_built_on_first_lookup(label, n):
+    cx = build_tits_complex(parse_ring_spec(label), n)
+    # homology and the apartment span read faces only, never a facet's position
+    reduced_homology(cx)
+    apartment_span_rank(cx)
+    assert_top_index_built_on_first_lookup(cx)
+    index, top = cx._pos[-1], cx.dim
+    chain = apartment_class(cx, Mat.identity(cx.ring, n))
+    assert [chamber_map(chain, t) for t in index] == [chain.coeffs.get(i, 0) for i in index.values()]
+    for g in gl_generators(cx.ring, n):
+        vperm = cx.vertex_permutation(g)
+        want = [index[tuple(vperm[v] for v in t)] for t in cx.facets()]
+        assert cx.simplex_permutation(g, top) == want
+    assert cx._pos[-1] is index
+
+
+def test_top_index_of_links_stars_and_the_empty_complex(built):
+    cx = built.complex("Z/4", 4)
+    plane = next(i for i, s in enumerate(cx.vertices) if s.rank == 2)
+    for part in cx.link_and_star((plane,)):
+        reduced_homology(part)
+        assert_top_index_built_on_first_lookup(part)
+    empty = build_tits_complex(parse_ring_spec("Z/4"), 1)
+    reduced_homology(empty)
+    assert empty._pos == [] and empty.facets() == []
+    assert empty.position(()) is None and empty.position((0,)) is None
+    assert not empty.has_simplex((0,))
 
 
 def test_nerve_double_construction(built):

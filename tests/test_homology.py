@@ -516,9 +516,38 @@ def test_coreduction_sweeps_until_a_sweep_removes_nothing():
     assert reduced_homology(path) == smith_homology(chain_complex(path), path.f_vector)
 
 
+class CountedLevel(list):
+    """A level of face tuples that counts the loops run over it."""
+
+    sweeps = 0
+
+    def __iter__(self):
+        self.sweeps += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F7", 3), ("F3", 4), ("F2", 5)])
+def test_each_degree_is_swept_once(built, monkeypatch, label, n):
+    # every degree's first sweep pairs off every live face below it; the
+    # sweep then stops, and no empty sweep follows
+    cx = built.complex(label, n)
+    want = coreduce_columns(chain_complex(cx), cx.f_vector)
+    levels, faces = [], cx.faces
+
+    def counted(d):
+        levels.append(CountedLevel(faces(d)))
+        return levels[-1]
+
+    monkeypatch.setattr(cx, "faces", counted)
+    survivors, pairs, _ = coreduce(cx)
+    assert [level.sweeps for level in levels] == [1] * (n - 1)
+    assert (survivors, pairs) == want
+
+
 def test_homology_holds_few_bytes_per_cell():
-    # the whole route from the complex: two levels of face tuples, alive
-    # flags and the coreduced complex, and no boundary matrix
+    # the whole route from the complex: one level of face tuples at a time
+    # (no boundary reads the faces of a level over a level without
+    # survivors), alive flags and the coreduced complex, no boundary matrix
     cx = build_tits_complex(make_ring(parse_ring_spec("F2")), 5)
     cells = 1 + sum(cx.f_vector)
     assert cells == 27808
@@ -529,7 +558,7 @@ def test_homology_holds_few_bytes_per_cell():
     finally:
         tracemalloc.stop()
     assert hom.betti == [0, 0, 0, 1024]
-    assert peak < 100 * cells
+    assert peak < 60 * cells
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
