@@ -3,15 +3,12 @@
 Vertices are the summands of rank 1..m (m = n-1 for the full complex, lower
 for the rank filtration), in the catalog's order: by rank, then by sorted
 member list.  A d-simplex is a chain of d+1 vertices under the cofree
-order; since ranks are strictly increasing along a chain, listing vertices
-by rank gives every simplex one canonical orientation and no per-simplex
-sign choices survive.
+order; ranks rise strictly along a chain, so listing vertices by rank
+gives every simplex one canonical orientation and no sign choices.
 
-The order relation is containment between vertices of rising rank, read
-from the summand catalog's vector index (W contains V exactly when it holds
-every basis vector of V); that every such step is cofree is a theorem (see
-build_filtration).  `verify` keeps the member-set containment scan as the
-independent oracle and recounts cofreeness with the quotient oracle.
+The order relation is containment, read from the catalog's index;
+every such step is cofree (build_filtration).  `verify` keeps the
+member-set scan and recounts cofreeness with the quotient oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +27,9 @@ class SimplicialComplex:
 
     simplices[d] is the sorted list of the d-simplices, each an increasing
     tuple of vertex indices.  The complex owns the position of each simplex
-    in its level; faces, links and permutations read it here, and code
-    outside reaches it only through `position` and `faces`.  The top
-    level's positions are built on first read (`_index`): `faces` reads
-    only the levels below, so homology and the apartment span never build
+    in its level; code outside reads it through `position` and `faces`.
+    The top level's positions are built on first read (`_index`): `faces`
+    reads only the levels below, so homology and apartments never build
     them.
     """
 
@@ -74,9 +70,9 @@ class SimplicialComplex:
         return self.position(t) is not None
 
     def faces(self, d: int) -> list[tuple]:
-        """The positions of the faces of each d-cell of a simplicial complex,
-        one tuple per cell, in vertex-deletion order: face i drops vertex i and
-        has incidence (-1)^i.  A vertex's one face is row 0, the empty simplex.
+        """The positions of the faces of each d-cell, one tuple per cell, in
+        vertex-deletion order: face i drops vertex i and has incidence (-1)^i.
+        A vertex's one face is row 0, the empty simplex.
 
         Every loop runs in C (`map`, `zip`), and tuples of ints, unlike lists,
         leave the cyclic collector's tracking once it has seen them."""
@@ -129,8 +125,7 @@ def _trim(levels):
 class TitsComplex(SimplicialComplex):
     """Simplicial complex of good flags, with vertices of rank <= max_rank."""
 
-    # exported in schema v1; always 0, since every included pair of vertices
-    # is cofree (build_filtration), which verify's recount confirms
+    # schema v1; 0, as every included pair is cofree (build_filtration)
     included_not_cofree = 0
 
     def __init__(
@@ -142,8 +137,8 @@ class TitsComplex(SimplicialComplex):
         self.n = n
         self.max_rank = max_rank
         self.vertices = vertices  # list[Summand], sorted by (rank, sorted members)
-        # the catalog the vertices came from (held, not copied: its vector
-        # index answers vertex_of_span) and rank -> index of its first vertex
+        # the catalog of the vertices (its index answers containment) and
+        # rank -> index of its first vertex
         self.catalog = catalog
         self.start = start
         # vertex index by sorted spanning vectors (`vertex_of_span`) and by
@@ -153,28 +148,25 @@ class TitsComplex(SimplicialComplex):
     @functools.cached_property
     def line_upsets(self) -> dict:
         """k -> the frozenset of rank-k vertices holding each line (rank-1
-        vertex), 2 <= k <= max_rank, from the catalog's vector index, the
-        query build_filtration makes for every vertex."""
+        vertex), 2 <= k <= max_rank, as build_filtration reads them."""
+        cat = self.catalog
         return {
-            k: [frozenset(self.start[k] + p for p in self.catalog.containing(k, line.basis))
-                for line in self.vertices[: self.start[2]]]
+            k: [frozenset(map(self.start[k].__add__, cat.holding(k, b))) for b in cat.basis_codes(1)]
             for k in range(2, self.max_rank + 1)
         }
 
     def vertex_of_span(self, vectors) -> int:
         """Index of the vertex of which the vectors are a basis, memoised
-        per complex by the sorted vectors.
+        by the sorted vectors.
 
-        For k = len(vectors), raises RuntimeError unless 1 <= k <= max_rank
-        (the empty set spans the zero summand, no vertex), and ValueError
-        unless one rank-k vertex holds them all.  No member set is built:
-        for such k (< n) the vectors are a basis of a rank-k vertex W
-        exactly when W is the only rank-k vertex holding all of them, which
-        the catalog's vector index answers (a vector outside R^n is held
-        by none).
-        - If they are a basis of W, every rank-k vertex holding them
-          contains W, and equal-rank containment is equality.
-        - Conversely, let W be the only rank-k vertex holding them and
+        Raises RuntimeError unless 1 <= k = len(vectors) <= max_rank (the
+        empty set spans 0, no vertex), and ValueError unless one rank-k
+        vertex holds them all, which the catalog's index answers with no
+        member set.  For k < n they are a basis of a vertex W exactly when
+        W is the only rank-k vertex holding them:
+        - if they are a basis of W, every rank-k vertex holding them
+          contains W, and equal-rank containment is equality;
+        - conversely, let W be the only rank-k vertex holding them and
           write them as B*C with B a basis of W.  If det C were not a unit,
           it would be a zero divisor in some local factor of R, and by
           McCoy's theorem some row y != 0 over that factor has y*C = 0.
@@ -200,14 +192,13 @@ class TitsComplex(SimplicialComplex):
     def span_of_lines(self, lines) -> int:
         """Index of the vertex spanned by k lines (vertex indices,
         2 <= k <= max_rank) whose generators are k columns of an invertible
-        matrix, memoised per complex by the tuple of lines.
+        matrix, memoised by the tuple of lines.
 
         That span W is the one vertex in all the lines' rank-k up-sets
         (`line_upsets`): k columns of an invertible matrix span a free
-        rank-k summand with a free complement, a vertex holding each line.
-        A rank-k vertex V holding the lines contains W, which is then a
-        summand of V with a complement of rank 0, that is 0 (projectives
-        over these rings are free), so V = W.  Lines in no rank-k vertex,
+        rank-k summand with a free complement, a vertex holding each line,
+        and a rank-k vertex holding the lines contains W, so it is W
+        (equal-rank containment is equality).  Lines in no rank-k vertex,
         or in more than one, raise RuntimeError.
         """
         lines = tuple(lines)
@@ -299,10 +290,10 @@ def build_filtration(spec_or_ring, n: int, m: int, budget: int | None = DEFAULT_
     # rank(W) - rank(V), and over these finite rings, products of local
     # rings, such a module is free, so every included pair is cofree.
     # W contains V exactly when it holds every basis vector of V, which the
-    # catalog's vector index answers; verify keeps the member-set scan.
+    # catalog's index answers from basis codes; verify keeps the member scan.
     upsets = [
-        [start[k] + p for k in range(v.rank + 1, m + 1) for p in catalog.containing(k, v.basis)]
-        for v in vertices
+        [start[k] + p for k in range(r + 1, m + 1) for p in catalog.holding(k, b)]
+        for r in range(1, m + 1) for b in catalog.basis_codes(r)
     ]
 
     # the relation is transitive, so the chains are the paths that step up

@@ -4,16 +4,12 @@ Two independent routes are kept side by side on purpose: closed counting
 formulas (Gaussian binomials, the radical factorisation of |Gr_k^n|) and
 enumeration of each Grassmannian as one GL_n(R)-orbit.  Tests and the
 verify suite hold the two against each other, and against brute-force spans.
-
-The orbit walk runs on `walk_generators`, elementary row operations
-between neighbouring coordinates and scalings of the first coordinate by
-generators of R^x, each tabulated once as a list over the integer codes of
-R^n; it applies no matrix and builds no span (`SummandCatalog`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, budgeted_ring, check_budget, spec_of
 from .linalg import Summand
@@ -87,12 +83,11 @@ def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
 
 def budgeted_flag_count(spec: RingSpec, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> int:
     """`good_flag_count` of the type lam, after the budget checks that
-    `enumerate_good_flags` and `complexes.build_filtration` make first: the
-    member vectors of each Grassmannian the flags walk, in rank order, then
-    the flag count, so a large n is refused at the rank-1 estimate, one
-    product, before the flag count multiplies n - 1 Grassmannian sizes.
-    They bound the vertices too: if |Gr_k|*q^k <= B for each rank k, the
-    |Gr_k| sum to at most B/(q - 1) <= B."""
+    `enumerate_good_flags` and `build_filtration` make first: the member
+    vectors of each Grassmannian the flags walk, in rank order, so a large
+    n is refused at the rank-1 estimate, then the flag count.  They bound
+    the vertices too: if |Gr_k|*q^k <= B for each rank k, the |Gr_k| sum
+    to at most B/(q - 1) <= B."""
     lam = flag_type(lam, n)
     ranks = proper_ranks(lam)
     for r in ranks:
@@ -116,22 +111,20 @@ def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
     """Generators of GL_n(R) for the orbit walk, as row operations (i, j, a).
 
     For i != j, (i, j, a) is E_ij(a), which sets v_i <- v_i + a*v_j; (0, 0, u)
-    is diag(u, 1, ..., 1), which sets v_0 <- u*v_0 (`row_operation`).  The
-    list holds E_{i,i+1}(a) and E_{i+1,i}(a) for i < n - 1 and each additive
-    generator a of R, then the scalings by a generating set of R^x, picked
-    greedily: a unit joins when it lies outside the subgroup the units kept
-    so far generate.
+    is diag(u, 1, ..., 1), which sets v_0 <- u*v_0.  The list holds
+    E_{i,i+1}(a) and E_{i+1,i}(a) for i < n - 1 and each additive generator
+    a of R, then the scalings by a generating set of R^x, picked greedily:
+    a unit joins when it lies outside the subgroup the units kept generate.
 
     They generate GL_n(R):
     - E_ij(a) E_ij(b) = E_ij(a + b), so the additive generators give
       E_{i,i+1}(r) and E_{i+1,i}(r) for every r in R;
-    - the commutator [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then
-      gives every E_ij(r), by induction on |i - j|, hence all of E_n(R);
-    - GL_n(R) = E_n(R) GL_1(R) for every finite ring (the fact
-      `linalg.gl_generators` cites), and the scalings give GL_1(R);
+    - [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then gives every
+      E_ij(r), by induction on |i - j|, hence all of E_n(R);
+    - GL_n(R) = E_n(R) GL_1(R) for every finite ring (as in
+      `linalg.gl_generators`), and the scalings give GL_1(R);
     - the group is finite, so each generator's inverse is a power of it,
-      and a breadth-first walk under the generators alone reaches the
-      whole orbit.
+      and a breadth-first walk under the generators reaches the orbit.
     """
     ops = []
     for i in range(n - 1):
@@ -151,49 +144,39 @@ def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
     return ops
 
 
-def row_operation(ring: Ring, op: tuple[int, int, int]):
-    """The map v -> g*v on R^n of the walk generator g = op (see `walk_generators`)."""
-    i, j, a = op
-    add, times_a = ring.add, ring.mul[a]
-    if i == j:
-        return lambda v: v[:i] + (times_a[v[i]],) + v[i + 1:]
-    return lambda v: v[:i] + (add[v[i]][times_a[v[j]]],) + v[i + 1:]
-
-
 class SummandCatalog:
     """Per-(ring, n) cache of Grassmannians and of which summands hold which vectors.
 
     Gr_k is the orbit of span(e_1..e_k) under GL_n(R), which is transitive
-    on it: for V, V' in Gr_k with free complements C, C', the matrix taking
-    a basis of V, then of C, to one of V', then of C', takes V to V'.  The
-    orbit is walked breadth-first under `walk_generators`.  Equal-rank
-    containment is equality: a free rank-k summand holding a basis of
-    another contains it, and both have q^k members.  So g*V is already
-    found exactly when a found summand holds every g*b, b a basis of V, and
-    a new g*V takes the members {g*v : v in V} (g is a bijection of R^n);
-    no span is built.  The same index answers containment between ranks
-    (`containing`).
+    on it (for V, V' in Gr_k with free complements C, C', the matrix taking
+    a basis of V, then of C, to one of V', then of C', takes V to V'),
+    walked breadth-first under `walk_generators`.  Equal-rank containment
+    is equality: a free rank-k summand holding a basis of another contains
+    it, and both have q^k members.  So g*V is already found exactly when a
+    found summand holds every g*b, b in a basis of V; for k = 1 one index
+    list answers, as a line holding g*b contains span(g*b) = g*V.  A new
+    g*V takes the members {g*v : v in V} (g is a bijection of R^n); no span
+    is built.
 
     The walk runs on codes c(v) = sum v_i*q^(n-1-i), the position of v in
-    `space`, R^n in lexicographic order; `code` is the inverse dict.  Each
-    generator is a list code -> image code, built once per catalog from
-    `row_operation`; bases and members are code lists, the index is a list
-    over codes.  Each `Summand` decodes its basis through `space` after the
-    sort, and keeps its sorted member codes undecoded until its member set
-    is first read (`Summand.members`).  c is an order isomorphism onto
-    range(q^n): if v < w first differ at i, c(w) - c(v) >= q^(n-1-i) -
-    sum_{j>i} (q-1)*q^(n-1-j) = 1.  So sorted code lists compare as the
-    sorted member tuples they decode to, and Gr_k is ordered by its sorted
-    member tuples.
+    `space`, R^n in lexicographic order (`code` is the inverse dict), so the
+    digit d_i(c) = c // q^(n-1-i) % q is v_i.  A move changes one entry:
+    E_ij(a) maps c to c + (add[d_i][a*d_j] - d_i)*q^(n-1-i) and
+    diag(u, 1, ...) maps c to c + (u*d_0 - d_0)*q^(n-1), so each is a list
+    code -> image code built from digit lists alone, once per catalog.
+    Containment is read from basis codes (`holding`); a `Summand` decodes
+    its codes after the sort.  c is an order isomorphism onto range(q^n):
+    if v < w first differ at i, c(w) - c(v) >= q^(n-1-i) - sum_{j>i}
+    (q-1)*q^(n-1-j) = 1, so sorted code lists compare as the sorted member
+    tuples, the order of Gr_k.
 
-    The ring's tables and the walk tables are built only after the budget
-    checks of the first Gr_k, k >= 1; Gr_0 = {0} needs none.  `space`,
-    `code`, each walk table and each index have q^n entries (an index also
-    holds |Gr_k|*q^k ids), and q^n <= |Gr_k|*q^k, the count the budget
-    admits, for 1 <= k <= n: per residue field F_i, |Gr_k^n(F_i)| is a
-    Gaussian binomial, a polynomial in q_i with nonnegative coefficients
-    and leading term q_i^(k(n-k)), so |Gr_k^n(R)| >= |J|^(k(n-k)) * prod
-    q_i^(k(n-k)) = q^(k(n-k)), and |Gr_k|*q^k >= q^(k(n-k+1)) =
+    The ring's and the walk's tables are built after the budget checks of
+    the first Gr_k, k >= 1 (Gr_0 = {0} needs none).  Each table and index
+    has q^n entries (an index also holds |Gr_k|*q^k ids), and for
+    1 <= k <= n, q^n <= |Gr_k|*q^k, the count the budget admits: per
+    residue field F_i, |Gr_k^n(F_i)| is a polynomial in q_i with
+    nonnegative coefficients and leading term q_i^(k(n-k)), so |Gr_k^n(R)|
+    >= |J|^(k(n-k)) * prod q_i^(k(n-k)) = q^(k(n-k)), and |Gr_k|*q^k >=
     q^n * q^((k-1)(n-k)) >= q^n.
     """
 
@@ -202,8 +185,8 @@ class SummandCatalog:
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
-        # k >= 1 -> (code -> walk ids of the summands holding it, id -> position)
-        self._index: dict[int, tuple[list[list[int]], dict[int, int]]] = {}
+        # k >= 1 -> (code -> walk ids holding it, id -> position, basis codes)
+        self._index: dict[int, tuple] = {}
         self._tables = None  # (space, code, moves), built by the first Gr_k, k > 0
 
     def grassmannian(self, k: int) -> list[Summand]:
@@ -231,9 +214,9 @@ class SummandCatalog:
             for p in frontier:
                 for g in moves:
                     image = [g[c] for c in bases[p]]
-                    if not _holding_all(index, image):
+                    if not (index[image[0]] if k == 1 else _holding_all(index, image)):
                         new = len(bases)  # one shared int per summand
-                        moved = [g[c] for c in members[p]]
+                        moved = list(map(g.__getitem__, members[p]))
                         for c in moved:
                             index[c].append(new)
                         nxt.append(new)
@@ -244,7 +227,7 @@ class SummandCatalog:
         for m in members:
             m.sort()
         order = sorted(range(len(members)), key=members.__getitem__)
-        self._index[k] = index, dict(zip(order, range(len(order))))
+        self._index[k] = index, dict(zip(order, range(len(order)))), list(map(bases.__getitem__, order))
         decode = space.__getitem__
         out = [Summand(ring, n, k, map(decode, members[i]), map(decode, bases[i])) for i in order]
         self._gr[k] = out
@@ -253,32 +236,60 @@ class SummandCatalog:
     def _walk_tables(self, ring: Ring):
         """`space`, `code` and the walk tables, built once."""
         if self._tables is None:
-            space = list(itertools.product(range(ring.card), repeat=self.n))
-            code = dict(zip(space, range(len(space))))
-            ops = walk_generators(ring, self.n)
-            self._tables = space, code, [list(map(code.__getitem__, map(row_operation(ring, op), space))) for op in ops]
+            n, q = self.n, ring.card
+            space = list(itertools.product(range(q), repeat=n))
+            # d_i over range(q^n): each digit q^(n-1-i) times, the run q^i times
+            digits = [[x for x in range(q) for _ in range(q ** (n - 1 - i))] * q**i for i in range(n)]
+            moves = [_move_table(ring, digits, op) for op in walk_generators(ring, n)]
+            self._tables = space, dict(zip(space, range(q**n))), moves
         return self._tables
+
+    def basis_codes(self, k: int) -> list[list[int]]:
+        """The basis codes of grassmannian(k), k >= 1, by position."""
+        self.grassmannian(k)
+        return self._index[k][2]
+
+    def holding(self, k: int, codes) -> list[int]:
+        """Ascending positions in grassmannian(k), once built, k >= 1, of the
+        summands holding all of one or more codes: the containment route."""
+        index, pos, _ = self._index[k]
+        ids = index[codes[0]] if len(codes) == 1 else _holding_all(index, codes)
+        return sorted(map(pos.__getitem__, ids))
 
     def containing(self, k: int, vectors) -> list[int]:
         """Ascending positions in grassmannian(k) of the summands holding
-        every one of the vectors: all of them for no vectors, none when a
+        all the vectors (sequences): all of them for no vectors, none when a
         vector lies outside R^n."""
         gr = self.grassmannian(k)
+        vectors = list(map(tuple, vectors))
         if not vectors:
             return list(range(len(gr)))
         if not k:
             return [0] if gr[0].members.issuperset(vectors) else []
         codes = list(map(self._tables[1].get, vectors))
-        if None in codes:
-            return []
-        index, pos = self._index[k]
-        return sorted(map(pos.__getitem__, _holding_all(index, codes)))
+        return [] if None in codes else self.holding(k, codes)
+
+
+def _move_table(ring: Ring, digits, op) -> list[int]:
+    """The walk generator op as a list code -> image code (`SummandCatalog`)."""
+    i, j, a = op
+    q, n = ring.card, len(digits)
+    w, times_a = q ** (n - 1 - i), ring.mul[a]
+    # entry i goes from x to u*x (i = j) or to x + a*y, y = entry j
+    shift = [[((times_a[x] if i == j else plus[times_a[y]]) - x) * w for y in range(q)] for x, plus in enumerate(ring.add)]
+    steps = map(list.__getitem__, map(shift.__getitem__, digits[i]), digits[j])
+    return list(map(operator.add, range(q**n), steps))
 
 
 def _holding_all(index, codes) -> set[int]:
-    """Intersection of the codes' index entries, smallest first."""
-    hits = sorted(map(index.__getitem__, codes), key=len)
-    return set(hits[0]).intersection(*hits[1:])
+    """The ids in all the codes' index lists (two or more codes), from a
+    set of the shorter of the first two."""
+    a, b = index[codes[0]], index[codes[1]]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(codes) == 2:
+        return set(a).intersection(b)
+    return set(a).intersection(b, *map(index.__getitem__, codes[2:]))
 
 
 def enumerate_grassmannian(spec_or_ring, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> list[Summand]:
@@ -290,11 +301,10 @@ def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT
     """All good flags of the given type, each a tuple of summands of strictly
     increasing rank, by iterated containment in the Grassmannians.
 
-    Each chain steps to the summands of the next rank that contain its last
-    one (`SummandCatalog.containing`), in ascending position, so the flags
-    come out in the catalog's order.  Containment is enough for each step:
-    W/V is projective of constant rank and hence free (see
-    complexes.build_filtration).
+    Each chain steps to the summands of the next rank holding the basis
+    codes of its last one (`SummandCatalog.holding`), in ascending position,
+    so the flags come out in the catalog's order.  Containment is enough:
+    W/V is projective of constant rank, hence free (build_filtration).
     """
     spec = spec_of(spec_or_ring)
     budgeted_flag_count(spec, n, lam, budget)
@@ -302,8 +312,9 @@ def enumerate_good_flags(spec_or_ring, n: int, lam, budget: int | None = DEFAULT
     if not ranks:
         return [()]
     catalog = SummandCatalog(spec, n, budget)
-    chains = [(s,) for s in catalog.grassmannian(ranks[0])]
-    for r in ranks[1:]:
-        gr = catalog.grassmannian(r)
-        chains = [c + (gr[p],) for c in chains for p in catalog.containing(r, c[-1].basis)]
-    return chains
+    grs = list(map(catalog.grassmannian, ranks))
+    chains = [(p,) for p in range(len(grs[0]))]
+    for r, s in zip(ranks[1:], ranks):
+        bases = catalog.basis_codes(s)
+        chains = [c + (p,) for c in chains for p in catalog.holding(r, bases[c[-1]])]
+    return [tuple(map(list.__getitem__, grs, c)) for c in chains]

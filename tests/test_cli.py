@@ -481,18 +481,19 @@ def test_verify_corrupt_hook_fails(monkeypatch, capsys):
 
 
 def test_nerve_check_is_independent_of_the_catalog_index(monkeypatch):
-    """The complex reads containment from the catalog's vector index; the
-    nerve check builds its chains by member sets, so one lost hit fails it."""
-    containing = SummandCatalog.containing
+    """The complex reads containment from the catalog's vector index (one
+    route, `SummandCatalog.holding`); the nerve check builds its chains by
+    member sets, so one lost hit fails it."""
+    holding = SummandCatalog.holding
     dropped = []
 
-    def drop_one(self, k, vectors):
-        hits = containing(self, k, vectors)
+    def drop_one(self, k, codes):
+        hits = holding(self, k, codes)
         if hits and not dropped:
             dropped.append(hits.pop())
         return hits
 
-    monkeypatch.setattr(SummandCatalog, "containing", drop_one)
+    monkeypatch.setattr(SummandCatalog, "holding", drop_one)
     report = run_verify("full", only=["structure-nerve"])
     assert dropped
     assert [c["status"] for c in report["checks"]] == ["fail"]

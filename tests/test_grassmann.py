@@ -23,10 +23,20 @@ from titscomplex import (
     steinberg_rank,
 )
 from titscomplex import grassmann, linalg
-from titscomplex.grassmann import good_flag_count, proper_ranks, row_operation, walk_generators
+from titscomplex.grassmann import good_flag_count, proper_ranks, walk_generators
 from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import reverify_flag
+
+
+def row_operation(ring, op):
+    """Test oracle: the map v -> g*v on R^n, tuple by tuple, of the walk
+    generator g = op (see `walk_generators`)."""
+    i, j, a = op
+    add, times_a = ring.add, ring.mul[a]
+    if i == j:
+        return lambda v: v[:i] + (times_a[v[i]],) + v[i + 1:]
+    return lambda v: v[:i] + (add[v[i]][times_a[v[j]]],) + v[i + 1:]
 
 
 def count_subspaces_fq(n, k, q):
@@ -199,10 +209,14 @@ def _lex_code(v, q):
     return sum(x * q ** (len(v) - 1 - i) for i, x in enumerate(v))
 
 
-@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 2)])
+@pytest.mark.parametrize("label,n", [
+    ("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 2),
+    ("Z/9", 1), ("F2", 1), ("Z/8", 3), ("Z/2xZ/2xZ/3", 3), ("F2[e]^2", 4),
+])
 def test_walk_tables_are_bijections_matching_row_operation(label, n):
-    """Each coded walk table permutes range(q^n) and decodes, code by code,
-    to the row operation it tabulates."""
+    """Each coded walk table, built by digit arithmetic, permutes range(q^n)
+    and decodes, code by code, to the row operation it tabulates: every
+    digit position (n = 1 to 4) and every ring kind."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
     catalog = SummandCatalog(ring.spec, n)
@@ -221,12 +235,13 @@ def test_walk_tables_are_bijections_matching_row_operation(label, n):
 
 def test_walk_tables_are_built_once_per_catalog(monkeypatch):
     built = []
+    move_table = grassmann._move_table
 
-    def counted(ring, op):
+    def counted(ring, digits, op):
         built.append(op)
-        return row_operation(ring, op)
+        return move_table(ring, digits, op)
 
-    monkeypatch.setattr(grassmann, "row_operation", counted)
+    monkeypatch.setattr(grassmann, "_move_table", counted)
     spec = parse_ring_spec("Z/9")
     # the Gr_1 budget check fails before any table is built
     over = SummandCatalog(spec, 3, budget=100)
@@ -271,7 +286,8 @@ def test_vector_codes_round_trip_and_sort_as_tuples(label, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_containing_outside_the_space_and_of_no_vectors(label, n):
     """A vector of the wrong length or with an entry >= q lies in no summand,
-    and every summand holds all of no vectors."""
+    every summand holds all of no vectors, and a list names the vector its
+    tuple does."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
     catalog = SummandCatalog(ring.spec, n)
@@ -280,9 +296,13 @@ def test_containing_outside_the_space_and_of_no_vectors(label, n):
         size = len(catalog.grassmannian(k))
         assert catalog.containing(k, []) == list(range(size)), (label, n, k)
         assert catalog.containing(k, [zero]) == list(range(size)), (label, n, k)
+        assert catalog.containing(k, [list(zero)]) == list(range(size)), (label, n, k)
         for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
             assert catalog.containing(k, [bad]) == [], (label, n, k, bad)
-            assert catalog.containing(k, [zero, bad]) == [], (label, n, k, bad)
+            assert catalog.containing(k, [zero, list(bad)]) == [], (label, n, k, bad)
+        for s in catalog.grassmannian(k)[::5]:
+            want = catalog.containing(k, s.basis)
+            assert want and catalog.containing(k, list(map(list, s.basis))) == want, (label, n, k)
 
 
 def _walk_by_row_operation(ring, n, k):
@@ -306,7 +326,7 @@ def _walk_by_row_operation(ring, n, k):
     return sorted(found.items(), key=lambda item: sorted(item[0]))
 
 
-@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3)])
+@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 3)])
 def test_grassmannian_equals_a_walk_by_row_operation(label, n):
     ring = make_ring(parse_ring_spec(label))
     catalog = SummandCatalog(ring.spec, n)
@@ -317,6 +337,27 @@ def test_grassmannian_equals_a_walk_by_row_operation(label, n):
         assert [(s.members, s.basis) for s in got] == want, (label, k)
         for v in space:
             assert catalog.containing(k, [v]) == [p for p, (m, _) in enumerate(want) if v in m], (label, k, v)
+
+
+@pytest.mark.parametrize("label,n,counts", [("Z/9", 3, [0, 585]), ("F3", 4, [0, 910, 280])])
+def test_found_check_intersects_index_lists_only_above_rank_one(monkeypatch, label, n, counts):
+    """A fresh catalog's walk intersects no index lists on Gr_1 (one list
+    answers there) and exactly once per (summand, move) on Gr_k, k >= 2."""
+    calls = []
+    holding_all = grassmann._holding_all
+
+    def counted(index, codes):
+        calls.append(len(codes))
+        return holding_all(index, codes)
+
+    monkeypatch.setattr(grassmann, "_holding_all", counted)
+    catalog = SummandCatalog(parse_ring_spec(label), n)
+    moves = len(walk_generators(make_ring(catalog.spec), n))
+    for k, want in enumerate(counts, start=1):
+        calls.clear()
+        size = len(catalog.grassmannian(k))
+        assert len(calls) == want == (k > 1) * size * moves, (label, k)
+        assert set(calls) <= {k}
 
 
 def test_walk_ends_over_a_product_ring():
