@@ -85,14 +85,14 @@ class SimplicialComplex:
         return list(zip(*[map(pos, keys) for keys in drop]))
 
     def is_pure(self) -> bool:
-        """Every simplex is a face of some top-dimensional simplex."""
-        if not self.simplices:
-            return True
-        covered = set()
-        for f in self.simplices[-1]:
-            for size in range(1, len(f) + 1):
-                covered.update(itertools.combinations(f, size))
-        return all(t in covered for level in self.simplices for t in level)
+        """Every simplex is a face of some top-dimensional simplex: exactly
+        when, for every d >= 1, the faces of the d-simplices cover every
+        (d-1)-simplex.  Climbing one level at a time reaches the top; and a
+        top simplex holding a (d-1)-simplex holds a d-simplex holding it."""
+        return all(
+            len(set(itertools.chain.from_iterable(self.faces(d)))) == len(self.simplices[d - 1])
+            for d in range(1, len(self.simplices))
+        )
 
     def vertex_set(self):
         return sorted({i for level in self.simplices for t in level for i in t})

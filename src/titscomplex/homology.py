@@ -260,23 +260,24 @@ def _lincomb(d0: dict, a: int, d1: dict, b: int) -> dict:
 
 
 def normalize_divisors(pivots) -> list[int]:
-    """Invariant factors of diag(pivots): gcd/lcm sweep until divisibility holds."""
-    divs = sorted(abs(p) for p in pivots)
-    nontrivial = [d for d in divs if d != 1]
-    ones = len(divs) - len(nontrivial)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(nontrivial)):
-            for j in range(i + 1, len(nontrivial)):
-                a, b = nontrivial[i], nontrivial[j]
-                if b % a != 0:
-                    g = math.gcd(a, b)
-                    nontrivial[i], nontrivial[j] = g, a * b // g
-                    changed = True
-        nontrivial.sort()
-    new_ones = sum(1 for d in nontrivial if d == 1)
-    return [1] * (ones + new_ones) + [d for d in nontrivial if d != 1]
+    """Invariant factors of diag(pivots), by one gcd/lcm pass over the pairs
+    i < j of the non-unit entries.
+
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) have the same Smith form, so
+    no step changes the answer, and one pass ends in a divisibility chain:
+    the step (i, j) leaves entry i dividing entry j and every entry it met
+    before (it only shrinks to a divisor), so after the steps for i it
+    divides every later entry, and the later steps replace those only by
+    gcds and lcms of multiples of it.  A chain of positive integers
+    ascends, units first."""
+    divs = [abs(p) for p in pivots]
+    rest = [d for d in divs if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            g = math.gcd(a, b)
+            rest[i], rest[j] = g, a // g * b
+    return [1] * (len(divs) - len(rest)) + rest
 
 
 MOD_P = (1 << 61) - 1  # a Mersenne prime

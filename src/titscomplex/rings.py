@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import re
 
 DEFAULT_BUDGET = 10**6
 
@@ -196,6 +197,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     Grammar (round-trips through RingSpec.label):
         spec    := atom ("x" atom)*
         atom    := "Z/" int | "F" int | "F" int "[e]" ("^" int)?
+        int     := "-"? [0-9]+
     F2[e] with no exponent means F2[e]^2, the dual numbers.  Only the syntax
     is checked here; the RingSpec constructors check primality and ranges.
     """
@@ -207,37 +209,19 @@ def parse_ring_spec(text: str) -> RingSpec:
     return RingSpec.product(atoms)
 
 
+_ATOM = re.compile(r"Z/(-?[0-9]+)|F(-?[0-9]+)(\[e\](?:\^(-?[0-9]+))?)?")
+
+
 def _parse_atom(atom: str, full: str) -> RingSpec:
-    err = ValueError(f"cannot parse ring spec {full!r} (bad component {atom!r})")
-    if atom.startswith("Z/"):
-        try:
-            m = int(atom[2:])
-        except ValueError:
-            raise err from None
-        return RingSpec.modular(m)
-    if atom.startswith("F"):
-        rest = atom[1:]
-        k = None
-        if "[e]" in rest:
-            base, _, exp = rest.partition("[e]")
-            if exp == "":
-                k = 2
-            elif exp.startswith("^"):
-                try:
-                    k = int(exp[1:])
-                except ValueError:
-                    raise err from None
-            else:
-                raise err
-            rest = base
-        try:
-            p = int(rest)
-        except ValueError:
-            raise err from None
-        if k is None:
-            return RingSpec.prime_field(p)
-        return RingSpec.truncated_poly(p, k)
-    raise err
+    m = _ATOM.fullmatch(atom)
+    if m is None:
+        raise ValueError(f"cannot parse ring spec {full!r} (bad component {atom!r})")
+    modulus, p, poly, k = m.groups()
+    if modulus is not None:
+        return RingSpec.modular(int(modulus))
+    if poly is None:
+        return RingSpec.prime_field(int(p))
+    return RingSpec.truncated_poly(int(p), int(k or 2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +232,9 @@ def _payloads(spec: RingSpec) -> list:
     if spec.kind in ("modular", "prime_field"):
         return list(range(spec.params[0]))
     if spec.kind == "trunc_poly":
+        # coefficient tuples (c_0, ..., c_{k-1}) in numeric order of sum c_i p^i
         p, k = spec.params
-        out = []
-        for v in range(p**k):
-            digits = []
-            for _ in range(k):
-                digits.append(v % p)
-                v //= p
-            out.append(tuple(digits))
-        return out
+        return [t[::-1] for t in itertools.product(range(p), repeat=k)]
     factor_lists = [_payloads(f) for f in spec.params]
     return [tuple(t) for t in itertools.product(*factor_lists)]
 

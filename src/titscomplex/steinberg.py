@@ -149,12 +149,13 @@ def _class_coeffs(cx: TitsComplex, frame, coord) -> dict[int, int]:
     indices), which the caller knows to be a frame: their generators form
     an invertible matrix.
 
-    `coord` takes every facet to its coordinate.  With `cx.position` this
-    is the full class, keyed by facet position; a facet sent to a negative
-    coordinate is left out, so a map that keeps only some facets builds the
-    class restricted to them and never the full one.  A flag that `coord`
-    sends to None raises: it is not a facet.  The span of 2 to n - 1 of
-    the lines is `cx.span_of_lines` (proof there).
+    `coord` takes a facet to its coordinate, or to None to leave it out.
+    With `cx.position` this is the full class, keyed by facet position:
+    on the full complex (`_require_full`) the prefix spans of a frame form
+    a complete chain of free, cofree summands, which is a facet, so
+    `position` never answers None.  A map that keeps only some facets
+    builds the class restricted to them and never the full one.  The span
+    of 2 to n - 1 of the lines is `cx.span_of_lines` (proof there).
     """
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
@@ -170,9 +171,7 @@ def _class_coeffs(cx: TitsComplex, frame, coord) -> dict[int, int]:
     # distinct summands), so no two terms meet at one coordinate
     for facet, c in _flag_terms(n):
         k = coord(facet(vertex_of))
-        if k is None:
-            raise RuntimeError("apartment flag is not a facet (complex incomplete?)")
-        if k >= 0:
+        if k is not None:
             coeffs[k] = c
     return coeffs
 
@@ -393,7 +392,7 @@ def apartment_span_rank(
     Apartment classes are top cycles, so the span rank is at most
     top_betti, and both modes stop at the first apartment that brings the
     rank to it.  Each class is built on the surviving top cells only
-    (`_class_coeffs` with a map that sends the other facets to -1), where
+    (`_class_coeffs` with a map that holds no other facet), where
     it has the same rank over Q as the full classes.  The restrictions are
     reduced mod a large prime (`ModPEchelon`), whose rank is at most the
     rank over Q, so a mod-p rank equal to top_betti is exact.  Both cycle
@@ -420,11 +419,9 @@ def apartment_span_rank(
     survivors, _, boundaries = coreduce(cx)
     top = survivors[-1]
     top_betti = len(top) - smith_rank_and_divisors(boundaries[-1])[0]
-    # the class coordinates: a facet's index if it survives, else -1
+    # the class coordinates: the surviving top cells only
     facets = cx.facets()
-    pos = dict.fromkeys(facets, -1)
-    for k in top:
-        pos[facets[k]] = k
+    pos = {facets[k]: k for k in top}
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     ech = ModPEchelon()
     if mode == "exhaustive":

@@ -139,43 +139,27 @@ def _check_ut(ctx, cases):
                     return False, f"({label}, n={n}): off-diagonal entry {v} at ({i},{j})"
     return True, "upper-triangular pairings diagonal for " + ", ".join(f"({label},{n})" for label, n in cases)
 
-def _eta_case(ctx, label, n, m_payload):
-    cx = ctx.complex(label, n)
-    eta = eta_class(cx, m_payload)
-    if eta.is_zero():
-        return False, f"eta over {label}, n={n} is zero"
-    for k, b in enumerate(ut_bases(cx.ring, n, ctx.budget)):
-        c = chamber_map(eta, reverse_ut_facet(cx, b))
-        if c:
-            return False, f"eta over {label}, n={n} has chamber map {c} at upper-triangular basis {k}"
-    if not eta.boundary_is_zero():
-        return False, f"eta over {label}, n={n} is not a cycle"
-    return True, ""
+def _check_eta(ctx, cases, summary):
+    for label, n, m_payload in cases:
+        cx = ctx.complex(label, n)
+        eta = eta_class(cx, m_payload)
+        if eta.is_zero():
+            return False, f"eta over {label}, n={n} is zero"
+        for k, b in enumerate(ut_bases(cx.ring, n, ctx.budget)):
+            c = chamber_map(eta, reverse_ut_facet(cx, b))
+            if c:
+                return False, f"eta over {label}, n={n} has chamber map {c} at upper-triangular basis {k}"
+        if not eta.boundary_is_zero():
+            return False, f"eta over {label}, n={n} is not a cycle"
+    return True, summary
 
-def _check_eta_fast(ctx):
-    ok, detail = _eta_case(ctx, "Z/4", 2, 2)
-    return ok, detail or "eta nonzero and killed by all UT chamber maps (Z/4, n=2)"
-
-def _check_eta_full(ctx):
-    for label, n, m in [("Z/9", 2, 3), ("Z/4", 3, 2)]:
-        ok, detail = _eta_case(ctx, label, n, m)
-        if not ok:
-            return ok, detail
-    return True, "eta nonzero and killed by all UT chamber maps (Z/9 n=2, Z/4 n=3)"
-
-def _check_homology_n2(ctx):
-    for label, want in [("Z/4", 5), ("Z/6", 11)]:
-        hom = ctx.homology(label, 2)
-        if hom.betti != [want] or hom.torsion != [[]]:
-            return False, f"T2({label}): {hom}"
-    return True, "b0(T2(Z/4)) = 5, b0(T2(Z/6)) = 11, torsion-free"
-
-def _check_homology_n3(ctx):
-    for label, want in [("Z/4", 113), ("Z/6", 911)]:
-        hom = ctx.homology(label, 3)
-        if hom.betti != [0, want] or any(hom.torsion):
-            return False, f"T3({label}): {hom}"
-    return True, "T3(Z/4) = [0, 113], T3(Z/6) = [0, 911], torsion-free"
+def _check_homology(ctx, n, cases, summary):
+    # reduced homology of Tn(R) is free and concentrated in the top degree
+    for label, want in cases:
+        hom = ctx.homology(label, n)
+        if hom.betti != [0] * (n - 2) + [want] or any(hom.torsion):
+            return False, f"T{n}({label}): {hom}"
+    return True, summary
 
 def _check_homology_t4f2(ctx):
     hom = ctx.homology("F2", 4)
@@ -347,9 +331,6 @@ def _check_reduction_functoriality(ctx):
         return False, "reduction is not simplicial"
     if not red.is_surjective_on_vertices():
         return False, "reduction is not surjective on vertices"
-    for t in cx.facets():
-        if not red.dst.has_simplex(red.simplex_image(t)):
-            return False, "a facet does not map to a facet"
     # equivariance along GL_n(R) -> GL_n(R/I) on sampled generators
     ring = cx.ring
     tring = red.dst.ring
@@ -406,18 +387,18 @@ CHECKS = [
     ("gaussian-identities", "fast", "Gaussian binomial symmetry and alternating identity", _check_gaussian_identities),
     ("grassmann-oracle", "fast", "Grassmannian enumeration equals the size formula (small)", partial(_check_grass, cases=[("Z/4", 2), ("F2", 3), ("F2[e]^2", 2), ("Z/2xZ/3", 2)])),
     ("ut-pairing", "fast", "upper-triangular apartment pairing is diagonal +-1 (small)", partial(_check_ut, cases=[("Z/4", 2), ("F2", 2), ("F2", 3)])),
-    ("eta-witness", "fast", "eta class nonzero and killed by UT chamber maps (small)", _check_eta_fast),
-    ("homology-n2", "fast", "degree-0 homology of the n=2 complexes", _check_homology_n2),
+    ("eta-witness", "fast", "eta class nonzero and killed by UT chamber maps (small)", partial(_check_eta, cases=[("Z/4", 2, 2)], summary="eta nonzero and killed by all UT chamber maps (Z/4, n=2)")),
+    ("homology-n2", "fast", "degree-0 homology of the n=2 complexes", partial(_check_homology, n=2, cases=[("Z/4", 5), ("Z/6", 11)], summary="b0(T2(Z/4)) = 5, b0(T2(Z/6)) = 11, torsion-free")),
     ("reducibility-witness", "fast", "induced map to the residue field has a proper nonzero kernel", _check_reducibility),
     ("orbit-commutant", "fast", "line-pair orbit count equals k + 1 for a chain ring of length k (small)", partial(_check_orbits, cases=[("Z/4", 2), ("F5", 1)])),
     ("boundary-composition", "fast", "composed boundaries vanish", _check_boundary_composition),
     ("grassmann-oracle-full", "full", "Grassmannian enumeration equals the size formula (full sweep)", partial(_check_grass, cases=[("Z/4", 3), ("Z/6", 3), ("F2", 4), ("F3", 4), ("F2[e]^2", 3), ("Z/2xZ/3", 3)])),
-    ("homology-n3", "full", "brute-force homology of T3(Z/4) and T3(Z/6) matches the recursion", _check_homology_n3),
+    ("homology-n3", "full", "brute-force homology of T3(Z/4) and T3(Z/6) matches the recursion", partial(_check_homology, n=3, cases=[("Z/4", 113), ("Z/6", 911)], summary="T3(Z/4) = [0, 113], T3(Z/6) = [0, 911], torsion-free")),
     ("homology-t4f2", "full", "T4(F2) homology is concentrated in the top degree", _check_homology_t4f2),
     ("homotopy-equivalence", "full", "T3(Z/4) and T3(F2[e]^2) have equal homology", _check_homotopy_equivalence),
     ("filtration-identity", "full", "graph homology of T_(4,2)(Z/4) equals the recursion-side count", _check_filtration_identity),
     ("ut-pairing-full", "full", "upper-triangular apartment pairing is diagonal +-1 (large)", partial(_check_ut, cases=[("Z/9", 2), ("Z/4", 3)])),
-    ("eta-witness-full", "full", "eta class nonzero and killed by UT chamber maps (large)", _check_eta_full),
+    ("eta-witness-full", "full", "eta class nonzero and killed by UT chamber maps (large)", partial(_check_eta, cases=[("Z/9", 2, 3), ("Z/4", 3, 2)], summary="eta nonzero and killed by all UT chamber maps (Z/9 n=2, Z/4 n=3)")),
     ("apartment-span", "full", "apartment classes span the full top homology", _check_apartment_span),
     ("invariants-dims", "full", "congruence-invariant dimensions equal downstairs ranks", _check_invariants_dims),
     ("orbit-commutant-full", "full", "line-pair orbit count equals k + 1 for a chain ring of length k (large)", partial(_check_orbits, cases=[("Z/8", 3), ("Z/9", 2)])),
@@ -452,7 +433,6 @@ def run_verify(
         raise ValueError(f"check id(s) outside tier {tier}: {named}")
     ctx = CheckContext(budget=budget)
     results = []
-    npass = nfail = nskip = 0
     for cid, ctier, desc, fn in CHECKS:
         if tier == "fast" and ctier != "fast":
             continue
@@ -467,20 +447,15 @@ def run_verify(
         except Exception as e:  # a check that raises has failed
             status = "fail"
             detail = f"{type(e).__name__}: {e}"
-        if status == "pass":
-            npass += 1
-        elif status == "fail":
-            nfail += 1
-        else:
-            nskip += 1
         results.append({"id": cid, "description": desc, "status": status, "detail": detail})
+    statuses = [r["status"] for r in results]
     return {
         "schema_version": 1,
         "tier": tier,
         "budget": budget,
         "checks": results,
-        "passed": npass,
-        "failed": nfail,
-        "skipped": nskip,
-        "ok": nfail == 0,
+        "passed": statuses.count("pass"),
+        "failed": statuses.count("fail"),
+        "skipped": statuses.count("skip"),
+        "ok": "fail" not in statuses,
     }

@@ -167,6 +167,22 @@ def test_divisor_chain_normalisation_frozen_cases():
     assert normalize_divisors([]) == []
 
 
+def determinantal_factors(xs):
+    """Test oracle: the invariant factors of diag(xs), nonzero entries, by
+    their definition.  The nonzero k x k minors of a diagonal matrix are the
+    products of k of its entries; d_k is their gcd, and the k-th invariant
+    factor is d_k / d_(k-1).  (`dense_snf` ends in `normalize_divisors`, so
+    it is no oracle for it.)"""
+    d = [1] + [math.gcd(*map(math.prod, itertools.combinations(xs, k))) for k in range(1, len(xs) + 1)]
+    return [d[k] // d[k - 1] for k in range(1, len(d))]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(1, 60).flatmap(lambda x: st.sampled_from([x, -x])), max_size=8))
+def test_divisor_chain_is_the_smith_form_of_the_diagonal(xs):
+    assert normalize_divisors(xs) == determinantal_factors(xs)
+
+
 SMITH_CASES = [
     # no unit entry: everything goes to the residual
     [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
@@ -380,6 +396,20 @@ def closure_complex(facets):
             for s in itertools.combinations(sorted(f), size):
                 simplices.setdefault(size - 1, set()).add(s)
     return SimplicialComplex([sorted(simplices[d]) for d in sorted(simplices)])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), max_size=9))
+def test_purity_is_one_size_of_maximal_sets(facets):
+    maximal = [f for f in facets if not any(f < g for g in facets)]
+    assert closure_complex(facets).is_pure() == (len({len(f) for f in maximal}) <= 1)
+
+
+def test_purity_hand_cases():
+    assert not closure_complex([(0, 1, 2), (2, 3)]).is_pure()  # dangling edge
+    assert not closure_complex([(0, 1, 2), (3,)]).is_pure()  # isolated vertex
+    assert closure_complex([]).is_pure()
+    assert closure_complex([(0,), (1,), (2,)]).is_pure()
 
 
 RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),

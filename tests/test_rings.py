@@ -253,7 +253,8 @@ def test_parse_roundtrip_and_errors():
 def test_parse_leaves_values_to_the_ring_spec(monkeypatch):
     # syntax is the parser's, primality and ranges are RingSpec's, so a
     # large prime base is trial-divided once
-    for bad in ["Q8", "Z/x", "F2[e]x", "F2[e]^y", "Fz"]:
+    # a number is -?[0-9]+: no underscores, other digits, spaces or plus
+    for bad in ["Q8", "Z/x", "F2[e]x", "F2[e]^y", "Fz", "Z/1_0", "F2[e]^3_0", "F\u0663", "Z/ 9", "F2 [e]^2", "F+7"]:
         with pytest.raises(ValueError, match="cannot parse ring spec"):
             parse_ring_spec(bad)
     for bad, msg in [
@@ -261,6 +262,8 @@ def test_parse_leaves_values_to_the_ring_spec(monkeypatch):
         ("F4", "prime field needs a prime, got 4"),
         ("F6[e]^2", "truncated polynomial ring needs a prime base, got 6"),
         ("F2[e]^0", "truncation order must be >= 1, got 0"),
+        ("Z/-3", "modular ring needs modulus >= 2, got -3"),
+        ("F2[e]^-1", "truncation order must be >= 1, got -1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(msg)):
             parse_ring_spec(bad)
