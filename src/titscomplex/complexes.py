@@ -141,8 +141,7 @@ class TitsComplex(SimplicialComplex):
         # rank -> index of its first vertex
         self.catalog = catalog
         self.start = start
-        # vertex index by sorted spanning vectors (`vertex_of_span`) and by
-        # tuple of line indices (`span_of_lines`): the key shapes never collide
+        # vertex index by tuple of line indices (`span_of_lines`)
         self._span_cache: dict = {}
 
     @functools.cached_property
@@ -155,15 +154,23 @@ class TitsComplex(SimplicialComplex):
             for k in range(2, self.max_rank + 1)
         }
 
+    def _line_of(self, v) -> int:
+        """Index of the one line holding the vector v (a sequence), or
+        ValueError when no line or more than one does: by `vertex_of_span`
+        at k = 1, exactly when v is no basis of a line."""
+        hits = self.catalog.lines_holding(v)
+        if len(hits) != 1:
+            raise ValueError("vectors are not a basis of a vertex")
+        return hits[0]  # the lines are the first vertices
+
     def vertex_of_span(self, vectors) -> int:
-        """Index of the vertex of which the vectors are a basis, memoised
-        by the sorted vectors.
+        """Index of the vertex of which the vectors are a basis: the span
+        of their lines (`_line_of`, `span_of_lines`).
 
         Raises RuntimeError unless 1 <= k = len(vectors) <= max_rank (the
-        empty set spans 0, no vertex), and ValueError unless one rank-k
-        vertex holds them all, which the catalog's index answers with no
-        member set.  For k < n they are a basis of a vertex W exactly when
-        W is the only rank-k vertex holding them:
+        empty set spans 0, no vertex), and ValueError unless they are a
+        basis of a vertex.  For k < n they are a basis of a vertex W exactly
+        when W is the only rank-k vertex holding them:
         - if they are a basis of W, every rank-k vertex holding them
           contains W, and equal-rank containment is equality;
         - conversely, let W be the only rank-k vertex holding them and
@@ -175,19 +182,17 @@ class TitsComplex(SimplicialComplex):
           (it is the image of W under an invertible map fixing the
           complement) holding every vector B*C + d*y*C = B*C; a
           contradiction.
+        A basis vector of W is a basis of its line, so the rank-k vertices
+        holding the lines are those holding the vectors.
         """
-        key = tuple(sorted(map(tuple, vectors)))
-        got = self._span_cache.get(key)
-        if got is None:
-            k = len(key)
-            if not 1 <= k <= self.max_rank:
-                raise RuntimeError("span is not a vertex of the complex")
-            hits = self.catalog.containing(k, key)
-            if len(hits) != 1:
-                raise ValueError("vectors are not a basis of a vertex")
-            got = self.start[k] + hits[0]
-            self._span_cache[key] = got
-        return got
+        vectors = list(vectors)
+        if not 1 <= len(vectors) <= self.max_rank:
+            raise RuntimeError("span is not a vertex of the complex")
+        lines = sorted(map(self._line_of, vectors))
+        try:
+            return lines[0] if len(lines) == 1 else self.span_of_lines(lines)
+        except RuntimeError:
+            raise ValueError("vectors are not a basis of a vertex") from None
 
     def span_of_lines(self, lines) -> int:
         """Index of the vertex spanned by k lines (vertex indices,
@@ -211,6 +216,17 @@ class TitsComplex(SimplicialComplex):
             got = self._span_cache[lines] = next(iter(hits))
         return got
 
+    def _vertex_map(self, dst: "TitsComplex", f) -> list[int]:
+        """The image in dst of every vertex under f, a map of modules on
+        vectors keeping invertible matrices invertible (g in GL_n(R),
+        reduction along R -> R/I).  f maps only the generators of the lines,
+        the first vertices; a vertex of rank k >= 2 goes to the span of the
+        images of its basis lines, whose generators are unit multiples of
+        its basis (`span_of_lines`)."""
+        lines = [dst._line_of(f(s.basis[0])) for s in self.vertices if s.rank == 1]
+        image = lines.__getitem__
+        return lines + [dst.span_of_lines(map(image, map(self._line_of, s.basis))) for s in self.vertices[len(lines):]]
+
     # -- group action -------------------------------------------------------
     def require_ring(self, g: Mat) -> None:
         """Raise ValueError, naming both rings, unless g is over the ring
@@ -221,19 +237,17 @@ class TitsComplex(SimplicialComplex):
             )
 
     def vertex_permutation(self, g: Mat) -> tuple:
-        """Permutation of vertex indices induced by V -> gV, found from the
-        image of each vertex's basis."""
+        """Permutation of vertex indices induced by V -> gV, from the images
+        of the lines' generators (`_vertex_map`).  Only an invertible g
+        permutes the vertices; any other fails at a line: det g lies in a
+        maximal ideal m, and a kernel vector of g mod m, lifted in the local
+        factor of m with e_1 in the others, is a basis v of a line whose
+        generator (a unit times v) g sends into m*R^n, to no line's basis."""
         self.require_ring(g)
-        perm = []
-        for s in self.vertices:
-            image = [g.apply(v) for v in s.basis]
-            try:
-                perm.append(self.vertex_of_span(image))
-            except (ValueError, RuntimeError):
-                raise ValueError("matrix does not preserve the vertex set (is it invertible?)") from None
-        if len(set(perm)) != len(perm):
-            raise ValueError("matrix does not permute the vertices (is it invertible?)")
-        return tuple(perm)
+        try:
+            return tuple(self._vertex_map(self, g.apply))
+        except ValueError:
+            raise ValueError("matrix does not preserve the vertex set (is it invertible?)") from None
 
     def simplex_permutation(self, g: Mat, d: int) -> list[int]:
         """Permutation of the d-simplex list induced by g.  g preserves rank
@@ -357,10 +371,6 @@ def reduction_map(
         ring.el(g)  # a payload outside R raises KeyError
     tspec, reduce_payload = quotient_spec(ring.spec, gens)
     dst = build_tits_complex(tspec, src.n, budget)
-    tring = dst.ring
     # the reduction of a basis of V is a basis of V/IV, a vertex downstairs
-    vm = [
-        dst.vertex_of_span([tuple(tring.el(reduce_payload(ring.payload(x))) for x in v) for v in s.basis])
-        for s in src.vertices
-    ]
-    return SimplicialReduction(src, dst, vm)
+    table = [dst.ring.el(reduce_payload(p)) for p in ring.payloads]
+    return SimplicialReduction(src, dst, src._vertex_map(dst, functools.partial(map, table.__getitem__)))

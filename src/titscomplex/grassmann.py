@@ -256,18 +256,10 @@ class SummandCatalog:
         ids = index[codes[0]] if len(codes) == 1 else _holding_all(index, codes)
         return sorted(map(pos.__getitem__, ids))
 
-    def containing(self, k: int, vectors) -> list[int]:
-        """Ascending positions in grassmannian(k) of the summands holding
-        all the vectors (sequences): all of them for no vectors, none when a
-        vector lies outside R^n."""
-        gr = self.grassmannian(k)
-        vectors = list(map(tuple, vectors))
-        if not vectors:
-            return list(range(len(gr)))
-        if not k:
-            return [0] if gr[0].members.issuperset(vectors) else []
-        codes = list(map(self._tables[1].get, vectors))
-        return [] if None in codes else self.holding(k, codes)
+    def lines_holding(self, v) -> list[int]:
+        """Ascending positions in grassmannian(1), once built, of the lines holding v: none outside R^n."""
+        c = self._tables[1].get(tuple(v))
+        return [] if c is None else self.holding(1, [c])
 
 
 def _move_table(ring: Ring, digits, op) -> list[int]:

@@ -104,13 +104,13 @@ def _unit_pivots(cols) -> tuple[int, list[dict]]:
 
     A column holding an explicit zero entry is read without it.
     """
-    cols = [{k: v for k, v in col.items() if v} if 0 in col.values() else col for col in cols]
     pivots: dict[int, dict] = {}  # lead row -> pivot column, +1 at its lead
     touching: dict[int, set] = {}  # row -> leads of the other pivots nonzero there
     residual = []
     for col in cols:
         if not col:  # adds nothing; most columns of a coreduced boundary are zero
             continue
+        col = {k: v for k, v in col.items() if v} if 0 in col.values() else col
         vec = _reduce(pivots, col)
         units = [k for k, v in vec.items() if v == 1 or v == -1]
         if not units:

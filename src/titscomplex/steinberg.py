@@ -311,17 +311,15 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     seed round is never tested this way.
 
     Only lines are mapped: one table per generator g sends each line to
-    the line spanned by g times its generator.  The tables are built once
-    and dropped with the generator.
+    the line holding g times its generator (`cx._line_of`).  The tables
+    are built once and dropped with the generator.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
     gen = {i: cx.vertices[i].basis[0] for i in lines}
-    images = [
-        {i: cx.vertex_of_span([g.apply(v)]) for i, v in gen.items()} for g in gl_generators(ring, n)
-    ]
+    images = [{i: cx._line_of(g.apply(v)) for i, v in gen.items()} for g in gl_generators(ring, n)]
     ident = Mat.identity(ring, n)
-    candidates = [frozenset(cx.vertex_of_span([ident.column(j)]) for j in range(n))]
+    candidates = [frozenset(cx._line_of(ident.column(j)) for j in range(n))]
     candidates += [frozenset(rng.sample(lines, n)) for _ in range(n * 4)]
     frontier = [
         f for f in dict.fromkeys(candidates)

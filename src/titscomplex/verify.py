@@ -334,9 +334,9 @@ def _check_reduction_functoriality(ctx):
     # equivariance along GL_n(R) -> GL_n(R/I) on sampled generators
     ring = cx.ring
     tring = red.dst.ring
-    reduce = quotient_spec(ring.spec, [2])[1]
+    table = [tring.el(p) for p in map(quotient_spec(ring.spec, [2])[1], ring.payloads)]
     for g in gl_generators(ring, 3)[:8]:
-        gt = Mat(tring, [[tring.el(reduce(ring.payload(x))) for x in row] for row in g.rows])
+        gt = Mat(tring, [map(table.__getitem__, row) for row in g.rows])
         ps = cx.vertex_permutation(g)
         pt = red.dst.vertex_permutation(gt)
         for i in range(len(cx.vertices)):

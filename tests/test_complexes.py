@@ -339,10 +339,20 @@ def member_vertex_permutation(cx, g):
     return tuple(vindex[frozenset(g.apply(v) for v in s.members)] for s in cx.vertices)
 
 
-@pytest.mark.parametrize("label,n", [("Z/4", 3), ("Z/8", 2), ("Z/6", 3)])
-def test_action_by_bases_equals_action_on_members(built, label, n):
-    cx = built.complex(label, n)
-    for g in gl_generators(cx.ring, n):
+# id -> (ring, n, filtration rank or None, ideal generators of the level of
+# the congruence subgroup whose generators act, or None for GL_n(R)'s)
+ACTION_CASES = {
+    "Z/4-3": ("Z/4", 3, None, None), "Z/8-2": ("Z/8", 2, None, None), "Z/6-3": ("Z/6", 3, None, None),
+    "F2[e]^2-3": ("F2[e]^2", 3, None, None), "Z/2xZ/3-3": ("Z/2xZ/3", 3, None, None),
+    "Z/4-4-2": ("Z/4", 4, 2, None), "Z/4-3-Gamma(2)": ("Z/4", 3, None, [2]),
+}
+
+
+@pytest.mark.parametrize("label,n,m,ideal", ACTION_CASES.values(), ids=list(ACTION_CASES))
+def test_action_by_bases_equals_action_on_members(built, label, n, m, ideal):
+    cx = built.complex(label, n, m)
+    gens = gl_generators(cx.ring, n) if ideal is None else congruence_generators(cx.ring, n, ideal)
+    for g in gens:
         vperm = member_vertex_permutation(cx, g)
         assert cx.vertex_permutation(g) == vperm
         for d, level in enumerate(cx.simplices):
@@ -351,10 +361,16 @@ def test_action_by_bases_equals_action_on_members(built, label, n):
 
 
 def test_action_rejects_noninvertible(built):
-    cx = built.complex("Z/4", 2)
-    bad = Mat.from_payload_rows(cx.ring, [[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        cx.vertex_permutation(bad)
+    # 2 and 3 are zero divisors of Z/4 and Z/6; the F2 matrix has rank 2
+    for label, rows in [
+        ("Z/4", [[2, 0], [0, 1]]),
+        ("Z/6", [[3, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("F2", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    ]:
+        cx = built.complex(label, len(rows))
+        bad = Mat.from_payload_rows(cx.ring, rows)
+        with pytest.raises(ValueError, match="does not preserve the vertex set"):
+            cx.vertex_permutation(bad)
 
 
 def test_action_rejects_a_matrix_over_another_ring(built):
@@ -384,7 +400,9 @@ def test_reduction_map_examples(built):
     assert red3.is_simplicial() and red3.is_surjective_on_vertices()
 
 
-@pytest.mark.parametrize("label,n,d", [("Z/4", 3, 2), ("Z/8", 2, 4), ("Z/6", 3, 3), ("Z/9", 2, 3)])
+@pytest.mark.parametrize("label,n,d", [
+    ("Z/4", 3, 2), ("Z/8", 2, 4), ("Z/6", 3, 3), ("Z/9", 2, 3), ("Z/6", 3, 2), ("Z/8", 3, 4),
+])
 def test_reduction_of_bases_equals_reduction_of_members(built, label, n, d):
     # reduction_map reduces one basis per vertex; reducing every member
     # entrywise must land on the same vertex downstairs

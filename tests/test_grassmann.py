@@ -251,7 +251,7 @@ def test_walk_tables_are_built_once_per_catalog(monkeypatch):
     ring = make_ring(spec)
     catalog = SummandCatalog(spec, 3)
     catalog.grassmannian(0)
-    assert catalog.containing(0, [(0, 0, 0)]) == [0]
+    assert catalog.grassmannian(0)[0].members == {(ring.zero,) * 3}
     assert built == [] and catalog._tables is None  # Gr_0 needs no table
     catalog.grassmannian(2)
     tables = catalog._walk_tables(ring)
@@ -285,24 +285,27 @@ def test_vector_codes_round_trip_and_sort_as_tuples(label, n):
 @pytest.mark.parametrize("label", ["Z/9", "F2[e]^2", "Z/2xZ/3", "F3"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_containing_outside_the_space_and_of_no_vectors(label, n):
-    """A vector of the wrong length or with an entry >= q lies in no summand,
-    every summand holds all of no vectors, and a list names the vector its
-    tuple does."""
+    """A vector of the wrong length or with an entry >= q lies in no line,
+    every summand holds the zero vector, a basis is held by its own summand
+    alone, and a list names the vector its tuple does."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
     catalog = SummandCatalog(ring.spec, n)
     zero = (ring.zero,) * n
-    for k in range(n + 1):
-        size = len(catalog.grassmannian(k))
-        assert catalog.containing(k, []) == list(range(size)), (label, n, k)
-        assert catalog.containing(k, [zero]) == list(range(size)), (label, n, k)
-        assert catalog.containing(k, [list(zero)]) == list(range(size)), (label, n, k)
-        for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
-            assert catalog.containing(k, [bad]) == [], (label, n, k, bad)
-            assert catalog.containing(k, [zero, list(bad)]) == [], (label, n, k, bad)
-        for s in catalog.grassmannian(k)[::5]:
-            want = catalog.containing(k, s.basis)
-            assert want and catalog.containing(k, list(map(list, s.basis))) == want, (label, n, k)
+    assert catalog.grassmannian(0)[0].members == {zero}
+    lines = list(range(len(catalog.grassmannian(1))))
+    assert catalog.lines_holding(zero) == catalog.lines_holding(list(zero)) == lines, (label, n)
+    for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
+        assert catalog.lines_holding(bad) == catalog.lines_holding(list(bad)) == [], (label, n, bad)
+    code = catalog._walk_tables(ring)[1]
+    for k in range(1, n + 1):
+        gr = catalog.grassmannian(k)
+        assert catalog.holding(k, [code[zero]]) == list(range(len(gr))), (label, n, k)
+        for p in range(0, len(gr), 5):
+            assert catalog.holding(k, [code[b] for b in gr[p].basis]) == [p], (label, n, k)
+    for p in lines[::5]:
+        v = catalog.grassmannian(1)[p].basis[0]
+        assert catalog.lines_holding(v) == catalog.lines_holding(list(v)) == [p], (label, n)
 
 
 def _walk_by_row_operation(ring, n, k):
@@ -335,8 +338,14 @@ def test_grassmannian_equals_a_walk_by_row_operation(label, n):
         want = _walk_by_row_operation(ring, n, k)
         got = catalog.grassmannian(k)
         assert [(s.members, s.basis) for s in got] == want, (label, k)
+        if not k:
+            continue  # Gr_0 = {0} has no index; its members are checked above
+        code = catalog._walk_tables(ring)[1]
         for v in space:
-            assert catalog.containing(k, [v]) == [p for p, (m, _) in enumerate(want) if v in m], (label, k, v)
+            holders = [p for p, (m, _) in enumerate(want) if v in m]
+            assert catalog.holding(k, [code[v]]) == holders, (label, k, v)
+            if k == 1:
+                assert catalog.lines_holding(v) == holders, (label, v)
 
 
 @pytest.mark.parametrize("label,n,counts", [("Z/9", 3, [0, 585]), ("F3", 4, [0, 910, 280])])
@@ -368,7 +377,8 @@ def test_walk_ends_over_a_product_ring():
     (full,) = catalog.grassmannian(3)
     assert zero.rank == 0 and zero.members == {vectors[0]} == {(ring.zero,) * 3}
     assert full.rank == 3 and full.members == set(vectors)
-    assert catalog.containing(0, vectors[:1]) == catalog.containing(3, vectors) == [0]
+    code = catalog._walk_tables(ring)[1]
+    assert catalog.holding(3, [code[v] for v in vectors]) == [0]
 
 
 def test_enumeration_budget():

@@ -440,28 +440,29 @@ def test_apartment_span_builds_no_member_set(monkeypatch, label, mode, used):
 def test_apartment_span_computes_no_preferred_basis(monkeypatch, label, mode):
     # a fresh complex, so that no preferred basis or span is cached
     cx = build_tits_complex(parse_ring_spec(label), 3)
-    extensions, spans = [], []
+    extensions, lookups = [], []
     free_extension = linalg._free_extension
-    vertex_of_span = complexes.TitsComplex.vertex_of_span
+    line_of = complexes.TitsComplex._line_of
 
     def counting_extension(*args):
         extensions.append(args)
         return free_extension(*args)
 
-    def counting_span(self, vectors):
-        spans.append(list(vectors))
-        return vertex_of_span(self, vectors)
+    def counting_line(self, v):
+        lookups.append(v)
+        return line_of(self, v)
 
     monkeypatch.setattr(linalg, "_free_extension", counting_extension)
-    monkeypatch.setattr(complexes.TitsComplex, "vertex_of_span", counting_span)
+    monkeypatch.setattr(complexes.TitsComplex, "_line_of", counting_line)
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert res.mode == mode and res.rank == res.top_betti
     assert extensions == []
     # sampled mode looks up the identity frame's n lines and one image per
-    # line and generator of GL_n(R); no class looks up a vector
+    # line and generator of GL_n(R); no class looks up a vector, and every
+    # vector lookup goes through `_line_of`
     lines = sum(s.rank == 1 for s in cx.vertices)
     want = cx.n + lines * len(gl_generators(cx.ring, cx.n)) if mode == "sampled" else 0
-    assert len(spans) == want and all(len(v) == 1 for v in spans)
+    assert len(lookups) == want and all(len(v) == cx.n for v in lookups)
 
 
 # (ring, n, mode, budget) of spans whose frames the line lookup is checked on
