@@ -216,14 +216,18 @@ class TitsComplex(SimplicialComplex):
             got = self._span_cache[lines] = next(iter(hits))
         return got
 
+    def _line_map(self, dst: "TitsComplex", f) -> list[int]:
+        """The line of dst holding f of each line's generator, by line."""
+        return [dst._line_of(f(s.basis[0])) for s in self.vertices[:self.start.get(2, len(self.vertices))]]
+
     def _vertex_map(self, dst: "TitsComplex", f) -> list[int]:
         """The image in dst of every vertex under f, a map of modules on
         vectors keeping invertible matrices invertible (g in GL_n(R),
         reduction along R -> R/I).  f maps only the generators of the lines,
-        the first vertices; a vertex of rank k >= 2 goes to the span of the
-        images of its basis lines, whose generators are unit multiples of
-        its basis (`span_of_lines`)."""
-        lines = [dst._line_of(f(s.basis[0])) for s in self.vertices if s.rank == 1]
+        the first vertices (`_line_map`); a vertex of rank k >= 2 goes to
+        the span of the images of its basis lines, whose generators are unit
+        multiples of its basis (`span_of_lines`)."""
+        lines = self._line_map(dst, f)
         image = lines.__getitem__
         return lines + [dst.span_of_lines(map(image, map(self._line_of, s.basis))) for s in self.vertices[len(lines):]]
 

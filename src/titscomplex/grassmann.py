@@ -108,21 +108,27 @@ def proper_ranks(lam) -> tuple:
 
 
 def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
-    """Generators of GL_n(R) for the orbit walk, as row operations (i, j, a).
+    """Generators of E_n(R) for the orbit walk, as row operations (i, j, a),
+    i != j: E_ij(a) sets v_i <- v_i + a*v_j.  The list holds E_{i,i+1}(a)
+    and E_{i+1,i}(a) for i < n - 1 and each additive generator a of R.
 
-    For i != j, (i, j, a) is E_ij(a), which sets v_i <- v_i + a*v_j; (0, 0, u)
-    is diag(u, 1, ..., 1), which sets v_0 <- u*v_0.  The list holds
-    E_{i,i+1}(a) and E_{i+1,i}(a) for i < n - 1 and each additive generator
-    a of R, then the scalings by a generating set of R^x, picked greedily:
-    a unit joins when it lies outside the subgroup the units kept generate.
-
-    They generate GL_n(R):
-    - E_ij(a) E_ij(b) = E_ij(a + b), so the additive generators give
-      E_{i,i+1}(r) and E_{i+1,i}(r) for every r in R;
-    - [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then gives every
-      E_ij(r), by induction on |i - j|, hence all of E_n(R);
-    - GL_n(R) = E_n(R) GL_1(R) for every finite ring (as in
-      `linalg.gl_generators`), and the scalings give GL_1(R);
+    Their orbit of V_0 = span(e_1..e_k), k >= 1, is all of Gr_k:
+    - they generate E_n(R): E_ij(a) E_ij(b) = E_ij(a + b), so the additive
+      generators give E_{i,i+1}(r) and E_{i+1,i}(r) for every r in R, and
+      [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then gives every
+      E_ij(r), by induction on |i - j|;
+    - SL_n(R) = E_n(R), R a finite product of local rings: over a local
+      ring with maximal ideal J, once the columns before column c are
+      cleared, column c has a unit on or below the diagonal (the matrix is
+      invertible mod J); adding its row to row c if need be makes a unit
+      pivot, and clearing column c with it ends at diag(u_1, ..., u_n),
+      prod u_i = det = 1, which lies in E_n by Whitehead's lemma
+      (diag(u, u^-1) is in E_2).  Over a product, E_ij(e*r), e the
+      idempotent of one factor, is E_ij(r) there and 1 elsewhere, so both
+      groups split factor by factor;
+    - g in GL_n(R) is e*diag(det g, 1, ..., 1) with e in SL_n(R), and the
+      diagonal factor fixes V_0, so E_n(R)*V_0 = GL_n(R)*V_0 = Gr_k
+      (`SummandCatalog`);
     - the group is finite, so each generator's inverse is a power of it,
       and a breadth-first walk under the generators reaches the orbit.
     """
@@ -130,17 +136,6 @@ def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
     for i in range(n - 1):
         for a in ring.additive_generators():
             ops += [(i, i + 1, a), (i + 1, i, a)]
-    mul = ring.mul
-    group = {ring.one}
-    for u in sorted(ring.units):
-        if u not in group:
-            ops.append((0, 0, u))
-            # R^x is abelian: <group, u> is the union of the cosets group*u^m
-            grown, p = set(group), u
-            while p not in group:
-                grown.update(mul[x][p] for x in group)
-                p = mul[p][u]
-            group = grown
     return ops
 
 
@@ -161,9 +156,8 @@ class SummandCatalog:
     The walk runs on codes c(v) = sum v_i*q^(n-1-i), the position of v in
     `space`, R^n in lexicographic order (`code` is the inverse dict), so the
     digit d_i(c) = c // q^(n-1-i) % q is v_i.  A move changes one entry:
-    E_ij(a) maps c to c + (add[d_i][a*d_j] - d_i)*q^(n-1-i) and
-    diag(u, 1, ...) maps c to c + (u*d_0 - d_0)*q^(n-1), so each is a list
-    code -> image code built from digit lists alone, once per catalog.
+    E_ij(a) maps c to c + (add[d_i][a*d_j] - d_i)*q^(n-1-i), so each is a
+    list code -> image code built from digit lists alone, once per catalog.
     Containment is read from basis codes (`holding`); a `Summand` decodes
     its codes after the sort.  c is an order isomorphism onto range(q^n):
     if v < w first differ at i, c(w) - c(v) >= q^(n-1-i) - sum_{j>i}
@@ -267,8 +261,8 @@ def _move_table(ring: Ring, digits, op) -> list[int]:
     i, j, a = op
     q, n = ring.card, len(digits)
     w, times_a = q ** (n - 1 - i), ring.mul[a]
-    # entry i goes from x to u*x (i = j) or to x + a*y, y = entry j
-    shift = [[((times_a[x] if i == j else plus[times_a[y]]) - x) * w for y in range(q)] for x, plus in enumerate(ring.add)]
+    # entry i goes from x to x + a*y, y = entry j
+    shift = [[(plus[times_a[y]] - x) * w for y in range(q)] for x, plus in enumerate(ring.add)]
     steps = map(list.__getitem__, map(shift.__getitem__, digits[i]), digits[j])
     return list(map(operator.add, range(q**n), steps))
 

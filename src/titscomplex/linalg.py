@@ -157,8 +157,8 @@ def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
 
 def gl_generators(ring: Ring, n: int) -> list[Mat]:
     """Generators of GL_n(R): elementary matrices over additive generators
-    of R, plus unit scalings in the first slot (GL_n = GL_1 * E_n over
-    rings with stable range 2, which covers all finite rings).
+    of R, plus unit scalings in the first slot (GL_n = E_n * GL_1, by
+    `grassmann.walk_generators`).
 
     The sampled apartment search builds its orbit rounds from this exact
     list, so its order and length fix `apartments_used`; the Grassmannian

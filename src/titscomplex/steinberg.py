@@ -311,19 +311,18 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     seed round is never tested this way.
 
     Only lines are mapped: one table per generator g sends each line to
-    the line holding g times its generator (`cx._line_of`).  The tables
+    the line holding g times its generator (`cx._line_map`).  The tables
     are built once and dropped with the generator.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
-    gen = {i: cx.vertices[i].basis[0] for i in lines}
-    images = [{i: cx._line_of(g.apply(v)) for i, v in gen.items()} for g in gl_generators(ring, n)]
+    images = [cx._line_map(cx, g.apply) for g in gl_generators(ring, n)]
     ident = Mat.identity(ring, n)
     candidates = [frozenset(cx._line_of(ident.column(j)) for j in range(n))]
     candidates += [frozenset(rng.sample(lines, n)) for _ in range(n * 4)]
     frontier = [
         f for f in dict.fromkeys(candidates)
-        if Mat.from_columns(ring, [gen[i] for i in sorted(f)]).is_invertible()
+        if Mat.from_columns(ring, [cx.vertices[i].basis[0] for i in sorted(f)]).is_invertible()
     ]
     seen = set(frontier)
     rank = None
