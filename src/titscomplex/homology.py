@@ -309,11 +309,23 @@ class ModPEchelon:
     balanced representative, and an entry is dropped exactly when it is 0
     mod p, so the pivots (as residues), their leads and the rank after
     every vector are those of the same echelon kept in [0, p).
+
+    `_units` holds the leads whose pivot is the unit vector e_k, its lead
+    entry alone.  Reducing by such a pivot only drops entry k, so a vector
+    with all its entries on `_units` reduces to 0 and is refused before any
+    arithmetic, and any other vector drops those entries before its one
+    reduction pass (the other pivots are zero at every lead, so they never
+    bring an entry back).  The set only grows: clearing a new lead's column
+    rewrites only pivots nonzero at that column, which is no pivot's lead,
+    so a single-entry pivot is never rewritten; and a rewritten pivot that
+    is left with its lead entry alone joins the set.  The pivots, their
+    leads and the rank after every vector are those of the plain pass.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
         self._touching: dict[int, set] = {}  # column -> leads of the pivots nonzero there
+        self._units: set = set()  # leads whose pivot has its lead entry alone
 
     @property
     def rank(self) -> int:
@@ -321,12 +333,16 @@ class ModPEchelon:
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; True when it increased the rank mod p."""
-        lo, hi, pivots, touching = -_HALF_P, _HALF_P, self.pivots, self._touching
+        lo, hi, pivots, touching, units = -_HALF_P, _HALF_P, self.pivots, self._touching, self._units
+        if vec.keys() <= units:
+            return False
         vals = vec.values()
-        if vals and (min(vals) < lo or max(vals) > hi or 0 in vals):
+        if min(vals) < lo or max(vals) > hi or 0 in vals:
             vec = {k: b for k, v in vec.items() if (b := _balanced(v))}
         else:
             vec = dict(vec)
+        for k in units.intersection(vec):
+            del vec[k]
         for lead in [k for k in vec if k in pivots]:
             c = vec[lead]
             for k, v in pivots[lead].items():
@@ -364,7 +380,11 @@ class ModPEchelon:
                     del row[k]
                     if k != lead:
                         touching[k].discard(other)
+            if len(row) == 1:
+                units.add(other)
         pivots[lead] = new
+        if len(new) == 1:
+            units.add(lead)
         for k in new:
             if k != lead:
                 touching.setdefault(k, set()).add(lead)

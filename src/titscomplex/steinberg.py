@@ -155,7 +155,8 @@ def _class_coeffs(cx: TitsComplex, frame, coord) -> dict[int, int]:
     a complete chain of free, cofree summands, which is a facet, so
     `position` never answers None.  A map that keeps only some facets
     builds the class restricted to them and never the full one.  The span
-    of 2 to n - 1 of the lines is `cx.span_of_lines` (proof there).
+    of 2 to n - 1 of the lines is `cx.span_of_lines` (proof there), read
+    straight from its memo when the memo holds it.
     """
     n = cx.n
     # vertex index of the span of every nonempty proper subset of columns,
@@ -163,9 +164,11 @@ def _class_coeffs(cx: TitsComplex, frame, coord) -> dict[int, int]:
     vertex_of = [0] * (1 << n)
     for j, v in enumerate(frame):
         vertex_of[1 << j] = v
-    span = cx.span_of_lines
+    cache = cx._span_cache
     for mask, members in _span_subsets(n):
-        vertex_of[mask] = span(members(frame))
+        lines = members(frame)
+        got = cache.get(lines)
+        vertex_of[mask] = cx.span_of_lines(lines) if got is None else got
     coeffs: dict[int, int] = {}
     # the n! flags are distinct facets (distinct subsets of a basis span
     # distinct summands), so no two terms meet at one coordinate
@@ -277,64 +280,86 @@ def _invertible_frames(cx: TitsComplex, lines):
     is the same order.  The n signed cofactors of the prefix columns come
     from one `subset_minors` table per prefix, and the determinant of
     prefix + w is their dot product with w (Laplace expansion along the
-    last column): no matrix is built per frame.
+    last column), read off each cofactor's multiplication row for all the
+    later lines at once: no matrix is built per frame.
+
+    A prefix whose cofactors all lie in one maximal ideal m is skipped:
+    every determinant through it is a combination of them, so it lies in m
+    and is no unit.  The test is one bit per nonzero idempotent e of R,
+    which an element x holds when x*e is nilpotent (`Ring.radical`); the
+    prefix is skipped when its cofactors share a bit.  That is the same
+    test.  R is the product of its local factors R*e_i over its primitive
+    idempotents e_i, and x lies in the maximal ideal over R*e_i exactly
+    when x*e_i is nilpotent, which is the bit of e_i.  A nonzero
+    idempotent e is the sum of the e_i with e*e_i = e_i, at least one,
+    and x*e is nilpotent exactly when each x*e_i is; so cofactors sharing
+    the bit of e lie in the maximal ideal over each such R*e_i.
     """
     ring, n = cx.ring, cx.n
-    add, mul, neg, units = ring.add, ring.mul, ring.neg, ring.units
+    add, mul, neg, units, zero = ring.add, ring.mul, ring.neg, ring.units, ring.zero
+    # ideals[x]: the bits of the nonzero idempotents e with x*e nilpotent
+    ideals, bit = [0] * ring.card, 1
+    for e, row in enumerate(mul):
+        if e != zero and row[e] == e:
+            for x in itertools.compress(range(ring.card), map(ring.radical.__contains__, row)):
+                ideals[x] |= bit
+            bit <<= 1
     gens = [cx.vertices[i].basis[0] for i in lines]
+    coords = list(zip(*gens))  # entry r of every generator, by line
+    # the cofactor of row r in the last column: (-1)^(r + n - 1) times the
+    # prefix minor without row r, at mask full ^ (1 << r)
     full = (1 << n) - 1
+    masks = [full ^ (1 << r) for r in range(n)]
+    signs = [neg if (r + n - 1) % 2 else list(range(ring.card)) for r in range(n)]
     for prefix in itertools.combinations(range(len(lines) - 1), n - 1):
-        frame = [lines[k] for k in prefix]
-        minors = subset_minors(ring, [gens[k] for k in prefix], n)
-        # the cofactor of row r in the last column: (-1)^(r + n - 1) times
-        # the prefix minor without row r
-        cof = [
-            minors[full ^ (1 << r)] if (r + n - 1) % 2 == 0 else neg[minors[full ^ (1 << r)]]
-            for r in range(n)
-        ]
-        for k in range(prefix[-1] + 1, len(lines)):
-            w = gens[k]
-            det = ring.zero
-            for a, c in zip(w, cof):
-                det = add[det][mul[a][c]]
-            if det in units:
-                yield frame + [lines[k]]
+        minors = subset_minors(ring, list(map(gens.__getitem__, prefix)), n)
+        cof = list(map(list.__getitem__, signs, map(minors.__getitem__, masks)))
+        if functools.reduce(operator.and_, map(ideals.__getitem__, cof)):
+            continue
+        # det(prefix + w) for every later line w, one entry of w at a time
+        start = prefix[-1] + 1
+        dets = map(mul[cof[0]].__getitem__, coords[0][start:])
+        for c, col in zip(cof[1:], coords[1:]):
+            dets = map(list.__getitem__, map(add.__getitem__, dets), map(mul[c].__getitem__, col[start:]))
+        frame = list(map(lines.__getitem__, prefix))
+        for w in itertools.compress(lines[start:], map(units.__contains__, dets)):
+            yield frame + [w]
 
 
 def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
-    """The frames of sampled mode, as sorted lists: the identity frame
+    """The frames of sampled mode, as sorted tuples: the identity frame
     and seeded random sets of `lines` (vertex indices in increasing order)
     whose columns `Mat.det` finds invertible, then rounds of their images
-    under the generators of GL_n(R), each frame once, each round sorted by
-    its lines.  They end
+    under the generators of GL_n(R), each frame once, each round in
+    increasing order.  They end
     after the first orbit round that leaves `ech.rank` where it was; the
     seed round is never tested this way.
 
     Only lines are mapped: one table per generator g sends each line to
     the line holding g times its generator (`cx._line_map`).  The tables
-    are built once and dropped with the generator.
+    are built once and dropped with the generator.  A permutation of the
+    lines keeps a frame's n lines distinct, so the sorted tuple of the
+    images is the image frame's one key.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
     images = [cx._line_map(cx, g.apply) for g in gl_generators(ring, n)]
     ident = Mat.identity(ring, n)
-    candidates = [frozenset(cx._line_of(ident.column(j)) for j in range(n))]
-    candidates += [frozenset(rng.sample(lines, n)) for _ in range(n * 4)]
+    candidates = [tuple(sorted(cx._line_of(ident.column(j)) for j in range(n)))]
+    candidates += [tuple(sorted(rng.sample(lines, n))) for _ in range(n * 4)]
     frontier = [
         f for f in dict.fromkeys(candidates)
-        if Mat.from_columns(ring, [cx.vertices[i].basis[0] for i in sorted(f)]).is_invertible()
+        if Mat.from_columns(ring, [cx.vertices[i].basis[0] for i in f]).is_invertible()
     ]
     seen = set(frontier)
     rank = None
     while True:
-        yield from map(sorted, frontier)
+        yield from frontier
         if ech.rank == rank:
             return
         rank = ech.rank
         # images of frames older than the frontier are seen already
-        frontier = sorted(
-            {frozenset(map(p.__getitem__, f)) for f in frontier for p in images} - seen, key=sorted
-        )
+        frontier = sorted({tuple(sorted(map(p.__getitem__, f))) for f in frontier for p in images} - seen)
         seen.update(frontier)
 
 
@@ -428,12 +453,14 @@ def apartment_span_rank(
         frames = _orbit_frames(cx, lines, seed, ech)
     used: list[dict] = []  # the classes added, in order, on the surviving top cells
     saturated = True
+    coord = pos.get
     for frame in frames:
         if budget is not None and len(used) >= budget:
             saturated = False
             break
-        used.append(_class_coeffs(cx, frame, pos.get))
-        ech.add(used[-1])
+        vec = _class_coeffs(cx, frame, coord)
+        used.append(vec)
+        ech.add(vec)
         if ech.rank == top_betti:
             break
         if len(used) % 256 == 0:

@@ -5,7 +5,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from titscomplex import (
@@ -31,6 +31,8 @@ from titscomplex.homology import (
     IntEchelon,
     MOD_P,
     ModPEchelon,
+    _HALF_P,
+    _balanced,
     _unit_pivots,
     euler_characteristic_checks,
     normalize_divisors,
@@ -322,6 +324,110 @@ def test_mod_p_echelon_against_dense_elimination(data):
         assert ech.add(vec) == (want > before)
         assert ech.rank == want
         assert vec == snapshot
+
+
+class PlainModPEchelon:
+    """Test-local oracle: `ModPEchelon.add` as it was before the set of
+    single-entry pivots, one reduction pass over every pivot at the
+    vector's entries."""
+
+    def __init__(self):
+        self.pivots = {}
+        self._touching = {}
+
+    def add(self, vec):
+        lo, hi, pivots, touching = -_HALF_P, _HALF_P, self.pivots, self._touching
+        vals = vec.values()
+        if vals and (min(vals) < lo or max(vals) > hi or 0 in vals):
+            vec = {k: b for k, v in vec.items() if (b := _balanced(v))}
+        else:
+            vec = dict(vec)
+        for lead in [k for k in vec if k in pivots]:
+            c = vec[lead]
+            for k, v in pivots[lead].items():
+                nv = vec.get(k, 0) - c * v
+                if not lo <= nv <= hi:
+                    nv = _balanced(nv)
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+        if not vec:
+            return False
+        lead = min(vec, key=lambda k: (len(touching.get(k, ())), k))
+        c = vec[lead]
+        if c == 1:
+            new = vec
+        elif c == -1:
+            new = {k: -v for k, v in vec.items()}
+        else:
+            inv = pow(c, -1, MOD_P)
+            new = {k: _balanced(v * inv) for k, v in vec.items()}
+        for other in touching.pop(lead, ()):
+            row = pivots[other]
+            c = row[lead]
+            for k, v in new.items():
+                nv = row.get(k, 0) - c * v
+                if not lo <= nv <= hi:
+                    nv = _balanced(nv)
+                if nv:
+                    if k not in row:
+                        touching.setdefault(k, set()).add(other)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    if k != lead:
+                        touching[k].discard(other)
+        pivots[lead] = new
+        for k in new:
+            if k != lead:
+                touching.setdefault(k, set()).add(lead)
+        return True
+
+
+def _echelon_vectors(size):
+    """Strategy for a list of steps: a fresh vector on a small support, a
+    repeat of an earlier step, or a vector on the leads held so far (drawn
+    as indices into them, read when the step runs), plus maybe one more
+    column."""
+    fresh = st.dictionaries(st.integers(0, size - 1), mod_p_entries, max_size=3)
+    on_leads = st.tuples(
+        st.lists(st.tuples(st.integers(0, size - 1), mod_p_entries), min_size=1, max_size=size),
+        st.one_of(st.none(), st.tuples(st.integers(0, size - 1), mod_p_entries)),
+    )
+    return st.lists(st.one_of(
+        st.tuples(st.just("fresh"), fresh),
+        st.tuples(st.just("repeat"), st.integers(0, 20)),
+        st.tuples(st.just("leads"), on_leads),
+    ), min_size=1, max_size=12)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_echelon_vectors(5))
+# the pivot at 1 clears column 1 from the pivot at 0 and leaves it e_0,
+# which joins the set; then a vector on both leads, and one off them
+@example([("fresh", {0: 1, 1: 1}), ("fresh", {1: 1}), ("leads", ([(0, 3), (1, -P - 2)], None)),
+          ("fresh", {0: 1, 2: 1})])
+def test_single_entry_pivots_keep_the_plain_echelon(steps):
+    ech, plain, added = ModPEchelon(), PlainModPEchelon(), []
+    for kind, arg in steps:
+        if kind == "fresh":
+            vec = arg
+        elif kind == "repeat":
+            vec = dict(added[arg % len(added)]) if added else {}
+        else:
+            leads = sorted(plain.pivots)
+            picks, extra = arg
+            vec = {leads[i % len(leads)]: v for i, v in picks} if leads else {}
+            if extra is not None:
+                vec[extra[0]] = extra[1]
+        snapshot = dict(vec)
+        added.append(vec)
+        assert ech.add(vec) == plain.add(vec)
+        assert vec == snapshot
+        assert ech.pivots == plain.pivots
+        assert ech._touching == plain._touching
+        assert ech._units == {k for k, piv in ech.pivots.items() if len(piv) == 1}
 
 
 def test_smith_rank_of_orbit_sum_boundaries_with_no_unit_entry(built, monkeypatch):

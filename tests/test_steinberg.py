@@ -266,10 +266,16 @@ def _exact_span(cx):
     return smith_rank_and_divisors(classes)[0], len(classes)
 
 
-@pytest.mark.parametrize("label,n", [("Z/6", 2), ("Z/4", 3), ("F3", 3), ("Z/2xZ/2", 3)])
+@pytest.mark.parametrize("label,n", [
+    ("Z/6", 2), ("Z/4", 3), ("F3", 3), ("Z/2xZ/2", 3),
+    ("F2[e]^2", 3), ("Z/8", 2), ("Z/2xZ/3", 2),
+])
 def test_cofactor_frame_test_matches_the_determinant(built, label, n):
     # the same frames in the same order, though the oracle tests the
-    # preferred generators and the span the walk's
+    # preferred generators and the span the walk's.  The walk skips the
+    # prefixes whose cofactors lie in one maximal ideal: at n = 3 over
+    # Z/4, F2[e]^2 and Z/2xZ/2; never at n = 2, where the cofactors are
+    # the entries of one line's generator, which generate R
     cx = built.complex(label, n)
     lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
     assert list(steinberg._invertible_frames(cx, lines)) == _oracle_frames(cx)
