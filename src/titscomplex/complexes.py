@@ -220,16 +220,23 @@ class TitsComplex(SimplicialComplex):
         """The line of dst holding f of each line's generator, by line."""
         return [dst._line_of(f(s.basis[0])) for s in self.vertices[:self.start.get(2, len(self.vertices))]]
 
+    @functools.cached_property
+    def _basis_lines(self) -> list[tuple]:
+        """The lines of the basis vectors of each vertex of rank >= 2, in
+        vertex order, read once from its basis codes through the Gr_1 index."""
+        cat = self.catalog
+        ranks = range(2, self.max_rank + 1)
+        return [tuple(cat.holding(1, [c])[0] for c in b) for k in ranks for b in cat.basis_codes(k)]
+
     def _vertex_map(self, dst: "TitsComplex", f) -> list[int]:
         """The image in dst of every vertex under f, a map of modules on
         vectors keeping invertible matrices invertible (g in GL_n(R),
         reduction along R -> R/I).  f maps only the generators of the lines,
         the first vertices (`_line_map`); a vertex of rank k >= 2 goes to
         the span of the images of its basis lines, whose generators are unit
-        multiples of its basis (`span_of_lines`)."""
+        multiples of its basis (`_basis_lines`, `span_of_lines`)."""
         lines = self._line_map(dst, f)
-        image = lines.__getitem__
-        return lines + [dst.span_of_lines(map(image, map(self._line_of, s.basis))) for s in self.vertices[len(lines):]]
+        return lines + [dst.span_of_lines(map(lines.__getitem__, b)) for b in self._basis_lines]
 
     # -- group action -------------------------------------------------------
     def require_ring(self, g: Mat) -> None:

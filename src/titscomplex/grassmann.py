@@ -9,6 +9,7 @@ verify suite hold the two against each other, and against brute-force spans.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, budgeted_ring, check_budget, spec_of
@@ -35,26 +36,17 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def gl_order_field(n: int, q: int) -> int:
     """|GL_n(F_q)| by the standard product formula."""
-    out = 1
-    for i in range(n):
-        out *= q**n - q**i
-    return out
+    return math.prod(q**n - q**i for i in range(n))
 
 
 def gl_order(spec: RingSpec, n: int) -> int:
     """|GL_n(R)| for a supported finite ring, via the radical factorisation."""
-    out = spec.radical_size ** (n * n)
-    for q in spec.residue_field_orders:
-        out *= gl_order_field(n, q)
-    return out
+    return spec.radical_size ** (n * n) * math.prod(gl_order_field(n, q) for q in spec.residue_field_orders)
 
 
 def grassmannian_size_formula(spec: RingSpec, n: int, k: int) -> int:
     """|Gr_k^n(R)| = |J|^(k(n-k)) * prod |Gr_k^n(F_i)| over the residue fields."""
-    out = spec.radical_size ** (k * (n - k))
-    for q in spec.residue_field_orders:
-        out *= gaussian_binomial(n, k, q)
-    return out
+    return spec.radical_size ** (k * (n - k)) * math.prod(gaussian_binomial(n, k, q) for q in spec.residue_field_orders)
 
 
 def flag_type(parts, n: int) -> tuple:
@@ -74,11 +66,7 @@ def good_flag_count(spec: RingSpec, n: int, ranks) -> int:
     of the free module R^n/V_(i-1) of rank n - r_(i-1), so the count is the
     product of |Gr_(r_i - r_(i-1))^(n - r_(i-1))| (r_0 = 0).
     """
-    out, prev = 1, 0
-    for r in ranks:
-        out *= grassmannian_size_formula(spec, n - prev, r - prev)
-        prev = r
-    return out
+    return math.prod(grassmannian_size_formula(spec, n - p, r - p) for p, r in zip((0, *ranks), ranks))
 
 
 def budgeted_flag_count(spec: RingSpec, n: int, lam, budget: int | None = DEFAULT_BUDGET) -> int:
@@ -107,67 +95,62 @@ def proper_ranks(lam) -> tuple:
     return tuple(itertools.accumulate(lam[:-1]))
 
 
-def walk_generators(ring: Ring, n: int) -> list[tuple[int, int, int]]:
-    """Generators of E_n(R) for the orbit walk, as row operations (i, j, a),
-    i != j: E_ij(a) sets v_i <- v_i + a*v_j.  The list holds E_{i,i+1}(a)
-    and E_{i+1,i}(a) for i < n - 1 and each additive generator a of R.
-
-    Their orbit of V_0 = span(e_1..e_k), k >= 1, is all of Gr_k:
-    - they generate E_n(R): E_ij(a) E_ij(b) = E_ij(a + b), so the additive
-      generators give E_{i,i+1}(r) and E_{i+1,i}(r) for every r in R, and
-      [E_ij(a), E_jk(1)] = E_ik(a) for distinct i, j, k then gives every
-      E_ij(r), by induction on |i - j|;
-    - SL_n(R) = E_n(R), R a finite product of local rings: over a local
-      ring with maximal ideal J, once the columns before column c are
-      cleared, column c has a unit on or below the diagonal (the matrix is
-      invertible mod J); adding its row to row c if need be makes a unit
-      pivot, and clearing column c with it ends at diag(u_1, ..., u_n),
-      prod u_i = det = 1, which lies in E_n by Whitehead's lemma
-      (diag(u, u^-1) is in E_2).  Over a product, E_ij(e*r), e the
-      idempotent of one factor, is E_ij(r) there and 1 elsewhere, so both
-      groups split factor by factor;
-    - g in GL_n(R) is e*diag(det g, 1, ..., 1) with e in SL_n(R), and the
-      diagonal factor fixes V_0, so E_n(R)*V_0 = GL_n(R)*V_0 = Gr_k
-      (`SummandCatalog`);
-    - the group is finite, so each generator's inverse is a power of it,
-      and a breadth-first walk under the generators reaches the orbit.
-    """
-    ops = []
-    for i in range(n - 1):
-        for a in ring.additive_generators():
-            ops += [(i, i + 1, a), (i + 1, i, a)]
-    return ops
-
-
 class SummandCatalog:
     """Per-(ring, n) cache of Grassmannians and of which summands hold which vectors.
 
-    Gr_k is the orbit of span(e_1..e_k) under GL_n(R), which is transitive
-    on it (for V, V' in Gr_k with free complements C, C', the matrix taking
-    a basis of V, then of C, to one of V', then of C', takes V to V'),
-    walked breadth-first under `walk_generators`.  Equal-rank containment
-    is equality: a free rank-k summand holding a basis of another contains
-    it, and both have q^k members.  So g*V is already found exactly when a
-    found summand holds every g*b, b in a basis of V; for k = 1 one index
-    list answers, as a line holding g*b contains span(g*b) = g*V.  A new
-    g*V takes the members {g*v : v in V} (g is a bijection of R^n); no span
-    is built.
+    Gr_k is listed cell by cell from normal forms, each summand reached
+    once, with no search.  Let R be the product of its local factors
+    R_f = e_f*R (e_f the primitive idempotents), with maximal ideals J_f
+    and residue fields F_f.  V -> (V*e_f)_f is a bijection from Gr_k onto
+    the product of the Gr_k of the R_f^n.  Over one factor:
+    - V*e_f / J_f*V*e_f is a k-dimensional subspace of F_f^n; let I_f be
+      the pivot rows of its reduced column echelon form, in order;
+    - for any basis matrix B of V*e_f the minor on the rows I_f is a unit
+      mod J_f, so a unit, and B times its inverse is a basis equal to the
+      identity on the rows I_f; two such bases B and B*C agree there only
+      if C = 1, so this normal form is unique;
+    - mod J_f the normal form is the reduced echelon form: in column j a
+      row r outside I_f holds an entry of J_f if r < I_f[j] and of R_f if
+      r > I_f[j].  Conversely, such a matrix and the unit vectors off I_f
+      make an invertible matrix, so it is the normal form of the summand
+      it spans, whose pivot rows are I_f.
+    So a cell is a tuple (I_f)_f, its summands are its matrices, one each,
+    and the cells of one factor count |J_f|^(k(n-k)) * [n, k]_(|F_f|) (the
+    entries below the pivots count the inversions of I_f), the count of
+    `grassmannian_size_formula`.  `Summand.basis` is the normal form, the
+    sum of the e_f times the factors' ones; the exports print
+    `preferred_basis`.
 
-    The walk runs on codes c(v) = sum v_i*q^(n-1-i), the position of v in
-    `space`, R^n in lexicographic order (`code` is the inverse dict), so the
-    digit d_i(c) = c // q^(n-1-i) % q is v_i.  A move changes one entry:
-    E_ij(a) maps c to c + (add[d_i][a*d_j] - d_i)*q^(n-1-i), so each is a
-    list code -> image code built from digit lists alone, once per catalog.
-    Containment is read from basis codes (`holding`); a `Summand` decodes
-    its codes after the sort.  c is an order isomorphism onto range(q^n):
-    if v < w first differ at i, c(w) - c(v) >= q^(n-1-i) - sum_{j>i}
-    (q-1)*q^(n-1-j) = 1, so sorted code lists compare as the sorted member
-    tuples, the order of Gr_k.
+    A cell's first summand has every free entry 0 (`_first_summand`).
+    The rest are reached by steps.  For a in R_f, s = I_f[j] and r not in
+    I_f, E_rs(a) (v_r <- v_r + a*v_s) adds a to entry (r, j) over R_f,
+    where row s of the basis is the j-th unit row, and nothing over the
+    other factors, where a is 0; the pivot rows stay.  Each entry ranges
+    over (R_f, +) or (J_f, +), the direct sum of the cyclic groups <a> of
+    its steps (`_local_factors`), so its values are the sums of the c*a,
+    0 <= c < order(a), once each.  Going through the steps of the free
+    entries, every summand of the cell so far is moved order(a) - 1 more
+    times by E_rs(a): |Gr_k| less the number of cells moves in all, each
+    one move table applied to its parent's basis and member codes
+    (g*V = {g*v : v in V}, g a bijection of R^n), and no found-check.
 
-    The ring's and the walk's tables are built after the budget checks of
-    the first Gr_k, k >= 1 (Gr_0 = {0} needs none).  Each table and index
-    has q^n entries (an index also holds |Gr_k|*q^k ids), and for
-    1 <= k <= n, q^n <= |Gr_k|*q^k, the count the budget admits: per
+    The catalog runs on codes c(v) = sum v_i*q^(n-1-i), the position of v
+    in `space`, R^n in lexicographic order (`code` is the inverse dict), so
+    the digit d_i(c) = c // q^(n-1-i) % q is v_i.  A move changes one
+    entry: E_ij(a) maps c to c + (add[d_i][a*d_j] - d_i)*q^(n-1-i), so each
+    is a list code -> image code built from digit lists alone, once per
+    catalog, on first use.  Containment is read from basis codes
+    (`holding`): equal-rank containment is equality, as a free rank-k
+    summand holding a basis of another contains it and both have q^k
+    members.  A `Summand` decodes its codes after the sort.  c is an order
+    isomorphism onto range(q^n): if v < w first differ at i, c(w) - c(v)
+    >= q^(n-1-i) - sum_{j>i} (q-1)*q^(n-1-j) = 1, so sorted code lists
+    compare as the sorted member tuples, the order of Gr_k.
+
+    The ring's and the catalog's tables are built after the budget checks
+    of the first Gr_k, k >= 1 (Gr_0 = {0} needs none).  Each table and
+    index has q^n entries (an index also holds |Gr_k|*q^k positions), and
+    for 1 <= k <= n, q^n <= |Gr_k|*q^k, the count the budget admits: per
     residue field F_i, |Gr_k^n(F_i)| is a polynomial in q_i with
     nonnegative coefficients and leading term q_i^(k(n-k)), so |Gr_k^n(R)|
     >= |J|^(k(n-k)) * prod q_i^(k(n-k)) = q^(k(n-k)), and |Gr_k|*q^k >=
@@ -179,76 +162,72 @@ class SummandCatalog:
         self.n = n
         self.budget = budget
         self._gr: dict[int, list[Summand]] = {}
-        # k >= 1 -> (code -> walk ids holding it, id -> position, basis codes)
+        # k >= 1 -> (code -> positions holding it, basis codes by position)
         self._index: dict[int, tuple] = {}
-        self._tables = None  # (space, code, moves), built by the first Gr_k, k > 0
+        self._tables = None  # (space, code, digits, factors), built by the first Gr_k, k > 0
+        self._moves: dict[tuple, list[int]] = {}  # (i, j, a) -> move table
 
     def grassmannian(self, k: int) -> list[Summand]:
         if not (0 <= k <= self.n):
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={self.n}")
-        got = self._gr.get(k)
-        if got is not None:
-            return got
+        if k in self._gr:
+            return self._gr[k]
         spec, n = self.spec, self.n
         check_grassmannian_budget(spec, n, k, self.budget)
         ring = budgeted_ring(spec, self.budget)
         if not k:
             out = self._gr[0] = [Summand(ring, n, 0, frozenset([(ring.zero,) * n]), ())]
             return out
-        space, code, moves = self._walk_tables(ring)
-        zeros = (ring.zero,) * n
-        bases = [[code[zeros[:i] + (ring.one,) + zeros[i + 1:]] for i in range(k)]]
-        members = [[code[t + zeros[k:]] for t in itertools.product(range(ring.card), repeat=k)]]
+        space, code, _, factors = self._code_tables(ring)
+        summands = []  # (basis codes, member codes)
+        for cell in itertools.product(itertools.combinations(range(n), k), repeat=len(factors)):
+            first = len(summands)
+            summands.append(_first_summand(ring, n, code, cell, factors))
+            steps = [(r, s, step) for (_, units, radical), pivots in zip(factors, cell) for s in pivots
+                     for r in range(n) if r not in pivots for step in (radical if r < s else units)]
+            for r, s, (a, times) in steps:
+                g = self._move(ring, (r, s, a)).__getitem__
+                for basis, held in summands[first:]:
+                    for _ in range(1, times):
+                        basis, held = list(map(g, basis)), sorted(map(g, held))
+                        summands.append((basis, held))
+        # the one place summands are ordered, by their sorted member codes
+        summands.sort(key=operator.itemgetter(1))
         index = [[] for _ in space]
-        for c in members[0]:
-            index[c].append(0)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in moves:
-                    image = [g[c] for c in bases[p]]
-                    if not (index[image[0]] if k == 1 else _holding_all(index, image)):
-                        new = len(bases)  # one shared int per summand
-                        moved = list(map(g.__getitem__, members[p]))
-                        for c in moved:
-                            index[c].append(new)
-                        nxt.append(new)
-                        bases.append(image)
-                        members.append(moved)
-            frontier = nxt
-        # the one place summands are ordered, each sort key computed once
-        for m in members:
-            m.sort()
-        order = sorted(range(len(members)), key=members.__getitem__)
-        self._index[k] = index, dict(zip(order, range(len(order)))), list(map(bases.__getitem__, order))
+        for pos, (_, held) in enumerate(summands):
+            for c in held:
+                index[c].append(pos)
+        self._index[k] = index, [basis for basis, _ in summands]
         decode = space.__getitem__
-        out = [Summand(ring, n, k, map(decode, members[i]), map(decode, bases[i])) for i in order]
-        self._gr[k] = out
+        out = self._gr[k] = [Summand(ring, n, k, map(decode, held), map(decode, basis)) for basis, held in summands]
         return out
 
-    def _walk_tables(self, ring: Ring):
-        """`space`, `code` and the walk tables, built once."""
+    def _code_tables(self, ring: Ring):
+        """`space`, `code`, the digit lists and `_local_factors`, built once."""
         if self._tables is None:
             n, q = self.n, ring.card
             space = list(itertools.product(range(q), repeat=n))
             # d_i over range(q^n): each digit q^(n-1-i) times, the run q^i times
             digits = [[x for x in range(q) for _ in range(q ** (n - 1 - i))] * q**i for i in range(n)]
-            moves = [_move_table(ring, digits, op) for op in walk_generators(ring, n)]
-            self._tables = space, dict(zip(space, range(q**n))), moves
+            self._tables = space, dict(zip(space, range(q**n))), digits, list(_local_factors(ring))
         return self._tables
+
+    def _move(self, ring: Ring, op) -> list[int]:
+        """`_move_table` of op, built once per catalog, on first use."""
+        if op not in self._moves:
+            self._moves[op] = _move_table(ring, self._code_tables(ring)[2], op)
+        return self._moves[op]
 
     def basis_codes(self, k: int) -> list[list[int]]:
         """The basis codes of grassmannian(k), k >= 1, by position."""
         self.grassmannian(k)
-        return self._index[k][2]
+        return self._index[k][1]
 
     def holding(self, k: int, codes) -> list[int]:
         """Ascending positions in grassmannian(k), once built, k >= 1, of the
         summands holding all of one or more codes: the containment route."""
-        index, pos, _ = self._index[k]
-        ids = index[codes[0]] if len(codes) == 1 else _holding_all(index, codes)
-        return sorted(map(pos.__getitem__, ids))
+        index = self._index[k][0]
+        return sorted(index[codes[0]] if len(codes) == 1 else _holding_all(index, codes))
 
     def lines_holding(self, v) -> list[int]:
         """Ascending positions in grassmannian(1), once built, of the lines holding v: none outside R^n."""
@@ -256,20 +235,69 @@ class SummandCatalog:
         return [] if c is None else self.holding(1, [c])
 
 
+def _local_factors(ring: Ring):
+    """(e, unit steps, radical steps) for each local factor R_f = e*R, e a
+    primitive idempotent (no other nonzero idempotent d has d*e = d).  A
+    step is (a, order of a in (R, +)), a != 0, and the cyclic groups <a>
+    of the unit steps sum directly to (R_f, +), those of the radical steps
+    to (J_f, +).
+
+    The unit steps are the e*g, g in `Ring.additive_generators`, and the
+    radical steps the first multiple of each that lies in J_f.  The
+    factors of the supported rings are Z/p^m, with the steps e and p*e,
+    and F_p[x]/(x^m), with the steps x^i, 0 <= i < m, and x^i, 0 < i < m:
+    (R_f, +) is cyclic or elementary abelian, and the orders multiply to
+    |R_f| and |J_f| = |R_f| / p."""
+    mul, zero = ring.mul, ring.zero
+    idempotents = [e for e in range(ring.card) if e != zero and mul[e][e] == e]
+    for e in idempotents:
+        if all(d == e or mul[e][d] != d for d in idempotents):
+            units = [_multiples(ring, mul[e][g]) for g in ring.additive_generators()]
+            radical = [_multiples(ring, next(filter(ring.radical.__contains__, m))) for m in units]
+            yield e, *([(m[0], len(m)) for m in steps if len(m) > 1] for steps in (units, radical))
+
+
+def _multiples(ring: Ring, a: int) -> list[int]:
+    """a, 2a, ..., 0: the cyclic group <a> of (R, +), ending at 0."""
+    out = [a]
+    while out[-1] != ring.zero:
+        out.append(ring.add[out[-1]][a])
+    return out
+
+
+def _first_summand(ring: Ring, n: int, code, cell, factors):
+    """Basis and member codes of the summand of a cell (one pivot tuple per
+    factor of `_local_factors`, `SummandCatalog`) whose free entries are
+    all 0.  Entry (r, j) of its basis is the sum of the e_f with
+    I_f[j] = r, so row r of a member is any element of e*R, e the sum of
+    the e_f whose I_f hold r, whatever the other rows are, as each (f, j)
+    puts its coordinate in one row.  The zero element is 0, so a member's
+    code is the sum of its rows' codes, and the product of ascending rows
+    lists them in order."""
+    basis, spans = [[ring.zero] * n for _ in cell[0]], [ring.zero] * n
+    for (e, _, _), pivots in zip(factors, cell):
+        for j, r in enumerate(pivots):
+            basis[j][r] = ring.add[basis[j][r]][e]
+            spans[r] = ring.add[spans[r]][e]
+    rows = [[x * ring.card ** (n - 1 - r) for x in sorted(set(ring.mul[e]))] for r, e in enumerate(spans)]
+    return [code[tuple(b)] for b in basis], list(map(sum, itertools.product(*rows)))
+
+
 def _move_table(ring: Ring, digits, op) -> list[int]:
-    """The walk generator op as a list code -> image code (`SummandCatalog`)."""
+    """The move op = (i, j, a), E_ij(a) (entry i goes from x to x + a*y,
+    y = entry j; for i = j, to (1 + a)*x), as a list code -> image code
+    (`SummandCatalog`)."""
     i, j, a = op
     q, n = ring.card, len(digits)
     w, times_a = q ** (n - 1 - i), ring.mul[a]
-    # entry i goes from x to x + a*y, y = entry j
     shift = [[(plus[times_a[y]] - x) * w for y in range(q)] for x, plus in enumerate(ring.add)]
     steps = map(list.__getitem__, map(shift.__getitem__, digits[i]), digits[j])
     return list(map(operator.add, range(q**n), steps))
 
 
 def _holding_all(index, codes) -> set[int]:
-    """The ids in all the codes' index lists (two or more codes), from a
-    set of the shorter of the first two."""
+    """The positions in all the codes' index lists (two or more codes),
+    from a set of the shorter of the first two."""
     a, b = index[codes[0]], index[codes[1]]
     if len(a) > len(b):
         a, b = b, a

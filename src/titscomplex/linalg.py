@@ -156,23 +156,31 @@ def unit_scaling(ring: Ring, n: int, u: int, pos: int = 0) -> Mat:
 
 
 def gl_generators(ring: Ring, n: int) -> list[Mat]:
-    """Generators of GL_n(R): elementary matrices over additive generators
-    of R, plus unit scalings in the first slot (GL_n = E_n * GL_1, by
-    `grassmann.walk_generators`).
+    """Generators of GL_n(R): E_ij(a), i != j, over the additive generators
+    a of R, then diag(u, 1, ..., 1) for each unit u != 1 (`_gl_ops`).
+
+    They generate, as GL_n = E_n * GL_1: g = e*diag(det g, 1, ..., 1)
+    with e in SL_n(R), and SL_n(R) = E_n(R) for R a finite product of
+    local rings.  Over a local ring with maximal ideal J, once the columns
+    before column c are cleared, column c has a unit on or below the
+    diagonal (the matrix is invertible mod J); adding its row to row c if
+    need be makes a unit pivot, and clearing column c with it ends at
+    diag(u_1, ..., u_n), prod u_i = det = 1, which lies in E_n by
+    Whitehead's lemma (diag(u, u^-1) is in E_2).  Over a product,
+    E_ij(e*r), e the idempotent of one factor, is E_ij(r) there and 1
+    elsewhere, so both groups split factor by factor.  E_ij(a) E_ij(b) =
+    E_ij(a + b) gives every E_ij(r) from the additive generators.
 
     The sampled apartment search builds its orbit rounds from this exact
-    list, so its order and length fix `apartments_used`; the Grassmannian
-    walk uses the smaller `grassmann.walk_generators` instead."""
-    gens = []
-    for a in ring.additive_generators():
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    gens.append(elementary_matrix(ring, n, i, j, a))
-    for u in sorted(ring.units):
-        if u != ring.one:
-            gens.append(unit_scaling(ring, n, u))
-    return gens
+    list, so its order and length fix `apartments_used`."""
+    return [elementary_matrix(ring, n, *op) for op in _gl_ops(ring, n)]
+
+
+def _gl_ops(ring: Ring, n: int) -> list[tuple[int, int, int]]:
+    """`gl_generators` as (i, j, a), the matrix `elementary_matrix(ring, n,
+    i, j, a)`: E_ij(a) for i != j, and diag(a, 1, ..., 1) for i = j = 0."""
+    ops = [(i, j, a) for a in ring.additive_generators() for i in range(n) for j in range(n) if i != j]
+    return ops + [(0, 0, u) for u in sorted(ring.units) if u != ring.one]
 
 
 def congruence_generators(ring: Ring, n: int, ideal_gen_payloads) -> list[Mat]:

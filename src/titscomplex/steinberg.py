@@ -21,7 +21,7 @@ import random
 from math import comb
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, log10_bound
-from .linalg import Mat, gl_generators, subset_minors
+from .linalg import Mat, _gl_ops, gl_generators, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
@@ -335,15 +335,13 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     after the first orbit round that leaves `ech.rank` where it was; the
     seed round is never tested this way.
 
-    Only lines are mapped: one table per generator g sends each line to
-    the line holding g times its generator (`cx._line_map`).  The tables
-    are built once and dropped with the generator.  A permutation of the
-    lines keeps a frame's n lines distinct, so the sorted tuple of the
-    images is the image frame's one key.
+    Only lines are mapped, by `_generator_line_tables`, built once per
+    call.  A permutation of the lines keeps a frame's n lines distinct,
+    so the sorted tuple of the images is the image frame's one key.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
-    images = [cx._line_map(cx, g.apply) for g in gl_generators(ring, n)]
+    images = _generator_line_tables(cx)
     ident = Mat.identity(ring, n)
     candidates = [tuple(sorted(cx._line_of(ident.column(j)) for j in range(n)))]
     candidates += [tuple(sorted(rng.sample(lines, n))) for _ in range(n * 4)]
@@ -361,6 +359,17 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
         # images of frames older than the frontier are seen already
         frontier = sorted({tuple(sorted(map(p.__getitem__, f))) for f in frontier for p in images} - seen)
         seen.update(frontier)
+
+
+def _generator_line_tables(cx: TitsComplex) -> list[list[int]]:
+    """`cx._line_map(cx, g.apply)` for each g in `gl_generators`, in order:
+    the line holding g times each line's generator, read through the Gr_1
+    index from the image of the generator's code under the catalog's move
+    table of g (`SummandCatalog._move`; diag(u, 1, ..., 1) is the move
+    (0, 0, u - 1), which takes entry 0 from x to x + (u - 1)*x)."""
+    ring, cat, minus_one = cx.ring, cx.catalog, cx.ring.neg[cx.ring.one]
+    moves = [cat._move(ring, (i, j, a if i != j else ring.add[a][minus_one])) for i, j, a in _gl_ops(ring, cx.n)]
+    return [[cat.holding(1, [g[c]])[0] for c, in cat.basis_codes(1)] for g in moves]
 
 
 EXHAUSTIVE_GL_LIMIT = 10**5

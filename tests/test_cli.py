@@ -728,6 +728,9 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("flags --ring F2[e]^2 --n 3 --type 1,2 --list", "8f979e90a36be53bb468e19eff359af62462306d1d8cdcf6e9987dd7e8a137e4"),
     ("flags --ring Z/6 --n 3 --type 2,1 --list", "71a1b457850eeb420f31244adb0649367bc98415bb213afc8a1e4e68393308b6"),
     ("grass --ring Z/4 --n 3 --enumerate --list", "55f60ef813b3c0cbdc4ca85d9dde5f2f0eb32dd1701b1aee36f696432684ba63"),
+    # order and preferred bases over Z/12 = Z/4 x Z/3 and the local F2[e]^2
+    ("grass --ring Z/12 --n 3 --enumerate --list", "92014559962f8de6165c5a11de7424db122793488d101bd74b02492f46a8a96e"),
+    ("grass --ring F2[e]^2 --n 3 --enumerate --list", "6503fda30a5fa7fefec32b63d2570cd75c6d5a995cb4e5c6d276d65381ec0336"),
     ("verify --tier fast", "415090e7830d848a809effa352c00acd147459772da61635c143280270b2b406"),
     ("verify --tier full", "5ef62f6fcc6ef9dc22f3004a96b2c95d4352945cf934b0892b2c967973798e32"),
     ("orbits --ring Z/8", "6fc0dd41f530bfde0f770aa6d6bcfc930ebeb3482ed1134f5c5521f5fedeada8"),

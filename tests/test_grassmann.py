@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -23,15 +26,26 @@ from titscomplex import (
     steinberg_rank,
 )
 from titscomplex import grassmann, linalg
-from titscomplex.grassmann import good_flag_count, proper_ranks, walk_generators
+from titscomplex.grassmann import good_flag_count, proper_ranks
 from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import reverify_flag
 
 
+def walk_generators(ring, n):
+    """Test oracle: generators of E_n(R) as row operations (i, j, a), i != j,
+    E_ij(a) setting v_i <- v_i + a*v_j: E_{i,i+1}(a) and E_{i+1,i}(a) for
+    i < n - 1 and each additive generator a of R.  E_ij(a) E_ij(b) =
+    E_ij(a + b) and [E_ij(a), E_jk(1)] = E_ik(a) give every E_ij(r), and
+    E_n(R) = SL_n(R) (`linalg.gl_generators`) is transitive on each Gr_k,
+    as diag(u, 1, ..., 1) fixes span(e_1..e_k) and GL_n(R) is transitive
+    (free complements); `test_walk_generators_generate_gl` counts it."""
+    return [op for i in range(n - 1) for a in ring.additive_generators() for op in ((i, i + 1, a), (i + 1, i, a))]
+
+
 def row_operation(ring, op):
-    """Test oracle: the map v -> g*v on R^n, tuple by tuple, of the walk
-    generator g = op (see `walk_generators`)."""
+    """Test oracle: the map v -> g*v on R^n, tuple by tuple, of the row
+    operation g = op (see `walk_generators`)."""
     i, j, a = op
     add, times_a = ring.add, ring.mul[a]
     return lambda v: v[:i] + (add[v[i]][times_a[v[j]]],) + v[i + 1:]
@@ -199,20 +213,27 @@ def test_walk_generators_generate_gl(label, n):
     ("F7", 3, 4, [57, 57]), ("Z/2xZ/2", 3, 8, [49, 49]), ("Z/6", 3, 4, [91, 91]),
 ])
 def test_orbit_walk_moves_by_row_operations(monkeypatch, label, n, ops, sizes):
-    """The walk runs on a few row operations, applies no matrix and builds no span."""
+    """Gr_k is built by row operations alone, applying no matrix and
+    building no span, and it is the orbit of span(e_1..e_k) that the
+    test-side walk reaches under its `ops` row operations: it holds that
+    summand, each operation maps it into itself, and E_n(R) is transitive."""
     calls = []
     monkeypatch.setattr(Mat, "apply", lambda *args: calls.append("apply"))
     monkeypatch.setattr(linalg, "span_if_free", lambda *args, **kw: calls.append("span"))
     monkeypatch.setattr(linalg, "_extend_span", lambda *args: calls.append("extend"))
     spec = parse_ring_spec(label)
     ring = make_ring(spec)
-    assert len(walk_generators(ring, n)) == ops
     catalog = SummandCatalog(spec, n)
-    for k, want in enumerate(sizes, start=1):
-        gr = catalog.grassmannian(k)
+    grs = [catalog.grassmannian(k) for k in range(1, n)]
+    assert calls == []
+    moves = [row_operation(ring, op) for op in walk_generators(ring, n)]
+    assert len(moves) == ops
+    for k, (gr, want) in enumerate(zip(grs, sizes), start=1):
         assert len(gr) == want == grassmannian_size_formula(spec, n, k), (label, n, k)
         assert all(len(s.members) == ring.card**k for s in gr)
-    assert calls == []
+        held = {s.members for s in gr}
+        assert frozenset(t + (ring.zero,) * (n - k) for t in itertools.product(range(ring.card), repeat=k)) in held
+        assert all(frozenset(map(g, m)) in held for m in held for g in moves), (label, n, k)
 
 
 def _lex_code(v, q):
@@ -225,23 +246,27 @@ def _lex_code(v, q):
     ("Z/9", 1), ("F2", 1), ("Z/8", 3), ("Z/2xZ/2xZ/3", 3), ("F2[e]^2", 4),
 ])
 def test_walk_tables_are_bijections_matching_row_operation(label, n):
-    """Each coded walk table, built by digit arithmetic, permutes range(q^n)
-    and decodes, code by code, to the row operation it tabulates: every
-    digit position (n = 1 to 4) and every ring kind."""
+    """Each coded move table, built by digit arithmetic, permutes range(q^n)
+    and decodes, code by code, to the row operation it tabulates: those of
+    the test-side walk, every move the normal forms step by, and each unit
+    scaling diag(u, 1, ..., 1) as the move (0, 0, u - 1); every digit
+    position (n = 1 to 4) and every ring kind."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
     catalog = SummandCatalog(ring.spec, n)
-    catalog.grassmannian(1)
-    space, code, tables = catalog._walk_tables(ring)
-    ops = walk_generators(ring, n)
-    assert len(tables) == len(ops)
+    for k in range(1, n + 1):
+        catalog.grassmannian(k)
+    space, code = catalog._code_tables(ring)[:2]
     assert space == list(itertools.product(range(q), repeat=n))
     assert code == {v: _lex_code(v, q) for v in space}
     codes = list(range(q**n))
-    for op, table in zip(ops, tables):
-        g = row_operation(ring, op)
+    for op in walk_generators(ring, n) + sorted(catalog._moves):
+        g, table = row_operation(ring, op), catalog._move(ring, op)
         assert sorted(table) == codes, (label, op)
         assert all(space[table[c]] == g(space[c]) for c in codes), (label, op)
+    for u in ring.units:
+        g, table = unit_scaling(ring, n, u).apply, catalog._move(ring, (0, 0, ring.add[u][ring.neg[ring.one]]))
+        assert all(space[table[c]] == g(space[c]) for c in codes), (label, u)
 
 
 def test_walk_tables_are_built_once_per_catalog(monkeypatch):
@@ -265,11 +290,15 @@ def test_walk_tables_are_built_once_per_catalog(monkeypatch):
     assert catalog.grassmannian(0)[0].members == {(ring.zero,) * 3}
     assert built == [] and catalog._tables is None  # Gr_0 needs no table
     catalog.grassmannian(2)
-    tables = catalog._walk_tables(ring)
+    tables = catalog._code_tables(ring)
+    # the cells of Gr_2 step every entry off the pivot rows: by E_rs(1)
+    # below the pivot s, by E_rs(3), 3 generating J, above it
+    want = {(r, s, ring.el(1) if r > s else ring.el(3)) for r in range(3) for s in range(3) if r != s}
+    assert sorted(built) == sorted(want)
     for k in (1, 3):
         catalog.grassmannian(k)
-        assert catalog._walk_tables(ring) is tables, k
-    assert built == walk_generators(ring, 3)
+        assert catalog._code_tables(ring) is tables, k
+    assert sorted(built) == sorted(want)  # Gr_1 and Gr_3 build none
 
 
 @pytest.mark.parametrize("label", ["Z/9", "F2[e]^2", "Z/2xZ/3", "F3"])
@@ -279,7 +308,7 @@ def test_vector_codes_round_trip_and_sort_as_tuples(label, n):
     lists decode to the sorted tuple lists, comparing as those do."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
-    space, code, _ = SummandCatalog(ring.spec, n)._walk_tables(ring)
+    space, code = SummandCatalog(ring.spec, n)._code_tables(ring)[:2]
     assert len(space) == len(code) == q**n
     assert all(code[space[c]] == c == _lex_code(space[c], q) for c in range(q**n))
     rng = random.Random(f"{label}-{n}")
@@ -308,7 +337,7 @@ def test_containing_outside_the_space_and_of_no_vectors(label, n):
     assert catalog.lines_holding(zero) == catalog.lines_holding(list(zero)) == lines, (label, n)
     for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
         assert catalog.lines_holding(bad) == catalog.lines_holding(list(bad)) == [], (label, n, bad)
-    code = catalog._walk_tables(ring)[1]
+    code = catalog._code_tables(ring)[1]
     for k in range(1, n + 1):
         gr = catalog.grassmannian(k)
         assert catalog.holding(k, [code[zero]]) == list(range(len(gr))), (label, n, k)
@@ -321,63 +350,136 @@ def test_containing_outside_the_space_and_of_no_vectors(label, n):
 
 def _walk_by_row_operation(ring, n, k):
     """Test-side breadth-first orbit walk of Gr_k: each move applied by
-    `row_operation`, repeats found by member set, output in (sorted members)
-    order with the first basis found for each summand."""
-    basis = tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(k))
+    `row_operation`, repeats found by member set, the member sets output
+    in (sorted members) order."""
     start = frozenset(t + (ring.zero,) * (n - k) for t in itertools.product(range(ring.card), repeat=k))
-    found = {start: basis}
-    frontier = [(start, basis)]
+    found = {start}
+    frontier = [start]
     moves = [row_operation(ring, op) for op in walk_generators(ring, n)] if k else []
     while frontier:
-        nxt = []
-        for members, b in frontier:
-            for g in moves:
-                image = frozenset(map(g, members))
-                if image not in found:
-                    found[image] = tuple(map(g, b))
-                    nxt.append((image, found[image]))
-        frontier = nxt
-    return sorted(found.items(), key=lambda item: sorted(item[0]))
+        frontier = [
+            image for members in frontier for g in moves
+            if (image := frozenset(map(g, members))) not in found and not found.add(image)
+        ]
+    return sorted(found, key=sorted)
 
 
-@pytest.mark.parametrize("label,n", [("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 3)])
+def _local_factors_by_brute_force(ring):
+    """Test oracle: (e, R_f, J_f) for each local factor R_f = e*R of R, e a
+    primitive idempotent (no other nonzero idempotent d has d*e = d), and
+    J_f its nilpotent elements, the maximal ideal; read off the tables."""
+    mul, zero = ring.mul, ring.zero
+    idempotents = [e for e in range(ring.card) if e != zero and mul[e][e] == e]
+    out = []
+    for e in idempotents:
+        if all(d == e or mul[e][d] != d for d in idempotents):
+            part = set(mul[e])
+            nilpotent = {x for x in part if functools.reduce(lambda y, _: mul[y][x], range(ring.card), x) == zero}
+            out.append((e, part, nilpotent))
+    return out
+
+
+def _normal_form(ring, n, k, members, factors):
+    """Test oracle: the cell and basis of the summand with these members in
+    normal form, by brute force.  Over each local factor R_f = e*R, of all
+    k-sets I of rows exactly one has, for each j, one member w_j of e*V
+    equal to e times the j-th unit vector on the rows I, with its entries
+    in J_f on the rows above I[j] outside I; the basis is the sum of the
+    factors' w_j."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    cell, basis = [], [(zero,) * n] * k
+    for e, _, radical in factors:
+        part = {tuple(mul[e][x] for x in v) for v in members}
+        forms = []
+        for rows in itertools.combinations(range(n), k):
+            cols = [[w for w in part if [w[r] for r in rows] == [e if i == j else zero for i in range(k)]] for j in range(k)]
+            if all(len(c) == 1 for c in cols) and all(
+                c[0][r] in radical for s, c in zip(rows, cols) for r in range(s) if r not in rows
+            ):
+                forms.append((rows, [c[0] for c in cols]))
+        assert len(forms) == 1, forms
+        (rows, cols), = forms
+        cell.append(rows)
+        basis = [tuple(map(lambda x, y: add[x][y], b, w)) for b, w in zip(basis, cols)]
+    return tuple(cell), tuple(basis)
+
+
+@pytest.mark.parametrize("label,n", [
+    ("Z/9", 3), ("F3", 4), ("Z/2xZ/2", 3), ("F2[e]^2", 3), ("Z/6", 3),
+    ("Z/12", 3), ("Z/2xZ/9", 3), ("Z/8", 3), ("F2[e]^3", 3),
+])
 def test_grassmannian_equals_a_walk_by_row_operation(label, n):
+    """The members and order of each Gr_k are the test-side walk's, each
+    basis is the brute-force normal form, and the index answers which
+    summands hold each vector as a scan of the walk's member sets does."""
     ring = make_ring(parse_ring_spec(label))
     catalog = SummandCatalog(ring.spec, n)
+    factors = _local_factors_by_brute_force(ring)
     space = all_vectors(ring, n)
     for k in range(n + 1):
         want = _walk_by_row_operation(ring, n, k)
         got = catalog.grassmannian(k)
-        assert [(s.members, s.basis) for s in got] == want, (label, k)
+        assert [s.members for s in got] == want, (label, k)
+        assert [s.basis for s in got] == [_normal_form(ring, n, k, m, factors)[1] for m in want], (label, k)
         if not k:
             continue  # Gr_0 = {0} has no index; its members are checked above
-        code = catalog._walk_tables(ring)[1]
+        code = catalog._code_tables(ring)[1]
         for v in space:
-            holders = [p for p, (m, _) in enumerate(want) if v in m]
+            holders = [p for p, m in enumerate(want) if v in m]
             assert catalog.holding(k, [code[v]]) == holders, (label, k, v)
             if k == 1:
                 assert catalog.lines_holding(v) == holders, (label, v)
 
 
-@pytest.mark.parametrize("label,n,counts", [("Z/9", 3, [0, 468]), ("F3", 4, [0, 780, 240])])
-def test_found_check_intersects_index_lists_only_above_rank_one(monkeypatch, label, n, counts):
-    """A fresh catalog's walk intersects no index lists on Gr_1 (one list
-    answers there) and exactly once per (summand, move) on Gr_k, k >= 2."""
-    calls = []
-    holding_all = grassmann._holding_all
+@pytest.mark.parametrize("label,n", [
+    ("F3", 3), ("Z/9", 3), ("Z/12", 2), ("F2[e]^2", 3), ("F2[e]^3", 2), ("Z/2xZ/2", 3), ("Z/3xF2[e]^2", 2),
+])
+def test_cells_count_their_free_entries(label, n):
+    """Each cell (I_f)_f of Gr_k, read off each summand's brute-force
+    normal form, holds the product over the factors and the entries
+    (r, j), r not in I_f, of |J_f| when r < I_f[j] and |R_f| when
+    r > I_f[j]; and the cells sum to the closed formula.  Every spec kind:
+    a prime field, Z/p^m, Z/m with two factors, F_p[e]^m and products."""
+    ring = make_ring(parse_ring_spec(label))
+    factors = _local_factors_by_brute_force(ring)
+    catalog = SummandCatalog(ring.spec, n)
+    for k in range(1, n + 1):
+        got = collections.Counter(_normal_form(ring, n, k, s.members, factors)[0] for s in catalog.grassmannian(k))
+        want = {}
+        for cell in itertools.product(itertools.combinations(range(n), k), repeat=len(factors)):
+            want[cell] = math.prod(
+                len(radical if r < s else part)
+                for (_, part, radical), rows in zip(factors, cell) for s in rows for r in range(n) if r not in rows
+            )
+        assert got == want, (label, k)
+        assert sum(want.values()) == grassmannian_size_formula(ring.spec, n, k), (label, k)
 
-    def counted(index, codes):
-        calls.append(len(codes))
-        return holding_all(index, codes)
 
-    monkeypatch.setattr(grassmann, "_holding_all", counted)
-    catalog = SummandCatalog(parse_ring_spec(label), n)
-    moves = len(walk_generators(make_ring(catalog.spec), n))
-    for k, want in enumerate(counts, start=1):
-        calls.clear()
+@pytest.mark.parametrize("label,n,moves", [("Z/9", 3, [114, 114]), ("F3", 4, [36, 124, 36])])
+def test_normal_forms_make_one_move_per_summand_and_no_found_check(monkeypatch, label, n, moves):
+    """A fresh catalog lists Gr_k with no found-check (`_holding_all` is
+    never called) and one move for each summand but the first of its cell,
+    |Gr_k| less the cells: each move reads its table once per basis and
+    member code of its parent."""
+    found_checks, reads = [], []
+    holding_all, move = grassmann._holding_all, SummandCatalog._move
+
+    class Counted(list):
+        def __getitem__(self, c):
+            reads.append(c)
+            return list.__getitem__(self, c)
+
+    monkeypatch.setattr(grassmann, "_holding_all", lambda *args: found_checks.append(args) or holding_all(*args))
+    monkeypatch.setattr(SummandCatalog, "_move", lambda self, ring, op: Counted(move(self, ring, op)))
+    ring = make_ring(parse_ring_spec(label))
+    q, cells = ring.card, len(_local_factors_by_brute_force(ring))
+    catalog = SummandCatalog(ring.spec, n)
+    for k, want in enumerate(moves, start=1):
+        reads.clear()
         size = len(catalog.grassmannian(k))
-        assert len(calls) == want == (k > 1) * size * moves, (label, k)
-        assert set(calls) <= {k}
+        assert want == size - math.comb(n, k) ** cells, (label, k)
+        assert len(reads) == want * (k + q**k), (label, k)
+    assert found_checks == []
 
 
 def test_walk_ends_over_a_product_ring():
@@ -388,7 +490,7 @@ def test_walk_ends_over_a_product_ring():
     (full,) = catalog.grassmannian(3)
     assert zero.rank == 0 and zero.members == {vectors[0]} == {(ring.zero,) * 3}
     assert full.rank == 3 and full.members == set(vectors)
-    code = catalog._walk_tables(ring)[1]
+    code = catalog._code_tables(ring)[1]
     assert catalog.holding(3, [code[v] for v in vectors]) == [0]
 
 

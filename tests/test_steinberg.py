@@ -463,12 +463,21 @@ def test_apartment_span_computes_no_preferred_basis(monkeypatch, label, mode):
     res = apartment_span_rank(cx, mode=mode, seed=0)
     assert res.mode == mode and res.rank == res.top_betti
     assert extensions == []
-    # sampled mode looks up the identity frame's n lines and one image per
-    # line and generator of GL_n(R); no class looks up a vector, and every
-    # vector lookup goes through `_line_of`
-    lines = sum(s.rank == 1 for s in cx.vertices)
-    want = cx.n + lines * len(gl_generators(cx.ring, cx.n)) if mode == "sampled" else 0
+    # sampled mode looks up the identity frame's n lines by vector and reads
+    # the generators' line tables from codes (`test_orbit_line_tables_are_the_line_maps`);
+    # no class looks up a vector, and every vector lookup goes through `_line_of`
+    want = cx.n if mode == "sampled" else 0
     assert len(lookups) == want and all(len(v) == cx.n for v in lookups)
+
+
+@pytest.mark.parametrize("label", ["F7", "Z/2xZ/2", "Z/6", "Z/9"])
+def test_orbit_line_tables_are_the_line_maps(label):
+    """The sampled rounds' line tables, read from the catalog's move tables
+    and the Gr_1 index, are the line maps of `gl_generators` by
+    `Mat.apply`, generator by generator in its order."""
+    cx = build_tits_complex(parse_ring_spec(label), 3)
+    want = [cx._line_map(cx, g.apply) for g in gl_generators(cx.ring, 3)]
+    assert steinberg._generator_line_tables(cx) == want
 
 
 # (ring, n, mode, budget) of spans whose frames the line lookup is checked on
