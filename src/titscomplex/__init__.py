@@ -22,8 +22,6 @@ from .linalg import (
     congruence_generators,
     elementary_matrix,
     gl_generators,
-    is_unimodular,
-    span_summand,
     unit_scaling,
 )
 from .grassmann import (

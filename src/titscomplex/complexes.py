@@ -69,14 +69,21 @@ class SimplicialComplex:
     def has_simplex(self, t) -> bool:
         return self.position(t) is not None
 
+    def _level(self, d: int) -> list[tuple]:
+        """The d-simplices; ValueError unless 0 <= d <= dim."""
+        if not 0 <= d <= self.dim:
+            raise ValueError(f"degree {d} out of range")
+        return self.simplices[d]
+
     def faces(self, d: int) -> list[tuple]:
         """The positions of the faces of each d-cell, one tuple per cell, in
         vertex-deletion order: face i drops vertex i and has incidence (-1)^i.
-        A vertex's one face is row 0, the empty simplex.
+        A vertex's one face is row 0, the empty simplex.  ValueError unless
+        0 <= d <= dim.
 
         Every loop runs in C (`map`, `zip`), and tuples of ints, unlike lists,
         leave the cyclic collector's tracking once it has seen them."""
-        level = self.simplices[d]
+        level = self._level(d)
         if d == 0:
             return [(0,)] * len(level)
         pos = self._index(d - 1).__getitem__
@@ -93,9 +100,6 @@ class SimplicialComplex:
             len(set(itertools.chain.from_iterable(self.faces(d)))) == len(self.simplices[d - 1])
             for d in range(1, len(self.simplices))
         )
-
-    def vertex_set(self):
-        return sorted({i for level in self.simplices for t in level for i in t})
 
     def link_and_star(self, simplex) -> tuple["SimplicialComplex", "SimplicialComplex"]:
         """The link and the closed star of a simplex, as complexes on the
@@ -155,13 +159,14 @@ class TitsComplex(SimplicialComplex):
         }
 
     def _line_of(self, v) -> int:
-        """Index of the one line holding the vector v (a sequence), or
-        ValueError when no line or more than one does: by `vertex_of_span`
-        at k = 1, exactly when v is no basis of a line."""
-        hits = self.catalog.lines_holding(v)
-        if len(hits) != 1:
+        """Index of the line of which the vector v (a sequence) is a basis
+        (`SummandCatalog.line_of`), or ValueError when it is a basis of none."""
+        cat = self.catalog
+        c = cat.code_of(v)
+        line = None if c is None else cat.line_of(c)
+        if line is None:
             raise ValueError("vectors are not a basis of a vertex")
-        return hits[0]  # the lines are the first vertices
+        return line  # the lines are the first vertices
 
     def vertex_of_span(self, vectors) -> int:
         """Index of the vertex of which the vectors are a basis: the span
@@ -223,10 +228,10 @@ class TitsComplex(SimplicialComplex):
     @functools.cached_property
     def _basis_lines(self) -> list[tuple]:
         """The lines of the basis vectors of each vertex of rank >= 2, in
-        vertex order, read once from its basis codes through the Gr_1 index."""
+        vertex order, read once from its basis codes (`SummandCatalog.line_of`)."""
         cat = self.catalog
         ranks = range(2, self.max_rank + 1)
-        return [tuple(cat.holding(1, [c])[0] for c in b) for k in ranks for b in cat.basis_codes(k)]
+        return [tuple(map(cat.line_of, b)) for k in ranks for b in cat.basis_codes(k)]
 
     def _vertex_map(self, dst: "TitsComplex", f) -> list[int]:
         """The image in dst of every vertex under f, a map of modules on
@@ -263,9 +268,10 @@ class TitsComplex(SimplicialComplex):
     def simplex_permutation(self, g: Mat, d: int) -> list[int]:
         """Permutation of the d-simplex list induced by g.  g preserves rank
         and vertices are ordered by rank first, so the image of a simplex is
-        already increasing and no signs appear."""
+        already increasing and no signs appear.  ValueError unless
+        0 <= d <= dim."""
+        level = self._level(d)
         vperm = self.vertex_permutation(g).__getitem__
-        level = self.simplices[d]
         # vertex j of every image simplex, zipped, as `faces` does
         images = zip(*[map(vperm, map(operator.itemgetter(j), level)) for j in range(d + 1)])
         return list(map(self._index(d).__getitem__, images))

@@ -13,7 +13,7 @@ import math
 import operator
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, budgeted_ring, check_budget, spec_of
-from .linalg import Summand
+from .linalg import Summand, _gl_ops
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -100,8 +100,8 @@ class SummandCatalog:
 
     Gr_k is listed cell by cell from normal forms, each summand reached
     once, with no search.  Let R be the product of its local factors
-    R_f = e_f*R (e_f the primitive idempotents), with maximal ideals J_f
-    and residue fields F_f.  V -> (V*e_f)_f is a bijection from Gr_k onto
+    R_f = e_f*R (e_f in `Ring.primitive_idempotents`), with maximal ideals
+    J_f and residue fields F_f.  V -> (V*e_f)_f is a bijection from Gr_k onto
     the product of the Gr_k of the R_f^n.  Over one factor:
     - V*e_f / J_f*V*e_f is a k-dimensional subspace of F_f^n; let I_f be
       the pivot rows of its reduced column echelon form, in order;
@@ -146,6 +146,10 @@ class SummandCatalog:
     isomorphism onto range(q^n): if v < w first differ at i, c(w) - c(v)
     >= q^(n-1-i) - sum_{j>i} (q-1)*q^(n-1-j) = 1, so sorted code lists
     compare as the sorted member tuples, the order of Gr_k.
+
+    The catalog also answers which line a vector is a basis of: `code_of`
+    codes it, `line_of` reads the Gr_1 index; and `line_tables` permutes
+    the lines by the generators of GL_n(R).
 
     The ring's and the catalog's tables are built after the budget checks
     of the first Gr_k, k >= 1 (Gr_0 = {0} needs none).  Each table and
@@ -229,18 +233,39 @@ class SummandCatalog:
         index = self._index[k][0]
         return sorted(index[codes[0]] if len(codes) == 1 else _holding_all(index, codes))
 
-    def lines_holding(self, v) -> list[int]:
-        """Ascending positions in grassmannian(1), once built, of the lines holding v: none outside R^n."""
-        c = self._tables[1].get(tuple(v))
-        return [] if c is None else self.holding(1, [c])
+    def code_of(self, v) -> int | None:
+        """The code of the vector v (any sequence), once the tables are
+        built, or None when v lies outside R^n."""
+        return self._tables[1].get(tuple(v))
+
+    def line_of(self, c: int) -> int | None:
+        """Position in grassmannian(1), once built, of the line of which the
+        code c is a basis, or None when c is a basis of no line (n >= 2).
+        That line is the only one holding c: a line holding a basis of a
+        line L contains L, and equal-rank containment is equality; and a
+        vector held by one line alone is a basis of it
+        (`TitsComplex.vertex_of_span` at k = 1)."""
+        hits = self._index[1][0][c]
+        return hits[0] if len(hits) == 1 else None
+
+    def line_tables(self, ring: Ring) -> list[list[int]]:
+        """The permutation of grassmannian(1) by each g in
+        `linalg.gl_generators(ring, n)`, in order (n >= 2): the line of which
+        g times each line's basis vector is a basis.  Only those vectors are
+        mapped: E_ij(a) adds a times entry j to entry i, and
+        diag(u, 1, ..., 1) multiplies entry 0 by u."""
+        space, code = self._code_tables(ring)[:2]
+        add, mul = ring.add, ring.mul
+        bases = [space[c] for c, in self.basis_codes(1)]
+        return [[self.line_of(code[v[:i] + (mul[a][v[i]] if i == j else add[v[i]][mul[a][v[j]]],) + v[i + 1:]]) for v in bases]
+                for i, j, a in _gl_ops(ring, self.n)]
 
 
 def _local_factors(ring: Ring):
-    """(e, unit steps, radical steps) for each local factor R_f = e*R, e a
-    primitive idempotent (no other nonzero idempotent d has d*e = d).  A
-    step is (a, order of a in (R, +)), a != 0, and the cyclic groups <a>
-    of the unit steps sum directly to (R_f, +), those of the radical steps
-    to (J_f, +).
+    """(e, unit steps, radical steps) for each local factor R_f = e*R, e in
+    `Ring.primitive_idempotents`.  A step is (a, order of a in (R, +)),
+    a != 0, and the cyclic groups <a> of the unit steps sum directly to
+    (R_f, +), those of the radical steps to (J_f, +).
 
     The unit steps are the e*g, g in `Ring.additive_generators`, and the
     radical steps the first multiple of each that lies in J_f.  The
@@ -248,13 +273,10 @@ def _local_factors(ring: Ring):
     and F_p[x]/(x^m), with the steps x^i, 0 <= i < m, and x^i, 0 < i < m:
     (R_f, +) is cyclic or elementary abelian, and the orders multiply to
     |R_f| and |J_f| = |R_f| / p."""
-    mul, zero = ring.mul, ring.zero
-    idempotents = [e for e in range(ring.card) if e != zero and mul[e][e] == e]
-    for e in idempotents:
-        if all(d == e or mul[e][d] != d for d in idempotents):
-            units = [_multiples(ring, mul[e][g]) for g in ring.additive_generators()]
-            radical = [_multiples(ring, next(filter(ring.radical.__contains__, m))) for m in units]
-            yield e, *([(m[0], len(m)) for m in steps if len(m) > 1] for steps in (units, radical))
+    for e in ring.primitive_idempotents:
+        units = [_multiples(ring, ring.mul[e][g]) for g in ring.additive_generators()]
+        radical = [_multiples(ring, next(filter(ring.radical.__contains__, m))) for m in units]
+        yield e, *([(m[0], len(m)) for m in steps if len(m) > 1] for steps in (units, radical))
 
 
 def _multiples(ring: Ring, a: int) -> list[int]:

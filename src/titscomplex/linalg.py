@@ -1,14 +1,19 @@
 """Vectors, matrices and submodules of R^n over a finite commutative ring.
 
-Vectors are tuples of element indices (see rings.Ring).  A Summand is a
-free direct summand of R^n whose quotient is also free; its identity is the
-full member set.  Freeness of a finite module is decided by cardinality
-plus generator count: a surjection R^r -> M between finite sets of equal
-size is a bijection.  A quotient W/V is decided on member sets too: one
-greedy pass grows V by members of W whose line meets the span only in 0
-(`_free_extension`), and the same pass gives each summand its preferred
-basis.  GL_n(R) and its principal congruence subgroups enter only as
-generating sets.
+Vectors are tuples of element indices (see rings.Ring).  Determinants and
+cofactors come from one subset table of minors (`subset_minors`).  GL_n(R)
+and its principal congruence subgroups enter only as generating sets.
+
+A Summand is a free direct summand of R^n whose quotient is also free; its
+identity is the full member set, decoded on first read.  The builders
+never decide freeness on member sets: the Grassmannians come from normal
+forms (`grassmann.SummandCatalog`), which give each summand its basis.
+Member sets are read only by `Summand.preferred_basis` (the exports) and
+by the oracles `span_if_free` and `quotient_free_rank_members`, which
+`verify` and the tests hold the builders against: one greedy pass
+(`_free_extension`) grows a span by members whose line meets it only in
+0, and decides freeness by cardinality, as a surjection R^r -> M between
+finite sets of equal size is a bijection.
 """
 
 from __future__ import annotations
@@ -82,10 +87,6 @@ class Mat:
         cols = [tuple(c) for c in cols]
         n = len(cols[0])
         return Mat(ring, [[c[i] for c in cols] for i in range(n)])
-
-    @staticmethod
-    def from_payload_rows(ring: Ring, rows) -> "Mat":
-        return Mat(ring, [[ring.el(x) for x in r] for r in rows])
 
     @property
     def nrows(self) -> int:
@@ -227,11 +228,6 @@ def congruence_generators(ring: Ring, n: int, ideal_gen_payloads) -> list[Mat]:
     return gens
 
 
-def is_unimodular(ring: Ring, v) -> bool:
-    """True when the entries of v generate the unit ideal."""
-    return ring.one in ideal_closure(ring, v)
-
-
 def span_if_free(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET):
     """Member set of the span when the given vectors are a free basis, else None.
 
@@ -326,29 +322,6 @@ class Summand:
 
     def __repr__(self):
         return f"Summand(rank {self.rank} of {self.ring.spec.label}^{self.ambient})"
-
-
-def span_summand(ring: Ring, vectors, budget: int | None = DEFAULT_BUDGET) -> Summand | None:
-    """Summand spanned by the vectors when they are a free basis of their
-    span in R^n; None otherwise.
-
-    Every such span is cofree, so no quotient is counted.  Z/m,
-    F_p[x]/(x^k) and their finite products are quasi-Frobenius rings, and
-    over a quasi-Frobenius ring a free module is injective: a free
-    submodule F of rank k splits off, R^n = F + C.  The complement C is
-    projective, so free over each local factor R_j, where it has
-    |R_j|^(n-k) elements; hence C is free of rank n - k.  (A free span of
-    rank k has |R|^k <= |R|^n members, so k <= n.)
-    """
-    if not vectors:
-        raise ValueError("span_summand needs at least one vector")
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise ValueError("vectors of mixed length")
-    members = span_if_free(ring, vectors, budget)
-    if members is None:
-        return None
-    return Summand(ring, n, len(vectors), members, vectors)
 
 
 def _free_extension(ring: Ring, span, members):

@@ -5,15 +5,17 @@ polynomial rings F_p[x]/(x^k), and finite products of these.  A RingSpec
 carries the counting data (cardinality, residue field orders of R/J, radical
 size, chain length), which is all the closed formulas read.  A Ring holds
 the full addition/multiplication tables, built by `make_ring` only after a
-budget check, and reads zero, one, negation, inverses, units and the radical
-off them.  Downstream code works with element *indices* into a fixed
-canonical enumeration; this keeps the hot enumeration loops at table-lookup
-speed and makes every canonical form reproducible across runs.
+budget check, and reads zero, one, negation, inverses, units, the radical
+and the primitive idempotents off them.  Downstream code works with element
+*indices* into a fixed canonical enumeration; this keeps the hot enumeration
+loops at table-lookup speed and makes every canonical form reproducible
+across runs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -287,7 +289,6 @@ class Ring:
         self.neg = [row.index(zero) for row in self.add]
         self.inv: list[int | None] = [row.index(one) if one in row else None for row in self.mul]
         self.units = frozenset(i for i in range(q) if self.inv[i] is not None)
-        self._radical = None
 
     # -- conversions -------------------------------------------------------
     def el(self, payload) -> int:
@@ -297,10 +298,6 @@ class Ring:
     def payload(self, i: int):
         return self.payloads[i]
 
-    def vec(self, payloads) -> tuple:
-        """Vector of element indices from a sequence of payloads."""
-        return tuple(self.index[p] for p in payloads)
-
     def vec_payloads(self, v) -> tuple:
         return tuple(self.payloads[i] for i in v)
 
@@ -309,7 +306,7 @@ class Ring:
         """Indices of a generating set of (R, +); used for elementary matrices."""
         return [self.index[p] for p in _additive_generator_payloads(self.spec)]
 
-    @property
+    @functools.cached_property
     def radical(self) -> frozenset:
         """The Jacobson radical J, as the frozenset of its element indices.
 
@@ -318,17 +315,27 @@ class Ring:
         nilpotent x fall strictly until 0, so x^card = 0, and x is
         nilpotent exactly when x^(2^b) = 0 with b = card.bit_length().
         """
-        if self._radical is None:
-            mul, zero, b = self.mul, self.zero, self.card.bit_length()
-            nil = []
-            for x in range(self.card):
-                y = x
-                for _ in range(b):
-                    y = mul[y][y]
-                if y == zero:
-                    nil.append(x)
-            self._radical = frozenset(nil)
-        return self._radical
+        mul, zero, b = self.mul, self.zero, self.card.bit_length()
+        nil = []
+        for x in range(self.card):
+            y = x
+            for _ in range(b):
+                y = mul[y][y]
+            if y == zero:
+                nil.append(x)
+        return frozenset(nil)
+
+    @functools.cached_property
+    def primitive_idempotents(self) -> list[int]:
+        """The primitive idempotents e_f, ascending: the nonzero idempotents
+        e that no other nonzero idempotent d has d*e = d.  R is the product
+        of its local factors R_f = e_f*R, and x lies in the maximal ideal
+        over R_f exactly when x*e_f is nilpotent (`radical`).  The Grassmannian
+        cells (`grassmann._local_factors`) and the apartment span's frame
+        walk (`steinberg._invertible_frames`) both read the factors here."""
+        mul, zero = self.mul, self.zero
+        idempotents = [e for e in range(self.card) if e != zero and mul[e][e] == e]
+        return [e for e in idempotents if all(d == e or mul[e][d] != d for d in idempotents)]
 
     def __repr__(self):
         return f"Ring({self.spec.label!r})"

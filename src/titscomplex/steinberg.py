@@ -21,7 +21,7 @@ import random
 from math import comb
 
 from .rings import DEFAULT_BUDGET, Ring, RingSpec, check_budget, log10_bound
-from .linalg import Mat, _gl_ops, gl_generators, subset_minors
+from .linalg import Mat, subset_minors
 from .grassmann import grassmannian_size_formula, gl_order
 from .complexes import TitsComplex, build_tits_complex
 from .homology import (
@@ -274,7 +274,8 @@ class SpanRankResult:
 
 def _invertible_frames(cx: TitsComplex, lines):
     """Every frame among `lines` (vertex indices in increasing order), as
-    a list, in the order of `itertools.combinations(lines, n)`.
+    a list, in the order of `itertools.combinations(lines, n)`; given n
+    lines, the lines themselves if they are a frame, and nothing else.
 
     The combinations are walked as an (n-1)-prefix times a last line, which
     is the same order.  The n signed cofactors of the prefix columns come
@@ -285,25 +286,18 @@ def _invertible_frames(cx: TitsComplex, lines):
 
     A prefix whose cofactors all lie in one maximal ideal m is skipped:
     every determinant through it is a combination of them, so it lies in m
-    and is no unit.  The test is one bit per nonzero idempotent e of R,
-    which an element x holds when x*e is nilpotent (`Ring.radical`); the
-    prefix is skipped when its cofactors share a bit.  That is the same
-    test.  R is the product of its local factors R*e_i over its primitive
-    idempotents e_i, and x lies in the maximal ideal over R*e_i exactly
-    when x*e_i is nilpotent, which is the bit of e_i.  A nonzero
-    idempotent e is the sum of the e_i with e*e_i = e_i, at least one,
-    and x*e is nilpotent exactly when each x*e_i is; so cofactors sharing
-    the bit of e lie in the maximal ideal over each such R*e_i.
+    and is no unit.  The maximal ideals are those over the local factors
+    R*e_f, e_f in `Ring.primitive_idempotents`, and x lies in the one over
+    R*e_f exactly when x*e_f is nilpotent: one bit per factor, and the
+    prefix is skipped when its cofactors share a bit.
     """
     ring, n = cx.ring, cx.n
-    add, mul, neg, units, zero = ring.add, ring.mul, ring.neg, ring.units, ring.zero
-    # ideals[x]: the bits of the nonzero idempotents e with x*e nilpotent
-    ideals, bit = [0] * ring.card, 1
-    for e, row in enumerate(mul):
-        if e != zero and row[e] == e:
-            for x in itertools.compress(range(ring.card), map(ring.radical.__contains__, row)):
-                ideals[x] |= bit
-            bit <<= 1
+    add, mul, neg, units = ring.add, ring.mul, ring.neg, ring.units
+    # ideals[x]: bit f set when x lies in the maximal ideal over R*e_f
+    ideals = [0] * ring.card
+    for f, e in enumerate(ring.primitive_idempotents):
+        for x in itertools.compress(range(ring.card), map(ring.radical.__contains__, mul[e])):
+            ideals[x] |= 1 << f
     gens = [cx.vertices[i].basis[0] for i in lines]
     coords = list(zip(*gens))  # entry r of every generator, by line
     # the cofactor of row r in the last column: (-1)^(r + n - 1) times the
@@ -329,26 +323,23 @@ def _invertible_frames(cx: TitsComplex, lines):
 def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
     """The frames of sampled mode, as sorted tuples: the identity frame
     and seeded random sets of `lines` (vertex indices in increasing order)
-    whose columns `Mat.det` finds invertible, then rounds of their images
-    under the generators of GL_n(R), each frame once, each round in
+    that `_invertible_frames` finds to be frames, then rounds of their
+    images under the generators of GL_n(R), each frame once, each round in
     increasing order.  They end
     after the first orbit round that leaves `ech.rank` where it was; the
     seed round is never tested this way.
 
-    Only lines are mapped, by `_generator_line_tables`, built once per
+    Only lines are mapped, by the catalog's `line_tables`, built once per
     call.  A permutation of the lines keeps a frame's n lines distinct,
     so the sorted tuple of the images is the image frame's one key.
     """
     ring, n = cx.ring, cx.n
     rng = random.Random(seed)
-    images = _generator_line_tables(cx)
+    images = cx.catalog.line_tables(ring)
     ident = Mat.identity(ring, n)
     candidates = [tuple(sorted(cx._line_of(ident.column(j)) for j in range(n)))]
     candidates += [tuple(sorted(rng.sample(lines, n))) for _ in range(n * 4)]
-    frontier = [
-        f for f in dict.fromkeys(candidates)
-        if Mat.from_columns(ring, [cx.vertices[i].basis[0] for i in f]).is_invertible()
-    ]
+    frontier = [f for f in dict.fromkeys(candidates) if any(_invertible_frames(cx, f))]
     seen = set(frontier)
     rank = None
     while True:
@@ -359,17 +350,6 @@ def _orbit_frames(cx: TitsComplex, lines, seed: int, ech: ModPEchelon):
         # images of frames older than the frontier are seen already
         frontier = sorted({tuple(sorted(map(p.__getitem__, f))) for f in frontier for p in images} - seen)
         seen.update(frontier)
-
-
-def _generator_line_tables(cx: TitsComplex) -> list[list[int]]:
-    """`cx._line_map(cx, g.apply)` for each g in `gl_generators`, in order:
-    the line holding g times each line's generator, read through the Gr_1
-    index from the image of the generator's code under the catalog's move
-    table of g (`SummandCatalog._move`; diag(u, 1, ..., 1) is the move
-    (0, 0, u - 1), which takes entry 0 from x to x + (u - 1)*x)."""
-    ring, cat, minus_one = cx.ring, cx.catalog, cx.ring.neg[cx.ring.one]
-    moves = [cat._move(ring, (i, j, a if i != j else ring.add[a][minus_one])) for i, j, a in _gl_ops(ring, cx.n)]
-    return [[cat.holding(1, [g[c]])[0] for c, in cat.basis_codes(1)] for g in moves]
 
 
 EXHAUSTIVE_GL_LIMIT = 10**5
@@ -400,9 +380,9 @@ def apartment_span_rank(
     `budget` classes, and a run cut short by it is reported as unsaturated;
     exhaustive mode never is, since its frame count passed the same budget.
 
-    Each candidate is tested once.  Exhaustive mode tests a set of lines by
-    the cofactors of its (n-1)-prefix.  Sampled mode tests only its seed
-    candidates, with `Mat.det`; every later frame is the image p_g(F) of a
+    Each candidate is tested once, by `_invertible_frames`, with the
+    cofactors of its first n - 1 lines.  Sampled mode tests only its seed
+    candidates; every later frame is the image p_g(F) of a
     frame F = {L_1, ..., L_n} already known to be one, under a generator g
     of GL_n(R), and needs no test: if v_i is the generator of L_i, then
     g v_i generates the free line g L_i, so its generator is
@@ -488,7 +468,9 @@ def apartment_span_rank(
 
 def p1_orbit_count(spec_or_ring, budget: int | None = DEFAULT_BUDGET) -> int:
     """Orbit count of the diagonal action of GL_2(R) on pairs of lines in R^2,
-    by one `permutation_orbits` sweep over the pairs under the generators.
+    by one `permutation_orbits` sweep over the pairs under the generators'
+    line tables (`SummandCatalog.line_tables`; at n = 2 the vertices are
+    exactly the lines).
 
     It is also the dimension of the commutant of the line permutation
     action: with X the lines and G = GL_2(R), End_G(Q[X]) is the space of
@@ -500,10 +482,7 @@ def p1_orbit_count(spec_or_ring, budget: int | None = DEFAULT_BUDGET) -> int:
     nl = len(cx.vertices)
     check_budget(nl * nl, budget, "pairs of lines")
     # the diagonal action on pairs (i, j), indexed i * nl + j
-    pair_perms = []
-    for g in gl_generators(cx.ring, 2):
-        perm = cx.vertex_permutation(g)
-        pair_perms.append([perm[i] * nl + perm[j] for i in range(nl) for j in range(nl)])
+    pair_perms = [[i * nl + j for i in perm for j in perm] for perm in cx.catalog.line_tables(cx.ring)]
     return len(permutation_orbits(nl * nl, pair_perms))
 
 
@@ -518,9 +497,6 @@ class RankTable:
         self.labels = list(labels)
         self.n_max = n_max
         self.columns = {k: list(v) for k, v in columns.items()}
-
-    def value(self, label: str, n: int) -> int:
-        return self.columns[label][n - 1]
 
     def to_csv(self) -> str:
         lines = ["n," + ",".join(self.labels)]

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from titscomplex import Mat, Ring, ideal_closure
+from titscomplex import Mat, Ring, Summand, ideal_closure
+from titscomplex.linalg import span_if_free
 from titscomplex.verify import CheckContext
 
 
@@ -42,6 +43,33 @@ def congruence_elements(ring, n, ideal_gen_payloads):
         if g != ident and g.is_invertible():
             out.append(g)
     return out
+
+
+def vec(ring, payloads):
+    """Test helper: the vector of element indices of a sequence of payloads."""
+    return tuple(map(ring.el, payloads))
+
+
+def mat(ring, rows):
+    """Test helper: the matrix of element indices of rows of payloads."""
+    return Mat(ring, [vec(ring, r) for r in rows])
+
+
+def span_summand(ring, vectors):
+    """Test oracle: the Summand spanned by the vectors when they are a free
+    basis of their span in R^n (`span_if_free`), else None.
+
+    Every such span is cofree, so no quotient is counted.  Z/m,
+    F_p[x]/(x^k) and their finite products are quasi-Frobenius rings, and
+    over a quasi-Frobenius ring a free module is injective: a free
+    submodule F of rank k splits off, R^n = F + C.  The complement C is
+    projective, so free over each local factor R_j, where it has
+    |R_j|^(n-k) elements; hence C is free of rank n - k.  (A free span of
+    rank k has |R|^k <= |R|^n members, so k <= n.)
+    `test_every_free_span_is_cofree` checks it with the quotient oracle.
+    """
+    members = span_if_free(ring, vectors)
+    return None if members is None else Summand(ring, len(vectors[0]), len(vectors), members, vectors)
 
 
 def apply(cols, vec):

@@ -736,6 +736,11 @@ def test_formula_commands_build_no_tables(forbid_tables, capsys):
     ("orbits --ring Z/8", "6fc0dd41f530bfde0f770aa6d6bcfc930ebeb3482ed1134f5c5521f5fedeada8"),
     ("orbits --ring Z/27", "b656e827e0117fec72c84f487ad68b3b2b9d342e12fae055f7c3ced742ad03a2"),
     ("orbits --ring Z/2xZ/3", "99e8260420709ac0e87ab9a5156e054dbf5fdb5b2d5bd708e7ba5d351f8b466c"),
+    # the line tables on a product of two fields, a product with a
+    # non-reduced factor and a non-reduced local ring
+    ("orbits --ring Z/2xZ/2", "351b56b6f10a6153b96f17464cbcd899c7d374b3c0d822b70a11c7a85e150bc5"),
+    ("orbits --ring Z/12", "a8759c3be1957220b5ba3bb73755bfffa7c95c47f72c786037d0f71489936e9e"),
+    ("orbits --ring F2[e]^3", "0d248e0d13f912b19f858f8e26603f5cc840428a5973b9a407c1735bcf8bd652"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     """Vertex order and every exported byte stay the same across changes

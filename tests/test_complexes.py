@@ -27,7 +27,7 @@ from titscomplex.linalg import span_if_free
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import count_included_not_cofree
 
-from conftest import congruence_elements
+from conftest import congruence_elements, mat, vec
 
 
 def test_build_examples(built):
@@ -191,7 +191,7 @@ def test_link_of_line_matches_quotient_line_count(built):
 
     line = next(i for i, s in enumerate(cx3.vertices) if s.rank == 1)
     link, _ = cx3.link_and_star((line,))
-    assert len(link.vertex_set()) == grassmannian_size_formula(RingSpec.modular(4), 2, 1)
+    assert len(link.simplices[0]) == grassmannian_size_formula(RingSpec.modular(4), 2, 1)
 
 
 # (ring, n, rank St_r * rank St_(n-r) for r = 1..n-1): the link of a rank-r
@@ -274,6 +274,23 @@ def test_top_index_of_links_stars_and_the_empty_complex(built):
     assert empty._pos == [] and empty.facets() == []
     assert empty.position(()) is None and empty.position((0,)) is None
     assert not empty.has_simplex((0,))
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1, 2])
+def test_faces_and_simplex_permutation_take_degrees_0_to_dim(built, d):
+    """A degree outside 0..dim raises ValueError, as in
+    `fixed_subspace_dim`: -1 would read the top level from the end, and
+    dim + 1 has no level."""
+    cx = built.complex("Z/4", 3)
+    ident = Mat.identity(cx.ring, 3)
+    if 0 <= d <= cx.dim:
+        assert len(cx.faces(d)) == cx.f_vector[d]
+        assert cx.simplex_permutation(ident, d) == list(range(cx.f_vector[d]))
+        return
+    with pytest.raises(ValueError, match=f"degree {d} out of range"):
+        cx.faces(d)
+    with pytest.raises(ValueError, match=f"degree {d} out of range"):
+        cx.simplex_permutation(ident, d)
 
 
 def test_nerve_double_construction(built):
@@ -368,7 +385,7 @@ def test_action_rejects_noninvertible(built):
         ("F2", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
     ]:
         cx = built.complex(label, len(rows))
-        bad = Mat.from_payload_rows(cx.ring, rows)
+        bad = mat(cx.ring, rows)
         with pytest.raises(ValueError, match="does not preserve the vertex set"):
             cx.vertex_permutation(bad)
 
@@ -424,7 +441,7 @@ def test_vertex_of_span(built):
     with pytest.raises(ValueError):
         cx.vertex_of_span([e[0], e[0]])  # not a free basis of its span
     with pytest.raises(ValueError):
-        cx.vertex_of_span([cx.ring.vec([2, 0, 0])])  # 2*e_1 spans a non-free module
+        cx.vertex_of_span([vec(cx.ring, [2, 0, 0])])  # 2*e_1 spans a non-free module
     filt = built.complex("Z/4", 4, 2)
     with pytest.raises(RuntimeError):
         filt.vertex_of_span(Mat.identity(filt.ring, 4).rows[:3])  # rank 3 is above the filtration

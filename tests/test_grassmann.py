@@ -22,7 +22,6 @@ from titscomplex import (
     make_ring,
     parse_ring_spec,
     reduced_homology,
-    span_summand,
     steinberg_rank,
 )
 from titscomplex import grassmann, linalg
@@ -30,6 +29,8 @@ from titscomplex.grassmann import good_flag_count, proper_ranks
 from titscomplex.linalg import all_vectors, elementary_matrix, unit_scaling
 from titscomplex.rings import BudgetExceeded
 from titscomplex.verify import reverify_flag
+
+from conftest import span_summand
 
 
 def walk_generators(ring, n):
@@ -325,18 +326,20 @@ def test_vector_codes_round_trip_and_sort_as_tuples(label, n):
 @pytest.mark.parametrize("label", ["Z/9", "F2[e]^2", "Z/2xZ/3", "F3"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_containing_outside_the_space_and_of_no_vectors(label, n):
-    """A vector of the wrong length or with an entry >= q lies in no line,
-    every summand holds the zero vector, a basis is held by its own summand
-    alone, and a list names the vector its tuple does."""
+    """A vector of the wrong length or with an entry >= q has no code,
+    every summand holds the zero vector, which is a basis of no line, a
+    basis is held by its own summand alone, and a list names the vector
+    its tuple does."""
     ring = make_ring(parse_ring_spec(label))
     q = ring.card
     catalog = SummandCatalog(ring.spec, n)
     zero = (ring.zero,) * n
     assert catalog.grassmannian(0)[0].members == {zero}
     lines = list(range(len(catalog.grassmannian(1))))
-    assert catalog.lines_holding(zero) == catalog.lines_holding(list(zero)) == lines, (label, n)
+    assert catalog.code_of(zero) == catalog.code_of(list(zero)) == 0, (label, n)
+    assert catalog.holding(1, [0]) == lines and catalog.line_of(0) is None, (label, n)
     for bad in [zero[1:], zero + (ring.zero,), (q,) + zero[1:], zero[:-1] + (q + 5,)]:
-        assert catalog.lines_holding(bad) == catalog.lines_holding(list(bad)) == [], (label, n, bad)
+        assert catalog.code_of(bad) is catalog.code_of(list(bad)) is None, (label, n, bad)
     code = catalog._code_tables(ring)[1]
     for k in range(1, n + 1):
         gr = catalog.grassmannian(k)
@@ -345,7 +348,7 @@ def test_containing_outside_the_space_and_of_no_vectors(label, n):
             assert catalog.holding(k, [code[b] for b in gr[p].basis]) == [p], (label, n, k)
     for p in lines[::5]:
         v = catalog.grassmannian(1)[p].basis[0]
-        assert catalog.lines_holding(v) == catalog.lines_holding(list(v)) == [p], (label, n)
+        assert catalog.line_of(catalog.code_of(v)) == catalog.line_of(catalog.code_of(list(v))) == p, (label, n)
 
 
 def _walk_by_row_operation(ring, n, k):
@@ -428,7 +431,8 @@ def test_grassmannian_equals_a_walk_by_row_operation(label, n):
             holders = [p for p, m in enumerate(want) if v in m]
             assert catalog.holding(k, [code[v]]) == holders, (label, k, v)
             if k == 1:
-                assert catalog.lines_holding(v) == holders, (label, v)
+                # a vector is a basis of the one line holding it, if one alone does
+                assert catalog.line_of(code[v]) == (holders[0] if len(holders) == 1 else None), (label, v)
 
 
 @pytest.mark.parametrize("label,n", [

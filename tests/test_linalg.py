@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from titscomplex import (
     Mat,
     RingSpec,
-    is_unimodular,
+    SummandCatalog,
     make_ring,
     parse_ring_spec,
-    span_summand,
 )
 from titscomplex.linalg import (
     all_vectors,
@@ -21,6 +20,8 @@ from titscomplex.linalg import (
 )
 from titscomplex import linalg
 from titscomplex.rings import BudgetExceeded, ideal_closure
+
+from conftest import mat, span_summand, vec
 
 
 # vector sum and scalar multiple in R^n, for the brute oracles below
@@ -55,9 +56,9 @@ def test_determinant_examples():
     r6 = make_ring(RingSpec.modular(6))
     assert r6.payload(Mat.identity(r6, 3).det()) == 1
     r5 = make_ring(RingSpec.modular(5))
-    assert r5.payload(Mat.from_payload_rows(r5, [[1, 2], [3, 4]]).det()) == 3
+    assert r5.payload(mat(r5, [[1, 2], [3, 4]]).det()) == 3
     r4 = make_ring(RingSpec.modular(4))
-    M = Mat.from_payload_rows(r4, [[2, 1], [1, 2]])
+    M = mat(r4, [[2, 1], [1, 2]])
     assert r4.payload(M.det()) == 3
     assert M.is_invertible()
     # exhaustive search finds an actual inverse matrix
@@ -119,35 +120,41 @@ def test_determinant_errors():
 # -- unimodularity -------------------------------------------------------------
 
 def test_unimodular_examples():
+    """A vector is unimodular when its entries generate the unit ideal
+    (`ideal_closure`), which over these rings is when it is a basis of a
+    line: the catalog's `line_of` finds a line for exactly those vectors."""
     r6 = make_ring(RingSpec.modular(6))
-    assert is_unimodular(r6, r6.vec([2, 3]))
-    assert r6.one in ideal_closure(r6, [r6.el(2), r6.el(3)])
+    assert r6.one in ideal_closure(r6, vec(r6, [2, 3]))
     r4 = make_ring(RingSpec.modular(4))
-    assert not is_unimodular(r4, r4.vec([2, 2]))
-    for label in ["Z/6", "F5", "Z/2xZ/3"]:
+    assert r4.one not in ideal_closure(r4, vec(r4, [2, 2]))
+    for label in ["Z/6", "F5", "Z/2xZ/3", "Z/4", "F2[e]^2"]:
         ring = make_ring(parse_ring_spec(label))
-        v = tuple([ring.zero] * 2 + [ring.one])
-        assert is_unimodular(ring, v)
+        assert ring.one in ideal_closure(ring, [ring.zero] * 2 + [ring.one])
+        catalog = SummandCatalog(ring.spec, 2)
+        catalog.grassmannian(1)
+        for v in all_vectors(ring, 2):
+            unimodular = ring.one in ideal_closure(ring, v)
+            assert unimodular == (catalog.line_of(catalog.code_of(v)) is not None), (label, v)
 
 
 # -- span and summands ---------------------------------------------------------
 
 def test_span_summand_examples():
     r4 = make_ring(RingSpec.modular(4))
-    s = span_summand(r4, [r4.vec([1, 0])])
+    s = span_summand(r4, [vec(r4, [1, 0])])
     assert {r4.vec_payloads(v) for v in s.members} == {(0, 0), (1, 0), (2, 0), (3, 0)}
-    s2 = span_summand(r4, [r4.vec([1, 2])])
+    s2 = span_summand(r4, [vec(r4, [1, 2])])
     assert s2 is not None and s2.rank == 1
     assert len(s2.members) == 4
-    assert span_summand(r4, [r4.vec([2, 0])]) is None
+    assert span_summand(r4, [vec(r4, [2, 0])]) is None
 
 
 def test_fingerprint_examples():
     r4 = make_ring(RingSpec.modular(4))
-    a = span_summand(r4, [r4.vec([1, 0])])
-    b = span_summand(r4, [r4.vec([3, 0])])
-    c = span_summand(r4, [r4.vec([0, 1])])
-    d = span_summand(r4, [r4.vec([1, 2])])
+    a = span_summand(r4, [vec(r4, [1, 0])])
+    b = span_summand(r4, [vec(r4, [3, 0])])
+    c = span_summand(r4, [vec(r4, [0, 1])])
+    d = span_summand(r4, [vec(r4, [1, 2])])
     assert a.members == b.members
     assert a.members != c.members
     assert d.members != a.members
@@ -156,7 +163,7 @@ def test_fingerprint_examples():
 
 def test_preferred_basis_is_canonical():
     r4 = make_ring(RingSpec.modular(4))
-    a = span_summand(r4, [r4.vec([3, 0])])
+    a = span_summand(r4, [vec(r4, [3, 0])])
     assert [r4.vec_payloads(v) for v in a.preferred_basis] == [(1, 0)]
 
 
@@ -196,10 +203,11 @@ def test_preferred_basis_is_the_lexicographically_least_basis(built, label):
 
 
 def test_every_free_span_is_cofree():
-    """span_summand counts no quotient, on the theorem in its docstring:
-    over these quasi-Frobenius rings a free span of rank k in R^n has a
-    free quotient of rank n - k.  The coset oracle checks it on every free
-    span of rank < n that combinations of nonzero vectors give."""
+    """The test-side `span_summand` counts no quotient, on the theorem in
+    its docstring (conftest): over these quasi-Frobenius rings a free span
+    of rank k in R^n has a free quotient of rank n - k.  The coset oracle
+    checks it on every free span of rank < n that combinations of nonzero
+    vectors give."""
     cases = [("Z/4", 3), ("Z/6", 2), ("Z/8", 2), ("Z/9", 2), ("F2[e]^2", 2), ("Z/2xZ/2", 2)]
     spans = 0
     for label, n in cases:
@@ -211,7 +219,6 @@ def test_every_free_span_is_cofree():
                 if members is not None:
                     spans += 1
                     assert quotient_free_rank_members(ring, n, None, members) == n - k
-                    assert span_summand(ring, list(combo)).members == members
     assert spans == 1565
 
 
@@ -269,13 +276,13 @@ def brute_quotient_free_rank(ring, n, w_members, v_members):
 
 def test_quotient_examples():
     r4 = make_ring(RingSpec.modular(4))
-    V = span_summand(r4, [r4.vec([1, 0])])
+    V = span_summand(r4, [vec(r4, [1, 0])])
     assert quotient_free_rank_members(r4, 2, None, V.members) == 1
-    W = span_summand(r4, [r4.vec([1, 0]), r4.vec([0, 1])])
+    W = span_summand(r4, [vec(r4, [1, 0]), vec(r4, [0, 1])])
     assert quotient_free_rank_members(r4, 2, W.members, W.members) == 0
     r6 = make_ring(RingSpec.modular(6))
-    W6 = span_summand(r6, [r6.vec([1, 0, 0]), r6.vec([0, 1, 0])])
-    V6 = span_summand(r6, [r6.vec([1, 1, 0])])
+    W6 = span_summand(r6, [vec(r6, [1, 0, 0]), vec(r6, [0, 1, 0])])
+    V6 = span_summand(r6, [vec(r6, [1, 1, 0])])
     assert quotient_free_rank_members(r6, 3, W6.members, V6.members) == 1
     # coset count along the way: 36 elements over a 6 element line
     assert len(W6.members) // len(V6.members) == 6
@@ -284,7 +291,7 @@ def test_quotient_examples():
 def test_quotient_into_the_whole_space_checks_its_budget_once(monkeypatch):
     # W = R^n: the vectors of R^n are budgeted by all_vectors alone
     r4 = make_ring(RingSpec.modular(4))
-    V = span_summand(r4, [r4.vec([1, 0])])
+    V = span_summand(r4, [vec(r4, [1, 0])])
     with pytest.raises(BudgetExceeded) as info:
         quotient_free_rank_members(r4, 2, None, V.members, budget=15)
     assert str(info.value).count("vectors of") == 1
@@ -303,8 +310,8 @@ def test_quotient_into_the_whole_space_checks_its_budget_once(monkeypatch):
 
 def test_quotient_containment_error():
     r4 = make_ring(RingSpec.modular(4))
-    V = span_summand(r4, [r4.vec([1, 0])])
-    W = span_summand(r4, [r4.vec([0, 1])])
+    V = span_summand(r4, [vec(r4, [1, 0])])
+    W = span_summand(r4, [vec(r4, [0, 1])])
     with pytest.raises(ValueError):
         quotient_free_rank_members(r4, 2, W.members, V.members)
 
@@ -313,8 +320,8 @@ def test_quotient_against_brute_oracle():
     # free and non-free quotients, peeling vs the literal tuple search
     cases = []
     r4 = make_ring(RingSpec.modular(4))
-    cases.append((r4, 2, None, frozenset({r4.vec([0, 0]), r4.vec([2, 0])})))  # not free
-    cases.append((r4, 2, None, span_if_free(r4, [r4.vec([1, 2])])))  # rank 1
+    cases.append((r4, 2, None, frozenset({vec(r4, [0, 0]), vec(r4, [2, 0])})))  # not free
+    cases.append((r4, 2, None, span_if_free(r4, [vec(r4, [1, 2])])))  # rank 1
     cases.append((r4, 2, None, {zero_vector(r4, 2)}))  # rank 2
     # quotient (Z/4)^2 / 2(Z/4)^2 has |R|^1 elements but is not cyclic
     two_torsion = frozenset(
@@ -323,9 +330,9 @@ def test_quotient_against_brute_oracle():
     cases.append((r4, 2, None, two_torsion))
     r23 = make_ring(parse_ring_spec("Z/2xZ/3"))
     cases.append((r23, 2, None, {zero_vector(r23, 2)}))  # product ring, rank 2
-    cases.append((r23, 2, None, span_if_free(r23, [r23.vec([(1, 1), (0, 0)])])))
+    cases.append((r23, 2, None, span_if_free(r23, [vec(r23, [(1, 1), (0, 0)])])))
     # mixed component module: not free over Z/2xZ/3
-    sub = {r23.vec([(0, 0), (0, 0)]), r23.vec([(1, 0), (0, 0)])}
+    sub = {vec(r23, [(0, 0), (0, 0)]), vec(r23, [(1, 0), (0, 0)])}
     cases.append((r23, 2, None, frozenset(sub)))
     # seeded submodules V of R^2 generated by 0-2 vectors, in R^2 and in V + R*h
     rng = random.Random(2121)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -25,10 +26,12 @@ from titscomplex import (
     ut_apartment_pairing,
     ut_bases,
 )
-from titscomplex import complexes, linalg, steinberg
+from titscomplex import complexes, grassmann, linalg, steinberg
 from titscomplex.homology import ModPEchelon
 from titscomplex.linalg import span_if_free
 from titscomplex.rings import BudgetExceeded
+
+from conftest import mat, vec
 
 TABLE1 = {
     4: [1, 5, 113, 10879, 4324129, 6984271295],
@@ -104,7 +107,7 @@ def test_apartment_class_n3_structure(built):
 def test_apartment_column_permutation_scales_by_sign(built):
     cx = built.complex("Z/4", 2)
     ring = cx.ring
-    base = Mat.from_payload_rows(ring, [[1, 0], [2, 1]])
+    base = mat(ring, [[1, 0], [2, 1]])
     swapped = Mat.from_columns(ring, [base.column(1), base.column(0)])
     a = apartment_class(cx, base)
     b = apartment_class(cx, swapped)
@@ -120,7 +123,7 @@ def test_apartment_scaling_invariance(built):
     cx = built.complex("Z/4", 2)
     ring = cx.ring
     base = Mat.identity(ring, 2)
-    scaled = Mat.from_payload_rows(ring, [[3, 0], [0, 1]])  # unit-scaled column
+    scaled = mat(ring, [[3, 0], [0, 1]])  # unit-scaled column
     assert apartment_class(cx, base) == apartment_class(cx, scaled)
 
 
@@ -141,7 +144,7 @@ def test_apartment_gl_equivariance(built):
 def test_apartment_rejects_noninvertible(built):
     cx = built.complex("Z/4", 2)
     with pytest.raises(ValueError):
-        apartment_class(cx, Mat.from_payload_rows(cx.ring, [[2, 0], [0, 1]]))
+        apartment_class(cx, mat(cx.ring, [[2, 0], [0, 1]]))
 
 
 def test_apartments_reject_a_matrix_over_another_ring(built):
@@ -266,6 +269,21 @@ def _exact_span(cx):
     return smith_rank_and_divisors(classes)[0], len(classes)
 
 
+# prefixes the full frame walk skips, on the cases below; 0 on the others
+SKIPPED_PREFIXES = {("Z/4", 3): 39, ("Z/2xZ/2", 3): 282, ("F2[e]^2", 3): 39}
+
+
+class _CountedSlices(list):
+    """Lines that count the slices read from them: the frame walk reads the
+    later lines once for each prefix it does not skip."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        self.slices += isinstance(key, slice)
+        return list.__getitem__(self, key)
+
+
 @pytest.mark.parametrize("label,n", [
     ("Z/6", 2), ("Z/4", 3), ("F3", 3), ("Z/2xZ/2", 3),
     ("F2[e]^2", 3), ("Z/8", 2), ("Z/2xZ/3", 2),
@@ -277,8 +295,10 @@ def test_cofactor_frame_test_matches_the_determinant(built, label, n):
     # Z/4, F2[e]^2 and Z/2xZ/2; never at n = 2, where the cofactors are
     # the entries of one line's generator, which generate R
     cx = built.complex(label, n)
-    lines = [i for i, s in enumerate(cx.vertices) if s.rank == 1]
+    lines = _CountedSlices(i for i, s in enumerate(cx.vertices) if s.rank == 1)
     assert list(steinberg._invertible_frames(cx, lines)) == _oracle_frames(cx)
+    prefixes = math.comb(len(lines) - 1, n - 1)
+    assert prefixes - lines.slices == SKIPPED_PREFIXES.get((label, n), 0)
 
 
 CERTIFIED_CASES = [("Z/4", 2), ("Z/6", 2), ("F2", 3), ("Z/4", 3), ("Z/2xZ/2", 3)]
@@ -388,21 +408,29 @@ def test_sampled_frame_order_is_pinned(built, label, want):
 
 
 def test_span_tests_only_seed_frames_by_determinant(monkeypatch):
-    # exhaustive mode tests frames by prefix cofactors, sampled mode tests
-    # its 4n + 1 seed candidates only; no class re-checks its frame
+    # every determinant is taken by the frame walk's prefix cofactors, none
+    # by `Mat.det`: exhaustive mode walks all the lines once, sampled mode
+    # its 4n + 1 seed candidates only, n lines each; no class re-checks its
+    # frame
     cx = build_tits_complex(parse_ring_spec("F3"), 3)
     calls = []
-    det = Mat.det
+    invertible_frames = steinberg._invertible_frames
 
-    def counting_det(self):
-        calls.append(self)
-        return det(self)
+    def no_det(self):
+        raise AssertionError("Mat.det on the span path")
 
-    monkeypatch.setattr(Mat, "det", counting_det)
+    def recording(cx, lines):
+        calls.append(tuple(lines))
+        return invertible_frames(cx, lines)
+
+    monkeypatch.setattr(Mat, "det", no_det)
+    monkeypatch.setattr(steinberg, "_invertible_frames", recording)
     apartment_span_rank(cx, mode="exhaustive")
-    assert calls == []
+    assert [len(lines) for lines in calls] == [len(cx.vertices) // 2]
+    calls.clear()
     apartment_span_rank(cx, mode="sampled", seed=0)
     assert 1 <= len(calls) == len(set(calls)) <= 4 * cx.n + 1
+    assert all(len(lines) == cx.n for lines in calls)
 
 
 def test_apartment_span_needs_n_at_least_two(built):
@@ -464,7 +492,7 @@ def test_apartment_span_computes_no_preferred_basis(monkeypatch, label, mode):
     assert res.mode == mode and res.rank == res.top_betti
     assert extensions == []
     # sampled mode looks up the identity frame's n lines by vector and reads
-    # the generators' line tables from codes (`test_orbit_line_tables_are_the_line_maps`);
+    # the generators' line tables from the lines' bases (`test_orbit_line_tables_are_the_line_maps`);
     # no class looks up a vector, and every vector lookup goes through `_line_of`
     want = cx.n if mode == "sampled" else 0
     assert len(lookups) == want and all(len(v) == cx.n for v in lookups)
@@ -472,12 +500,17 @@ def test_apartment_span_computes_no_preferred_basis(monkeypatch, label, mode):
 
 @pytest.mark.parametrize("label", ["F7", "Z/2xZ/2", "Z/6", "Z/9"])
 def test_orbit_line_tables_are_the_line_maps(label):
-    """The sampled rounds' line tables, read from the catalog's move tables
-    and the Gr_1 index, are the line maps of `gl_generators` by
-    `Mat.apply`, generator by generator in its order."""
-    cx = build_tits_complex(parse_ring_spec(label), 3)
-    want = [cx._line_map(cx, g.apply) for g in gl_generators(cx.ring, 3)]
-    assert steinberg._generator_line_tables(cx) == want
+    """The catalog's line tables, which map the lines' basis vectors and
+    read the Gr_1 index, are the line maps of `gl_generators` by `Mat.apply`, generator
+    by generator in its order: at n = 3 for the sampled rounds, and at
+    n = 2, where they are the vertex permutations, for `p1_orbit_count`."""
+    for n in (2, 3):
+        cx = build_tits_complex(parse_ring_spec(label), n)
+        gens = gl_generators(cx.ring, n)
+        want = [cx._line_map(cx, g.apply) for g in gens]
+        assert cx.catalog.line_tables(cx.ring) == want, n
+        if n == 2:
+            assert want == [list(cx.vertex_permutation(g)) for g in gens]
 
 
 # (ring, n, mode, budget) of spans whose frames the line lookup is checked on
@@ -504,9 +537,8 @@ def test_line_lookup_raises_for_lines_in_two_planes(built):
     # <e_1> and <e_1 + 2 e_2> over Z/4 span no free plane, and both lie in
     # <e_1, e_2> and in <e_1, e_2 + 2 e_3>
     cx = built.complex("Z/4", 3)
-    vec = cx.ring.vec
-    a, b = (cx.vertex_of_span([vec(v)]) for v in ([1, 0, 0], [1, 2, 0]))
-    planes = {cx.vertex_of_span([vec([1, 0, 0]), vec(v)]) for v in ([0, 1, 0], [0, 1, 2])}
+    a, b = (cx.vertex_of_span([vec(cx.ring, v)]) for v in ([1, 0, 0], [1, 2, 0]))
+    planes = {cx.vertex_of_span([vec(cx.ring, [1, 0, 0]), vec(cx.ring, v)]) for v in ([0, 1, 0], [0, 1, 2])}
     ups = cx.line_upsets[2]
     assert len(planes) == 2 and planes <= ups[a] & ups[b]
     with pytest.raises(RuntimeError, match="more than one"):
@@ -645,6 +677,35 @@ def test_p1_orbit_count(monkeypatch):
         assert orbits == nullity_commutant(label) == want, (label, orbits)
 
 
+def test_p1_orbit_count_maps_no_matrix(monkeypatch):
+    # the orbit count reads the catalog's line tables: it builds no matrix
+    # and runs no vertex permutation
+    def refuse(*args):
+        raise AssertionError("a matrix or a vertex permutation in p1_orbit_count")
+
+    monkeypatch.setattr(complexes.TitsComplex, "vertex_permutation", refuse)
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    for label, want in [("Z/4", 3), ("Z/2xZ/2", 4), ("F2[e]^3", 4), ("Z/12", 6)]:
+        assert p1_orbit_count(parse_ring_spec(label)) == want, label
+
+
+def test_p1_orbit_count_builds_no_table_per_unit(monkeypatch):
+    # over F_p the generators are 2 elementary moves and p - 2 unit
+    # scalings; the line tables map the p + 1 lines' basis vectors alone,
+    # so the move tables built are those of the Gr_1 walk, none for a
+    # scaling and none of the q^2 entries per generator
+    built = []
+
+    def recording(ring, digits, op):
+        built.append(op)
+        return move_table(ring, digits, op)
+
+    move_table = grassmann._move_table
+    monkeypatch.setattr(grassmann, "_move_table", recording)
+    assert p1_orbit_count(parse_ring_spec("F53")) == 2
+    assert built and len(built) <= 2 and all(i != j for i, j, _ in built), built
+
+
 def test_p1_orbit_nonuniserial_still_agrees():
     # products are not uniserial and the paper's k + 1 does not apply, but
     # the orbit count still equals the commutant's nullity count
@@ -661,7 +722,7 @@ def test_table_generate_matches_published():
     table = table_generate(specs, 6)
     for d in (4, 6, 8, 9, 10):
         for n in range(1, 7):
-            assert table.value(f"Z/{d}", n) == TABLE1[d][n - 1]
+            assert table.columns[f"Z/{d}"][n - 1] == TABLE1[d][n - 1]
 
 
 def test_table_digit_bound_is_never_below_the_digits(monkeypatch):
